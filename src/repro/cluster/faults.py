@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .trace import Trace
+
 __all__ = [
     "FAILURE_PHASES",
     "FailureEvent",
@@ -42,6 +44,7 @@ __all__ = [
     "SlowNetworkEpisode",
     "RecoveryPolicy",
     "RecoveryError",
+    "CrashRecovery",
     "parse_failure_schedule",
     "build_failure_model",
 ]
@@ -305,6 +308,101 @@ class RecoveryPolicy:
     @property
     def writes_checkpoints(self) -> bool:
         return self.strategy == "checkpoint" and self.checkpoint_every > 0
+
+
+class CrashRecovery:
+    """The crash/retry loop and restore-cost rule both engines share.
+
+    One instance per engine: it logs materialized crashes in
+    :attr:`failures`, knows what a recovery costs (restart plus the
+    latest checkpoint's read-back, or the executor's lineage recompute
+    until one exists) and runs an executor's work for a phase through
+    the failure model — voiding the attempt at the crash point, pricing
+    the downtime as a ``recovery`` span and redoing the work.
+    """
+
+    def __init__(self, faults: FailureModel, recovery: RecoveryPolicy,
+                 trace: Trace, num_executors: int) -> None:
+        self.faults = faults
+        self.recovery = recovery
+        self.trace = trace
+        #: Materialized crashes, in simulated-time order.
+        self.failures: list[FailureRecord] = []
+        self._reload_seconds = [0.0] * num_executors
+        #: Cost of reading the latest checkpoint back (None until one
+        #: has been written); set by the engines' ``checkpoint_phase``.
+        self.checkpoint_seconds: float | None = None
+
+    def set_reload_costs(self, reload_seconds: list[float]) -> None:
+        """Install the per-executor lineage-recompute cost used on crashes."""
+        if len(reload_seconds) != len(self._reload_seconds):
+            raise ValueError(
+                f"expected {len(self._reload_seconds)} reload costs, "
+                f"got {len(reload_seconds)}")
+        if any(s < 0 for s in reload_seconds):
+            raise ValueError("reload seconds must be non-negative")
+        self._reload_seconds = [float(s) for s in reload_seconds]
+
+    def downtime(self, executor: int) -> float:
+        """Seconds one recovery costs: restart + (checkpoint | lineage)."""
+        base = self.recovery.restart_seconds
+        if (self.recovery.strategy == "checkpoint"
+                and self.checkpoint_seconds is not None):
+            return base + self.checkpoint_seconds
+        return base + self._reload_seconds[executor]
+
+    def run(self, label: str, executor: int, start: float,
+            lane: tuple[tuple[float, str, float], ...],
+            retry_lane: tuple[tuple[float, str, float], ...],
+            step: int, phase: str, step_offset: int = 0) -> float:
+        """Run one executor's phase work with crash/retry handling.
+
+        Lanes are ``(seconds, kind, values)`` segments: the first
+        attempt runs ``lane``; every post-recovery attempt runs
+        ``retry_lane`` (which may prepend recomputation work).  A
+        segment cut short by a crash delivered nothing and records no
+        traffic.  The failure model is consulted at ``step +
+        step_offset`` (failure schedules are 1-based; the parameter
+        server counts steps from 0) while spans and records keep the
+        engine's own ``step``.  Returns the executor's finish time;
+        raises :class:`RecoveryError` once the retry budget is exhausted.
+        """
+        t = start
+        attempt = 0
+        current = lane
+        while True:
+            event = self.faults.crash_event(step + step_offset, phase,
+                                            executor, attempt)
+            if event is None:
+                return self.trace.add_lane(label, t, current, step)
+            total = sum(seconds for seconds, _, _ in current)
+            crash_at = t + total * event.at_fraction
+            cursor = t
+            for seconds, kind, values in current:  # work before the crash
+                end = min(cursor + seconds, crash_at)
+                if end > cursor:
+                    self.trace.add(
+                        label, cursor, end, kind, step,
+                        values if cursor + seconds <= crash_at else 0.0)
+                cursor += seconds
+                if cursor >= crash_at:
+                    break
+            self.failures.append(FailureRecord(
+                node=label, step=step, phase=phase, time=crash_at,
+                attempt=attempt))
+            if attempt >= self.recovery.max_retries:
+                raise RecoveryError(
+                    f"{label} crashed in the {phase} phase of step "
+                    f"{step + step_offset} on attempt {attempt + 1}, "
+                    f"exhausting the retry budget "
+                    f"(max_retries={self.recovery.max_retries})")
+            downtime = self.downtime(executor)
+            if downtime > 0:
+                self.trace.add(label, crash_at, crash_at + downtime,
+                               "recovery", step)
+            t = crash_at + downtime
+            attempt += 1
+            current = retry_lane
 
 
 def parse_failure_schedule(spec: str) -> list[FailureEvent]:

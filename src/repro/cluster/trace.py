@@ -78,6 +78,21 @@ class Trace:
         self._spans.append(span)
         return span
 
+    def add_lane(self, node: str, start: float,
+                 lane: tuple[tuple[float, str, float], ...],
+                 step: int = -1) -> float:
+        """Record back-to-back ``(seconds, kind, values)`` segments.
+
+        The segments run one after another from ``start``; zero-length
+        ones leave no span.  Returns the time the last one ends.
+        """
+        t = start
+        for seconds, kind, values in lane:
+            if seconds > 0:
+                self.add(node, t, t + seconds, kind, step, values)
+            t += seconds
+        return t
+
     def traffic_values(self, node: str | None = None,
                        step: int | None = None) -> float:
         """Total wire volume recorded on spans, optionally filtered."""

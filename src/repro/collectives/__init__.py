@@ -7,6 +7,10 @@ combine kernels in :mod:`.allreduce`), so every mode is bit-identical:
   optionally with the SparCML sparse wire format (:mod:`.sparse`).
 * ``hier`` — two-tier, placement-aware aggregation (:mod:`.hierarchical`).
 * ``switch`` — SwitchML-style in-network aggregation (:mod:`.innetwork`).
+
+:func:`open_topology` (:mod:`.topology`) is the single selection point:
+trainers open one :class:`Topology` per session and never branch on the
+collective's name again.
 """
 
 from .allreduce import (all_gather, all_reduce_average, all_reduce_weighted,
@@ -21,8 +25,7 @@ from .sparse import (SPARSE_COMM_MODES, CommStats, SparsePayload, TreeWire,
                      encode, materialize, payload_wire_values,
                      sparse_all_gather, sparse_reduce_scatter,
                      tree_fan_in_wire, wire_values)
-
-COLLECTIVES = ("flat", "hier", "switch")
+from .topology import COLLECTIVES, TOPOLOGIES, Topology, open_topology
 
 __all__ = ["partition_slices", "combine_weight_scale", "reduce_scatter",
            "all_gather", "all_reduce_average", "all_reduce_weighted",
@@ -30,7 +33,7 @@ __all__ = ["partition_slices", "combine_weight_scale", "reduce_scatter",
            "CommStats", "TreeWire", "encode", "materialize",
            "payload_wire_values", "wire_values", "sparse_reduce_scatter",
            "sparse_all_gather", "tree_fan_in_wire",
-           "COLLECTIVES",
+           "COLLECTIVES", "TOPOLOGIES", "Topology", "open_topology",
            "HierWire", "hier_reduce_scatter", "hier_all_gather",
            "hier_tree_fan_in", "hier_dense_wire",
            "SwitchWire", "switch_rounds", "switch_stream_seconds",

@@ -38,10 +38,11 @@ a set (rule DET002 applies to this module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..engine.plan import Lane, PhasePlan, PhaseRequest, Segment
 from .allreduce import all_gather, partition_slices, reduce_scatter
 from .sparse import wire_values
 
@@ -113,13 +114,8 @@ class HierWire:
 
     # ------------------------------------------------------------------
     @property
-    def num_executors(self) -> int:
+    def num_senders(self) -> int:
         return len(self.intra_sends)
-
-    @property
-    def leaders(self) -> tuple[int, ...]:
-        """The first (lowest-index) member of each group, in group order."""
-        return tuple(group[0] for group in self.groups)
 
     @property
     def intra_values(self) -> float:
@@ -142,6 +138,115 @@ class HierWire:
         if self.wire_values <= 0:
             return 1.0
         return self.dense_values / self.wire_values
+
+    # ------------------------------------------------------------------
+    # planners: the two-tier schedule as engine-interpretable data
+    # ------------------------------------------------------------------
+    def phase_plan(self, request: PhaseRequest) -> PhasePlan:
+        """Plan this wire's phase for :class:`~repro.engine.BspEngine`."""
+        if request.phase == "tree_aggregate":
+            return self._fan_in_plan(request)
+        return self._round_plan(request)
+
+    def _intra_seconds(self, request: PhaseRequest,
+                       executors: tuple[int, ...]) -> float:
+        """Serialized intra-tier cost of ``executors``' messages."""
+        net = request.cluster.network
+        return sum(net.intra_transfer_seconds(v)
+                   for e in executors for v in self.intra_sends[e])
+
+    def _intra_sends(self, request: PhaseRequest) -> list[Segment]:
+        """Per executor, the segment that puts its intra-tier messages
+        on the wire (zero-length for one with nothing to send)."""
+        return [(self._intra_seconds(request, (i,)) * request.net_slow,
+                 "send", float(sum(row)))
+                for i, row in enumerate(self.intra_sends)]
+
+    def _fan_in_plan(self, request: PhaseRequest) -> PhasePlan:
+        """Two-tier treeAggregate: machine leaders replace MLlib's
+        round-robin aggregators.
+
+        Members ship their task vectors to their machine's leader over
+        the *intra* tier; each leader combines its group's vectors and
+        ships one partial to the driver over the cross-node fabric.
+        """
+        cluster, m = request.cluster, request.model_size
+        compute = cluster.compute
+        # Level 1: every leader drains its members (serialized ingress)
+        # and folds the group's vectors; leaders run concurrently.
+        level1 = 0.0
+        level1_ingress = 0.0
+        for group in self.groups:
+            ingress = self._intra_seconds(request, group[1:])
+            seconds = ingress + compute.dense_op_seconds(
+                len(group) * request.messages_per_executor * m,
+                cluster.executors[group[0]])
+            level1 = max(level1, seconds)
+            level1_ingress = max(level1_ingress, ingress)
+        # Level 2: the driver receives one partial per machine.
+        driver_ingress = cluster.network.fan_in_varied_seconds(
+            [v for group in self.groups for v in self.cross_sends[group[0]]])
+        driver_seconds = driver_ingress + compute.dense_op_seconds(
+            len(self.groups) * m, cluster.driver)
+
+        level1_end = request.start + level1 * request.net_slow
+        busy: Lane = ((level1_end - request.start, "aggregate", 0.0),)
+        lanes: list[Lane] = [(send,) for send in self._intra_sends(request)]
+        for group in self.groups:
+            lanes[group[0]] = busy
+        return request.fan_in_plan(
+            lanes, level1_end, [lane is not busy for lane in lanes],
+            driver_seconds, self.dense_values, self.wire_values,
+            level1_ingress + driver_ingress)
+
+    def _round_plan(self, request: PhaseRequest) -> PhasePlan:
+        """One two-tier collective round (Reduce-Scatter or AllGather).
+
+        Reduce-Scatter: members upload their model to the machine leader
+        over the intra tier; the leader drains them, folds the group,
+        exchanges node-slices with the other ``n`` leaders and folds
+        those.  AllGather: leaders exchange their node-slices, then fan
+        the reassembled model out to their members (who only receive).
+        With singleton groups the schedule *is* the flat exchange,
+        message for message.  ``recv`` drains carry no values — the
+        members' sends already counted that traffic.
+        """
+        cluster, m = request.cluster, request.model_size
+        net, compute = cluster.network, cluster.compute
+        n = len(self.groups)
+        scatter = request.phase == "reduce_scatter"
+        intra = self._intra_sends(request)
+        lanes: list[Lane] = [(send,) if scatter else () for send in intra]
+        net_times = [send[0] if scatter else 0.0 for send in intra]
+        for group in self.groups:
+            leader = group[0]
+            node = cluster.executors[leader]
+            cross_row = self.cross_sends[leader]
+            cross_send = (net.fan_in_varied_seconds(cross_row)
+                          * request.net_slow if cross_row else 0.0)
+            cross: Segment = (cross_send, "send", float(sum(cross_row)))
+            if scatter:
+                drain = (self._intra_seconds(request, group[1:])
+                         * request.net_slow)
+                members = len(group) - 1
+                fold = (compute.dense_op_seconds(members * m, node)
+                        if members else 0.0)
+                lanes[leader] = ((drain, "recv", 0.0),
+                                 (fold, "aggregate", 0.0), cross)
+                if request.combine_coords > 0:
+                    lanes[leader] += ((compute.dense_op_seconds(
+                        m / n * n, node), "aggregate", 0.0),)
+                net_times[leader] = drain + cross_send
+            else:
+                lanes[leader] = (cross, intra[leader])
+                net_times[leader] = cross_send + intra[leader][0]
+        return PhasePlan(
+            lanes=tuple(lanes),
+            retry_lanes=tuple(request.refill_lane(i)
+                              for i in range(len(lanes))),
+            comm=(self.dense_values, self.wire_values,
+                  max(net_times, default=0.0),
+                  request.dense_round_seconds()))
 
 
 # ----------------------------------------------------------------------
@@ -298,49 +403,23 @@ def hier_dense_wire(phase: str, model_size: int,
     """Dense-sized two-tier wire, for trainers that ship dense vectors.
 
     The spark.ml L-BFGS gradients are dense, so there is nothing to size
-    from supports; this builds the same schedule with every message at
-    its dense size (equivalently, any of the builders above under
-    ``mode='off'`` — without needing the vectors).
+    from supports: under ``mode='off'`` the builders above price every
+    message at its dense size whatever the support, so they are handed
+    empty vectors.
     """
     k = sum(len(group) for group in groups)
     _check_groups(groups, k)
-    mpe = messages_per_executor
-    if mpe < 1:
+    if messages_per_executor < 1:
         raise ValueError("messages_per_executor must be at least 1")
-    n = len(groups)
-    intra: list[tuple[float, ...]] = [()] * k
-    cross: list[tuple[float, ...]] = [()] * k
-    intra_dense = 0.0
-    cross_dense = 0.0
     if phase == "tree_aggregate":
-        for group in groups:
-            for e in group[1:]:
-                intra[e] = tuple(float(model_size) for _ in range(mpe))
-                intra_dense += float(model_size) * mpe
-            cross[group[0]] = (float(model_size),)
-            cross_dense += float(model_size)
-    elif phase in ("reduce_scatter", "all_gather"):
-        slices = partition_slices(model_size, n)
-        for j, group in enumerate(groups):
-            leader = group[0]
-            members = len(group) - 1
-            own = float(slices[j].stop - slices[j].start)
-            if phase == "reduce_scatter":
-                for e in group[1:]:
-                    intra[e] = (float(model_size),)
-                cross[leader] = tuple(
-                    float(slices[i].stop - slices[i].start)
-                    for i in range(n) if i != j)
-                cross_dense += float(model_size) - own
-            else:
-                cross[leader] = tuple(own for _ in range(n - 1))
-                intra[leader] = tuple(float(model_size)
-                                      for _ in range(members))
-                cross_dense += own * (n - 1)
-            intra_dense += float(model_size) * members
+        return hier_tree_fan_in(
+            [[np.zeros(0)] * messages_per_executor] * k, groups,
+            model_size, "off")
+    if phase == "reduce_scatter":
+        wire = _rs_wire([np.zeros(0, dtype=np.intp)] * k, model_size,
+                        groups, "off")
+    elif phase == "all_gather":
+        wire = _ag_wire(np.broadcast_to(0.0, model_size), groups, "off")
     else:
         raise ValueError(f"unknown hierarchical phase {phase!r}")
-    return HierWire(phase=phase, model_size=model_size, groups=groups,
-                    intra_sends=tuple(intra), cross_sends=tuple(cross),
-                    intra_dense=intra_dense, cross_dense=cross_dense,
-                    messages_per_executor=mpe)
+    return replace(wire, messages_per_executor=messages_per_executor)

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cluster.network import NetworkModel
+from ..engine.plan import Lane, PhasePlan, PhaseRequest
 from .allreduce import all_gather, reduce_scatter
 from .sparse import (CommStats, TreeWire, sparse_all_gather,
                      sparse_reduce_scatter, tree_fan_in_wire)
@@ -121,6 +122,11 @@ class SwitchWire:
         # Validate the pool geometry eagerly.
         switch_rounds(self.values_per_link, self.chunk_values,
                       self.pool_slots)
+        if (self.fallback is not None
+                and self.fallback.num_senders != self.num_senders):
+            raise ValueError(
+                f"fallback wire prices {self.fallback.num_senders} "
+                f"senders, the switch wire {self.num_senders}")
 
     # ------------------------------------------------------------------
     @property
@@ -152,6 +158,45 @@ class SwitchWire:
         if self.wire_values <= 0:
             return 1.0
         return self.dense_values / self.wire_values
+
+    # ------------------------------------------------------------------
+    def phase_plan(self, request: PhaseRequest) -> PhasePlan:
+        """Plan this wire's phase for :class:`~repro.engine.BspEngine`.
+
+        Every link streams through the switch concurrently at line
+        rate; the switch folds chunks in its slot pool, so combine
+        compute is absorbed and slot exhaustion only adds one latency
+        per extra round.  A crashed executor redoes its local work and
+        re-streams.  The tree fan-in then ships the one aggregated
+        vector to the driver.  A wire whose sparse fallback fired
+        prices as the host-aggregation wire it wraps.
+        """
+        if self.fallback is not None:
+            return self.fallback.phase_plan(request)
+        cluster, m = request.cluster, request.model_size
+        net = cluster.network
+        stream_raw = switch_stream_seconds(net, self.values_per_link,
+                                           self.chunk_values,
+                                           self.pool_slots)
+        stream = stream_raw * request.net_slow
+        up = request.phase != "all_gather"
+        lane: Lane = ((stream, "send" if up else "recv",
+                       self.values_per_link),)
+        lanes = [lane] * self.num_senders
+        if request.phase == "tree_aggregate":
+            driver_ingress = net.transfer_seconds(m)
+            return request.fan_in_plan(
+                lanes, request.start + stream, [True] * len(lanes),
+                driver_ingress + cluster.compute.dense_op_seconds(
+                    m, cluster.driver),
+                self.dense_values, self.wire_values,
+                stream_raw + driver_ingress)
+        return PhasePlan(
+            lanes=tuple(lanes),
+            retry_lanes=tuple(request.redo_lane(i) + lane
+                              for i in range(len(lanes))),
+            comm=(self.dense_values, self.wire_values, stream,
+                  request.dense_round_seconds()))
 
 
 def _fallback_to_host(mode: str, wire_total: float,

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analysis.sanitizer import check_replicas as _check_replicas
+from ..engine.plan import PhasePlan, PhaseRequest
 from ..engine.shuffle import exchange
 from .allreduce import combine_weight_scale, partition_slices
 
@@ -171,11 +172,19 @@ class CommStats:
     per_sender: tuple[tuple[float, ...], ...]
 
     @property
+    def num_senders(self) -> int:
+        return len(self.per_sender)
+
+    @property
     def compression(self) -> float:
         """Dense-over-wire volume ratio (1.0 for an empty exchange)."""
         if self.wire_values <= 0:
             return 1.0
         return self.dense_values / self.wire_values
+
+    def phase_plan(self, request: PhaseRequest) -> PhasePlan:
+        """The flat shuffle round, priced at these message sizes."""
+        return request.shuffle.phase_plan(request, wire=self)
 
 
 @dataclass(frozen=True)
@@ -195,11 +204,29 @@ class TreeWire:
     dense_values: float
     wire_values: float
 
+    def __post_init__(self) -> None:
+        mpe = self.messages_per_executor
+        if any(len(row) != mpe for row in self.leaf_values):
+            raise ValueError("every executor must ship the same number "
+                             "of task vectors")
+
+    @property
+    def num_senders(self) -> int:
+        return len(self.leaf_values)
+
+    @property
+    def messages_per_executor(self) -> int:
+        return len(self.leaf_values[0]) if self.leaf_values else 0
+
     @property
     def compression(self) -> float:
         if self.wire_values <= 0:
             return 1.0
         return self.dense_values / self.wire_values
+
+    def phase_plan(self, request: PhaseRequest) -> PhasePlan:
+        """The flat treeAggregate, priced at these message sizes."""
+        return request.tree.phase_plan(request, wire=self)
 
 
 # ----------------------------------------------------------------------

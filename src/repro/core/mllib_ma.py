@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cluster import ClusterSpec, Trace
-from ..collectives import (hier_tree_fan_in, switch_tree_fan_in,
-                           tree_fan_in_wire)
+from ..cluster import ClusterSpec
 from ..engine import (BroadcastModel, BspEngine, PartitionedDataset,
                       TreeAggregateModel)
 from ..glm import Objective
@@ -45,20 +43,10 @@ class MLlibModelAveragingTrainer(DistributedTrainer):
 
     # ------------------------------------------------------------------
     def _prepare(self, data: PartitionedDataset) -> None:
-        self._engine = BspEngine(self.cluster, tree=self._tree,
-                                 broadcast=self._broadcast,
-                                 faults=self.faults, recovery=self.recovery)
-        self._install_recovery_costs(self._engine, data)
+        self._engine = self._open_bsp_engine(data, tree=self._tree,
+                                             broadcast=self._broadcast)
         self._rngs = self._worker_rngs(data.num_partitions)
         self._init_dual_state(data)
-
-    def _clock(self) -> float:
-        assert self._engine is not None, "fit() not started"
-        return self._engine.now
-
-    def _trace(self) -> Trace:
-        assert self._engine is not None, "fit() not started"
-        return self._engine.trace
 
     # ------------------------------------------------------------------
     def _run_step(self, step: int, w: np.ndarray,
@@ -107,24 +95,11 @@ class MLlibModelAveragingTrainer(DistributedTrainer):
         # before resending.  Under --sparse-comm each local model's
         # message is priced at its support (the coordinates local SGD
         # touched — the partition's column support at most).
-        mode = self.config.sparse_comm
-        wire = None
-        if self.config.collective == "hier":
-            wire = hier_tree_fan_in([[local] for local in locals_],
-                                    self.cluster.executor_groups(), m,
-                                    mode)
-        elif self.config.collective == "switch":
-            wire = switch_tree_fan_in(
-                [[local] for local in locals_],
-                engine.tree.plan(data.num_partitions), m, mode,
-                pool_slots=self.config.switch_slots,
-                chunk_values=self.config.switch_chunk)
-        elif mode != "off":
-            wire = tree_fan_in_wire(
-                [[local] for local in locals_],
-                engine.tree.plan(data.num_partitions), m, mode)
-        engine.tree_aggregate_phase(m, step, redo_seconds=durations,
-                                    wire=wire)
+        # --collective picks the topology that carries (and prices) it.
+        engine.tree_aggregate_phase(
+            m, step, redo_seconds=durations,
+            wire=self._topology.fan_in_wire(
+                [[local] for local in locals_], m))
 
         # ...which combines them on the driver (one dense pass): model
         # averaging for the primal path, delta summation (applied to the

@@ -20,10 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cluster import ClusterSpec, Trace
-from ..collectives import (hier_all_gather, hier_reduce_scatter,
-                           sparse_all_gather, sparse_reduce_scatter,
-                           switch_all_gather, switch_reduce_scatter)
+from ..cluster import ClusterSpec
 from ..engine import BspEngine, PartitionedDataset
 from ..glm import Objective
 from .config import TrainerConfig
@@ -57,25 +54,11 @@ class MLlibStarTrainer(DistributedTrainer):
 
     # ------------------------------------------------------------------
     def _prepare(self, data: PartitionedDataset) -> None:
-        if data.n_features < data.num_partitions:
-            raise ValueError(
-                f"model of size {data.n_features} cannot be partitioned "
-                f"across {data.num_partitions} executors for AllReduce: "
-                "every owner needs at least one coordinate "
-                "(num_executors > model_size)")
-        self._engine = BspEngine(self.cluster, faults=self.faults,
-                                 recovery=self.recovery)
-        self._install_recovery_costs(self._engine, data)
+        engine = self._engine = self._open_bsp_engine(data)
+        engine.shuffle.check_owners(data.n_features, data.num_partitions,
+                                    "AllReduce")
         self._rngs = self._worker_rngs(data.num_partitions)
         self._init_dual_state(data)
-
-    def _clock(self) -> float:
-        assert self._engine is not None, "fit() not started"
-        return self._engine.now
-
-    def _trace(self) -> Trace:
-        assert self._engine is not None, "fit() not started"
-        return self._engine.trace
 
     # ------------------------------------------------------------------
     def _run_step(self, step: int, w: np.ndarray,
@@ -155,49 +138,16 @@ class MLlibStarTrainer(DistributedTrainer):
         # two-tier hier, or in-network switch); every topology calls the
         # same flat combine kernels underneath, so iterates are
         # bit-identical across --collective values too.
-        mode = self.config.sparse_comm
-        collective = self.config.collective
-        if collective == "hier":
-            groups = self.cluster.executor_groups()
-            partitions, rs_wire = hier_reduce_scatter(
-                locals_, groups, combine=combine, weights=weights,
-                mode=mode)
-            engine.reduce_scatter_phase(m, step, redo_seconds=durations,
-                                        wire=rs_wire)
-            new_w, ag_wire = hier_all_gather(
-                partitions, m, groups, mode=mode,
-                check_replicas=self.sanitizer.enabled)
-            engine.all_gather_phase(m, step, redo_seconds=durations,
-                                    wire=ag_wire)
-            return new_w
-        if collective == "switch":
-            partitions, rs_wire = switch_reduce_scatter(
-                locals_, combine=combine, weights=weights,
-                mode=mode, pool_slots=self.config.switch_slots,
-                chunk_values=self.config.switch_chunk)
-            engine.reduce_scatter_phase(m, step, redo_seconds=durations,
-                                        wire=rs_wire)
-            new_w, ag_wire = switch_all_gather(
-                partitions, m, mode=mode,
-                pool_slots=self.config.switch_slots,
-                chunk_values=self.config.switch_chunk,
-                check_replicas=self.sanitizer.enabled)
-            engine.all_gather_phase(m, step, redo_seconds=durations,
-                                    wire=ag_wire)
-            return new_w
-        partitions, rs_stats = sparse_reduce_scatter(
-            locals_, combine=combine, weights=weights, mode=mode)
-        engine.reduce_scatter_phase(
-            m, step, redo_seconds=durations,
-            wire=rs_stats if mode != "off" else None)
+        partitions, rs_wire = self._topology.reduce_scatter(
+            locals_, combine, weights)
+        engine.reduce_scatter_phase(m, step, redo_seconds=durations,
+                                    wire=rs_wire)
 
         # Phase 3: AllGather — everyone reassembles the global model.
         # Under --sanitize every worker's reassembled replica is
         # digest-checked for bit-identity at this barrier.
-        new_w, ag_stats = sparse_all_gather(
-            partitions, m, mode=mode,
-            check_replicas=self.sanitizer.enabled)
-        engine.all_gather_phase(
-            m, step, redo_seconds=durations,
-            wire=ag_stats if mode != "off" else None)
+        new_w, ag_wire = self._topology.all_gather(
+            partitions, m, check_replicas=self.sanitizer.enabled)
+        engine.all_gather_phase(m, step, redo_seconds=durations,
+                                wire=ag_wire)
         return new_w

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cluster import ClusterSpec, Trace
-from ..collectives import hier_dense_wire, switch_dense_wire
+from ..cluster import ClusterSpec
 from ..engine import BspEngine, PartitionedDataset
 from ..glm import Objective
 from ..glm.lbfgs import LbfgsState, wolfe_line_search
@@ -60,19 +59,9 @@ class SparkMlTrainer(DistributedTrainer):
 
     # ------------------------------------------------------------------
     def _prepare(self, data: PartitionedDataset) -> None:
-        self._engine = BspEngine(self.cluster, faults=self.faults,
-                                 recovery=self.recovery)
-        self._install_recovery_costs(self._engine, data)
+        self._engine = self._open_bsp_engine(data)
         self._state = LbfgsState(memory=self.memory)
         self._grad = None
-
-    def _clock(self) -> float:
-        assert self._engine is not None, "fit() not started"
-        return self._engine.now
-
-    def _trace(self) -> Trace:
-        assert self._engine is not None, "fit() not started"
-        return self._engine.trace
 
     # ------------------------------------------------------------------
     def _local_fg(self, w: np.ndarray, data: PartitionedDataset,
@@ -114,27 +103,12 @@ class SparkMlTrainer(DistributedTrainer):
         if candidate_shipped:
             engine.broadcast_phase(m, step)
         engine.compute_phase(durations, step)
-        engine.tree_aggregate_phase(m, step, redo_seconds=durations,
-                                    wire=self._topology_wire(
-                                        "tree_aggregate", m))
-
-    def _topology_wire(self, phase: str, m: int):
-        """Non-flat collective pricing for the dense L-BFGS messages.
-
-        spark.ml ships dense gradients, so hier/switch wires carry every
-        message at its dense size; under the default ``flat`` collective
-        this returns ``None`` and pricing is bit-identical to the seed.
-        """
-        collective = self.config.collective
-        if collective == "hier":
-            return hier_dense_wire(phase, m,
-                                   self.cluster.executor_groups())
-        if collective == "switch":
-            return switch_dense_wire(
-                phase, m, self.cluster.num_executors,
-                pool_slots=self.config.switch_slots,
-                chunk_values=self.config.switch_chunk)
-        return None
+        # spark.ml ships dense gradients, so non-flat topologies carry
+        # every message at its dense size; ``flat`` has no wire and
+        # prices bit-identically to the seed.
+        engine.tree_aggregate_phase(
+            m, step, redo_seconds=durations,
+            wire=self._topology.dense_wire("tree_aggregate", m))
 
     def _charge_direction(self, m: int, step: int) -> None:
         """The two-loop recursion over the curvature history."""
@@ -205,13 +179,10 @@ class SparkMlStarTrainer(SparkMlTrainer):
     system = "spark.ml*"
 
     def _prepare(self, data: PartitionedDataset) -> None:
-        if data.n_features < data.num_partitions:
-            raise ValueError(
-                f"model of size {data.n_features} cannot be partitioned "
-                f"across {data.num_partitions} executors for AllReduce: "
-                "every owner needs at least one coordinate "
-                "(num_executors > model_size)")
         super()._prepare(data)
+        assert self._engine is not None
+        self._engine.shuffle.check_owners(data.n_features,
+                                          data.num_partitions, "AllReduce")
 
     def _charge_evaluation(self, m: int, step: int,
                            durations: list[float],
@@ -220,11 +191,12 @@ class SparkMlStarTrainer(SparkMlTrainer):
         assert engine is not None
         # No model broadcast: every executor builds the candidate locally.
         engine.compute_phase(durations, step)
-        engine.reduce_scatter_phase(m, step, redo_seconds=durations,
-                                    wire=self._topology_wire(
-                                        "reduce_scatter", m))
-        engine.all_gather_phase(m, step, redo_seconds=durations,
-                                wire=self._topology_wire("all_gather", m))
+        engine.reduce_scatter_phase(
+            m, step, redo_seconds=durations,
+            wire=self._topology.dense_wire("reduce_scatter", m))
+        engine.all_gather_phase(
+            m, step, redo_seconds=durations,
+            wire=self._topology.dense_wire("all_gather", m))
 
     def _charge_direction(self, m: int, step: int) -> None:
         engine = self._engine

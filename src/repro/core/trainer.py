@@ -37,7 +37,9 @@ from ..cluster import ClusterSpec, Trace
 from ..cluster.faults import (FailureRecord, RecoveryPolicy,
                               build_failure_model)
 from ..data import SparseDataset
-from ..engine import CommRecord, PartitionedDataset
+from ..collectives import Topology, open_topology
+from ..engine import (BroadcastModel, BspEngine, CommRecord,
+                      PartitionedDataset, TreeAggregateModel)
 from ..engine.backend import ExecutionBackend, SerialBackend, make_backend
 from ..glm import GLMModel, Objective, get_schedule
 from ..metrics import TrainingHistory
@@ -130,6 +132,10 @@ class DistributedTrainer:
     #: system fails fast in :meth:`open_session`.
     supports_dual_solver = False
 
+    #: The session's collective topology (BSP trainers only; opened with
+    #: the engine by :meth:`_open_bsp_engine`).
+    _topology: Topology
+
     def __init__(self, objective: Objective, cluster: ClusterSpec,
                  config: TrainerConfig | None = None) -> None:
         self.objective = objective
@@ -191,13 +197,19 @@ class DistributedTrainer:
         """Execute communication step ``step`` (1-based); return new model."""
         raise NotImplementedError
 
+    def _engine_started(self):
+        engine = getattr(self, "_engine", None)
+        assert engine is not None, "fit() not started"
+        return engine
+
     def _clock(self) -> float:
-        """Current simulated time; subclasses expose their engine's clock."""
-        raise NotImplementedError
+        """Current simulated time (the engine's clock; engine-less
+        trainers override)."""
+        return self._engine_started().now
 
     def _trace(self) -> Trace:
         """The trace collected so far."""
-        raise NotImplementedError
+        return self._engine_started().trace
 
     def _on_initial_model(self, w: np.ndarray,
                           data: PartitionedDataset) -> None:
@@ -225,6 +237,21 @@ class DistributedTrainer:
         engine = getattr(self, "_engine", None)
         if engine is not None:
             engine.checkpoint_phase(model_size, step)
+
+    def _open_bsp_engine(self, data: PartitionedDataset,
+                         tree: TreeAggregateModel | None = None,
+                         broadcast: BroadcastModel | None = None,
+                         ) -> BspEngine:
+        """Build a run's BSP engine with its recovery costs, and open the
+        collective topology (``config.collective``) that will price the
+        run's exchanges on it."""
+        engine = BspEngine(self.cluster, tree=tree, broadcast=broadcast,
+                           faults=self.faults, recovery=self.recovery)
+        self._install_recovery_costs(engine, data)
+        self._topology = open_topology(
+            self.config, self.cluster,
+            engine.tree.plan(data.num_partitions))
+        return engine
 
     def _install_recovery_costs(self, engine,
                                 data: PartitionedDataset) -> None:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..cluster import ClusterSpec
+from .plan import Lane, PhasePlan, PhaseRequest, check_wire
 
 if TYPE_CHECKING:  # avoid a runtime engine -> collectives import cycle
     from ..collectives.sparse import TreeWire
@@ -111,14 +112,7 @@ class TreeAggregateModel:
         groups = self.plan(k)
         mpe = messages_per_executor
         if wire is not None:
-            if len(wire.leaf_values) != k:
-                raise ValueError(
-                    f"wire carries {len(wire.leaf_values)} executors, "
-                    f"cluster has {k}")
-            if any(len(row) != mpe for row in wire.leaf_values):
-                raise ValueError(
-                    "wire must carry messages_per_executor sizes per "
-                    "executor")
+            check_wire(wire, k, mpe)
 
         if not groups:
             if wire is None:
@@ -139,7 +133,7 @@ class TreeAggregateModel:
         a = len(groups)
         if wire is not None and len(wire.partial_values) != a:
             raise ValueError(
-                f"wire carries {len(wire.partial_values)} partials, plan "
+                f"wire holds {len(wire.partial_values)} partials, plan "
                 f"has {a} aggregators")
         level1 = 0.0
         level1_ingress = 0.0
@@ -172,3 +166,43 @@ class TreeAggregateModel:
         return TreeAggregateTiming(aggregator_seconds=level1,
                                    driver_seconds=driver, groups=groups,
                                    ingress_seconds=level1_ingress + ingress)
+
+    def phase_plan(self, request: PhaseRequest,
+                   wire: "TreeWire | None" = None) -> PhasePlan:
+        """Plan the flat treeAggregate (dense, or ``wire``-sized sends).
+
+        Aggregators are busy for the whole level-1 stage; every other
+        executor sends its task vectors and idles until that stage
+        ends.  The dense path keeps the closed-form ``transfer_seconds``
+        / :meth:`timing` expressions, so ``wire=None`` prices exactly as
+        the dense engine always has.
+        """
+        cluster, m = request.cluster, request.model_size
+        k = cluster.num_executors
+        net = cluster.network
+        slow = request.net_slow
+        timing = self.timing(cluster, m, request.messages_per_executor,
+                             wire=wire)
+        level1_end = request.start + timing.aggregator_seconds * slow
+        busy: Lane = ((level1_end - request.start, "aggregate", 0.0),)
+        if wire is None:
+            dense_send: Lane = ((net.transfer_seconds(m) * slow, "send",
+                                 float(m)),)
+            lanes = [busy if i in timing.groups else dense_send
+                     for i in range(k)]
+            a = len(timing.groups)
+            mpe = request.messages_per_executor
+            messages = k * mpe if a == 0 else (k - a) * mpe + a
+            dense_values = wire_values = float(m) * messages
+            dense_seconds = timing.ingress_seconds * slow
+        else:
+            lanes = [busy if i in timing.groups else
+                     ((net.fan_in_varied_seconds(row) * slow, "send",
+                       float(sum(row))),)
+                     for i, row in enumerate(wire.leaf_values)]
+            dense_values, wire_values = wire.dense_values, wire.wire_values
+            dense_seconds = None
+        return request.fan_in_plan(
+            lanes, level1_end, [i not in timing.groups for i in range(k)],
+            timing.driver_seconds, dense_values, wire_values,
+            timing.ingress_seconds, dense_seconds)

@@ -45,26 +45,18 @@ timing is bit-identical to the failure-free engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from ..cluster import ClusterSpec, Trace
-from ..cluster.faults import (FailureModel, FailureRecord, NoFailures,
-                              RecoveryError, RecoveryPolicy)
+from ..cluster.faults import (CrashRecovery, FailureModel, FailureRecord,
+                              NoFailures, RecoveryPolicy)
 from .aggregation import TreeAggregateModel
 from .broadcast import BroadcastModel
+from .plan import PhasePlan, PhaseRequest, WirePlanner, check_wire
 from .shuffle import ShuffleModel
-
-if TYPE_CHECKING:  # avoid a runtime engine -> collectives import cycle
-    from ..collectives.hierarchical import HierWire
-    from ..collectives.innetwork import SwitchWire
-    from ..collectives.sparse import CommStats, TreeWire
 
 __all__ = ["BspEngine", "CommRecord", "DRIVER_LABEL", "executor_label"]
 
 DRIVER_LABEL = "driver"
-
-#: (seconds, span-kind) work segments used by the failure-aware runner.
-_Segments = list
 
 
 def executor_label(index: int) -> str:
@@ -105,8 +97,12 @@ class CommRecord:
         return self.dense_seconds / self.seconds
 
 
+
 class BspEngine:
     """Advances a simulated global clock through BSP phases.
+
+    Executor-side phases are planned as data (:mod:`repro.engine.plan`)
+    and run by one interpreter, :meth:`_run_plan`.
 
     Parameters
     ----------
@@ -140,18 +136,17 @@ class BspEngine:
         # mistake, not a failure-free run.
         self.faults.validate_executors(cluster.num_executors)
         self.recovery = recovery if recovery is not None else RecoveryPolicy()
-        #: Materialized crashes, in simulated-time order.
-        self.failures: list[FailureRecord] = []
         #: Wire accounting, one record per priced communication phase.
         self.comm_records: list[CommRecord] = []
         self.trace = Trace()
         self.now = 0.0
-        #: Per-executor cost of rebuilding a lost cached partition from
-        #: lineage (set by the trainer once partition sizes are known).
-        self._reload_seconds = [0.0] * cluster.num_executors
-        #: Cost of restoring from the latest checkpoint (None until one
-        #: has been written).
-        self._restore_seconds: float | None = None
+        #: Crash/retry loop, recovery costs (lineage recompute per
+        #: executor, set by the trainer once partition sizes are known;
+        #: checkpoint read-back once one is written) and the crash log.
+        self._crashes = CrashRecovery(self.faults, self.recovery,
+                                      self.trace, cluster.num_executors)
+        #: Materialized crashes, in simulated-time order.
+        self.failures: list[FailureRecord] = self._crashes.failures
         cluster.reset_rng()
 
     # ------------------------------------------------------------------
@@ -161,13 +156,7 @@ class BspEngine:
 
     def set_recovery_costs(self, reload_seconds: list[float]) -> None:
         """Install the per-executor lineage-recompute cost used on crashes."""
-        if len(reload_seconds) != self.num_executors:
-            raise ValueError(
-                f"expected {self.num_executors} reload costs, "
-                f"got {len(reload_seconds)}")
-        if any(s < 0 for s in reload_seconds):
-            raise ValueError("reload seconds must be non-negative")
-        self._reload_seconds = [float(s) for s in reload_seconds]
+        self._crashes.set_reload_costs(reload_seconds)
 
     def _wait_fill(self, label: str, busy_until: float, barrier: float,
                    step: int) -> None:
@@ -182,65 +171,81 @@ class BspEngine:
         return self.faults.network_slowdown(step)
 
     # ------------------------------------------------------------------
-    # failure-aware attempt runner
+    # the phase interpreter
     # ------------------------------------------------------------------
-    def _restore_cost(self, executor_index: int) -> float:
-        """Downtime of one recovery: restart + (checkpoint read | lineage)."""
-        base = self.recovery.restart_seconds
-        if (self.recovery.strategy == "checkpoint"
-                and self._restore_seconds is not None):
-            return base + self._restore_seconds
-        return base + self._reload_seconds[executor_index]
+    def _run_plan(self, plan: PhasePlan, step: int, fault_phase: str,
+                  record_phase: str = "") -> float:
+        """Run one planned phase; returns its duration.
 
-    def _attempt_run(self, executor_index: int, start: float,
-                     segments: _Segments, retry_segments: _Segments,
-                     step: int, phase: str) -> float:
-        """Run one executor's phase work with crash/retry handling.
-
-        ``segments``/``retry_segments`` are ``(seconds, kind)`` lists: the
-        first attempt runs ``segments``; every post-recovery attempt runs
-        ``retry_segments`` (which may prepend recomputation work).  Returns
-        the executor's finish time; raises :class:`RecoveryError` once the
-        retry budget is exhausted.
+        Each executor runs its lane from the phase start — through the
+        crash/retry loop when a failure model is enabled, straight onto
+        the trace otherwise.  A plain plan then closes with a barrier at
+        the slowest executor (the driver idles throughout); a
+        :class:`~repro.engine.plan.TreeClose` plan idles the senders to
+        the level-1 end, starts the driver stage late by the slowest
+        recovered executor and idles everyone until it ends.
         """
-        label = executor_label(executor_index)
-        t = start
-        attempt = 0
-        current = segments
-        while True:
-            event = self.faults.crash_event(step, phase, executor_index,
-                                            attempt)
-            if event is None:
-                for seconds, kind in current:
-                    if seconds > 0:
-                        self.trace.add(label, t, t + seconds, kind, step)
-                    t += seconds
-                return t
-            total = sum(seconds for seconds, _ in current)
-            crash_at = t + total * event.at_fraction
-            cursor = t
-            for seconds, kind in current:  # work done before the crash
-                end = min(cursor + seconds, crash_at)
-                if end > cursor:
-                    self.trace.add(label, cursor, end, kind, step)
-                cursor += seconds
-                if cursor >= crash_at:
-                    break
-            self.failures.append(FailureRecord(
-                node=label, step=step, phase=phase, time=crash_at,
-                attempt=attempt))
-            if attempt >= self.recovery.max_retries:
-                raise RecoveryError(
-                    f"{label} crashed in the {phase} phase of step {step} "
-                    f"on attempt {attempt + 1}, exhausting the retry "
-                    f"budget (max_retries={self.recovery.max_retries})")
-            downtime = self._restore_cost(executor_index)
-            if downtime > 0:
-                self.trace.add(label, crash_at, crash_at + downtime,
-                               "recovery", step)
-            t = crash_at + downtime
-            attempt += 1
-            current = retry_segments
+        start = self.now
+        faulty = self.faults.enabled
+        close = plan.close
+        finish: list[float] = []
+        late = 0.0
+        for i, lane in enumerate(plan.lanes):
+            label = executor_label(i)
+            if faulty:
+                end = self._crashes.run(label, i, start, lane,
+                                        plan.retry_lanes[i], step,
+                                        fault_phase)
+            else:
+                end = self.trace.add_lane(label, start, lane, step)
+            finish.append(end)
+            if close is not None:
+                on_time = start
+                for segment in lane:
+                    on_time += segment[0]
+                late = max(late, end - on_time)
+                if close.idles_at_level1[i]:
+                    self._wait_fill(label, end, close.level1_end, step)
+        if close is None:
+            barrier = max(finish, default=start)
+            for i, end in enumerate(finish):
+                self._wait_fill(executor_label(i), end, barrier, step)
+            self._wait_fill(DRIVER_LABEL, start, barrier, step)
+        else:
+            driver_start = close.level1_end + late
+            barrier = driver_start + close.driver_seconds
+            self.trace.add(DRIVER_LABEL, driver_start, barrier,
+                           "aggregate", step)
+            for i, end in enumerate(finish):
+                # Only a recovered executor can outlast the level-1 stage.
+                busy_until = (max(close.level1_end, end) if faulty
+                              else close.level1_end)
+                self._wait_fill(executor_label(i), busy_until, barrier,
+                                step)
+        if plan.comm is not None:
+            self.comm_records.append(CommRecord(step, record_phase,
+                                                *plan.comm))
+        self.now = barrier
+        return barrier - start
+
+    def _plan_communication(self, wire: WirePlanner | None, flat_planner,
+                            phase: str, model_size: int, step: int,
+                            redo_seconds: list[float] | None,
+                            messages_per_executor: int | None = None,
+                            combine_coords: float = 0.0) -> PhasePlan:
+        """Ask ``wire`` (or, without one, the dense ``flat_planner``) to
+        plan a communication phase — after the one check that the wire
+        was built for this cluster."""
+        request = PhaseRequest(
+            cluster=self.cluster, tree=self.tree, shuffle=self.shuffle,
+            phase=phase, model_size=model_size, start=self.now,
+            net_slow=self._net_slowdown(step),
+            messages_per_executor=messages_per_executor or 1,
+            combine_coords=combine_coords, redo_seconds=redo_seconds)
+        if wire is None:
+            return flat_planner.phase_plan(request)
+        check_wire(wire, self.num_executors, messages_per_executor)
+        return wire.phase_plan(request)
 
     # ------------------------------------------------------------------
     def compute_phase(self, seconds_by_executor: list[float],
@@ -257,35 +262,18 @@ class BspEngine:
             raise ValueError(
                 f"expected {self.num_executors} durations, "
                 f"got {len(seconds_by_executor)}")
-        start = self.now
-        finish_times: list[float] = []
-        for i, base in enumerate(seconds_by_executor):
-            if base < 0:
-                raise ValueError("compute seconds must be non-negative")
-            node = self.cluster.executors[i]
-            duration = base * self.cluster.slowdown(node, step)
-            if self.faults.enabled:
-                segments = [(duration, "compute")]
-                end = self._attempt_run(i, start, segments, segments,
-                                        step, "compute")
-            else:
-                end = start + duration
-                if duration > 0:
-                    self.trace.add(executor_label(i), start, end,
-                                   "compute", step)
-            finish_times.append(end)
-        barrier = max(finish_times, default=start)
-        for i, end in enumerate(finish_times):
-            self._wait_fill(executor_label(i), end, barrier, step)
-        self._wait_fill(DRIVER_LABEL, start, barrier, step)
-        self.now = barrier
-        return barrier - start
+        if any(base < 0 for base in seconds_by_executor):
+            raise ValueError("compute seconds must be non-negative")
+        lanes = tuple(
+            ((base * self.cluster.slowdown(node, step), "compute", 0.0),)
+            for base, node in zip(seconds_by_executor,
+                                  self.cluster.executors))
+        return self._run_plan(PhasePlan(lanes, lanes), step, "compute")
 
     def tree_aggregate_phase(self, model_size: int, step: int,
                              messages_per_executor: int = 1,
                              redo_seconds: list[float] | None = None,
-                             wire: "TreeWire | HierWire | SwitchWire | None"
-                             = None) -> float:
+                             wire: WirePlanner | None = None) -> float:
         """Hierarchical aggregation of size-``m`` vectors to the driver.
 
         ``messages_per_executor`` > 1 models multiple waves of tasks per
@@ -297,9 +285,9 @@ class BspEngine:
 
         ``wire`` (a :class:`~repro.collectives.sparse.TreeWire`) prices
         each leaf/partial message at its sparse encoded size instead of
-        ``model_size``.  Fault-recovery resends stay dense-priced (the
-        recovered state is re-shipped conservatively).  With ``wire=None``
-        timing is bit-identical to the dense engine.
+        ``model_size``.  A recovered sender re-sends at the same priced
+        size.  With ``wire=None`` timing is bit-identical to the dense
+        engine.
 
         A :class:`~repro.collectives.hierarchical.HierWire` or
         :class:`~repro.collectives.innetwork.SwitchWire` replaces the
@@ -308,258 +296,10 @@ class BspEngine:
         The aggregated values are the same in every case — topology is a
         pricing choice (``docs/communication.md``).
         """
-        # Runtime imports keep the module-load graph acyclic
-        # (collectives -> engine.shuffle).
-        from ..collectives.hierarchical import HierWire
-        from ..collectives.innetwork import SwitchWire
-        if isinstance(wire, SwitchWire):
-            if wire.fallback is None:
-                return self._switch_tree_aggregate(
-                    model_size, step, messages_per_executor, redo_seconds,
-                    wire)
-            wire = wire.fallback
-        if isinstance(wire, HierWire):
-            return self._hier_tree_aggregate(
-                model_size, step, messages_per_executor, redo_seconds,
-                wire)
-        timing = self.tree.timing(self.cluster, model_size,
-                                  messages_per_executor, wire=wire)
-        net_slow = self._net_slowdown(step)
-        start = self.now
-        net = self.cluster.network
-        if wire is None:
-            send_list = [net.transfer_seconds(model_size) * net_slow
-                         ] * self.num_executors
-            send_values = [float(model_size)] * self.num_executors
-        else:
-            send_list = [net.fan_in_varied_seconds(wire.leaf_values[i])
-                         * net_slow for i in range(self.num_executors)]
-            send_values = [float(sum(wire.leaf_values[i]))
-                           for i in range(self.num_executors)]
-
-        level1_end = start + timing.aggregator_seconds * net_slow
-        aggregators = set(timing.groups)
-        delay = 0.0
-        finish_times: list[float] = []
-        for i in range(self.num_executors):
-            label = executor_label(i)
-            is_aggregator = i in aggregators and bool(timing.groups)
-            if is_aggregator:
-                segments = [(level1_end - start, "aggregate")]
-            else:
-                segments = [(send_list[i], "send")]
-            if self.faults.enabled:
-                redo = ([] if redo_seconds is None
-                        else [(redo_seconds[i], "compute")])
-                end = self._attempt_run(i, start, segments,
-                                        redo + segments, step, "aggregate")
-                delay = max(delay, end - (start + segments[0][0]))
-            else:
-                end = start + segments[0][0]
-                self.trace.add(label, start, end, segments[0][1], step,
-                               values=(0.0 if is_aggregator
-                                       else send_values[i]))
-            finish_times.append(end)
-            if not is_aggregator:
-                self._wait_fill(label, end, level1_end, step)
-
-        driver_start = level1_end + delay
-        driver_end = driver_start + timing.driver_seconds * net_slow
-        self.trace.add(DRIVER_LABEL, driver_start, driver_end,
-                       "aggregate", step)
-        for i in range(self.num_executors):
-            busy_until = (max(level1_end, finish_times[i])
-                          if self.faults.enabled else level1_end)
-            self._wait_fill(executor_label(i), busy_until, driver_end, step)
-
-        if wire is None:
-            a = len(timing.groups)
-            msgs = (self.num_executors * messages_per_executor if a == 0
-                    else (self.num_executors - a) * messages_per_executor + a)
-            dense_values = float(model_size) * msgs
-            wire_values = dense_values
-            dense_ingress = timing.ingress_seconds
-        else:
-            dense_values = wire.dense_values
-            wire_values = wire.wire_values
-            dense_ingress = self.tree.timing(
-                self.cluster, model_size, messages_per_executor
-            ).ingress_seconds
-        self.comm_records.append(CommRecord(
-            step=step, phase="tree_aggregate", dense_values=dense_values,
-            wire_values=wire_values,
-            seconds=timing.ingress_seconds * net_slow,
-            dense_seconds=dense_ingress * net_slow))
-        self.now = driver_end
-        return driver_end - start
-
-    def _hier_tree_aggregate(self, model_size: int, step: int,
-                             messages_per_executor: int,
-                             redo_seconds: list[float] | None,
-                             wire: "HierWire") -> float:
-        """Two-tier treeAggregate: machine leaders replace MLlib's
-        round-robin aggregators.
-
-        Members ship their task vectors to their machine's leader over
-        the *intra* tier; each leader combines its group's vectors and
-        ships one partial to the driver over the cross-node fabric.
-        Mirrors :meth:`tree_aggregate_phase` barrier/fault semantics.
-        """
-        k = self.num_executors
-        if wire.num_executors != k:
-            raise ValueError(f"wire carries {wire.num_executors} "
-                             f"executors, cluster has {k}")
-        if wire.messages_per_executor != messages_per_executor:
-            raise ValueError("wire must carry messages_per_executor "
-                             "sizes per executor")
-        mpe = messages_per_executor
-        net = self.cluster.network
-        compute = self.cluster.compute
-        net_slow = self._net_slowdown(step)
-        start = self.now
-        n = len(wire.groups)
-        leaders = wire.leaders
-
-        # Level 1: every leader drains its members over the intra tier
-        # (serialized ingress) and folds the group's vectors; leaders run
-        # concurrently, as in the flat treeAggregate.
-        level1 = 0.0
-        level1_ingress = 0.0
-        for group in wire.groups:
-            node = self.cluster.executors[group[0]]
-            ingress = sum(net.intra_transfer_seconds(v)
-                          for e in group[1:]
-                          for v in wire.intra_sends[e])
-            seconds = ingress + compute.dense_op_seconds(
-                len(group) * mpe * model_size, node)
-            level1 = max(level1, seconds)
-            level1_ingress = max(level1_ingress, ingress)
-        # Level 2: the driver receives one partial per machine.
-        partials = [v for i in leaders for v in wire.cross_sends[i]]
-        driver_ingress = net.fan_in_varied_seconds(partials)
-        driver_seconds = (driver_ingress
-                          + compute.dense_op_seconds(n * model_size,
-                                                     self.cluster.driver))
-
-        level1_end = start + level1 * net_slow
-        is_leader = [False] * k
-        for i in leaders:
-            is_leader[i] = True
-        delay = 0.0
-        finish_times: list[float] = []
-        for i in range(k):
-            label = executor_label(i)
-            if is_leader[i]:
-                segments: _Segments = [(level1_end - start, "aggregate")]
-                values = 0.0
-            else:
-                send = (sum(net.intra_transfer_seconds(v)
-                            for v in wire.intra_sends[i]) * net_slow)
-                segments = [(send, "send")]
-                values = float(sum(wire.intra_sends[i]))
-            if self.faults.enabled:
-                redo = ([] if redo_seconds is None
-                        else [(redo_seconds[i], "compute")])
-                end = self._attempt_run(i, start, segments,
-                                        redo + segments, step, "aggregate")
-                delay = max(delay, end - (start + segments[0][0]))
-            else:
-                end = start + segments[0][0]
-                if segments[0][0] > 0:
-                    self.trace.add(label, start, end, segments[0][1],
-                                   step, values=values)
-            finish_times.append(end)
-            if not is_leader[i]:
-                self._wait_fill(label, end, level1_end, step)
-
-        driver_start = level1_end + delay
-        driver_end = driver_start + driver_seconds * net_slow
-        self.trace.add(DRIVER_LABEL, driver_start, driver_end,
-                       "aggregate", step)
-        for i in range(k):
-            busy_until = (max(level1_end, finish_times[i])
-                          if self.faults.enabled else level1_end)
-            self._wait_fill(executor_label(i), busy_until, driver_end,
-                            step)
-        dense_ingress = self.tree.timing(self.cluster, model_size,
-                                         mpe).ingress_seconds
-        self.comm_records.append(CommRecord(
-            step=step, phase="tree_aggregate",
-            dense_values=wire.dense_values, wire_values=wire.wire_values,
-            seconds=(level1_ingress + driver_ingress) * net_slow,
-            dense_seconds=dense_ingress * net_slow))
-        self.now = driver_end
-        return driver_end - start
-
-    def _switch_tree_aggregate(self, model_size: int, step: int,
-                               messages_per_executor: int,
-                               redo_seconds: list[float] | None,
-                               wire: "SwitchWire") -> float:
-        """In-network treeAggregate: every task vector streams through
-        the switch concurrently; the driver receives one result.
-
-        Slot exhaustion (more chunks in flight than ``pool_slots``)
-        stalls the streams for one extra latency per round — stretching
-        seconds without touching any aggregated value.
-        """
-        from ..collectives.innetwork import switch_stream_seconds
-        k = self.num_executors
-        if wire.num_senders != k:
-            raise ValueError(f"wire carries {wire.num_senders} senders, "
-                             f"cluster has {k}")
-        if wire.messages_per_executor != messages_per_executor:
-            raise ValueError("wire must carry messages_per_executor "
-                             "messages per executor")
-        net = self.cluster.network
-        compute = self.cluster.compute
-        net_slow = self._net_slowdown(step)
-        start = self.now
-        stream_raw = switch_stream_seconds(net, wire.values_per_link,
-                                           wire.chunk_values,
-                                           wire.pool_slots)
-        stream = stream_raw * net_slow
-        delay = 0.0
-        finish_times: list[float] = []
-        for i in range(k):
-            label = executor_label(i)
-            segments: _Segments = [(stream, "send")]
-            if self.faults.enabled:
-                redo = ([] if redo_seconds is None
-                        else [(redo_seconds[i], "compute")])
-                end = self._attempt_run(i, start, segments,
-                                        redo + segments, step, "aggregate")
-                delay = max(delay, end - (start + stream))
-            else:
-                end = start + stream
-                if stream > 0:
-                    self.trace.add(label, start, end, "send", step,
-                                   values=wire.values_per_link)
-            finish_times.append(end)
-
-        stream_end = start + stream
-        driver_ingress = net.transfer_seconds(model_size)
-        driver_seconds = (driver_ingress
-                          + compute.dense_op_seconds(model_size,
-                                                     self.cluster.driver))
-        driver_start = stream_end + delay
-        driver_end = driver_start + driver_seconds * net_slow
-        self.trace.add(DRIVER_LABEL, driver_start, driver_end,
-                       "aggregate", step)
-        for i in range(k):
-            busy_until = (max(stream_end, finish_times[i])
-                          if self.faults.enabled else stream_end)
-            self._wait_fill(executor_label(i), busy_until, driver_end,
-                            step)
-        dense_ingress = self.tree.timing(self.cluster, model_size,
-                                         messages_per_executor
-                                         ).ingress_seconds
-        self.comm_records.append(CommRecord(
-            step=step, phase="tree_aggregate",
-            dense_values=wire.dense_values, wire_values=wire.wire_values,
-            seconds=(stream_raw + driver_ingress) * net_slow,
-            dense_seconds=dense_ingress * net_slow))
-        self.now = driver_end
-        return driver_end - start
+        plan = self._plan_communication(
+            wire, self.tree, "tree_aggregate", model_size, step,
+            redo_seconds, messages_per_executor=messages_per_executor)
+        return self._run_plan(plan, step, "aggregate", "tree_aggregate")
 
     def driver_update_phase(self, seconds: float, step: int) -> float:
         """The driver applies an update while every executor waits."""
@@ -601,8 +341,7 @@ class BspEngine:
     def _all_to_all_phase(self, model_size: int, step: int, phase: str,
                           combine_coords: float,
                           redo_seconds: list[float] | None = None,
-                          wire: "CommStats | HierWire | SwitchWire | None"
-                          = None) -> float:
+                          wire: WirePlanner | None = None) -> float:
         """One shuffle round: every executor exchanges model pieces.
 
         Each executor sends ``k - 1`` messages of ``m / k`` coordinates on
@@ -625,267 +364,20 @@ class BspEngine:
 
         A :class:`~repro.collectives.hierarchical.HierWire` or
         :class:`~repro.collectives.innetwork.SwitchWire` reprices the
-        round under the two-tier / in-network topology instead; a switch
-        wire whose sparse fallback fired prices as the flat sparse round.
+        round under the two-tier / in-network topology instead (the
+        hierarchical round keeps the refill recovery; a switch re-streams);
+        a switch wire whose sparse fallback fired prices as the flat
+        sparse round.
         """
-        from ..collectives.hierarchical import HierWire
-        from ..collectives.innetwork import SwitchWire
-        if isinstance(wire, SwitchWire):
-            if wire.fallback is None:
-                return self._switch_all_to_all(model_size, step, phase,
-                                               redo_seconds, wire)
-            wire = wire.fallback
-        if isinstance(wire, HierWire):
-            return self._hier_all_to_all(model_size, step, phase,
-                                         combine_coords, redo_seconds,
-                                         wire)
-        k = self.num_executors
-        if model_size < k:
-            raise ValueError(
-                f"cannot run {phase} with a model of size {model_size} "
-                f"across {k} executors: each owner needs at least one "
-                "coordinate (num_executors > model_size)")
-        piece = model_size / k
-        net_slow = self._net_slowdown(step)
-        dense_send = (self.shuffle.round_seconds(self.cluster, k - 1, piece)
-                      * net_slow)
-        if wire is None:
-            send_list = [dense_send] * k
-            send_values = [(k - 1) * piece] * k
-        else:
-            if len(wire.per_sender) != k:
-                raise ValueError(
-                    f"wire carries {len(wire.per_sender)} senders, "
-                    f"cluster has {k}")
-            send_list = [self.shuffle.sender_seconds(self.cluster,
-                                                     wire.per_sender[i])
-                         * net_slow for i in range(k)]
-            send_values = [float(sum(wire.per_sender[i])) for i in range(k)]
-        start = self.now
-        finish: list[float] = []
-        for i in range(k):
-            label = executor_label(i)
-            node = self.cluster.executors[i]
-            send_seconds = send_list[i]
-            combine = (self.cluster.compute.dense_op_seconds(
-                combine_coords, node) if combine_coords > 0 else 0.0)
-            if self.faults.enabled:
-                segments: _Segments = [(send_seconds, "send")]
-                if combine > 0:
-                    segments.append((combine, "aggregate"))
-                refill = (self.cluster.network.fan_in_seconds(k - 1, piece)
-                          * net_slow)
-                retry: _Segments = ([] if redo_seconds is None
-                                    else [(redo_seconds[i], "compute")])
-                retry = retry + [(refill, "recv")]
-                if combine > 0:
-                    retry.append((combine, "aggregate"))
-                end = self._attempt_run(i, start, segments, retry, step,
-                                        phase)
-            else:
-                end = start + send_seconds
-                if send_seconds > 0:
-                    self.trace.add(label, start, end, "send", step,
-                                   values=send_values[i])
-                if combine > 0:
-                    self.trace.add(label, end, end + combine, "aggregate",
-                                   step)
-                    end += combine
-            finish.append(end)
-        barrier = max(finish, default=start)
-        for i, end in enumerate(finish):
-            self._wait_fill(executor_label(i), end, barrier, step)
-        self._wait_fill(DRIVER_LABEL, start, barrier, step)
-        dense_values = float((k - 1) * model_size)
-        self.comm_records.append(CommRecord(
-            step=step, phase=phase,
-            dense_values=wire.dense_values if wire is not None
-            else dense_values,
-            wire_values=wire.wire_values if wire is not None
-            else dense_values,
-            seconds=max(send_list, default=0.0),
-            dense_seconds=dense_send))
-        self.now = barrier
-        return barrier - start
-
-    def _hier_all_to_all(self, model_size: int, step: int, phase: str,
-                         combine_coords: float,
-                         redo_seconds: list[float] | None,
-                         wire: "HierWire") -> float:
-        """One two-tier collective round (Reduce-Scatter or AllGather).
-
-        Reduce-Scatter: members upload their model to the machine leader
-        over the intra tier; the leader folds the group and runs the flat
-        exchange among the ``n`` leaders over node-level partitions.
-        AllGather: leaders exchange their node-slices, then fan the
-        reassembled model out to their members.  With singleton groups
-        the schedule *is* the flat exchange, message for message, so
-        priced seconds match the flat wire pricing exactly.
-
-        Fault recovery is the flat AllReduce convention, conservatively
-        dense-priced: the recovered owner redoes its local work, every
-        peer re-sends its piece, and the combine is redone.
-        """
-        k = self.num_executors
-        if wire.num_executors != k:
-            raise ValueError(f"wire carries {wire.num_executors} "
-                             f"executors, cluster has {k}")
-        if model_size < k:
-            raise ValueError(
-                f"cannot run {phase} with a model of size {model_size} "
-                f"across {k} executors: each owner needs at least one "
-                "coordinate (num_executors > model_size)")
-        piece = model_size / k
-        net = self.cluster.network
-        compute = self.cluster.compute
-        net_slow = self._net_slowdown(step)
-        dense_send = (self.shuffle.round_seconds(self.cluster, k - 1,
-                                                 piece) * net_slow)
-        start = self.now
-        n = len(wire.groups)
-        is_leader = [False] * k
-        members_of = [0] * k
-        ingress_of = [0.0] * k  # leader's member-drain cost (RS)
-        for group in wire.groups:
-            leader = group[0]
-            is_leader[leader] = True
-            members_of[leader] = len(group) - 1
-            ingress_of[leader] = sum(net.intra_transfer_seconds(v)
-                                     for e in group[1:]
-                                     for v in wire.intra_sends[e])
-        finish: list[float] = []
-        net_times: list[float] = []
-        for i in range(k):
-            label = executor_label(i)
-            node = self.cluster.executors[i]
-            intra_send = (sum(net.intra_transfer_seconds(v)
-                              for v in wire.intra_sends[i]) * net_slow)
-            segments: _Segments = []
-            if is_leader[i]:
-                cross_row = wire.cross_sends[i]
-                cross_send = (net.fan_in_varied_seconds(cross_row)
-                              * net_slow if cross_row else 0.0)
-                if phase == "reduce_scatter":
-                    # Drain the members, fold the group, then exchange
-                    # node-slices with the other leaders and fold those.
-                    intra_ingress = ingress_of[i] * net_slow
-                    if intra_ingress > 0:
-                        segments.append((intra_ingress, "recv"))
-                    intra_combine = (compute.dense_op_seconds(
-                        members_of[i] * model_size, node)
-                        if members_of[i] else 0.0)
-                    if intra_combine > 0:
-                        segments.append((intra_combine, "aggregate"))
-                    segments.append((cross_send, "send"))
-                    if combine_coords > 0:
-                        segments.append((compute.dense_op_seconds(
-                            model_size / n * n, node), "aggregate"))
-                    net_time = intra_ingress + cross_send
-                else:
-                    # Exchange node-slices, then fan the model out to
-                    # the members over the intra tier.
-                    segments.append((cross_send, "send"))
-                    if intra_send > 0:
-                        segments.append((intra_send, "send"))
-                    net_time = cross_send + intra_send
-            else:
-                if phase == "reduce_scatter":
-                    segments.append((intra_send, "send"))
-                    net_time = intra_send
-                else:
-                    net_time = 0.0  # members only receive the fan-out
-            if self.faults.enabled:
-                combine = (compute.dense_op_seconds(combine_coords, node)
-                           if combine_coords > 0 else 0.0)
-                refill = (net.fan_in_seconds(k - 1, piece) * net_slow)
-                retry: _Segments = ([] if redo_seconds is None
-                                    else [(redo_seconds[i], "compute")])
-                retry = retry + [(refill, "recv")]
-                if combine > 0:
-                    retry.append((combine, "aggregate"))
-                end = self._attempt_run(i, start, segments, retry, step,
-                                        phase)
-            else:
-                end = start
-                for seconds, kind in segments:
-                    if seconds > 0:
-                        self.trace.add(label, end, end + seconds, kind,
-                                       step)
-                    end += seconds
-            finish.append(end)
-            net_times.append(net_time)
-        barrier = max(finish, default=start)
-        for i, end in enumerate(finish):
-            self._wait_fill(executor_label(i), end, barrier, step)
-        self._wait_fill(DRIVER_LABEL, start, barrier, step)
-        self.comm_records.append(CommRecord(
-            step=step, phase=phase, dense_values=wire.dense_values,
-            wire_values=wire.wire_values,
-            seconds=max(net_times, default=0.0),
-            dense_seconds=dense_send))
-        self.now = barrier
-        return barrier - start
-
-    def _switch_all_to_all(self, model_size: int, step: int, phase: str,
-                           redo_seconds: list[float] | None,
-                           wire: "SwitchWire") -> float:
-        """One in-network collective round: all links stream at line
-        rate through the switch, which folds chunks in its slot pool.
-
-        Combine compute is absorbed by the switch (that is the point of
-        in-network aggregation); running out of pool slots adds one
-        latency per extra stall round and nothing else.  Fault recovery
-        redoes the owner's local work and re-streams through the switch.
-        """
-        from ..collectives.innetwork import switch_stream_seconds
-        k = self.num_executors
-        if wire.num_senders != k:
-            raise ValueError(f"wire carries {wire.num_senders} senders, "
-                             f"cluster has {k}")
-        if model_size < k:
-            raise ValueError(
-                f"cannot run {phase} with a model of size {model_size} "
-                f"across {k} executors: each owner needs at least one "
-                "coordinate (num_executors > model_size)")
-        piece = model_size / k
-        net = self.cluster.network
-        net_slow = self._net_slowdown(step)
-        dense_send = (self.shuffle.round_seconds(self.cluster, k - 1,
-                                                 piece) * net_slow)
-        start = self.now
-        stream = (switch_stream_seconds(net, wire.values_per_link,
-                                        wire.chunk_values,
-                                        wire.pool_slots) * net_slow)
-        kind = "send" if phase == "reduce_scatter" else "recv"
-        finish: list[float] = []
-        for i in range(k):
-            label = executor_label(i)
-            segments: _Segments = [(stream, kind)]
-            if self.faults.enabled:
-                retry: _Segments = ([] if redo_seconds is None
-                                    else [(redo_seconds[i], "compute")])
-                end = self._attempt_run(i, start, segments,
-                                        retry + segments, step, phase)
-            else:
-                end = start + stream
-                if stream > 0:
-                    self.trace.add(label, start, end, kind, step,
-                                   values=wire.values_per_link)
-            finish.append(end)
-        barrier = max(finish, default=start)
-        for i, end in enumerate(finish):
-            self._wait_fill(executor_label(i), end, barrier, step)
-        self._wait_fill(DRIVER_LABEL, start, barrier, step)
-        self.comm_records.append(CommRecord(
-            step=step, phase=phase, dense_values=wire.dense_values,
-            wire_values=wire.wire_values, seconds=stream,
-            dense_seconds=dense_send))
-        self.now = barrier
-        return barrier - start
+        self.shuffle.check_owners(model_size, self.num_executors, phase)
+        plan = self._plan_communication(
+            wire, self.shuffle, phase, model_size, step, redo_seconds,
+            combine_coords=combine_coords)
+        return self._run_plan(plan, step, phase, phase)
 
     def reduce_scatter_phase(self, model_size: int, step: int,
                              redo_seconds: list[float] | None = None,
-                             wire: "CommStats | None" = None) -> float:
+                             wire: WirePlanner | None = None) -> float:
         """MLlib* phase 1: route partitions to owners and average them."""
         k = self.num_executors
         combine = model_size / k * k  # owner sums k pieces of its partition
@@ -894,7 +386,7 @@ class BspEngine:
 
     def all_gather_phase(self, model_size: int, step: int,
                          redo_seconds: list[float] | None = None,
-                         wire: "CommStats | None" = None) -> float:
+                         wire: WirePlanner | None = None) -> float:
         """MLlib* phase 2: owners broadcast their averaged partition."""
         return self._all_to_all_phase(model_size, step, "all_gather", 0.0,
                                       redo_seconds, wire=wire)
@@ -916,6 +408,6 @@ class BspEngine:
                 self.trace.add(executor_label(i), start, end, "checkpoint",
                                step)
             self._wait_fill(DRIVER_LABEL, start, end, step)
-        self._restore_seconds = duration
+        self._crashes.checkpoint_seconds = duration
         self.now = end
         return duration

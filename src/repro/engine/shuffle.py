@@ -19,9 +19,13 @@ the numerical trainers and the tests can verify routing correctness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TypeVar
+from typing import TYPE_CHECKING, TypeVar
 
 from ..cluster import ClusterSpec
+from .plan import PhasePlan, PhaseRequest
+
+if TYPE_CHECKING:  # avoid a runtime engine -> collectives import cycle
+    from ..collectives.sparse import CommStats
 
 __all__ = ["ShuffleModel", "exchange"]
 
@@ -59,6 +63,46 @@ class ShuffleModel:
         if len(message_values) == 0:
             return 0.0
         return cluster.network.fan_in_varied_seconds(message_values)
+
+    def check_owners(self, model_size: int, num_executors: int,
+                     what: str) -> None:
+        """Reduce-Scatter/AllGather partition the model across owners:
+        every owner needs at least one coordinate."""
+        if model_size < num_executors:
+            raise ValueError(
+                f"cannot partition a model of size {model_size} across "
+                f"{num_executors} executors for {what}: each owner needs "
+                "at least one coordinate (num_executors > model_size)")
+
+    def phase_plan(self, request: PhaseRequest,
+                   wire: "CommStats | None" = None) -> PhasePlan:
+        """Plan one flat shuffle round (dense, or ``wire``-sized sends).
+
+        Every executor sends its ``k - 1`` pieces on its own uplink,
+        then combines what it received.  The dense path keeps the
+        closed-form :meth:`round_seconds`, so ``wire=None`` prices
+        exactly as the dense engine always has.  A crashed owner runs
+        :meth:`PhaseRequest.refill_lane`.
+        """
+        cluster = request.cluster
+        k = cluster.num_executors
+        dense_send = request.dense_round_seconds()
+        dense_values = float((k - 1) * request.model_size)
+        if wire is None:
+            sends = [(dense_send, "send",
+                      (k - 1) * (request.model_size / k))] * k
+            wire_values = dense_values
+        else:
+            sends = [(self.sender_seconds(cluster, row) * request.net_slow,
+                      "send", float(sum(row))) for row in wire.per_sender]
+            dense_values, wire_values = wire.dense_values, wire.wire_values
+        return PhasePlan(
+            lanes=tuple((send,) + request.combine_lane(i)
+                        for i, send in enumerate(sends)),
+            retry_lanes=tuple(request.refill_lane(i) for i in range(k)),
+            comm=(dense_values, wire_values,
+                  max((send[0] for send in sends), default=0.0),
+                  dense_send))
 
 
 def exchange(outboxes: list[dict[int, T]],

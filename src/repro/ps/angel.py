@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cluster import ClusterSpec, Trace
+from ..cluster import ClusterSpec
 from ..engine import PartitionedDataset
 from ..glm import Objective
 from ..core.config import TrainerConfig
@@ -59,14 +59,6 @@ class AngelTrainer(DistributedTrainer):
                                 faults=self.faults, recovery=self.recovery)
         self._install_recovery_costs(self._engine, data)
         self._rngs = self._worker_rngs(data.num_partitions)
-
-    def _clock(self) -> float:
-        assert self._engine is not None, "fit() not started"
-        return self._engine.now
-
-    def _trace(self) -> Trace:
-        assert self._engine is not None, "fit() not started"
-        return self._engine.trace
 
     # ------------------------------------------------------------------
     def _run_step(self, step: int, w: np.ndarray,

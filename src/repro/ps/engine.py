@@ -27,8 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster import ClusterSpec, Trace
-from ..cluster.faults import (FailureModel, FailureRecord, NoFailures,
-                              RecoveryError, RecoveryPolicy)
+from ..cluster.faults import (CrashRecovery, FailureModel, FailureRecord,
+                              NoFailures, RecoveryPolicy)
 from ..collectives.sparse import wire_values
 from ..engine.driver import CommRecord
 from .consistency import BSP, Controller
@@ -89,8 +89,6 @@ class PsEngine:
         # cluster does not have raise instead of never firing.
         self.faults.validate_executors(self.num_workers)
         self.recovery = recovery if recovery is not None else RecoveryPolicy()
-        #: Materialized crashes, in simulated-time order.
-        self.failures: list[FailureRecord] = []
         #: Wire accounting, one record per step (pull + push volumes).
         self.comm_records: list[CommRecord] = []
         self.trace = Trace()
@@ -99,70 +97,20 @@ class PsEngine:
             [] for _ in range(self.num_workers)]
         self._steps_run = 0
         self.now = 0.0
-        #: Per-worker lineage-recompute cost for a lost cached partition.
-        self._reload_seconds = [0.0] * self.num_workers
-        #: Cost of restoring from the latest checkpoint (None until one
-        #: has been written).
-        self._restore_seconds: float | None = None
+        #: The crash/retry loop shared with BspEngine.  Unlike BSP, a
+        #: crashed PS worker stalls only itself: peers keep running and
+        #: the consistency controller decides how far they may advance
+        #: before waiting on the laggard.
+        self._crashes = CrashRecovery(self.faults, self.recovery,
+                                      self.trace, self.num_workers)
+        #: Materialized crashes, in simulated-time order.
+        self.failures: list[FailureRecord] = self._crashes.failures
         cluster.reset_rng()
 
     # ------------------------------------------------------------------
     def set_recovery_costs(self, reload_seconds: list[float]) -> None:
         """Install the per-worker lineage-recompute cost used on crashes."""
-        if len(reload_seconds) != self.num_workers:
-            raise ValueError(
-                f"expected {self.num_workers} reload costs, "
-                f"got {len(reload_seconds)}")
-        if any(s < 0 for s in reload_seconds):
-            raise ValueError("reload seconds must be non-negative")
-        self._reload_seconds = [float(s) for s in reload_seconds]
-
-    def _restore_cost(self, worker: int) -> float:
-        """Downtime of one recovery: restart + (checkpoint read | lineage)."""
-        base = self.recovery.restart_seconds
-        if (self.recovery.strategy == "checkpoint"
-                and self._restore_seconds is not None):
-            return base + self._restore_seconds
-        return base + self._reload_seconds[worker]
-
-    def _run_work_attempts(self, worker: int, start: float, work: float,
-                           step: int) -> float:
-        """One worker's compute with crash/retry handling (PS timeline).
-
-        Unlike BSP, a crashed PS worker stalls only itself: peers keep
-        running and the consistency controller decides how far they may
-        advance before waiting on the laggard.
-        """
-        label = worker_label(worker)
-        t = start
-        attempt = 0
-        while True:
-            # Failure steps are 1-based everywhere; PS counts from 0.
-            event = self.faults.crash_event(step + 1, "compute", worker,
-                                            attempt)
-            if event is None:
-                if work > 0:
-                    self.trace.add(label, t, t + work, "compute", step)
-                return t + work
-            crash_at = t + work * event.at_fraction
-            if crash_at > t:
-                self.trace.add(label, t, crash_at, "compute", step)
-            # The record's step matches the trace's numbering (internal,
-            # 0-based) so trace invariants can join spans to records.
-            self.failures.append(FailureRecord(
-                node=label, step=step, phase="compute", time=crash_at,
-                attempt=attempt))
-            if attempt >= self.recovery.max_retries:
-                raise RecoveryError(
-                    f"{label} crashed in step {step + 1} on attempt "
-                    f"{attempt + 1}, exhausting the retry budget "
-                    f"(max_retries={self.recovery.max_retries})")
-            downtime = self._restore_cost(worker)
-            if downtime > 0:
-                self.trace.add(label, crash_at, crash_at + downtime,
-                               "recovery", step)
-            t = crash_at + downtime
-            attempt += 1
+        self._crashes.set_reload_costs(reload_seconds)
 
     # ------------------------------------------------------------------
     def comm_seconds(self, model_size: int,
@@ -244,12 +192,15 @@ class PsEngine:
                 raise ValueError("durations must be non-negative")
             work = (compute_seconds[r] * self.cluster.slowdown(node, t)
                     + overheads[r])
+            lane = ((work, "compute", 0.0),)
             if self.faults.enabled:
-                push_start = self._run_work_attempts(r, start, work, t)
+                # Failure steps are 1-based everywhere; PS counts from 0
+                # (spans and records keep the internal numbering so
+                # trace invariants can join them).
+                push_start = self._crashes.run(label, r, start, lane, lane,
+                                               t, "compute", step_offset=1)
             else:
-                if work > 0:
-                    self.trace.add(label, start, start + work, "compute", t)
-                push_start = start + work
+                push_start = self.trace.add_lane(label, start, lane, t)
             comm = comm_list[r]
             if comm > 0:
                 self.trace.add(label, push_start, push_start + comm,
@@ -287,7 +238,7 @@ class PsEngine:
                                "checkpoint", t)
             if self._finish_times[r]:
                 self._finish_times[r][-1] = last + duration
-        self._restore_seconds = duration
+        self._crashes.checkpoint_seconds = duration
         self.now = max(self.now, max(
             (ft[-1] for ft in self._finish_times if ft), default=self.now))
         return duration

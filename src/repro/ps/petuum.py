@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cluster import ClusterSpec, Trace
+from ..cluster import ClusterSpec
 from ..engine import PartitionedDataset
 from ..glm import Objective
 from ..core.config import TrainerConfig
@@ -70,14 +70,6 @@ class PetuumTrainer(DistributedTrainer):
             model_size=data.n_features,
             num_servers=self._engine.num_servers if self._engine else 1,
             initial=w, sanitize=self.config.sanitize)
-
-    def _clock(self) -> float:
-        assert self._engine is not None, "fit() not started"
-        return self._engine.now
-
-    def _trace(self) -> Trace:
-        assert self._engine is not None, "fit() not started"
-        return self._engine.trace
 
     # ------------------------------------------------------------------
     def _combine(self, w: np.ndarray,

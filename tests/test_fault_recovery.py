@@ -330,6 +330,31 @@ class TestParameterServerRecovery:
 
 
 # ----------------------------------------------------------------------
+# trace traffic across a crash: delivered values only
+# ----------------------------------------------------------------------
+class TestCrashTraffic:
+    def test_cut_send_delivers_nothing_and_refill_is_counted(self):
+        from repro.cluster import cluster1
+        from repro.engine import BspEngine
+        k, m = 8, 1000
+        engine = BspEngine(
+            cluster1(executors=k),
+            faults=build_failure_model(schedule="1@1:reduce_scatter",
+                                       num_executors=k))
+        engine.reduce_scatter_phase(m, 1, redo_seconds=[0.01] * k)
+        crashed = engine.trace.spans_for("executor-2")
+        kinds = [s.kind for s in crashed]
+        assert kinds[:3] == ["send", "recovery", "compute"]
+        assert crashed[0].values == 0.0  # cut short: nothing delivered
+        refill = crashed[kinds.index("recv")]
+        piece = m / k
+        assert refill.values == (k - 1) * piece  # every peer re-sends
+        # The seven healthy senders each delivered their k - 1 pieces.
+        assert engine.trace.traffic_values(step=1) == (
+            (k - 1) * (k - 1) * piece + refill.values)
+
+
+# ----------------------------------------------------------------------
 # slow-network episodes
 # ----------------------------------------------------------------------
 class TestSlowNetwork:

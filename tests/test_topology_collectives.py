@@ -28,18 +28,19 @@ from hypothesis import strategies as st
 from data.make_golden import SYSTEMS, golden_workload
 from repro.cli import build_parser
 from repro.cluster import (ClusterSpec, NetworkModel, TieredNetworkModel,
-                           cluster1, tiered_cluster)
+                           build_failure_model, cluster1, tiered_cluster)
 from repro.collectives import (SparsePayload, all_gather, encode,
                                hier_all_gather, hier_dense_wire,
                                hier_reduce_scatter, hier_tree_fan_in,
-                               reduce_scatter, sparse_all_gather,
+                               open_topology, reduce_scatter,
+                               sparse_all_gather,
                                sparse_reduce_scatter, switch_all_gather,
                                switch_dense_wire, switch_reduce_scatter,
                                switch_rounds, switch_stream_seconds,
                                switch_tree_fan_in, traffic_values,
                                tree_fan_in_wire, wire_values)
 from repro.core import TrainerConfig
-from repro.engine import BspEngine, ShuffleModel
+from repro.engine import BspEngine, ShuffleModel, TreeAggregateModel
 from repro.glm import Objective
 
 # ----------------------------------------------------------------------
@@ -561,3 +562,110 @@ class TestEnginePlumbing:
         sw = switch_dense_wire("all_gather", 32, 3)
         with pytest.raises(ValueError, match="senders"):
             engine.all_gather_phase(32, 0, wire=sw)
+
+
+# ----------------------------------------------------------------------
+# the phase interpreter: one traffic rule, one wire check, one span rule
+# ----------------------------------------------------------------------
+def _topology(name: str, cluster: ClusterSpec, mode: str = "off"):
+    """The session topology a trainer would open for ``--collective``."""
+    return open_topology(
+        TrainerConfig(collective=name, sparse_comm=mode), cluster,
+        TreeAggregateModel().plan(cluster.num_executors))
+
+
+class TestPhaseInterpreter:
+
+    @pytest.mark.parametrize("phase", ["tree_aggregate", "reduce_scatter",
+                                       "all_gather"])
+    @pytest.mark.parametrize("topology", ["flat", "hier", "switch"])
+    def test_traffic_survives_an_enabled_failure_model(self, topology,
+                                                       phase):
+        # A failure model that never fires must not zero the trace's
+        # traffic counters (the attempt runner used to drop ``values``).
+        cluster = tiered_cluster(machines=2, executors_per_machine=4)
+        m = 1000
+        totals = []
+        for faults in (None, build_failure_model(schedule="1@99",
+                                                 num_executors=8)):
+            engine = BspEngine(cluster, faults=faults)
+            getattr(engine, f"{phase}_phase")(
+                m, 1, wire=_topology(topology, cluster).dense_wire(phase, m))
+            totals.append(engine.trace.traffic_values(step=1))
+        assert totals[1] == totals[0] > 0
+
+    @pytest.mark.parametrize("faulty", [False, True])
+    @pytest.mark.parametrize("density", [0.02, 0.3, 1.0])
+    @pytest.mark.parametrize("topology", ["flat", "hier", "switch"])
+    def test_round_trace_traffic_equals_comm_record(self, topology,
+                                                    density, faulty):
+        # Every value a Reduce-Scatter/AllGather wire prices is carried
+        # by exactly one span (hier spans used to carry none).
+        cluster = tiered_cluster(machines=2, executors_per_machine=3)
+        m = 120
+        exchange = _topology(topology, cluster, mode="auto")
+        parts, rs_wire = exchange.reduce_scatter(
+            _models(6, m, density, seed=21), "average", None)
+        wires = (rs_wire, exchange.all_gather(parts, m, False)[1])
+        faults = (build_failure_model(schedule="1@99", num_executors=6)
+                  if faulty else None)
+        engine = BspEngine(cluster, faults=faults)
+        for step, (phase, wire) in enumerate(
+                zip((engine.reduce_scatter_phase, engine.all_gather_phase),
+                    wires)):
+            phase(m, step, wire=wire)
+            assert (engine.trace.traffic_values(step=step)
+                    == engine.comm_records[-1].wire_values
+                    == wire.wire_values)
+
+    @pytest.mark.parametrize("case", ["comm_stats", "tree_wire",
+                                      "hier_wire", "switch_wire"])
+    def test_wire_built_for_another_cluster_is_rejected(self, case):
+        k, m = 4, 32
+        engine = BspEngine(cluster1(executors=k))
+        vectors = _models(k + 1, m, 0.2, seed=3)
+        if case == "comm_stats":
+            wire = sparse_reduce_scatter(vectors, mode="auto")[1]
+            phase = engine.reduce_scatter_phase
+        elif case == "tree_wire":
+            wire = tree_fan_in_wire([[v] for v in vectors],
+                                    TreeAggregateModel().plan(k + 1), m,
+                                    "auto")
+            phase = engine.tree_aggregate_phase
+        elif case == "hier_wire":
+            wire = hier_dense_wire("all_gather", m, ((0, 1, 2), (3, 4)))
+            phase = engine.all_gather_phase
+        else:
+            wire = switch_dense_wire("tree_aggregate", m, k + 1)
+            phase = engine.tree_aggregate_phase
+        with pytest.raises(ValueError, match="wire carries 5 senders, "
+                                             "cluster has 4 executors"):
+            phase(m, 0, wire=wire)
+
+    def test_tree_wire_with_wrong_wave_count_is_rejected(self):
+        k, m = 4, 32
+        engine = BspEngine(cluster1(executors=k))
+        wire = tree_fan_in_wire(
+            [[v, v] for v in _models(k, m, 0.2, seed=3)],
+            TreeAggregateModel().plan(k), m, "auto")
+        with pytest.raises(ValueError, match="messages_per_executor=1 "
+                                             "sizes per executor"):
+            engine.tree_aggregate_phase(m, 0, wire=wire)
+
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_empty_message_leaves_no_zero_length_span(self, faulty):
+        # An executor whose sparse message is empty sends nothing: no
+        # span (the fault-free flat tree used to record a zero-length
+        # one that its own fault-enabled path did not).
+        k, m = 4, 32
+        vectors = _models(k, m, 0.2, seed=3)
+        vectors[3] = np.zeros(m)
+        wire = tree_fan_in_wire([[v] for v in vectors],
+                                TreeAggregateModel().plan(k), m, "on")
+        faults = (build_failure_model(schedule="1@99", num_executors=k)
+                  if faulty else None)
+        engine = BspEngine(cluster1(executors=k), faults=faults)
+        engine.tree_aggregate_phase(m, 1, wire=wire)
+        assert all(s.end > s.start for s in engine.trace.spans)
+        assert not [s for s in engine.trace.spans_for("executor-4")
+                    if s.kind == "send"]
