@@ -242,8 +242,7 @@ class HierWire:
                 net_times[leader] = cross_send + intra[leader][0]
         return PhasePlan(
             lanes=tuple(lanes),
-            retry_lanes=tuple(request.refill_lane(i)
-                              for i in range(len(lanes))),
+            retry_lanes=request.refill_lanes(),
             comm=(self.dense_values, self.wire_values,
                   max(net_times, default=0.0),
                   request.dense_round_seconds()))

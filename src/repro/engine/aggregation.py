@@ -194,7 +194,7 @@ class TreeAggregateModel:
             mpe = request.messages_per_executor
             messages = k * mpe if a == 0 else (k - a) * mpe + a
             dense_values = wire_values = float(m) * messages
-            dense_seconds = timing.ingress_seconds * slow
+            dense_seconds: float | None = timing.ingress_seconds * slow
         else:
             lanes = [busy if i in timing.groups else
                      ((net.fan_in_varied_seconds(row) * slow, "send",

@@ -101,17 +101,17 @@ class PhaseRequest:
             self.combine_coords, self.cluster.executors[executor]),
             "aggregate", 0.0),)
 
-    def refill_lane(self, executor: int) -> Lane:
-        """Retry lane of a lost shuffle-round owner: redo the local
+    def refill_lanes(self) -> tuple[Lane, ...]:
+        """Retry lanes of a shuffle round, one per owner: redo the local
         work, pull a dense re-send of every peer's piece (a serialized
         ``k - 1`` fan-in), redo the combine."""
         k = self.cluster.num_executors
         piece = self.model_size / k
-        refill = (self.cluster.network.fan_in_seconds(k - 1, piece)
-                  * self.net_slow)
-        return (self.redo_lane(executor)
-                + ((refill, "recv", float((k - 1) * piece)),)
-                + self.combine_lane(executor))
+        refill: Segment = (
+            self.cluster.network.fan_in_seconds(k - 1, piece)
+            * self.net_slow, "recv", float((k - 1) * piece))
+        return tuple(self.redo_lane(i) + (refill,) + self.combine_lane(i)
+                     for i in range(k))
 
     def dense_round_seconds(self) -> float:
         """The dense flat shuffle round every round is compared against

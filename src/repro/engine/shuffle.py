@@ -82,7 +82,7 @@ class ShuffleModel:
         then combines what it received.  The dense path keeps the
         closed-form :meth:`round_seconds`, so ``wire=None`` prices
         exactly as the dense engine always has.  A crashed owner runs
-        :meth:`PhaseRequest.refill_lane`.
+        :meth:`PhaseRequest.refill_lanes`.
         """
         cluster = request.cluster
         k = cluster.num_executors
@@ -99,7 +99,7 @@ class ShuffleModel:
         return PhasePlan(
             lanes=tuple((send,) + request.combine_lane(i)
                         for i, send in enumerate(sends)),
-            retry_lanes=tuple(request.refill_lane(i) for i in range(k)),
+            retry_lanes=request.refill_lanes(),
             comm=(dense_values, wire_values,
                   max((send[0] for send in sends), default=0.0),
                   dense_send))
