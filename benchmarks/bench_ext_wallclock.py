@@ -10,14 +10,14 @@ is reported (a measurement that changed the numerics is a bug):
   timed per dispatch branch;
 * **backends** — MLlib* end-to-end on the Figure 6 WX analog workload
   (8 heterogeneous machines), run serial-with-reference-kernels (the
-  pre-PR code), then serial / threads / processes on the fast kernels.
+  pre-PR code), then every execution backend on the fast kernels.
 
 The acceptance bar, asserted below and recorded in
-``BENCH_wallclock.json``: the ``processes`` backend beats the
+``BENCH_wallclock.json``: the ``shm`` backend beats the
 serial+reference baseline by >= 2x end-to-end, and every run's
 convergence history is point-for-point identical.
 
-On a single-core container ``processes`` cannot beat ``serial`` via
+On a single-core container ``shm`` cannot beat ``serial`` via
 parallelism — the pool only pays its overhead — so the end-to-end bar is
 against the reference baseline (where the kernel pass dominates); on
 multi-core hosts the fan-out stacks on top.
@@ -55,7 +55,7 @@ WX_COMPUTE = ComputeCostModel(sec_per_nnz=1.0e-6)
 EXECUTORS = 8
 STEPS = 6
 
-#: End-to-end wall-clock bar: processes (fast kernels) vs the
+#: End-to-end wall-clock bar: shm (fast kernels) vs the
 #: serial+reference baseline on the full workload.
 FULL_SPEEDUP_BAR = 2.0
 
@@ -123,11 +123,11 @@ def report_and_check(kernels, backends, dataset_name, executors,
     # (the WX regime the optimization targets).
     lazy = {e["kernel"]: e["speedup"] for e in kernels}
     assert lazy["sgd_lazy_l2"] > 1.0, lazy
-    # processes must beat the pre-PR code end-to-end — on the full
+    # shm must beat the pre-PR code end-to-end — on the full
     # workload by the 2x acceptance bar, on the smoke workload by any
     # margin (the workload is small, the pool overhead is not).
     bar = 1.0 if smoke else FULL_SPEEDUP_BAR
-    assert speedups["processes"] >= bar, speedups
+    assert speedups["shm"] >= bar, speedups
     assert speedups["serial"] >= bar, speedups
 
 

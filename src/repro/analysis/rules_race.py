@@ -1,7 +1,7 @@
 """The RACE rule family: static enforcement of the backend task contract.
 
 The execution backends (:mod:`repro.engine.backend`) promise bit-identity
-across ``serial``/``threads``/``processes`` — but only for tasks that
+across ``serial``/``threads``/``shm``/``socket`` — but only for tasks that
 honour the contract stated in :mod:`repro.core.worker`:
 
 * a task is a **pure function of its arguments** — all state crosses the
@@ -20,16 +20,16 @@ the task too — exactly what the call graph makes checkable:
   globals, closed-over state (``nonlocal``), and bound ``self``
   attributes.  Under ``threads`` such a mutation is a data race whose
   interleaving changes the numerics *silently* (no crash — just
-  different floats); under ``processes`` each worker mutates its own
-  copy and the divergence is from serial, not between runs.  The
+  different floats); under ``shm``/``socket`` each worker mutates its
+  own copy and the divergence is from serial, not between runs.  The
   regression test ``tests/test_analysis_race.py`` demonstrates both the
   static catch and the actual divergence.
 * :class:`UnpicklableTask` (``RACE002``) — flags submit sites whose task
   argument is a lambda, a nested function, or a bound method/attribute:
   anything that is not a picklable module-level callable.  These work by
   accident under ``threads`` and break (or worse, capture state) under
-  ``processes`` — the exact bug class that stays invisible until someone
-  flips ``--backend``.
+  ``shm``/``socket`` — the exact bug class that stays invisible until
+  someone flips ``--backend``.
 
 Rule ids are stable; scope is derived from
 :meth:`repro.analysis.callgraph.CallGraph.submit_sites` — there is no

@@ -55,6 +55,7 @@ from .core import (MLlibModelAveragingTrainer, MLlibStarTrainer,
                    MLlibTrainer, SparkMlStarTrainer, SparkMlTrainer,
                    TrainerConfig)
 from .data import CATALOG, dataset_names, load, read_libsvm
+from .engine.backend import BACKENDS
 from .glm import ArtifactError, GLMModel, Objective
 from .metrics import (comm_report, evaluate_convergence, format_speedup,
                       format_table, render_ascii, sched_report,
@@ -170,13 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="switch collective: values per in-flight "
                             "chunk")
         p.add_argument("--backend", default="serial",
-                       choices=["serial", "threads", "processes", "shm",
-                                "socket"],
+                       choices=BACKENDS,
                        help="execution backend for the per-worker local "
                             "solves: 'serial' runs them in a loop, "
-                            "'threads'/'processes' fan them out across "
-                            "cores, 'shm' adds shared-memory partitions "
-                            "with a zero-copy broadcast arena, 'socket' "
+                            "'threads' on a GIL-bound thread pool, "
+                            "'shm' on a process pool over shared-memory "
+                            "partitions and a broadcast arena, 'socket' "
                             "runs long-lived worker daemons over "
                             "localhost TCP with measured bytes/seconds; "
                             "purely a wall-clock choice — results are "

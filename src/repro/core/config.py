@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from ..engine.backend import BACKENDS
+
 __all__ = ["TrainerConfig"]
 
 
@@ -95,10 +97,10 @@ class TrainerConfig:
     backend:
         Host-side execution backend for the per-worker local solves:
         ``serial`` (in-process reference loop), ``threads`` (thread pool;
-        NumPy kernels release the GIL), ``processes`` (process pool with
-        pickle-once — under fork, pickle-never — partitions), ``shm``
-        (process pool over shared-memory CSR shards with a zero-copy
-        broadcast arena) or ``socket`` (long-lived worker daemons over
+        the chunked kernels hold the GIL, so it trails ``serial`` — kept
+        as the shared-memory concurrency harness), ``shm`` (process
+        pool over shared-memory CSR shards with a zero-copy broadcast
+        arena) or ``socket`` (long-lived worker daemons over
         localhost TCP whose bytes-on-wire and wall seconds are measured
         for ``repro perf --validate-network``).  A *wall-clock* knob
         only: every backend produces bit-identical iterates, histories
@@ -200,10 +202,9 @@ class TrainerConfig:
             raise ValueError("restart_seconds must be non-negative")
         if self.sparse_comm not in ("auto", "on", "off"):
             raise ValueError("sparse_comm must be 'auto', 'on' or 'off'")
-        if self.backend not in ("serial", "threads", "processes", "shm",
-                                "socket"):
-            raise ValueError("backend must be 'serial', 'threads', "
-                             "'processes', 'shm' or 'socket'")
+        if self.backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {BACKENDS}, got "
+                             f"{self.backend!r}")
         if self.collective not in ("flat", "hier", "switch"):
             raise ValueError("collective must be 'flat', 'hier' or "
                              "'switch'")

@@ -345,7 +345,7 @@ class DistributedTrainer:
                                        strategy=partition_strategy,
                                        seed=self.config.seed)
         # Build the local-solve execution pool for this run.  Partitions
-        # are installed exactly once (pickle-once for process pools); the
+        # are installed exactly once (never per task); the
         # pool is torn down by ``TrainingSession.close``, leaving a
         # serial stub so post-fit introspection keeps working.  The
         # except path covers *every* failure from pool creation through

@@ -9,7 +9,7 @@ phase, shaped for :mod:`repro.engine.backend`:
 * **RNG round-trip** — tasks that draw randomness receive the worker's
   private ``Generator`` and return it; the trainer stores the returned
   generator back into ``self._rngs[i]``.  In-process backends hand back
-  the same (already advanced) object; the process backend hands back a
+  the same (already advanced) object; process backends hand back a
   pickled copy whose state round-trips exactly, so RNG streams advance
   bit-identically to the serial loop no matter the backend;
 * **numerics only** — simulated-seconds pricing stays in the parent

@@ -1,9 +1,9 @@
 """Spark-like BSP execution engine: RDDs, driver, aggregation, shuffle."""
 
 from .aggregation import TreeAggregateModel, TreeAggregateTiming
-from .backend import (BACKENDS, ExecutionBackend, ProcessBackend,
-                      SerialBackend, ShmBackend, SocketBackend,
-                      ThreadBackend, make_backend)
+from .backend import (BACKENDS, ExecutionBackend, SerialBackend,
+                      ShmBackend, SocketBackend, ThreadBackend,
+                      make_backend)
 from .broadcast import BroadcastModel
 from .dag import MiniRdd, RddContext
 from .driver import DRIVER_LABEL, BspEngine, CommRecord, executor_label
@@ -14,7 +14,7 @@ __all__ = [
     "BspEngine", "CommRecord", "DRIVER_LABEL", "executor_label",
     "PartitionedDataset",
     "BACKENDS", "ExecutionBackend", "SerialBackend", "ThreadBackend",
-    "ProcessBackend", "ShmBackend", "SocketBackend", "make_backend",
+    "ShmBackend", "SocketBackend", "make_backend",
     "TreeAggregateModel", "TreeAggregateTiming",
     "BroadcastModel",
     "ShuffleModel", "exchange",

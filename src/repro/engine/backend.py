@@ -6,23 +6,17 @@ parallel region — ``k`` independent local solves (``gd_step`` /
 partition — that the simulation previously executed serially in one
 Python process.  An :class:`ExecutionBackend` owns that region:
 
-* ``serial``    — in-process loop (the reference behaviour, zero overhead);
-* ``threads``   — a thread pool; partitions are shared by reference.
-  NumPy/SciPy kernels release the GIL inside matvecs, so wide models see
-  real overlap; small ones mostly measure pool overhead;
-* ``processes`` — a process pool with **pickle-once** partitions: under
-  the preferred ``fork`` start method the partition list is installed
-  into a module-level store *before* the pool is created, so children
-  inherit it copy-on-write with **zero pickles**; on spawn platforms the
-  pool initializer ships it to each worker exactly once.  Per-call
-  traffic is the broadcast model, the task args and the returned local
-  model;
-* ``shm``       — a process pool over :mod:`repro.engine.shm`: partition
+* ``serial``  — in-process loop (the reference behaviour, zero overhead);
+* ``threads`` — a thread pool; partitions are shared by reference.  The
+  chunked CSR kernels hold the GIL, so this is *slower* than ``serial``
+  (measured, ``docs/performance.md``); it stays as the shared-memory
+  concurrency harness that makes a RACE001-flagged task diverge;
+* ``shm``     — a process pool over :mod:`repro.engine.shm`: partition
   CSR shards live in a write-once shared-memory segment and the
   broadcast model is written once per superstep into a shared arena —
   zero-copy broadcast; only task scalars, RNG state and the tiny local
   models cross process boundaries;
-* ``socket``    — long-lived worker daemons (:mod:`repro.engine.daemon`)
+* ``socket``  — long-lived worker daemons (:mod:`repro.engine.daemon`)
   speaking the length-prefixed frame protocol of
   :mod:`repro.engine.wire` over localhost TCP.  Everything crosses a
   real transport, so each superstep's bytes-on-wire and wall seconds are
@@ -47,12 +41,11 @@ explicitly (never a bare ``assert``, which vanishes under ``python -O``).
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing as mp
 import os
 import socket as socketlib
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, \
+from concurrent.futures import Executor, Future, ProcessPoolExecutor, \
     ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
@@ -62,50 +55,15 @@ from ..perf.profiler import NullProfiler, PhaseProfiler
 from . import shm as shm_store
 from . import wire
 from .daemon import daemon_main
-from .shm import run_on_shm_partition
 
 __all__ = ["BACKENDS", "ExecutionBackend", "SerialBackend",
-           "ThreadBackend", "ProcessBackend", "ShmBackend",
-           "SocketBackend", "make_backend"]
+           "ThreadBackend", "ShmBackend", "SocketBackend", "make_backend"]
 
-#: Valid ``TrainerConfig.backend`` / ``--backend`` values.
-BACKENDS = ("serial", "threads", "processes", "shm", "socket")
+#: One dispatch: ``(partition index, task args)`` per task, in order.
+Calls = Sequence[tuple[int, tuple]]
 
-#: Process-unique ids keying the per-backend partition stores, so that
-#: concurrently open backends (e.g. two scheduler jobs in one driver
-#: process) never clobber each other's partitions.
-_BACKEND_IDS = itertools.count(1)
-
-#: store id -> that backend's partition list.  Populated in the *parent*
-#: before a fork-context pool is created (children inherit the entry
-#: copy-on-write — no serialization at all) or by the pool initializer
-#: on spawn platforms (one pickle per worker, never per task).
-_PROCESS_PARTITION_STORE: dict[int, Sequence[Any]] = {}
-
-
-def _install_process_partitions(store_id: int,
-                                partitions: Sequence[Any]) -> None:
-    """Spawn-platform pool initializer (fork installs before forking)."""
-    _PROCESS_PARTITION_STORE[store_id] = partitions
-
-
-def _run_on_partition(store_id: int, fn: Callable[..., Any], index: int,
-                      args: tuple) -> Any:
-    """Pool-side trampoline: look the partition up by worker index."""
-    partitions = _PROCESS_PARTITION_STORE.get(store_id)
-    if partitions is None:
-        raise RuntimeError(
-            "process-backend partition store is not installed in this "
-            "worker (pool initializer did not run)")
-    return fn(partitions[index], *args)
-
-
-def _preferred_start_method(requested: str | None) -> str | None:
-    """``fork`` when available (zero-copy inheritance), else platform
-    default; an explicit request always wins."""
-    if requested is not None:
-        return requested
-    return "fork" if "fork" in mp.get_all_start_methods() else None
+#: How often a socket install looks at the daemons it is waiting for.
+_ACCEPT_SLICE_SECONDS = 0.2
 
 
 class ExecutionBackend:
@@ -116,6 +74,11 @@ class ExecutionBackend:
     ``close``.  Results always come back in submission (partition-index)
     order, so parent-side combining is order-identical to the serial loop.
 
+    A concrete backend is ``install_partitions`` (which builds ``_pool``),
+    ``_submit`` and ``close``, plus ``_stage`` where a dispatch needs
+    parent-side preparation; the dispatch loop, pool sizing and
+    start-method resolution live here, once.
+
     Backends are context managers: ``__exit__`` closes the pool, so any
     exit path — including a fault injected mid-``fit`` — reaps worker
     processes and threads.
@@ -123,23 +86,67 @@ class ExecutionBackend:
 
     name = "abstract"
 
-    def __init__(self) -> None:
+    #: Test hook: force a start method for every backend that starts
+    #: processes (the spawn suite runs the bit-identity battery with it).
+    default_start_method: str | None = None
+
+    def __init__(self, max_workers: int | None = None,
+                 start_method: str | None = None) -> None:
         #: Wall-clock hook; trainers install theirs so the fanned-out
         #: local-solve region shows up as the ``local_solve`` phase.
         self.profiler: PhaseProfiler = NullProfiler()
+        self._max_workers = max_workers
+        self._start_method = start_method
+        self._pool: Executor | None = None
+
+    def _pool_size(self, num_partitions: int) -> int:
+        limit = self._max_workers
+        if limit is None:
+            limit = os.cpu_count() or 1
+        return max(1, min(limit, num_partitions))
+
+    def _mp_context(self) -> Any:
+        """``fork`` when available (zero-copy inheritance), else the
+        platform default; an explicit request always wins."""
+        method = self._start_method or self.default_start_method
+        if method is None and "fork" in mp.get_all_start_methods():
+            method = "fork"
+        return mp.get_context(method)
 
     def install_partitions(self, partitions: Sequence[Any]) -> None:
         raise NotImplementedError
 
+    def _stage(self, calls: Calls) -> Calls:
+        """Parent-side preparation of one dispatch; runs outside the
+        timed ``local_solve`` phase."""
+        return calls
+
+    def _submit(self, pool: Executor, fn: Callable[..., Any], index: int,
+                args: tuple) -> Future:
+        raise NotImplementedError
+
+    def _dispatch(self, fn: Callable[..., Any], calls: Calls) -> list[Any]:
+        """Submit in the given order, collect in the same order."""
+        pool = self._pool
+        if pool is None:
+            raise RuntimeError(
+                f"{type(self).__name__}: install_partitions() was not "
+                "called before submitting work")
+        calls = self._stage(calls)
+        with self.profiler.phase("local_solve"):
+            futures = [self._submit(pool, fn, index, args)
+                       for index, args in calls]
+            return [future.result() for future in futures]
+
     def map_partitions(self, fn: Callable[..., Any],
                        args_by_worker: Sequence[tuple]) -> list[Any]:
         """Run ``fn(partitions[i], *args_by_worker[i])`` for every ``i``."""
-        raise NotImplementedError
+        return self._dispatch(fn, list(enumerate(args_by_worker)))
 
     def run_one(self, fn: Callable[..., Any], worker: int,
                 args: tuple) -> Any:
         """Run ``fn(partitions[worker], *args)`` (event-driven trainers)."""
-        raise NotImplementedError
+        return self._dispatch(fn, [(worker, args)])[0]
 
     def wire_summary(self) -> dict[str, Any] | None:
         """Measured transport accounting, or ``None`` for backends whose
@@ -148,6 +155,9 @@ class ExecutionBackend:
 
     def close(self) -> None:
         """Release pool resources (idempotent)."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None
 
     def __enter__(self) -> "ExecutionBackend":
         return self
@@ -157,7 +167,10 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """In-process execution — the reference the parallel backends match."""
+    """In-process execution — the reference the parallel backends match.
+
+    Keeps a direct loop (no pool, no futures): it is what the others are
+    compared to and the per-task hot path of the serial workloads."""
 
     name = "serial"
 
@@ -168,63 +181,13 @@ class SerialBackend(ExecutionBackend):
     def install_partitions(self, partitions: Sequence[Any]) -> None:
         self._partitions = list(partitions)
 
-    def map_partitions(self, fn: Callable[..., Any],
-                       args_by_worker: Sequence[tuple]) -> list[Any]:
+    def _dispatch(self, fn: Callable[..., Any], calls: Calls) -> list[Any]:
         with self.profiler.phase("local_solve"):
-            return [fn(self._partitions[i], *args)
-                    for i, args in enumerate(args_by_worker)]
-
-    def run_one(self, fn: Callable[..., Any], worker: int,
-                args: tuple) -> Any:
-        with self.profiler.phase("local_solve"):
-            return fn(self._partitions[worker], *args)
+            return [fn(self._partitions[index], *args)
+                    for index, args in calls]
 
 
-class _PoolBackend(ExecutionBackend):
-    """Shared submit/collect logic for the executor-pool backends."""
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        super().__init__()
-        self._max_workers = max_workers
-        self._pool: Executor | None = None
-
-    def _pool_size(self, num_partitions: int) -> int:
-        if self._max_workers is not None:
-            return max(1, min(self._max_workers, num_partitions))
-        return max(1, min(num_partitions, os.cpu_count() or 1))
-
-    def _require_pool(self) -> Executor:
-        if self._pool is None:
-            raise RuntimeError(
-                f"{type(self).__name__}: install_partitions() was not "
-                "called before submitting work")
-        return self._pool
-
-    def _submit(self, fn: Callable[..., Any], index: int,
-                args: tuple) -> Any:
-        raise NotImplementedError
-
-    def map_partitions(self, fn: Callable[..., Any],
-                       args_by_worker: Sequence[tuple]) -> list[Any]:
-        self._require_pool()
-        with self.profiler.phase("local_solve"):
-            futures = [self._submit(fn, i, args)
-                       for i, args in enumerate(args_by_worker)]
-            return [future.result() for future in futures]
-
-    def run_one(self, fn: Callable[..., Any], worker: int,
-                args: tuple) -> Any:
-        self._require_pool()
-        with self.profiler.phase("local_solve"):
-            return self._submit(fn, worker, args).result()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-class ThreadBackend(_PoolBackend):
+class ThreadBackend(ExecutionBackend):
     """Thread pool; partitions shared by reference (no copies at all)."""
 
     name = "threads"
@@ -240,65 +203,9 @@ class ThreadBackend(_PoolBackend):
             max_workers=self._pool_size(len(self._partitions)),
             thread_name_prefix="repro-worker")
 
-    def _submit(self, fn: Callable[..., Any], index: int,
-                args: tuple) -> Any:
-        pool = self._require_pool()
+    def _submit(self, pool: Executor, fn: Callable[..., Any], index: int,
+                args: tuple) -> Future:
         return pool.submit(fn, self._partitions[index], *args)
-
-
-class ProcessBackend(_PoolBackend):
-    """Process pool with pickle-once (fork: pickle-never) partitions.
-
-    Under ``fork`` the partition list is installed into
-    :data:`_PROCESS_PARTITION_STORE` *before* the pool exists, so worker
-    processes inherit it copy-on-write — no serialization at all, which
-    a regression test pins by counting partition pickle events.  On
-    spawn platforms the pool initializer ships the list to each worker
-    exactly once.
-    """
-
-    name = "processes"
-
-    #: Test hook: force a start method for every instance (e.g. the
-    #: spawn-suite runs the whole bit-identity battery with this set).
-    default_start_method: str | None = None
-
-    def __init__(self, max_workers: int | None = None,
-                 start_method: str | None = None) -> None:
-        super().__init__(max_workers)
-        self._start_method = start_method
-        self._store_id = next(_BACKEND_IDS)
-
-    def install_partitions(self, partitions: Sequence[Any]) -> None:
-        self.close()
-        parts = list(partitions)
-        method = _preferred_start_method(
-            self._start_method or self.default_start_method)
-        ctx = mp.get_context(method)
-        if ctx.get_start_method() == "fork":
-            # Install BEFORE the pool forks: children inherit the store
-            # entry copy-on-write and initargs stay empty.
-            _PROCESS_PARTITION_STORE[self._store_id] = parts
-            initializer: Callable[..., None] | None = None
-            initargs: tuple = ()
-        else:
-            initializer = _install_process_partitions
-            initargs = (self._store_id, parts)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self._pool_size(len(parts)),
-            mp_context=ctx,
-            initializer=initializer,
-            initargs=initargs)
-
-    def _submit(self, fn: Callable[..., Any], index: int,
-                args: tuple) -> Any:
-        pool = self._require_pool()
-        return pool.submit(_run_on_partition, self._store_id, fn, index,
-                           args)
-
-    def close(self) -> None:
-        super().close()
-        _PROCESS_PARTITION_STORE.pop(self._store_id, None)
 
 
 def _is_model_vector(value: Any, capacity: int) -> bool:
@@ -308,33 +215,33 @@ def _is_model_vector(value: Any, capacity: int) -> bool:
             and value.dtype == np.float64 and value.size <= capacity)
 
 
-class ShmBackend(_PoolBackend):
+class ShmBackend(ExecutionBackend):
     """Process pool over shared-memory partitions + broadcast arena.
 
     ``install_partitions`` packs every partition's CSR arrays into one
     write-once shared segment (:func:`repro.engine.shm.build_store`);
-    workers operate on read-only zero-copy views.  ``map_partitions``
-    detects the broadcast model vector (the same ndarray object in every
-    worker's args), writes it into the shared arena **once**, and ships
-    only a tiny :class:`~repro.engine.shm.BroadcastRef` marker per task —
-    per-superstep pickle traffic shrinks to task scalars, RNG state and
-    the returned local models.
+    workers operate on read-only zero-copy views.  Each dispatch detects
+    the broadcast model vector (the same ndarray object at the same
+    position in every task's args — for ``run_one``'s single task, the
+    first vector that fits), writes it into the shared arena **once**,
+    and ships only a tiny :class:`~repro.engine.shm.BroadcastRef` marker
+    per task — per-superstep pickle traffic shrinks to task scalars, RNG
+    state and the returned local models.
 
     Safe because the study's tasks never mutate the broadcast model or
     their partition (the ``--sanitize`` battery freezes both and all
     nine systems pass bit-exactly); the shared views are read-only, so a
-    violating task raises instead of corrupting its neighbours.
+    violating task raises instead of corrupting its neighbours.  The
+    arena is reused by the next dispatch, but only after every task of
+    this one has finished reading it: the dispatch loop collects all
+    results before it returns.
     """
 
     name = "shm"
 
-    #: Test hook mirroring :attr:`ProcessBackend.default_start_method`.
-    default_start_method: str | None = None
-
     def __init__(self, max_workers: int | None = None,
                  start_method: str | None = None) -> None:
-        super().__init__(max_workers)
-        self._start_method = start_method
+        super().__init__(max_workers, start_method)
         self._store_id = shm_store.new_store_id()
         self._store: shm_store.ShmStore | None = None
 
@@ -342,83 +249,38 @@ class ShmBackend(_PoolBackend):
         self.close()
         parts = list(partitions)
         self._store = shm_store.build_store(parts)
-        method = _preferred_start_method(
-            self._start_method or self.default_start_method)
-        ctx = mp.get_context(method)
+        ctx = self._mp_context()
         if ctx.get_start_method() == "fork":
-            # Same pre-fork trick as ProcessBackend, but what children
-            # inherit is a handful of *views* over MAP_SHARED segments —
-            # the partition bytes themselves are never even copied-on-
-            # write, and parent arena writes are visible to workers.
+            # Install BEFORE the pool forks: children inherit a handful
+            # of *views* over MAP_SHARED segments — the partition bytes
+            # are never pickled, not even copied-on-write, and parent
+            # arena writes are visible to workers.
             shm_store.install_worker_state(self._store_id,
                                            self._store.worker_state())
-            initializer: Callable[..., None] | None = None
-            initargs: tuple = ()
+            attach: dict[str, Any] = {}
         else:
-            initializer = shm_store.attach_worker_state
-            initargs = (self._store_id, self._store.layout)
+            attach = {"initializer": shm_store.attach_worker_state,
+                      "initargs": (self._store_id, self._store.layout)}
         self._pool = ProcessPoolExecutor(
-            max_workers=self._pool_size(len(parts)),
-            mp_context=ctx,
-            initializer=initializer,
-            initargs=initargs)
+            max_workers=self._pool_size(len(parts)), mp_context=ctx,
+            **attach)
 
-    def _require_store(self) -> shm_store.ShmStore:
-        if self._store is None:
-            raise RuntimeError(
-                "ShmBackend: install_partitions() was not called before "
-                "submitting work")
-        return self._store
-
-    def _broadcast_position(self,
-                            args_by_worker: Sequence[tuple]) -> int | None:
-        """Position of the shared broadcast arg: the same model-vector
-        *object* in every worker's tuple."""
-        store = self._require_store()
-        first = args_by_worker[0]
-        for pos, value in enumerate(first):
-            if not _is_model_vector(value, store.layout.bcast_capacity):
-                continue
-            if all(args[pos] is value for args in args_by_worker[1:]):
-                return pos
-        return None
-
-    def map_partitions(self, fn: Callable[..., Any],
-                       args_by_worker: Sequence[tuple]) -> list[Any]:
-        self._require_pool()
-        if not args_by_worker:
-            return []
-        prepared: Sequence[tuple] = args_by_worker
-        pos = self._broadcast_position(args_by_worker)
-        if pos is not None:
-            ref = self._require_store().write_broadcast(
-                args_by_worker[0][pos])
-            prepared = [args[:pos] + (ref,) + args[pos + 1:]
-                        for args in args_by_worker]
-        with self.profiler.phase("local_solve"):
-            futures = [self._submit(fn, i, args)
-                       for i, args in enumerate(prepared)]
-            # The arena is reused next superstep, but only after every
-            # task of this one has finished reading it (collected here).
-            return [future.result() for future in futures]
-
-    def run_one(self, fn: Callable[..., Any], worker: int,
-                args: tuple) -> Any:
-        self._require_pool()
-        store = self._require_store()
-        for pos, value in enumerate(args):
-            if _is_model_vector(value, store.layout.bcast_capacity):
+    def _stage(self, calls: Calls) -> Calls:
+        store = self._store
+        if store is None or not calls:
+            return calls
+        for pos, value in enumerate(calls[0][1]):
+            if (_is_model_vector(value, store.layout.bcast_capacity)
+                    and all(args[pos] is value for _, args in calls[1:])):
                 ref = store.write_broadcast(value)
-                args = args[:pos] + (ref,) + args[pos + 1:]
-                break
-        with self.profiler.phase("local_solve"):
-            return self._submit(fn, worker, args).result()
+                return [(index, args[:pos] + (ref,) + args[pos + 1:])
+                        for index, args in calls]
+        return calls
 
-    def _submit(self, fn: Callable[..., Any], index: int,
-                args: tuple) -> Any:
-        pool = self._require_pool()
-        return pool.submit(run_on_shm_partition, self._store_id, fn,
-                           index, args)
+    def _submit(self, pool: Executor, fn: Callable[..., Any], index: int,
+                args: tuple) -> Future:
+        return pool.submit(shm_store.run_on_shm_partition, self._store_id,
+                           fn, index, args)
 
     def close(self) -> None:
         super().close()
@@ -442,47 +304,50 @@ class SocketBackend(ExecutionBackend):
 
     Concurrency: one lock per daemon enforces strict request/response on
     each connection (no interleaved frames, no send/recv deadlock) while
-    a small IO thread pool lets distinct daemons compute in parallel.
-    Futures are collected in partition-index order, preserving the
-    bit-identity contract.
+    a small IO thread pool (``_pool``) lets distinct daemons compute in
+    parallel.  Futures are collected in partition-index order,
+    preserving the bit-identity contract.
     """
 
     name = "socket"
 
-    #: Test hook mirroring :attr:`ProcessBackend.default_start_method`.
-    default_start_method: str | None = None
-
     def __init__(self, max_workers: int | None = None,
                  start_method: str | None = None) -> None:
-        super().__init__()
-        self._max_workers = max_workers
-        self._start_method = start_method
+        super().__init__(max_workers, start_method)
         self._daemons: list[Any] = []
         self._channels: dict[int, wire.FrameChannel] = {}
         self._locks: dict[int, threading.Lock] = {}
         self._assignment: dict[int, int] = {}
-        self._io: ThreadPoolExecutor | None = None
         self._log = wire.WireLog()
         self._round = 0
 
-    def _pool_size(self, num_partitions: int) -> int:
-        if self._max_workers is not None:
-            return max(1, min(self._max_workers, num_partitions))
-        return max(1, min(num_partitions, os.cpu_count() or 1))
+    def _accept_daemon(self, listener: socketlib.socket) -> socketlib.socket:
+        """Accept one daemon connection in short slices; between slices,
+        a started daemon that is no longer alive fails the install at
+        once instead of after the whole wire timeout."""
+        listener.settimeout(_ACCEPT_SLICE_SECONDS)
+        slices = max(1, round(wire.DEFAULT_TIMEOUT / _ACCEPT_SLICE_SECONDS))
+        for _ in range(slices):
+            try:
+                return listener.accept()[0]
+            except TimeoutError:
+                pass
+            for worker_id, proc in enumerate(self._daemons):
+                if not proc.is_alive():
+                    raise RuntimeError(
+                        f"worker daemon {worker_id} exited with code "
+                        f"{proc.exitcode} before it connected")
+        raise TimeoutError("timed out waiting for worker daemons to connect")
 
     def install_partitions(self, partitions: Sequence[Any]) -> None:
         self.close()
         # Fresh accounting per run; close() keeps the old log readable so
         # the session can harvest it after teardown.
         self._log = wire.WireLog()
-        self._round = 0
         parts = list(partitions)
         n_daemons = self._pool_size(len(parts))
-        method = _preferred_start_method(
-            self._start_method or self.default_start_method)
-        ctx = mp.get_context(method)
+        ctx = self._mp_context()
         listener = socketlib.create_server(("127.0.0.1", 0))
-        listener.settimeout(wire.DEFAULT_TIMEOUT)
         try:
             port = listener.getsockname()[1]
             for worker_id in range(n_daemons):
@@ -492,8 +357,7 @@ class SocketBackend(ExecutionBackend):
                 proc.start()
                 self._daemons.append(proc)
             for _ in range(n_daemons):
-                conn, _addr = listener.accept()
-                channel = wire.FrameChannel(conn)
+                channel = wire.FrameChannel(self._accept_daemon(listener))
                 kind, worker_id, _ = channel.recv()
                 if kind != wire.HELLO:
                     raise RuntimeError(
@@ -523,15 +387,8 @@ class SocketBackend(ExecutionBackend):
                 label="install", worker=worker_id, superstep=0,
                 bytes_out=exchange.bytes_out, bytes_in=exchange.bytes_in,
                 roundtrip_seconds=exchange.seconds))
-        self._io = ThreadPoolExecutor(max_workers=n_daemons,
-                                      thread_name_prefix="repro-io")
-
-    def _require_io(self) -> ThreadPoolExecutor:
-        if self._io is None:
-            raise RuntimeError(
-                "SocketBackend: install_partitions() was not called "
-                "before submitting work")
-        return self._io
+        self._pool = ThreadPoolExecutor(max_workers=n_daemons,
+                                        thread_name_prefix="repro-io")
 
     def _exchange_task(self, fn: Callable[..., Any], index: int,
                        args: tuple, superstep: int) -> Any:
@@ -553,32 +410,22 @@ class SocketBackend(ExecutionBackend):
             compute_seconds=compute_in_daemon))
         return result
 
-    def map_partitions(self, fn: Callable[..., Any],
-                       args_by_worker: Sequence[tuple]) -> list[Any]:
-        io = self._require_io()
+    def _stage(self, calls: Calls) -> Calls:
+        # Every dispatch is one superstep of the measured wire log.
         self._round += 1
-        superstep = self._round
-        with self.profiler.phase("local_solve"):
-            futures = [io.submit(self._exchange_task, fn, i, tuple(args),
-                                 superstep)
-                       for i, args in enumerate(args_by_worker)]
-            return [future.result() for future in futures]
+        return calls
 
-    def run_one(self, fn: Callable[..., Any], worker: int,
-                args: tuple) -> Any:
-        self._require_io()
-        self._round += 1
-        with self.profiler.phase("local_solve"):
-            return self._exchange_task(fn, worker, tuple(args),
-                                       self._round)
+    def _submit(self, io: Executor, fn: Callable[..., Any], index: int,
+                args: tuple) -> Future:
+        # ``io`` threads only drive the wire; ``fn`` is what gets pickled.
+        return io.submit(self._exchange_task, fn, index, tuple(args),
+                         self._round)
 
     def wire_summary(self) -> dict[str, Any] | None:
         return self._log.summary()
 
     def close(self) -> None:
-        if self._io is not None:
-            self._io.shutdown(wait=True)
-            self._io = None
+        super().close()
         for worker_id, channel in list(self._channels.items()):
             try:
                 with self._locks[worker_id]:
@@ -598,18 +445,19 @@ class SocketBackend(ExecutionBackend):
         self._round = 0
 
 
+_BACKEND_TYPES: dict[str, type[ExecutionBackend]] = {
+    cls.name: cls
+    for cls in (SerialBackend, ThreadBackend, ShmBackend, SocketBackend)}
+
+#: Valid ``TrainerConfig.backend`` / ``--backend`` values, reference first.
+BACKENDS = tuple(_BACKEND_TYPES)
+
+
 def make_backend(name: str,
                  max_workers: int | None = None) -> ExecutionBackend:
     """Build the backend named by ``TrainerConfig.backend``."""
-    if name == "serial":
-        return SerialBackend()
-    if name == "threads":
-        return ThreadBackend(max_workers)
-    if name == "processes":
-        return ProcessBackend(max_workers)
-    if name == "shm":
-        return ShmBackend(max_workers)
-    if name == "socket":
-        return SocketBackend(max_workers)
-    raise ValueError(f"unknown backend {name!r}; expected one of "
-                     f"{BACKENDS}")
+    cls = _BACKEND_TYPES.get(name)
+    if cls is None:
+        raise ValueError(f"unknown backend {name!r}; expected one of "
+                         f"{BACKENDS}")
+    return cls() if cls is SerialBackend else cls(max_workers)

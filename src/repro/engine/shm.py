@@ -1,6 +1,6 @@
 """Shared-memory partition store for the ``shm`` execution backend.
 
-The process backend's per-task traffic is dominated by one pickle: the
+A plain process pool's per-task traffic is dominated by one pickle: the
 broadcast model vector ``w`` (size ``m``) is serialized into every task
 message, every superstep.  This module removes that copy — and the
 one-time partition shipment — by placing both in POSIX shared memory
@@ -29,8 +29,7 @@ other's partitions.
 
 Bit-identity is free: the segments hold bit-exact copies of the arrays
 the serial loop reads, float64 values round-trip through shared memory
-untouched, and RNG state still travels by pickle exactly as in the
-process backend.
+untouched, and RNG state travels by pickle, which round-trips it exactly.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ to read the clock).  Two studies:
   are **bit-identical** before reporting the speedup.  A measurement that
   changed the numerics is a bug, not a result.
 * :func:`backend_sweep` runs one trainer end-to-end under each execution
-  backend (``serial`` / ``threads`` / ``processes``, plus a
+  backend (every name in ``BACKENDS`` by default, plus a
   serial-with-reference-kernels baseline representing the pre-PR code)
   and asserts every run's convergence history matches point-for-point
   before reporting wall-clock speedups.
@@ -31,6 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..data import SparseDataset, SyntheticSpec, generate
+from ..engine.backend import BACKENDS
 from ..glm import Objective, mgd_epoch, sgd_epoch, use_reference_kernels
 from .profiler import measure
 
@@ -113,8 +114,7 @@ def kernel_benchmarks(rows: int = 1500, features: int = 40000,
 
 def backend_sweep(make_trainer: Callable[[str], Any],
                   dataset: SparseDataset,
-                  backends: Sequence[str] = ("serial", "threads",
-                                             "processes"),
+                  backends: Sequence[str] = BACKENDS,
                   repeats: int = 1,
                   include_reference_baseline: bool = True,
                   ) -> dict[str, Any]:

@@ -2,13 +2,16 @@
 
 Regression coverage for the real-executor work:
 
-* the process backend's **pickle-once (fork: pickle-never)** partition
-  contract, pinned by counting partition pickle events;
+* the shm backend's **pickle-never** partition contract (under fork
+  *and* spawn only the ``ShmLayout`` travels), pinned by counting
+  partition pickle events;
 * pool/daemon **lifecycle**: backends are context managers, and a fault
-  injected mid-``fit`` still reaps every worker process;
+  injected mid-``fit`` still reaps every worker process and unlinks both
+  shared-memory segments; a daemon that dies before HELLO fails the
+  install at once;
 * the **spawn** start method: the bit-identity battery CI normally runs
   only ever exercises ``fork`` — the slow suite here reruns it under
-  ``spawn`` (initializer-shipped state instead of inherited state);
+  ``spawn`` (initializer-attached state instead of inherited state);
 * :mod:`repro.engine.shm` internals (read-only views, broadcast arena,
   segment lifecycle) and the :mod:`repro.engine.wire` frame protocol;
 * the measured-vs-simulated plumbing: ``trainer.last_wire_stats``
@@ -19,8 +22,10 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing as mp
+import pickle
 import socket as socketlib
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -31,12 +36,13 @@ from repro.core import MLlibStarTrainer
 from repro.data import Partition
 from repro.engine import shm as shm_store
 from repro.engine import wire
-from repro.engine.backend import (ProcessBackend, SerialBackend, ShmBackend,
-                                  SocketBackend, ThreadBackend, make_backend)
+from repro.engine import backend as backend_module
+from repro.engine.backend import (ExecutionBackend, SerialBackend,
+                                  ShmBackend, ThreadBackend, make_backend)
 from repro.engine.shm import BroadcastRef, build_store, run_on_shm_partition
 from repro.glm import Objective
 from repro.perf.netcheck import fit_alpha_beta, validate_network
-from test_perf_backend import _assert_matches_serial
+from test_perf_backend import _assert_matches_serial, shm_segments
 
 _HAVE_FORK = "fork" in mp.get_all_start_methods()
 
@@ -44,40 +50,42 @@ _HAVE_FORK = "fork" in mp.get_all_start_methods()
 _PICKLES = {"count": 0}
 
 
-class CountingPartition:
-    """A partition stand-in whose pickling is observable.
+class CountingPartition(Partition):
+    """A partition whose pickling is observable.
 
     ``__reduce__`` bumps the module-level counter — in the *parent*
     process only, since forked/spawned children mutate their own copy of
-    the module global.  That is exactly the count the pickle-once
+    the module global.  That is exactly the count the pickle-never
     contract is about: how many times the parent serializes a partition
     to ship it somewhere.
     """
 
-    def __init__(self, index: int, value: float) -> None:
-        self.index = index
-        self.value = value
-
     def __reduce__(self):
         _PICKLES["count"] += 1
-        return (CountingPartition, (self.index, self.value))
+        return (CountingPartition, (self.index, self.X, self.y))
 
 
 def _value_task(part, offset: float) -> float:
-    return part.value + offset
+    return float(part.y[0]) + offset
 
 
 def _boom_task(part) -> float:
     raise ValueError("boom: injected task fault")
 
 
-def _partitions(k: int = 3) -> list[Partition]:
+def _partitions(k: int = 3, cls: type[Partition] = Partition
+                ) -> list[Partition]:
     parts = []
     for i in range(k):
         X = sp.random(4, 6, density=0.5, format="csr",
                       random_state=np.random.RandomState(i))
-        parts.append(Partition(index=i, X=X, y=np.full(4, float(i))))
+        parts.append(cls(index=i, X=X, y=np.full(4, float(i))))
     return parts
+
+
+def _dying_daemon_main(port: int, worker_id: int) -> None:
+    """A daemon that exits before it ever dials back."""
+    raise SystemExit(3)
 
 
 def _probe_broadcast_task(part, w) -> tuple[bool, float]:
@@ -86,39 +94,34 @@ def _probe_broadcast_task(part, w) -> tuple[bool, float]:
 
 
 # ----------------------------------------------------------------------
-# satellite: pickle-once / pickle-never partition shipping
+# satellite: pickle-never partition shipping
 # ----------------------------------------------------------------------
 class TestPartitionPickleAccounting:
+    def test_counter_sees_a_pickle(self):
+        _PICKLES["count"] = 0
+        pickle.dumps(_partitions(1, CountingPartition))
+        assert _PICKLES["count"] == 1
+
     @pytest.mark.skipif(not _HAVE_FORK, reason="fork not available")
     def test_fork_install_never_pickles_partitions(self):
-        counting = [CountingPartition(i, float(i)) for i in range(3)]
+        self._assert_no_partition_pickles("fork")
+
+    def test_spawn_never_pickles_partitions(self):
+        self._assert_no_partition_pickles("spawn")
+
+    def _assert_no_partition_pickles(self, start_method):
+        # fork inherits views over the shared segment; spawn attaches it
+        # by name from the ShmLayout — the partitions themselves never
+        # travel, at install or in any of three supersteps.
         _PICKLES["count"] = 0
-        with ProcessBackend(max_workers=2, start_method="fork") as backend:
-            backend.install_partitions(counting)
+        with ShmBackend(max_workers=2,
+                        start_method=start_method) as backend:
+            backend.install_partitions(_partitions(3, CountingPartition))
             for _ in range(3):
                 got = backend.map_partitions(
                     _value_task, [(1.0,), (1.0,), (1.0,)])
                 assert got == [1.0, 2.0, 3.0]
         assert _PICKLES["count"] == 0
-
-    def test_spawn_install_pickles_once_per_worker_never_per_task(self):
-        counting = [CountingPartition(i, float(i)) for i in range(3)]
-        _PICKLES["count"] = 0
-        with ProcessBackend(max_workers=1,
-                            start_method="spawn") as backend:
-            backend.install_partitions(counting)
-            got = backend.map_partitions(_value_task,
-                                         [(1.0,), (1.0,), (1.0,)])
-            assert got == [1.0, 2.0, 3.0]
-            # One worker was spawned; the initializer shipped the 3-item
-            # partition list to it exactly once.
-            after_first_round = _PICKLES["count"]
-            assert after_first_round == 3
-            for _ in range(3):
-                backend.map_partitions(_value_task,
-                                       [(0.0,), (0.0,), (0.0,)])
-            # ... and NEVER again per task.
-            assert _PICKLES["count"] == after_first_round
 
 
 # ----------------------------------------------------------------------
@@ -134,15 +137,17 @@ class TestBackendLifecycle:
         assert backend._pool is None
 
     def test_context_manager_closes_on_fault(self):
-        backend = ProcessBackend(max_workers=1)
+        prior = {p.pid for p in mp.active_children()}
+        segments = shm_segments()
+        backend = ShmBackend(max_workers=1)
         with pytest.raises(ValueError, match="boom"):
             with backend:
                 backend.install_partitions(_partitions(2))
                 backend.map_partitions(_boom_task, [(), ()])
         assert backend._pool is None
-        before = {p.pid for p in mp.active_children()}
-        assert not any(p.name.startswith("repro-") and p.pid in before
-                       for p in mp.active_children())
+        assert [p for p in mp.active_children() if p.pid not in prior] \
+            == []
+        assert shm_segments() <= segments
 
     def test_socket_fault_propagates_and_daemons_are_reaped(self):
         prior = {p.pid for p in mp.active_children()}
@@ -156,6 +161,22 @@ class TestBackendLifecycle:
         leftovers = [p for p in mp.active_children()
                      if p.pid not in prior]
         assert leftovers == []
+
+    def test_daemon_death_before_hello_fails_install_at_once(
+            self, monkeypatch):
+        # Without the liveness check the accept() below would sit out
+        # wire.DEFAULT_TIMEOUT (300 s) and end in a bare TimeoutError.
+        monkeypatch.setattr(backend_module, "daemon_main",
+                            _dying_daemon_main)
+        prior = {p.pid for p in mp.active_children()}
+        backend = make_backend("socket", max_workers=2)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError,
+                           match=r"daemon [01] exited with code 3"):
+            backend.install_partitions(_partitions(2))
+        assert time.perf_counter() - start < 10.0
+        assert [p for p in mp.active_children() if p.pid not in prior] \
+            == []
 
     def test_fit_fault_reaps_workers_and_harvests_wire_stats(self):
         dataset, cluster, config = golden_workload()
@@ -181,18 +202,21 @@ class TestBackendLifecycle:
 
     def test_open_session_failure_closes_backend(self, monkeypatch):
         dataset, cluster, config = golden_workload()
-        config = dataclasses.replace(config, backend="processes")
+        config = dataclasses.replace(config, backend="shm")
         trainer = MLlibStarTrainer(Objective("hinge", "l2", 0.1), cluster,
                                    config)
+        # Fail AFTER the segments exist: the pool is what cannot start.
         monkeypatch.setattr(
-            ProcessBackend, "install_partitions",
-            lambda self, parts: (_ for _ in ()).throw(
+            backend_module, "ProcessPoolExecutor",
+            lambda **kwargs: (_ for _ in ()).throw(
                 OSError("no processes for you")))
         prior = {p.pid for p in mp.active_children()}
+        segments = shm_segments()
         with pytest.raises(OSError, match="no processes"):
             trainer.open_session(dataset)
         assert [p for p in mp.active_children() if p.pid not in prior] \
             == []
+        assert shm_segments() <= segments
         # The serial stub keeps post-failure introspection working.
         assert isinstance(trainer._backend, SerialBackend)
 
@@ -207,16 +231,13 @@ class TestSpawnStartMethod:
     travels through pool initializers instead of being inherited."""
 
     @pytest.fixture(autouse=True)
-    def _force_spawn(self):
-        for cls in (ProcessBackend, ShmBackend, SocketBackend):
-            cls.default_start_method = "spawn"
-        yield
-        for cls in (ProcessBackend, ShmBackend, SocketBackend):
-            cls.default_start_method = None
+    def _force_spawn(self, monkeypatch):
+        monkeypatch.setattr(ExecutionBackend, "default_start_method",
+                            "spawn")
 
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
-    def test_processes_spawn_matches_serial(self, system):
-        _assert_matches_serial(system, "processes")
+    def test_shm_spawn_matches_serial(self, system):
+        _assert_matches_serial(system, "shm")
 
     @pytest.mark.parametrize("backend", ["shm", "socket"])
     def test_shared_backends_spawn_match_serial(self, backend):

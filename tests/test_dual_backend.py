@@ -20,6 +20,7 @@ import pytest
 from data.make_golden import golden_workload
 from repro.core import (MLlibModelAveragingTrainer, MLlibStarTrainer,
                         MLlibTrainer, TrainerConfig)
+from repro.engine.backend import BACKENDS
 from repro.glm import Objective
 
 DUAL_SYSTEMS = {
@@ -62,8 +63,7 @@ def _assert_matches_serial(system: str, solver: str, backend: str = "serial",
 class TestDualBackendBitIdentity:
     @pytest.mark.parametrize("system", sorted(DUAL_SYSTEMS))
     @pytest.mark.parametrize("solver", ["cocoa", "cocoa+"])
-    @pytest.mark.parametrize("backend",
-                             ["threads", "processes", "shm", "socket"])
+    @pytest.mark.parametrize("backend", BACKENDS[1:])
     def test_backends_match_serial(self, system, solver, backend):
         _assert_matches_serial(system, solver, backend)
 
