@@ -12,10 +12,11 @@ Python process.  An :class:`ExecutionBackend` owns that region:
   (measured, ``docs/performance.md``); it stays as the shared-memory
   concurrency harness that makes a RACE001-flagged task diverge;
 * ``shm``     — a process pool over :mod:`repro.engine.shm`: partition
-  CSR shards live in a write-once shared-memory segment and the
-  broadcast model is written once per superstep into a shared arena —
-  zero-copy broadcast; only task scalars, RNG state and the tiny local
-  models cross process boundaries;
+  CSR shards live in a write-once shared-memory segment, the broadcast
+  model is written once per superstep into a shared arena, and the
+  model-sized local models come back through result slots of the same
+  arena — only task scalars, RNG state and a small pickle stream cross
+  the pool's pipes;
 * ``socket``  — long-lived worker daemons (:mod:`repro.engine.daemon`)
   speaking the length-prefixed frame protocol of
   :mod:`repro.engine.wire` over localhost TCP.  Everything crosses a
@@ -41,13 +42,15 @@ explicitly (never a bare ``assert``, which vanishes under ``python -O``).
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing as mp
 import os
 import socket as socketlib
 import threading
+from collections import deque
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, \
     ThreadPoolExecutor
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -76,8 +79,9 @@ class ExecutionBackend:
 
     A concrete backend is ``install_partitions`` (which builds ``_pool``),
     ``_submit`` and ``close``, plus ``_stage`` where a dispatch needs
-    parent-side preparation; the dispatch loop, pool sizing and
-    start-method resolution live here, once.
+    parent-side preparation and ``_collect`` where a future holds
+    something other than the task's result; the dispatch loop, pool
+    sizing and start-method resolution live here, once.
 
     Backends are context managers: ``__exit__`` closes the pool, so any
     exit path — including a fault injected mid-``fit`` — reaps worker
@@ -89,6 +93,10 @@ class ExecutionBackend:
     #: Test hook: force a start method for every backend that starts
     #: processes (the spawn suite runs the bit-identity battery with it).
     default_start_method: str | None = None
+
+    #: How many tasks of one dispatch may be submitted and not yet
+    #: collected; ``None`` submits them all up front.
+    _window: int | None = None
 
     def __init__(self, max_workers: int | None = None,
                  start_method: str | None = None) -> None:
@@ -125,6 +133,10 @@ class ExecutionBackend:
                 args: tuple) -> Future:
         raise NotImplementedError
 
+    def _collect(self, returned: Any) -> Any:
+        """Turn what a task's future returned into the task's result."""
+        return returned
+
     def _dispatch(self, fn: Callable[..., Any], calls: Calls) -> list[Any]:
         """Submit in the given order, collect in the same order."""
         pool = self._pool
@@ -134,9 +146,14 @@ class ExecutionBackend:
                 "called before submitting work")
         calls = self._stage(calls)
         with self.profiler.phase("local_solve"):
-            futures = [self._submit(pool, fn, index, args)
-                       for index, args in calls]
-            return [future.result() for future in futures]
+            futures: deque[Future] = deque()
+            results: list[Any] = []
+            for index, args in calls:
+                if len(futures) == self._window:
+                    results.append(self._collect(futures.popleft().result()))
+                futures.append(self._submit(pool, fn, index, args))
+            results.extend(self._collect(f.result()) for f in futures)
+            return results
 
     def map_partitions(self, fn: Callable[..., Any],
                        args_by_worker: Sequence[tuple]) -> list[Any]:
@@ -225,16 +242,21 @@ class ShmBackend(ExecutionBackend):
     position in every task's args — for ``run_one``'s single task, the
     first vector that fits), writes it into the shared arena **once**,
     and ships only a tiny :class:`~repro.engine.shm.BroadcastRef` marker
-    per task — per-superstep pickle traffic shrinks to task scalars, RNG
-    state and the returned local models.
+    per task.  Results come back the same way: the trampoline writes
+    each large buffer into the task's result slot and ``_collect``
+    rebuilds the result from a private copy of it, so per-superstep
+    pickle traffic shrinks to task scalars, RNG state and a small stream.
+    Slots are handed out round-robin, two per lane, and ``_window`` keeps
+    that many tasks outstanding at most — a slot's next task is submitted
+    only after its previous result has been copied out.
 
     Safe because the study's tasks never mutate the broadcast model or
     their partition (the ``--sanitize`` battery freezes both and all
     nine systems pass bit-exactly); the shared views are read-only, so a
     violating task raises instead of corrupting its neighbours.  The
     arena is reused by the next dispatch, but only after every task of
-    this one has finished reading it: the dispatch loop collects all
-    results before it returns.
+    this one has finished reading it and every slot has been copied
+    out: the dispatch loop collects all results before it returns.
     """
 
     name = "shm"
@@ -244,11 +266,17 @@ class ShmBackend(ExecutionBackend):
         super().__init__(max_workers, start_method)
         self._store_id = shm_store.new_store_id()
         self._store: shm_store.ShmStore | None = None
+        self._slots: Iterator[int] = iter(())
 
     def install_partitions(self, partitions: Sequence[Any]) -> None:
         self.close()
         parts = list(partitions)
-        self._store = shm_store.build_store(parts)
+        workers = self._pool_size(len(parts))
+        # Two result slots per lane keep every worker fed while the
+        # parent copies out; the dispatch window makes reusing them safe.
+        self._window = min(len(parts), 2 * workers)
+        self._slots = itertools.cycle(range(self._window))
+        self._store = shm_store.build_store(parts, self._window)
         ctx = self._mp_context()
         if ctx.get_start_method() == "fork":
             # Install BEFORE the pool forks: children inherit a handful
@@ -261,14 +289,14 @@ class ShmBackend(ExecutionBackend):
         else:
             attach = {"initializer": shm_store.attach_worker_state,
                       "initargs": (self._store_id, self._store.layout)}
-        self._pool = ProcessPoolExecutor(
-            max_workers=self._pool_size(len(parts)), mp_context=ctx,
-            **attach)
+        self._pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
+                                         **attach)
 
     def _stage(self, calls: Calls) -> Calls:
         store = self._store
         if store is None or not calls:
             return calls
+        store.fallback_logged = False
         for pos, value in enumerate(calls[0][1]):
             if (_is_model_vector(value, store.layout.bcast_capacity)
                     and all(args[pos] is value for _, args in calls[1:])):
@@ -280,7 +308,12 @@ class ShmBackend(ExecutionBackend):
     def _submit(self, pool: Executor, fn: Callable[..., Any], index: int,
                 args: tuple) -> Future:
         return pool.submit(shm_store.run_on_shm_partition, self._store_id,
-                           fn, index, args)
+                           fn, index, next(self._slots), args)
+
+    def _collect(self, returned: Any) -> Any:
+        if self._store is None:
+            raise RuntimeError("ShmBackend: closed during a dispatch")
+        return self._store.load_result(returned)
 
     def close(self) -> None:
         super().close()

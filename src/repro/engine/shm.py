@@ -1,9 +1,10 @@
 """Shared-memory partition store for the ``shm`` execution backend.
 
-A plain process pool's per-task traffic is dominated by one pickle: the
-broadcast model vector ``w`` (size ``m``) is serialized into every task
-message, every superstep.  This module removes that copy — and the
-one-time partition shipment — by placing both in POSIX shared memory
+A plain process pool moves two model-sized pickles per task, every
+superstep: the broadcast vector ``w`` (size ``m``) out, and the local
+model back through the pool's single result pipe, one task at a time.
+This module removes both — and the one-time partition shipment — by
+placing them in POSIX shared memory
 (:mod:`multiprocessing.shared_memory`):
 
 * **partitions segment** (write-once): at install time the parent packs
@@ -12,10 +13,17 @@ one-time partition shipment — by placing both in POSIX shared memory
   the segment and reconstruct each partition as *views* — zero copies,
   and the views are marked read-only so a task that mutated its shard
   would raise instead of corrupting the store for every other worker;
-* **broadcast arena** (one writer, many readers): a second segment sized
-  to one model vector.  Each superstep the parent writes ``w`` into it
-  once; every task reads it through a read-only view.  Per-task pickle
-  traffic shrinks to the task args and the returned local model.
+* **arena segment** (two-way): a broadcast region of one model vector
+  followed by a ring of model-sized **result slots**.  Each superstep
+  the parent writes ``w`` into the region once; every task reads it
+  through a read-only view.  On the way back the trampoline pickles the
+  result with protocol 5: a buffer of at least :data:`SLOT_MIN_BYTES`
+  that still fits the task's slot is written there, the rest stays in
+  the stream, and the parent rebuilds the result from a **private copy**
+  of the slot bytes, so results never alias a slot a later task
+  overwrites (the backend hands a slot out again only once it is copied
+  out).  Per task the pool's pipes carry the scalars, the RNG state and
+  a few-hundred-byte stream.
 
 Under the ``fork`` start method not even segment *attachment* happens
 per worker: the parent installs a :class:`ShmWorkerState` into the
@@ -35,6 +43,8 @@ untouched, and RNG state travels by pickle, which round-trips it exactly.
 from __future__ import annotations
 
 import itertools
+import logging
+import pickle
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Callable, Sequence
@@ -50,6 +60,12 @@ __all__ = ["ArraySpec", "PartitionSpec", "ShmLayout", "ShmStore",
 
 #: 8-byte alignment for every packed array (float64-friendly).
 _ALIGN = 8
+
+#: Result buffers at least this large ride a result slot; smaller ones
+#: stay in the pickle stream (one pipe write carries them).
+SLOT_MIN_BYTES = 1 << 16
+
+_LOG = logging.getLogger(__name__)
 
 #: Process-unique ids for :data:`_SHM_STORES` entries.
 _STORE_IDS = itertools.count(1)
@@ -98,9 +114,15 @@ class ShmLayout:
 
     parts_name: str
     bcast_name: str
-    #: Broadcast arena capacity in float64 values (= ``n_features``).
+    #: Broadcast region capacity in float64 values (= ``n_features``);
+    #: every result slot behind it is the same size.
     bcast_capacity: int
     partitions: tuple[PartitionSpec, ...]
+
+    def result_slot(self, arena_buf: memoryview, slot: int) -> memoryview:
+        """Result slot number ``slot`` inside the arena segment."""
+        size = self.bcast_capacity * 8
+        return arena_buf[(1 + slot) * size:(2 + slot) * size]
 
 
 @dataclass(frozen=True)
@@ -124,6 +146,7 @@ class ShmWorkerState:
         self.layout = layout
         #: Keep attached segments alive for as long as views exist.
         self._segments = segments
+        self.arena_buf = bcast_buf
         self.partitions = partitions_from_buffer(layout, parts_buf)
         arena = np.ndarray((layout.bcast_capacity,), dtype=np.float64,
                            buffer=bcast_buf)
@@ -198,10 +221,13 @@ class ShmStore:
         self.layout = layout
         self._parts_seg: shared_memory.SharedMemory | None = parts_seg
         self._bcast_seg: shared_memory.SharedMemory | None = bcast_seg
-        arena = np.ndarray((layout.bcast_capacity,), dtype=np.float64,
-                           buffer=bcast_seg.buf)
-        #: Parent-side writable view of the broadcast arena.
-        self.arena = arena
+        #: Large result buffers that did not fit their slot and came back
+        #: in the pickle stream instead (lifetime count).
+        self.inband_fallbacks = 0
+        self.fallback_logged = False  # the backend clears it per dispatch
+        #: Parent-side writable view of the broadcast region.
+        self.arena = np.ndarray((layout.bcast_capacity,), dtype=np.float64,
+                                buffer=bcast_seg.buf)
 
     def worker_state(self) -> ShmWorkerState:
         """Fork-inheritable worker state over the parent's own mapping."""
@@ -221,30 +247,54 @@ class ShmStore:
         self.arena[:value.size] = value
         return BroadcastRef(length=int(value.size))
 
+    def load_result(self, packed: tuple[int, bytes, list[int], int]) -> Any:
+        """Rebuild what :func:`pack_result` packed, from a copy of the
+        slot bytes: trainers keep results across dispatches and a later
+        task overwrites the slot."""
+        if self._bcast_seg is None:
+            raise RuntimeError("shared-memory store is closed")
+        number, stream, lengths, spilled = packed
+        if spilled:
+            if not self.fallback_logged:
+                _LOG.debug("%d large result buffer(s) did not fit the "
+                           "%d-byte slot %d and came back in-band", spilled,
+                           self.layout.bcast_capacity * 8, number)
+                self.fallback_logged = True
+            self.inband_fallbacks += spilled
+        slot = self.layout.result_slot(self._bcast_seg.buf, number)
+        stops = itertools.accumulate(lengths)
+        return pickle.loads(stream, buffers=[
+            bytearray(slot[stop - n:stop]) for n, stop in zip(lengths, stops)])
+
     def close(self) -> None:
+        # Our own view first: it must not outlive the mapping.
+        self.arena = np.empty(0, dtype=np.float64)
         for seg in (self._parts_seg, self._bcast_seg):
             if seg is None:
                 continue
-            # The arena/view arrays may still reference the buffer; drop
-            # our references before closing so the mmap can be released.
             try:
                 seg.close()
-            except BufferError:  # pragma: no cover - platform-dependent
-                pass
+            except BufferError:
+                _LOG.warning("segment %s: a view is still exported, its "
+                             "%d-byte mapping stays until that view is "
+                             "released", seg.name, seg.size)
             try:
                 seg.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
+            _LOG.debug("unlinked segment %s", seg.name)
         self._parts_seg = None
         self._bcast_seg = None
-        self.arena = np.empty(0, dtype=np.float64)
 
 
-def build_store(partitions: Sequence[Partition]) -> ShmStore:
-    """Pack ``partitions`` into shared memory; size the broadcast arena.
+def build_store(partitions: Sequence[Partition],
+                slots: int | None = None) -> ShmStore:
+    """Pack ``partitions`` into shared memory; size the arena segment.
 
-    The arena holds one model vector (``n_features`` float64 values) —
-    every broadcast in the study is model-sized.
+    The broadcast region and each of the ``slots`` result slots (one per
+    partition unless told otherwise) hold one model vector (``n_features``
+    float64 values) — every broadcast and every local model in the study
+    is model-sized.
     """
     if not partitions:
         raise ValueError("cannot build a shared-memory store with no "
@@ -275,8 +325,12 @@ def build_store(partitions: Sequence[Partition]) -> ShmStore:
         dest = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype),
                           buffer=parts_seg.buf, offset=spec.offset)
         dest[...] = arr
+    if slots is None:
+        slots = len(partitions)
     bcast_seg = shared_memory.SharedMemory(
-        create=True, size=max(n_features * 8, _ALIGN))
+        create=True, size=max((1 + slots) * n_features * 8, _ALIGN))
+    for seg in (parts_seg, bcast_seg):
+        _LOG.debug("created segment %s (%d bytes)", seg.name, seg.size)
 
     layout = ShmLayout(parts_name=parts_seg.name, bcast_name=bcast_seg.name,
                        bcast_capacity=n_features,
@@ -307,10 +361,37 @@ def attach_worker_state(store_id: int, layout: ShmLayout) -> None:
         segments=(parts_seg, bcast_seg))
 
 
-def run_on_shm_partition(store_id: int, fn: Callable[..., Any],
-                         index: int, args: tuple) -> Any:
+def pack_result(result: Any, slot: memoryview) -> tuple[bytes, list[int], int]:
+    """Pickle ``result``, its large buffers into ``slot``: the stream,
+    the byte lengths of the buffers placed back to back in the slot, and
+    how many large buffers did not fit and stayed in the stream."""
+    # Lists, not counters: this runs in task scope, where RACE001 bans
+    # ``nonlocal`` rebinding.
+    lengths: list[int] = []
+    spilled: list[int] = []
+
+    def keep_in_band(buffer: pickle.PickleBuffer) -> bool:
+        raw = buffer.raw()
+        if raw.nbytes < SLOT_MIN_BYTES:
+            return True
+        start = sum(lengths)
+        if start + raw.nbytes > slot.nbytes:
+            spilled.append(raw.nbytes)
+            return True
+        slot[start:start + raw.nbytes] = raw
+        lengths.append(raw.nbytes)
+        return False
+
+    stream = pickle.dumps(result, protocol=5, buffer_callback=keep_in_band)
+    return stream, lengths, len(spilled)
+
+
+def run_on_shm_partition(store_id: int, fn: Callable[..., Any], index: int,
+                         slot: int, args: tuple
+                         ) -> tuple[int, bytes, list[int], int]:
     """Pool-side trampoline: resolve the store, the partition, and any
-    :class:`BroadcastRef` markers, then run the task."""
+    :class:`BroadcastRef` markers, run the task, and pack its result for
+    :meth:`ShmStore.load_result`."""
     state = _SHM_STORES.get(store_id)
     if state is None:
         raise RuntimeError(
@@ -319,4 +400,6 @@ def run_on_shm_partition(store_id: int, fn: Callable[..., Any],
     resolved = tuple(state.resolve_broadcast(a)
                      if isinstance(a, BroadcastRef) else a
                      for a in args)
-    return fn(state.partitions[index], *resolved)
+    result = fn(state.partitions[index], *resolved)
+    return (slot, *pack_result(
+        result, state.layout.result_slot(state.arena_buf, slot)))

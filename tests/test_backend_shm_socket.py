@@ -14,6 +14,10 @@ Regression coverage for the real-executor work:
   ``spawn`` (initializer-attached state instead of inherited state);
 * :mod:`repro.engine.shm` internals (read-only views, broadcast arena,
   segment lifecycle) and the :mod:`repro.engine.wire` frame protocol;
+* the **result slots**: nested results round-trip bit-exactly through
+  trampoline + collect as private writable arrays, and results that
+  overflow a slot (several gradient waves, the dual block) stay
+  bit-identical to serial through the in-band branch;
 * the measured-vs-simulated plumbing: ``trainer.last_wire_stats``
   harvest and :mod:`repro.perf.netcheck`.
 """
@@ -21,7 +25,9 @@ Regression coverage for the real-executor work:
 from __future__ import annotations
 
 import dataclasses
+import logging
 import multiprocessing as mp
+import os
 import pickle
 import socket as socketlib
 import threading
@@ -30,17 +36,20 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from data.make_golden import SYSTEMS, golden_workload
-from repro.core import MLlibStarTrainer
-from repro.data import Partition
+from repro.cluster import cluster1
+from repro.core import MLlibStarTrainer, MLlibTrainer, TrainerConfig
+from repro.data import Partition, SyntheticSpec, generate
 from repro.engine import shm as shm_store
 from repro.engine import wire
 from repro.engine import backend as backend_module
 from repro.engine.backend import (ExecutionBackend, SerialBackend,
                                   ShmBackend, ThreadBackend, make_backend)
 from repro.engine.shm import BroadcastRef, build_store, run_on_shm_partition
-from repro.glm import Objective
+from repro.glm import LocalStats, Objective
 from repro.perf.netcheck import fit_alpha_beta, validate_network
 from test_perf_backend import _assert_matches_serial, shm_segments
 
@@ -73,11 +82,11 @@ def _boom_task(part) -> float:
     raise ValueError("boom: injected task fault")
 
 
-def _partitions(k: int = 3, cls: type[Partition] = Partition
-                ) -> list[Partition]:
+def _partitions(k: int = 3, cls: type[Partition] = Partition,
+                features: int = 6) -> list[Partition]:
     parts = []
     for i in range(k):
-        X = sp.random(4, 6, density=0.5, format="csr",
+        X = sp.random(4, features, density=3.0 / features, format="csr",
                       random_state=np.random.RandomState(i))
         parts.append(cls(index=i, X=X, y=np.full(4, float(i))))
     return parts
@@ -307,8 +316,11 @@ class TestShmStore:
         try:
             shm_store.attach_worker_state(store_id, store.layout)
             ref = store.write_broadcast(np.arange(6, dtype=np.float64))
-            readonly, total = run_on_shm_partition(
-                store_id, _probe_broadcast_task, 1, (ref,))
+            packed = run_on_shm_partition(
+                store_id, _probe_broadcast_task, 1, 0, (ref,))
+            # A tiny result: all of it in the stream, nothing in slot 0.
+            assert (packed[0], packed[2:]) == (0, ([], 0))
+            readonly, total = store.load_result(packed)
             assert readonly
             assert total == pytest.approx(15.0)
         finally:
@@ -317,7 +329,7 @@ class TestShmStore:
 
     def test_trampoline_requires_installed_store(self):
         with pytest.raises(RuntimeError, match="not installed"):
-            run_on_shm_partition(10**9, _value_task, 0, (0.0,))
+            run_on_shm_partition(10**9, _value_task, 0, 0, (0.0,))
 
 
 class TestShmBackendBroadcast:
@@ -350,6 +362,274 @@ class TestShmBackendBroadcast:
             readonly, total = backend.run_one(_probe_broadcast_task, 2,
                                               (w,))
             assert readonly and total == pytest.approx(15.0)
+
+
+# ----------------------------------------------------------------------
+# result slots: large result buffers ride the arena, copied out on collect
+# ----------------------------------------------------------------------
+#: Model width of the slot tests: one slot holds exactly two buffers of
+#: ``SLOT_MIN_BYTES``.
+_SLOT_FEATURES = 2 * shm_store.SLOT_MIN_BYTES // 8
+
+#: float64 elements per array: empty, 16 bytes, small, exactly the
+#: threshold, exactly one slot, larger than any slot.
+_SIZES = (0, 2, 100, _SLOT_FEATURES // 2, _SLOT_FEATURES,
+          _SLOT_FEATURES + 1000)
+
+
+@st.composite
+def _arrays(draw) -> np.ndarray:
+    """Random *bit patterns* (NaN payloads included): the round trip is
+    compared byte for byte, not by value."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = rng.integers(0, 2**63, size=draw(st.sampled_from(_SIZES)))
+    if draw(st.booleans()):
+        return bits.view(np.float64)
+    return bits.astype(np.int32)
+
+
+def _generators(seed: int) -> np.random.Generator:
+    rng = np.random.default_rng(seed)
+    rng.standard_normal(seed % 7)  # somewhere inside its stream
+    return rng
+
+
+_LEAVES = (_arrays()
+           | st.integers(0, 2**32 - 1).map(_generators)
+           | st.builds(LocalStats, st.integers(0, 2**40),
+                       st.integers(0, 2**20), st.integers(0, 2**40))
+           | st.integers(-5, 5))
+_RESULTS = st.recursive(
+    _LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)),
+    max_leaves=6)
+
+
+def _map_arrays(value, fn):
+    if isinstance(value, np.ndarray):
+        return fn(value)
+    if isinstance(value, (list, tuple)):
+        return type(value)(_map_arrays(v, fn) for v in value)
+    return value
+
+
+def _arrays_in(value) -> list[np.ndarray]:
+    found: list[np.ndarray] = []
+    _map_arrays(value, found.append)
+    return found
+
+
+def _echo_task(part, payload, strided: bool):
+    """Return the payload; ``strided`` first turns every array into an
+    equal non-contiguous view, *inside the worker*."""
+    if strided:
+        return _map_arrays(payload, lambda a: np.repeat(a, 2)[::2])
+    return payload
+
+
+def _assert_same(got, want) -> None:
+    assert type(got) is type(want)
+    if isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    elif isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    elif isinstance(want, np.random.Generator):
+        assert got.bit_generator.state == want.bit_generator.state
+    else:
+        assert got == want
+
+
+def _model_sized_waves(part, waves: int) -> list[np.ndarray]:
+    return [np.full(_SLOT_FEATURES, float(part.index + w))
+            for w in range(waves)]
+
+
+def _boom_on_partition_one(part) -> np.ndarray:
+    if part.index == 1:
+        raise ValueError("boom: injected task fault")
+    return np.full(_SLOT_FEATURES, float(part.index))
+
+
+class TestResultSlots:
+    @pytest.fixture(scope="class")
+    def backend(self):
+        # One lane, so two slots for three partitions: partition 2's task
+        # rewrites slot 0 inside the same dispatch, after the window let
+        # the parent copy partition 0's result out of it.
+        with ShmBackend(max_workers=1) as backend:
+            backend.install_partitions(
+                _partitions(3, features=_SLOT_FEATURES))
+            assert backend._window == 2
+            yield backend
+
+    @settings(max_examples=40, deadline=None)
+    @given(payloads=st.lists(_RESULTS, min_size=3, max_size=3),
+           strided=st.booleans())
+    def test_nested_results_round_trip_as_private_arrays(
+            self, backend, payloads, strided):
+        args = [(payload, strided) for payload in payloads]
+        first = backend.map_partitions(_echo_task, args)
+        arena = np.frombuffer(backend._store._bcast_seg.buf, dtype=np.uint8)
+        for got, want in zip(first, payloads):
+            _assert_same(got, want)
+            for arr in _arrays_in(got):
+                assert arr.flags.writeable
+                assert not np.may_share_memory(arr, arena)
+        del arena
+        # Scribbling over one partition's result changes neither a later
+        # dispatch (the slots are rewritten, our copy is ours) nor the
+        # results its neighbours returned.
+        for arr in _arrays_in(first[0]):
+            arr[...] = 7
+        second = backend.map_partitions(_echo_task, args)
+        for got, want in zip(second + first[1:], payloads + payloads[1:]):
+            _assert_same(got, want)
+
+    def test_slot_takes_what_fits_and_the_rest_stays_in_band(self, caplog):
+        store = build_store(_partitions(2, features=_SLOT_FEATURES))
+        store_id = shm_store.new_store_id()
+        shm_store.install_worker_state(store_id, store.worker_state())
+        try:
+            with caplog.at_level(logging.DEBUG, logger="repro.engine.shm"):
+                for index in (0, 1):
+                    packed = run_on_shm_partition(
+                        store_id, _model_sized_waves, index, index, (3,))
+                    slot, stream, lengths, spilled = packed
+                    assert (slot, lengths, spilled) \
+                        == (index, [_SLOT_FEATURES * 8], 2)
+                    # One wave left the stream, two are still in it.
+                    assert 2 * _SLOT_FEATURES * 8 < len(stream) \
+                        < 3 * _SLOT_FEATURES * 8
+                    waves = store.load_result(packed)
+                    assert [w[0] for w in waves] \
+                        == [index, index + 1.0, index + 2.0]
+            assert store.inband_fallbacks == 4
+            # One line for the dispatch, not one per task.
+            assert [r.message for r in caplog.records
+                    if "in-band" in r.message] == [
+                "2 large result buffer(s) did not fit the "
+                f"{_SLOT_FEATURES * 8}-byte slot 0 and came back in-band"]
+        finally:
+            shm_store.discard_worker_state(store_id)
+            store.close()
+
+    def test_segment_lifecycle_is_logged(self, caplog):
+        before = shm_segments()
+        with caplog.at_level(logging.DEBUG, logger="repro.engine.shm"):
+            store = build_store(_partitions(2))
+            names = sorted(shm_segments() - before)
+            store.close()
+        messages = [r.message for r in caplog.records]
+        for name in names:
+            assert any(m.startswith(f"created segment {name} ")
+                       for m in messages)
+            assert f"unlinked segment {name}" in messages
+
+    def test_close_warns_about_a_surviving_export(self, caplog):
+        before = shm_segments()
+        store = build_store(_partitions(2, features=_SLOT_FEATURES))
+        segment = store._bcast_seg
+        view = store.layout.result_slot(segment.buf, 0)
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.engine.shm"):
+                store.close()
+            warnings = [r for r in caplog.records
+                        if r.levelno == logging.WARNING]
+            assert len(warnings) == 1
+            assert "still exported" in warnings[0].message
+            # The name is gone all the same: nothing is left for the
+            # outside probe, only the mapping waits for the view.
+            assert shm_segments() <= before
+        finally:
+            view.release()
+            segment.close()
+
+    def test_window_bounds_the_slots_not_the_partitions(self):
+        # Slots follow the lanes (two each), not the partition count.
+        before = shm_segments()
+        with ShmBackend(max_workers=2) as backend:
+            backend.install_partitions(
+                _partitions(7, features=_SLOT_FEATURES))
+            assert backend._window == 4
+            if os.path.isdir("/dev/shm"):
+                arena = max(os.stat(f"/dev/shm/{name}").st_size
+                            for name in shm_segments() - before)
+                assert arena == (1 + 4) * _SLOT_FEATURES * 8
+            got = backend.map_partitions(_model_sized_waves, [(1,)] * 7)
+            assert [waves[0][0] for waves in got] == list(range(7))
+            assert backend._store.inband_fallbacks == 0
+
+    def test_mid_dispatch_fault_leaves_no_segment_or_child(self):
+        # Partition 0 has written its slot when 1 raises; the fault must
+        # still surface and tear everything down.
+        prior = {p.pid for p in mp.active_children()}
+        segments = shm_segments()
+        with pytest.raises(ValueError, match="boom"):
+            with ShmBackend(max_workers=2) as backend:
+                backend.install_partitions(
+                    _partitions(3, features=_SLOT_FEATURES))
+                backend.map_partitions(_boom_on_partition_one,
+                                       [(), (), ()])
+        assert [p for p in mp.active_children() if p.pid not in prior] \
+            == []
+        assert shm_segments() <= segments
+
+
+def _overflow_fit(trainer_cls, backend: str, **overrides):
+    """Two supersteps on a workload whose model (72 KB) and dual blocks
+    (9000 rows) are both past ``SLOT_MIN_BYTES``, so a second model-sized
+    buffer in one result cannot fit the slot.  Returns the result and the
+    store's in-band fallback count (0 for backends without a store)."""
+    dataset = generate(SyntheticSpec(n_rows=18000, n_features=9000,
+                                     nnz_per_row=4.0, noise=0.02, seed=5),
+                       name="overflow")
+    config = TrainerConfig(max_steps=2, learning_rate=0.3,
+                           lr_schedule="inv_sqrt", batch_fraction=0.25,
+                           local_chunk_size=16, seed=3, backend=backend,
+                           **overrides)
+    trainer = trainer_cls(Objective("hinge", "l2", 0.1),
+                          cluster1(executors=2), config)
+    session = trainer.open_session(dataset)
+    try:
+        while not session.finished:
+            session.run_step()
+        store = getattr(trainer._backend, "_store", None)
+        fallbacks = store.inband_fallbacks if store is not None else 0
+        return session.result(), fallbacks
+    finally:
+        session.close()
+
+
+class TestResultSlotOverflow:
+    """The in-band branch, asserted by the store's counter: a result with
+    more model-sized buffers than its slot holds stays bit-identical."""
+
+    @pytest.mark.parametrize("start_method", [
+        pytest.param("fork", marks=pytest.mark.skipif(
+            not _HAVE_FORK, reason="fork not available")),
+        pytest.param("spawn", marks=pytest.mark.slow)])
+    @pytest.mark.parametrize("trainer_cls, overrides, spilled_per_task", [
+        # Three gradient waves: the first rides the slot, two spill.
+        (MLlibTrainer, dict(tasks_per_executor=3), 2),
+        # delta_w fills the slot, the dual block alpha spills.
+        (MLlibStarTrainer, dict(local_solver="cocoa", local_iters=1), 1)],
+        ids=["mllib-3-waves", "cocoa-dual"])
+    def test_overflowing_results_match_serial(
+            self, monkeypatch, start_method, trainer_cls, overrides,
+            spilled_per_task):
+        monkeypatch.setattr(ExecutionBackend, "default_start_method",
+                            start_method)
+        serial, _ = _overflow_fit(trainer_cls, "serial", **overrides)
+        shm, fallbacks = _overflow_fit(trainer_cls, "shm", **overrides)
+        # 2 executors x 2 supersteps.
+        assert fallbacks == spilled_per_task * 2 * 2
+        assert list(shm.history.points) == list(serial.history.points)
+        assert np.array_equal(shm.model.weights, serial.model.weights)
+        assert list(shm.duality_gaps) == list(serial.duality_gaps)
 
 
 # ----------------------------------------------------------------------
