@@ -1,7 +1,10 @@
 """MPI-style collectives (Reduce-Scatter, AllGather, AllReduce) on shuffle.
 
 Three pluggable aggregation topologies share one data plane (the flat
-combine kernels in :mod:`.allreduce`), so every mode is bit-identical:
+combine kernels in :mod:`.allreduce`, called once per exchange) and one
+sizing rule (support counts, :class:`.sparse.SupportMask`; the
+``SparsePayload`` codec is the format's definition and test reference,
+no trainer runs it), so every mode is bit-identical:
 
 * ``flat`` — the shuffle-based AllReduce of the paper (:mod:`.allreduce`),
   optionally with the SparCML sparse wire format (:mod:`.sparse`).

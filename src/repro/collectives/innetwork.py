@@ -36,13 +36,12 @@ anywhere (rule DET002 applies to this module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..cluster.network import NetworkModel
 from ..engine.plan import Lane, PhasePlan, PhaseRequest
-from .allreduce import all_gather, reduce_scatter
 from .sparse import (CommStats, TreeWire, sparse_all_gather,
                      sparse_reduce_scatter, tree_fan_in_wire)
 
@@ -148,10 +147,7 @@ class SwitchWire:
     def dense_values(self) -> float:
         if self.fallback is not None:
             return self.fallback.dense_values
-        total = self.num_senders * self.values_per_link
-        if self.phase == "tree_aggregate":
-            total += float(self.model_size)
-        return total
+        return self.wire_values  # the switch carries raw vectors
 
     @property
     def compression(self) -> float:
@@ -199,21 +195,31 @@ class SwitchWire:
                   request.dense_round_seconds()))
 
 
-def _fallback_to_host(mode: str, wire_total: float,
-                      dense_total: float) -> bool:
+def switch_dense_wire(phase: str, model_size: int, num_senders: int,
+                      pool_slots: int = 512, chunk_values: int = 256,
+                      messages_per_executor: int = 1) -> SwitchWire:
+    """Dense-sized switch wire for trainers that ship dense vectors."""
+    return SwitchWire(
+        phase=phase, model_size=model_size, num_senders=num_senders,
+        pool_slots=pool_slots, chunk_values=chunk_values,
+        values_per_link=float(model_size) * (
+            messages_per_executor if phase == "tree_aggregate" else 1),
+        messages_per_executor=messages_per_executor)
+
+
+def _bypass(wire: SwitchWire, host: "CommStats | TreeWire",
+            mode: str) -> SwitchWire:
     """The deterministic sparse bypass rule (the tested contract).
 
-    ``mode='off'`` never leaves the switch.  ``mode='on'`` always does
-    (sparse is forced and the switch cannot carry it).  ``mode='auto'``
-    falls back iff the host sparse exchange is *strictly* cheaper —
-    exactly the SparCML break-even, so ``2 * nnz == m`` messages price
-    dense and stay in-network.
+    ``host`` prices ``wire``'s phase as host aggregation.  ``mode='on'``
+    always leaves the switch (it cannot carry the forced format);
+    otherwise the phase falls back iff ``host`` is *strictly* cheaper —
+    the SparCML break-even, so ``2 * nnz == m`` ties stay in-network, as
+    does everything under ``mode='off'`` (wire == dense).
     """
-    if mode == "off":
-        return False
-    if mode == "on":
-        return True
-    return wire_total < dense_total
+    if mode == "on" or host.wire_values < host.dense_values:
+        return replace(wire, fallback=host)
+    return wire
 
 
 # ----------------------------------------------------------------------
@@ -229,26 +235,16 @@ def switch_reduce_scatter(models: list[np.ndarray],
 
     Every executor streams its full model up; the switch folds the ``k``
     streams at line rate.  The returned partitions come from the flat
-    :func:`~repro.collectives.reduce_scatter` kernel — bit-identical to
-    every other collective, fallback or not.
+    :func:`~repro.collectives.reduce_scatter` kernel (run once, inside
+    the host-aggregation twin that sizes the fallback) — bit-identical
+    to every other collective, fallback or not.
     """
-    k = len(models)
-    if k == 0:
-        raise ValueError("need at least one model")
-    m = int(models[0].shape[0])
-    fallback: CommStats | None = None
-    if mode != "off":
-        partitions, stats = sparse_reduce_scatter(
-            models, combine=combine, weights=weights, mode=mode)
-        if _fallback_to_host(mode, stats.wire_values, stats.dense_values):
-            fallback = stats
-    if fallback is None:
-        partitions = reduce_scatter(models, combine=combine,
-                                    weights=weights)
-    return partitions, SwitchWire(
-        phase="reduce_scatter", model_size=m, num_senders=k,
-        pool_slots=pool_slots, chunk_values=chunk_values,
-        values_per_link=float(m), fallback=fallback)
+    partitions, host = sparse_reduce_scatter(
+        models, combine=combine, weights=weights, mode=mode)
+    return partitions, _bypass(
+        switch_dense_wire("reduce_scatter", int(models[0].shape[0]),
+                          len(models), pool_slots, chunk_values),
+        host, mode)
 
 
 def switch_all_gather(partitions: list[np.ndarray], model_size: int,
@@ -261,22 +257,12 @@ def switch_all_gather(partitions: list[np.ndarray], model_size: int,
     Each executor receives the full reassembled model on its own link at
     line rate (the downstream half of the SwitchML AllReduce).
     """
-    k = len(partitions)
-    if k == 0:
-        raise ValueError("need at least one partition")
-    fallback: CommStats | None = None
-    if mode != "off":
-        full, stats = sparse_all_gather(partitions, model_size, mode=mode,
-                                        check_replicas=check_replicas)
-        if _fallback_to_host(mode, stats.wire_values, stats.dense_values):
-            fallback = stats
-    if fallback is None:
-        full = all_gather(partitions, model_size,
-                          check_replicas=check_replicas)
-    return full, SwitchWire(
-        phase="all_gather", model_size=model_size, num_senders=k,
-        pool_slots=pool_slots, chunk_values=chunk_values,
-        values_per_link=float(model_size), fallback=fallback)
+    full, host = sparse_all_gather(partitions, model_size, mode=mode,
+                                   check_replicas=check_replicas)
+    return full, _bypass(
+        switch_dense_wire("all_gather", model_size, len(partitions),
+                          pool_slots, chunk_values),
+        host, mode)
 
 
 def switch_tree_fan_in(vectors_by_executor: list[list[np.ndarray]],
@@ -297,26 +283,8 @@ def switch_tree_fan_in(vectors_by_executor: list[list[np.ndarray]],
     if mpe < 1 or any(len(row) != mpe for row in vectors_by_executor):
         raise ValueError("every executor must ship the same number of "
                          "task vectors")
-    fallback: TreeWire | None = None
-    if mode != "off":
-        tree = tree_fan_in_wire(vectors_by_executor, plan, model_size,
-                                mode)
-        if _fallback_to_host(mode, tree.wire_values, tree.dense_values):
-            fallback = tree
-    return SwitchWire(
-        phase="tree_aggregate", model_size=model_size, num_senders=k,
-        pool_slots=pool_slots, chunk_values=chunk_values,
-        values_per_link=float(model_size) * mpe,
-        messages_per_executor=mpe, fallback=fallback)
-
-
-def switch_dense_wire(phase: str, model_size: int, num_senders: int,
-                      pool_slots: int = 512, chunk_values: int = 256,
-                      messages_per_executor: int = 1) -> SwitchWire:
-    """Dense-sized switch wire for trainers that ship dense vectors."""
-    return SwitchWire(
-        phase=phase, model_size=model_size, num_senders=num_senders,
-        pool_slots=pool_slots, chunk_values=chunk_values,
-        values_per_link=float(model_size) * (
-            messages_per_executor if phase == "tree_aggregate" else 1),
-        messages_per_executor=messages_per_executor)
+    return _bypass(
+        switch_dense_wire("tree_aggregate", model_size, k, pool_slots,
+                          chunk_values, mpe),
+        tree_fan_in_wire(vectors_by_executor, plan, model_size, mode),
+        mode)

@@ -18,35 +18,40 @@ This module adds that layer:
   switch.  ``mode='auto'`` picks the cheaper representation per message;
   ``'on'`` forces sparse (useful to demonstrate the crossover); ``'off'``
   passes the dense array through untouched.
-* :func:`sparse_reduce_scatter` / :func:`sparse_all_gather` — sparse
-  variants of the shuffle collectives.  Payloads are materialized before
-  combining, so the arithmetic (and therefore every iterate) is
-  **bit-identical** to the dense path; only the priced wire volume
-  changes.  Each returns a :class:`CommStats` for the engine to price.
+* :class:`SupportMask` — the one sizing primitive.  The break-even needs
+  a *count* per message, so no trainer-reachable path encodes anything;
+  :class:`SparsePayload`, :func:`encode`, :func:`materialize` and
+  :func:`payload_wire_values` stay as the definition of the format and the
+  reference ``tests/test_properties_collectives.py`` sizes against.
+* :func:`sparse_reduce_scatter` / :func:`sparse_all_gather` — the flat
+  data plane (:mod:`.allreduce`, called exactly once) plus a
+  :class:`CommStats` that prices the sparse wire.  The arithmetic (and
+  therefore every iterate) *is* the dense path's; only the priced wire
+  volume changes.
 * :func:`tree_fan_in_wire` — nnz-aware wire sizes for the SendGradient
   paradigm's treeAggregate fan-in (leaf messages carry batch-support
   gradients; aggregator partials carry the union support of their group).
 
-Determinism note: coordinate supports are computed with
-``np.flatnonzero`` (ascending index order) and groups are iterated in
-sorted order — never via set iteration (rule DET002 applies to this
-module).
+Determinism note: supports are boolean masks in coordinate order and
+groups are iterated in sorted order — never via set iteration (rule
+DET002 applies to this module).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from ..analysis.sanitizer import check_replicas as _check_replicas
 from ..engine.plan import PhasePlan, PhaseRequest
-from ..engine.shuffle import exchange
-from .allreduce import combine_weight_scale, partition_slices
+from .allreduce import all_gather, partition_slices, reduce_scatter
 
 __all__ = ["SPARSE_COMM_MODES", "SparsePayload", "CommStats", "TreeWire",
-           "encode", "materialize", "payload_wire_values", "wire_values",
-           "sparse_reduce_scatter", "sparse_all_gather", "tree_fan_in_wire"]
+           "SupportMask", "encode", "materialize", "payload_wire_values",
+           "wire_values", "sparse_reduce_scatter", "sparse_all_gather",
+           "tree_fan_in_wire"]
 
 #: Valid values of ``TrainerConfig.sparse_comm`` / ``--sparse-comm``.
 SPARSE_COMM_MODES = ("auto", "on", "off")
@@ -194,9 +199,9 @@ class TreeWire:
     ``leaf_values[i]`` lists executor ``i``'s message sizes (one per task
     wave); ``partial_values[j]`` is the size of the ``j``-th aggregator's
     partial (aggregators in ascending executor order).  Totals count only
-    messages that cross the network (an aggregator's own vectors are
-    local, as is every leaf of a depth-1 plan's... no: depth-1 leaves all
-    cross to the driver).
+    messages that cross the network: under a depth-2 plan an aggregator's
+    own vectors stay local; under a depth-1 plan (no aggregators) every
+    leaf crosses to the driver.
     """
 
     leaf_values: tuple[tuple[float, ...], ...]
@@ -230,105 +235,95 @@ class TreeWire:
 
 
 # ----------------------------------------------------------------------
-# sparse shuffle collectives
+# the one sizing primitive
+# ----------------------------------------------------------------------
+class SupportMask:
+    """Row ``r`` is ``vectors[r] != 0``: what vector ``r`` puts on a
+    sparse wire.  Every wire builder (flat, hier, tree, and through them
+    the switch fallback) sizes its messages here.
+
+    A message's count is a ``reduceat`` over the owner ranges of the
+    ``any`` of the rows whose union it carries — read from the inputs,
+    never from combined floats, so sizing is immune to cancellation.
+    Under ``'off'`` no size depends on a support, so nothing is scanned
+    (``vectors`` may be empty).
+    """
+
+    def __init__(self, vectors: Sequence[np.ndarray], size: int,
+                 mode: str) -> None:
+        _check_mode(mode)
+        self.size, self.mode = size, mode
+        self._mask = (None if mode == "off"
+                      else np.vstack([v != 0 for v in vectors]))
+
+    def message(self, rows: Sequence[int]) -> float:
+        """Wire size of one whole-vector message carrying the union
+        support of vectors ``rows``."""
+        return self.values(rows, [slice(0, self.size)])[0]
+
+    def values(self, rows: Sequence[int],
+               ranges: Sequence[slice]) -> tuple[float, ...]:
+        """Wire size of one message per range, each carrying the union
+        support of vectors ``rows`` inside that range."""
+        if self._mask is None:
+            counts = [0] * len(ranges)
+        else:
+            counts = np.add.reduceat(
+                self._mask[list(rows)].any(axis=0),
+                [r.start for r in ranges], dtype=np.intp).tolist()
+        return tuple(wire_values(nnz, r.stop - r.start, self.mode)
+                     for nnz, r in zip(counts, ranges))
+
+
+# ----------------------------------------------------------------------
+# sparse shuffle collectives: the flat data plane, then a sized wire
 # ----------------------------------------------------------------------
 def sparse_reduce_scatter(models: list[np.ndarray], combine: str = "average",
                           weights: list[float] | None = None,
                           mode: str = "auto",
                           ) -> tuple[list[np.ndarray], CommStats]:
-    """Reduce-Scatter with per-message sparse encoding.
+    """Reduce-Scatter with per-message sparse sizing.
 
-    Identical semantics to :func:`repro.collectives.reduce_scatter` —
-    every payload is materialized before the combine, so owner partitions
-    are bit-identical to the dense path under every ``mode``.  The second
-    return value prices the wire.
+    The partitions *are* :func:`repro.collectives.reduce_scatter`'s, so
+    they are bit-identical to the dense path under every ``mode``.  The
+    second return value prices the wire: worker ``r`` encodes range ``i``
+    of its local model for owner ``i``; the range it owns travels
+    locally and pays no wire cost.
     """
     _check_mode(mode)
-    if combine not in ("average", "sum", "weighted"):
-        raise ValueError("combine must be 'average', 'sum' or 'weighted'")
-    k = len(models)
-    if k == 0:
-        raise ValueError("need at least one model")
-    m = models[0].shape[0]
-    if any(w.shape != (m,) for w in models):
-        raise ValueError("all local models must have the same shape")
-    scale = combine_weight_scale(combine, weights, k)
-    slices = partition_slices(m, k)
-    sizes = [s.stop - s.start for s in slices]
-
-    # Worker r encodes slice i of its local model for owner i; the slice
-    # it owns travels locally and pays no wire cost.
-    outboxes = [{owner: encode(model[slices[owner]], mode)
-                 for owner in range(k)}
-                for model in models]
+    partitions = reduce_scatter(models, combine=combine, weights=weights)
+    k, m = len(models), int(models[0].shape[0])
+    ranges = partition_slices(m, k)
+    support = SupportMask(models, m, mode)
     per_sender = tuple(
-        tuple(payload_wire_values(outboxes[src][owner])
-              for owner in range(k) if owner != src)
+        tuple(v for owner, v in enumerate(support.values([src], ranges))
+              if owner != src)
         for src in range(k))
-    dense_values = float(sum(sizes[owner]
-                             for src in range(k)
-                             for owner in range(k) if owner != src))
-    stats = CommStats(
-        phase="reduce_scatter", dense_values=dense_values,
+    return partitions, CommStats(
+        phase="reduce_scatter", dense_values=float((k - 1) * m),
         wire_values=float(sum(v for row in per_sender for v in row)),
         per_sender=per_sender)
-
-    inboxes = exchange(outboxes, k)
-    partitions: list[np.ndarray] = []
-    for owner, pieces in enumerate(inboxes):
-        stacked = np.vstack([materialize(p) for p in pieces])
-        if scale is not None:
-            combined = scale @ stacked
-        else:
-            combined = stacked.sum(axis=0)
-            if combine == "average":
-                combined = combined / k
-        partitions.append(combined)
-    return partitions, stats
 
 
 def sparse_all_gather(partitions: list[np.ndarray], model_size: int,
                       mode: str = "auto", check_replicas: bool = False,
                       ) -> tuple[np.ndarray, CommStats]:
-    """AllGather with per-message sparse encoding.
+    """AllGather with per-message sparse sizing.
 
-    The reassembled model is bit-identical to
-    :func:`repro.collectives.all_gather`; the second return value prices
-    the wire (each owner ships its encoded partition to ``k - 1`` peers).
+    The reassembled model *is* :func:`repro.collectives.all_gather`'s;
+    the second return value prices the wire (each owner ships its
+    encoded partition to ``k - 1`` peers).
     """
     _check_mode(mode)
+    full = all_gather(partitions, model_size, check_replicas=check_replicas)
     k = len(partitions)
-    if k == 0:
-        raise ValueError("need at least one partition")
-    slices = partition_slices(model_size, k)
-    expected = [s.stop - s.start for s in slices]
-    actual = [p.shape[0] for p in partitions]
-    if expected != actual:
-        raise ValueError(
-            f"partition sizes {actual} do not match owner slices {expected}")
-
-    encoded = [encode(p, mode) for p in partitions]
-    per_sender = tuple(
-        tuple(payload_wire_values(encoded[owner])
-              for dst in range(k) if dst != owner)
-        for owner in range(k))
-    dense_values = float(sum(expected[owner] * (k - 1)
-                             for owner in range(k)))
-    stats = CommStats(
-        phase="all_gather", dense_values=dense_values,
+    owned = SupportMask([full], model_size, mode).values(
+        [0], partition_slices(model_size, k))
+    per_sender = tuple((v,) * (k - 1) for v in owned)
+    return full, CommStats(
+        phase="all_gather", dense_values=float((k - 1) * model_size),
         wire_values=float(sum(v for row in per_sender for v in row)),
         per_sender=per_sender)
-
-    outboxes = [{dst: encoded[owner] for dst in range(k)}
-                for owner in range(k)]
-    inboxes = exchange(outboxes, k)
-    if check_replicas:
-        replicas = [np.concatenate([materialize(p) for p in inbox])
-                    for inbox in inboxes]
-        _check_replicas(replicas, context="all_gather")
-        return replicas[0], stats
-    full = np.concatenate([materialize(p) for p in inboxes[0]])
-    return full, stats
 
 
 # ----------------------------------------------------------------------
@@ -346,38 +341,32 @@ def tree_fan_in_wire(vectors_by_executor: list[list[np.ndarray]],
     (empty for depth-1 flat aggregation).  An aggregator's partial to the
     driver carries the union support of its group's vectors.
     """
-    _check_mode(mode)
     k = len(vectors_by_executor)
     if k == 0:
         raise ValueError("need at least one executor")
-    supports = [[np.flatnonzero(v) for v in vectors]
-                for vectors in vectors_by_executor]
-    leaf_values = tuple(
-        tuple(wire_values(int(idx.size), model_size, mode) for idx in row)
-        for row in supports)
+    support = SupportMask(
+        [v for vectors in vectors_by_executor for v in vectors],
+        model_size, mode)
+    # rows[e]: the mask rows of executor e's vectors, in task order.
+    ends = accumulate(len(vectors) for vectors in vectors_by_executor)
+    rows = [range(end - len(vectors), end)
+            for end, vectors in zip(ends, vectors_by_executor)]
+    leaf_values = tuple(tuple(support.message([r]) for r in rows[e])
+                        for e in range(k))
 
     aggregators = sorted(plan)
     a = len(aggregators)
-    partial_values: list[float] = []
-    for agg in aggregators:
-        member_supports = [idx for e in range(k) if e % a == agg
-                           for idx in supports[e]]
-        union = (np.unique(np.concatenate(member_supports))
-                 if member_supports else np.empty(0, dtype=np.int64))
-        partial_values.append(wire_values(int(union.size), model_size, mode))
+    partial_values = [
+        support.message([r for e in range(k) if e % a == agg
+                         for r in rows[e]])
+        for agg in aggregators]
 
-    if a == 0:
-        # Depth 1: every leaf message crosses to the driver.
-        network_leaves = [(e, t) for e in range(k)
-                          for t in range(len(leaf_values[e]))]
-    else:
-        # Depth 2: members ship to their aggregator; an aggregator's own
-        # vectors are local (executor e's aggregator is e % a).
-        network_leaves = [(e, t) for e in range(k) if e % a != e
-                          for t in range(len(leaf_values[e]))]
-    wire_total = (sum(leaf_values[e][t] for e, t in network_leaves)
-                  + sum(partial_values))
-    dense_total = float(model_size) * (len(network_leaves) + a)
+    # Only network messages count.  Depth 2: executor e ships to
+    # aggregator e % a, so the aggregators' own vectors (e < a) are
+    # local.  Depth 1 (a == 0): every leaf crosses to the driver.
+    crossing = [v for row in leaf_values[a:] for v in row]
+    wire_total = sum(crossing) + sum(partial_values)
+    dense_total = float(model_size) * (len(crossing) + a)
     return TreeWire(leaf_values=leaf_values,
                     partial_values=tuple(partial_values),
                     dense_values=dense_total, wire_values=wire_total)

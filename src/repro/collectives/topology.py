@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .allreduce import all_gather, reduce_scatter
 from .hierarchical import (hier_all_gather, hier_dense_wire,
                            hier_reduce_scatter, hier_tree_fan_in)
 from .innetwork import (switch_all_gather, switch_dense_wire,
@@ -57,17 +58,20 @@ class Topology:
     def reduce_scatter(self, models: list[np.ndarray], combine: str,
                        weights: list[float] | None):
         """``(owner partitions, wire)`` of one Reduce-Scatter."""
-        partitions, stats = sparse_reduce_scatter(
-            models, combine=combine, weights=weights, mode=self.mode)
-        return partitions, stats if self.mode != "off" else None
+        if self.mode == "off":
+            return reduce_scatter(models, combine=combine,
+                                  weights=weights), None
+        return sparse_reduce_scatter(models, combine=combine,
+                                     weights=weights, mode=self.mode)
 
     def all_gather(self, partitions: list[np.ndarray], model_size: int,
                    check_replicas: bool):
         """``(reassembled model, wire)`` of one AllGather."""
-        full, stats = sparse_all_gather(partitions, model_size,
-                                        mode=self.mode,
-                                        check_replicas=check_replicas)
-        return full, stats if self.mode != "off" else None
+        if self.mode == "off":
+            return all_gather(partitions, model_size,
+                              check_replicas=check_replicas), None
+        return sparse_all_gather(partitions, model_size, mode=self.mode,
+                                 check_replicas=check_replicas)
 
 
 class HierTopology(Topology):

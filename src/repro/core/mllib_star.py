@@ -131,13 +131,11 @@ class MLlibStarTrainer(DistributedTrainer):
         # crashed owner loses its local model *and* every piece peers
         # shipped it, so recovery redoes the local SGD passes and pulls a
         # refill fan-in from all peers — the whole barrier stalls on it.
-        # The sparse wire format changes what the messages cost, never
-        # what they say: payloads are materialized before combining, so
-        # iterates are bit-identical across all --sparse-comm modes.
-        # --collective picks the aggregation topology (flat shuffle,
-        # two-tier hier, or in-network switch); every topology calls the
-        # same flat combine kernels underneath, so iterates are
-        # bit-identical across --collective values too.
+        # --sparse-comm and --collective (flat shuffle, two-tier hier,
+        # in-network switch) change what the messages cost, never what
+        # they say: every topology calls the one dense data plane
+        # (collectives.allreduce) once and sizes its wire from support
+        # counts, so iterates are bit-identical across both flags.
         partitions, rs_wire = self._topology.reduce_scatter(
             locals_, combine, weights)
         engine.reduce_scatter_phase(m, step, redo_seconds=durations,

@@ -1,6 +1,6 @@
 """Property-based tests for the AllReduce collectives (hypothesis).
 
-Three families of invariants:
+Five families of invariants:
 
 * **Correctness** — ``all_reduce_average`` equals ``np.mean`` exactly for
   any worker count and model size, including the degenerate single-worker
@@ -11,6 +11,13 @@ Three families of invariants:
 * **Recovery** — a failed-then-recovered owner whose peers re-send their
   pieces recombines its partition to exactly the value of the original,
   failure-free run (the redo path is deterministic).
+* **One data plane** — ``reduce_scatter`` / ``all_gather`` are
+  ``tobytes()``-equal to a reference that routes every piece through
+  ``engine.shuffle.exchange`` and combines per inbox.
+* **One sizing rule** — every message any wire builder sizes from the
+  support mask equals what the wire-format definition (``encode`` +
+  ``payload_wire_values``, resp. the ``np.unique`` union of
+  ``np.flatnonzero`` supports) says it costs.
 """
 
 from __future__ import annotations
@@ -21,17 +28,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.collectives import (all_gather, all_reduce_average,
-                               partition_slices, reduce_scatter,
-                               traffic_values)
+                               combine_weight_scale, encode,
+                               hier_reduce_scatter, hier_tree_fan_in,
+                               partition_slices, payload_wire_values,
+                               reduce_scatter, sparse_all_gather,
+                               sparse_reduce_scatter, traffic_values,
+                               tree_fan_in_wire, wire_values)
+from repro.engine import TreeAggregateModel
+from repro.engine.shuffle import exchange
 
 finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
 
 @st.composite
-def worker_models(draw, min_workers=1, max_workers=10):
-    """k local models of a common size m >= k (valid AllReduce input)."""
+def worker_models(draw, min_workers=1, max_workers=10, narrow=False):
+    """k local models of a common size m >= k (valid AllReduce input);
+    ``narrow`` keeps m < 2k, so some owner ranges are one coordinate."""
     k = draw(st.integers(min_value=min_workers, max_value=max_workers))
-    m = draw(st.integers(min_value=k, max_value=96))
+    m = draw(st.integers(min_value=k, max_value=2 * k - 1 if narrow else 96))
     models = [
         np.array(draw(st.lists(finite_floats, min_size=m, max_size=m)))
         for _ in range(k)
@@ -136,3 +150,195 @@ class TestFailedOwnerRecovery:
         first = all_reduce_average(models)
         second = all_reduce_average([m.copy() for m in models])
         np.testing.assert_array_equal(first, second)
+
+
+# ----------------------------------------------------------------------
+# one data plane: the loop over owner ranges == the routed shuffle
+# ----------------------------------------------------------------------
+def routed_reduce_scatter(models, combine, weights):
+    """Reduce-Scatter as a literal shuffle: worker r routes slice i of its
+    model to owner i through ``exchange``; owners combine their inbox."""
+    k, m = len(models), models[0].shape[0]
+    scale = combine_weight_scale(combine, weights, k)
+    slices = partition_slices(m, k)
+    inboxes = exchange([{owner: model[slices[owner]] for owner in range(k)}
+                        for model in models], k)
+    partitions = []
+    for pieces in inboxes:
+        stacked = np.vstack(pieces)
+        if scale is not None:
+            combined = scale @ stacked
+        else:
+            combined = stacked.sum(axis=0)
+            if combine == "average":
+                combined = combined / k
+        partitions.append(combined)
+    return partitions
+
+
+def routed_all_gather(partitions):
+    """AllGather as a literal shuffle: every worker's reassembled replica."""
+    k = len(partitions)
+    inboxes = exchange([{dst: partitions[owner] for dst in range(k)}
+                        for owner in range(k)], k)
+    return [np.concatenate(inbox) for inbox in inboxes]
+
+
+def assert_data_plane_matches_routed(models, combine):
+    k, m = len(models), models[0].shape[0]
+    weights = ([float(2 * r + 1) for r in range(k)]
+               if combine == "weighted" else None)
+    got = reduce_scatter(models, combine=combine, weights=weights)
+    want = routed_reduce_scatter(models, combine, weights)
+    assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+    full = all_gather(got, m, check_replicas=True)
+    assert {r.tobytes() for r in routed_all_gather(want)} == {full.tobytes()}
+
+
+class TestDataPlaneEqualsRoutedShuffle:
+    @pytest.mark.parametrize("combine", ["average", "sum", "weighted"])
+    @given(models=st.one_of(
+        worker_models(),
+        worker_models(min_workers=8, max_workers=20, narrow=True)))
+    @settings(max_examples=40, deadline=None)
+    def test_bytes_equal_to_routed_reference(self, combine, models):
+        assert_data_plane_matches_routed(models, combine)
+
+    @pytest.mark.parametrize("combine", ["average", "sum", "weighted"])
+    @pytest.mark.parametrize("k", [8, 9, 16, 32])
+    def test_one_coordinate_owner_ranges(self, k, combine):
+        """m == k and k <= m < 2k with k >= 8: NumPy sums a width-1
+        range pairwise and a wider one row by row, so reducing one
+        full-width (k, m) stack moves these by an ulp."""
+        rng = np.random.default_rng(k)
+        for m in (k, k + 1, 2 * k - 1):
+            for _ in range(5):
+                assert_data_plane_matches_routed(
+                    [rng.normal(size=m) for _ in range(k)], combine)
+
+
+# ----------------------------------------------------------------------
+# one sizing rule: support-mask counts == the wire-format definition
+# ----------------------------------------------------------------------
+MODES = ("off", "auto", "on")
+
+
+@st.composite
+def awkward_vectors(draw, min_vectors=1, max_vectors=6):
+    """Equal-length vectors built from the values a support rule can get
+    wrong: ``-0.0`` (zero), ``NaN`` (nonzero), all-zero vectors and a
+    fill of exactly ``m / 2`` (the break-even tie)."""
+    k = draw(st.integers(min_vectors, max_vectors))
+    m = 2 * draw(st.integers((k + 1) // 2, 20))
+    entry = st.sampled_from([0.0, 0.0, -0.0, float("nan"), 1.5, -2.0])
+    vectors = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["zeros", "half", "mixed"]))
+        if kind == "zeros":
+            vec = np.zeros(m)
+        elif kind == "half":
+            vec = np.zeros(m)
+            fill = draw(st.permutations(range(m)))[:m // 2]
+            vec[list(fill)] = draw(st.sampled_from([1.0, float("nan")]))
+        else:
+            vec = np.array(draw(st.lists(entry, min_size=m, max_size=m)))
+        vectors.append(vec)
+    return vectors
+
+
+def encoded_size(piece, mode):
+    """What the wire-format definition says one message costs."""
+    return payload_wire_values(encode(piece, mode))
+
+
+def union_size(vectors, size, mode, sl=slice(None)):
+    """Index-list reference for a partial carrying a union support."""
+    union = np.unique(np.concatenate([np.flatnonzero(v[sl])
+                                      for v in vectors]))
+    return wire_values(len(union), size, mode)
+
+
+@st.composite
+def contiguous_groups(draw, k):
+    """``range(k)`` cut into machine groups of ascending members."""
+    cuts = sorted(draw(st.sets(st.integers(1, k - 1)))) if k > 1 else []
+    bounds = [0, *cuts, k]
+    return tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
+
+
+class TestMaskSizingEqualsWireFormat:
+    @pytest.mark.parametrize("mode", MODES)
+    @given(models=awkward_vectors())
+    @settings(max_examples=40, deadline=None)
+    def test_flat_reduce_scatter_and_all_gather(self, mode, models):
+        k, m = len(models), models[0].shape[0]
+        slices = partition_slices(m, k)
+        _, rs = sparse_reduce_scatter(models, combine="sum", mode=mode)
+        assert rs.per_sender == tuple(
+            tuple(encoded_size(models[src][slices[owner]], mode)
+                  for owner in range(k) if owner != src)
+            for src in range(k))
+        # AllGather of *these* vectors' slices, so the partitions carry
+        # the awkward values too (a real combine would sum them away).
+        partitions = [models[owner][slices[owner]] for owner in range(k)]
+        _, ag = sparse_all_gather(partitions, m, mode=mode)
+        assert ag.per_sender == tuple(
+            (encoded_size(partitions[owner], mode),) * (k - 1)
+            for owner in range(k))
+        for stats in (rs, ag):
+            assert stats.dense_values == float((k - 1) * m)
+            assert stats.wire_values == sum(map(sum, stats.per_sender))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @given(data=st.data(), models=awkward_vectors())
+    @settings(max_examples=40, deadline=None)
+    def test_hier_reduce_scatter(self, mode, data, models):
+        k, m = len(models), models[0].shape[0]
+        groups = data.draw(contiguous_groups(k), label="groups")
+        n = len(groups)
+        slices = partition_slices(m, n)
+        _, wire = hier_reduce_scatter(models, groups, combine="sum",
+                                      mode=mode)
+        for j, group in enumerate(groups):
+            assert wire.intra_sends[group[0]] == ()
+            for e in group[1:]:  # member uploads: the whole local model
+                assert wire.intra_sends[e] == (
+                    encoded_size(models[e], mode),)
+                assert wire.cross_sends[e] == ()
+            # leader cross row: the group's union, per foreign node slice
+            assert wire.cross_sends[group[0]] == tuple(
+                union_size([models[e] for e in group],
+                           slices[i].stop - slices[i].start, mode, slices[i])
+                for i in range(n) if i != j)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @given(data=st.data(), vectors=awkward_vectors(min_vectors=2))
+    @settings(max_examples=40, deadline=None)
+    def test_tree_fan_ins(self, mode, data, vectors):
+        m = vectors[0].shape[0]
+        waves = data.draw(st.sampled_from(
+            [w for w in (1, 2, 3) if len(vectors) % w == 0]), label="waves")
+        by_executor = [vectors[i:i + waves]
+                       for i in range(0, len(vectors), waves)]
+        k = len(by_executor)
+        leaves = tuple(tuple(encoded_size(v, mode) for v in row)
+                       for row in by_executor)
+
+        plan = data.draw(st.sampled_from(
+            [{}, TreeAggregateModel().plan(k),
+             {j: 0 for j in range(min(2, k))}]), label="tree plan")
+        tree = tree_fan_in_wire(by_executor, plan, m, mode)
+        assert tree.leaf_values == leaves
+        a = len(plan)
+        assert tree.partial_values == tuple(
+            union_size([v for e in range(agg, k, a) for v in by_executor[e]],
+                       m, mode) for agg in sorted(plan))
+
+        groups = data.draw(contiguous_groups(k), label="groups")
+        hier = hier_tree_fan_in(by_executor, groups, m, mode=mode)
+        for group in groups:
+            for e in group[1:]:
+                assert hier.intra_sends[e] == leaves[e]
+            assert hier.cross_sends[group[0]] == (
+                union_size([v for e in group for v in by_executor[e]],
+                           m, mode),)

@@ -13,11 +13,18 @@ Locks down the aggregation ladder (``--collective flat|hier|switch``):
   ``<=`` contract for both the payload encoder and the in-network
   fallback;
 * regression coverage for the empty fan-in :class:`ValueError` and the
-  tiered-bandwidth validation this PR added.
+  tiered-bandwidth validation this PR added;
+* one data plane: every topology x sparse mode reaches
+  ``allreduce.reduce_scatter`` / ``all_gather`` / ``check_replicas``
+  exactly once per exchange, and the combine never holds a full
+  ``k x m`` stack.
 """
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +32,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.collectives
 from data.make_golden import SYSTEMS, golden_workload
+from repro.analysis.sanitizer import check_replicas
 from repro.cli import build_parser
 from repro.cluster import (ClusterSpec, NetworkModel, TieredNetworkModel,
                            build_failure_model, cluster1, tiered_cluster)
@@ -669,3 +678,68 @@ class TestPhaseInterpreter:
         assert all(s.end > s.start for s in engine.trace.spans)
         assert not [s for s in engine.trace.spans_for("executor-4")
                     if s.kind == "send"]
+
+
+# ----------------------------------------------------------------------
+# one data plane: called once per exchange, never a full k x m stack
+# ----------------------------------------------------------------------
+def _count_calls(monkeypatch, *functions) -> dict[str, int]:
+    """Wrap ``functions`` with call counters on every ``repro.collectives``
+    module that binds them (under whatever name), so a copy of the
+    arithmetic that bypasses them shows up as a missing call."""
+    modules = [repro.collectives] + [
+        importlib.import_module(f"repro.collectives.{info.name}")
+        for info in pkgutil.iter_modules(repro.collectives.__path__)]
+    counts = {fn.__name__: 0 for fn in functions}
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            counts[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in functions:
+        wrapped = counting(fn)
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, name, wrapped)
+    return counts
+
+
+class TestOneDataPlane:
+
+    @pytest.mark.parametrize("density", [0.05, 1.0])
+    @pytest.mark.parametrize("mode", ["off", "auto", "on"])
+    @pytest.mark.parametrize("topology", ["flat", "hier", "switch"])
+    def test_each_exchange_combines_reassembles_and_checks_once(
+            self, monkeypatch, topology, mode, density):
+        cluster = tiered_cluster(machines=2, executors_per_machine=3)
+        m = 120
+        models = _models(6, m, density, seed=33)
+        exchange = _topology(topology, cluster, mode)
+        counts = _count_calls(monkeypatch, reduce_scatter, all_gather,
+                              check_replicas)
+        parts, rs_wire = exchange.reduce_scatter(models, "average", None)
+        full, _ = exchange.all_gather(parts, m, check_replicas=True)
+        assert counts == {"reduce_scatter": 1, "all_gather": 1,
+                          "check_replicas": 1}
+        np.testing.assert_allclose(full, np.mean(models, axis=0), atol=1e-12)
+        if topology == "switch" and mode == "auto":
+            # Dense models tie or lose the break-even: the phase stays
+            # in-network (the case that used to combine twice).
+            assert (rs_wire.fallback is None) == (density == 1.0)
+
+    def test_reduce_scatter_never_stacks_the_full_models(self):
+        # One owner range at a time keeps the peak at ~3 x m x 8 bytes
+        # (a range's k x m/k stack, its sum, the partitions so far); one
+        # (k, m) stack alone is 8 x and cost +35 % peak RSS end to end.
+        k, m = 8, 400_000
+        models = _models(k, m, 1.0, seed=1)
+        tracemalloc.start()
+        try:
+            reduce_scatter(models)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * m * 8
