@@ -20,7 +20,8 @@ phase, shaped for :mod:`repro.engine.backend`:
   backend relies on this: under ``shm`` both the partition's CSR arrays
   and the broadcast vector arrive as *read-only views* of shared
   segments (a violating write raises), and under ``socket`` the
-  partition is a daemon-cached object reused across supersteps.
+  partition is a daemon-cached object reused across supersteps and the
+  tasks of one round share one read-only ``w``.
 
 Cross-worker combining (means, reduce-scatter, server pushes) stays in
 the trainers, in the serial code's float-addition order — that, plus the

@@ -19,10 +19,14 @@ Python process.  An :class:`ExecutionBackend` owns that region:
   the pool's pipes;
 * ``socket``  — long-lived worker daemons (:mod:`repro.engine.daemon`)
   speaking the length-prefixed frame protocol of
-  :mod:`repro.engine.wire` over localhost TCP.  Everything crosses a
-  real transport, so each superstep's bytes-on-wire and wall seconds are
-  *measured* — the backend's :meth:`~ExecutionBackend.wire_summary`
-  feeds ``repro perf --validate-network``, which compares them against
+  :mod:`repro.engine.wire` over localhost TCP: one round frame per
+  daemon per superstep carries all of its tasks (the broadcast model
+  once, through pickle's memo), one result frame per task streams back,
+  and model-sized arrays travel out of band, uncopied.  Everything
+  crosses a real transport, so each superstep's bytes-on-wire and wall
+  seconds are *measured* — the backend's
+  :meth:`~ExecutionBackend.wire_summary` feeds ``repro perf
+  --validate-network``, which compares them against
   :class:`~repro.cluster.network.NetworkModel`'s *simulated* seconds.
 
 Bit-identity is structural, not statistical: tasks are submitted and
@@ -47,7 +51,7 @@ import multiprocessing as mp
 import os
 import socket as socketlib
 import threading
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, \
     ThreadPoolExecutor
 from typing import Any, Callable, Iterator, Sequence
@@ -328,18 +332,27 @@ class SocketBackend(ExecutionBackend):
 
     Executors are separate OS processes (:func:`repro.engine.daemon.
     daemon_main`) that dial back to the parent, cache their partition
-    shards once, and serve TASK frames until shutdown.  Partition
+    shards once, and serve ROUND frames until shutdown.  Partition
     ``index`` is pinned to daemon ``index % n_daemons`` — the Spark
-    executor/cache locality model.  Every exchange's bytes and wall
-    seconds are recorded (:class:`repro.engine.wire.WireRecord`);
-    :meth:`wire_summary` aggregates them for the measured-vs-simulated
-    network validation.
+    executor/cache locality model.  A dispatch is one round per daemon:
+    ``_stage`` counts each daemon's tasks, ``_submit`` gathers them and
+    hands the complete round to an IO thread, which sends ONE frame —
+    whatever the tasks share (``w``, objective, config) is pickled once —
+    and fulfils one future per RESULT frame as the daemon streams them
+    back.  Each RESULT frame is one :class:`repro.engine.wire.WireRecord`
+    (the round's request on the first); :meth:`wire_summary` aggregates
+    them for the measured-vs-simulated network validation.
 
-    Concurrency: one lock per daemon enforces strict request/response on
-    each connection (no interleaved frames, no send/recv deadlock) while
-    a small IO thread pool (``_pool``) lets distinct daemons compute in
-    parallel.  Futures are collected in partition-index order,
-    preserving the bit-identity contract.
+    Concurrency: one lock per daemon enforces strict request-then-stream
+    order on each connection (no interleaved frames, no send/recv
+    deadlock) while a small IO thread pool (``_pool``) lets distinct
+    daemons compute in parallel.  Futures are collected in
+    partition-index order, preserving the bit-identity contract.
+
+    A task that raises ends its daemon's round (its future and the rest
+    of that round fail with the task's exception; the connection stays
+    usable); a daemon that dies fails them with
+    :class:`~repro.engine.wire.WorkerLostError` naming the worker.
     """
 
     name = "socket"
@@ -353,6 +366,11 @@ class SocketBackend(ExecutionBackend):
         self._assignment: dict[int, int] = {}
         self._log = wire.WireLog()
         self._round = 0
+        #: Per daemon, for the dispatch in flight: how many tasks it is
+        #: owed, and the (tasks, futures) ``_submit`` has gathered so far.
+        self._owed: Counter[int] = Counter()
+        self._rounds: dict[int, tuple[list[tuple[int, tuple]],
+                                      list[Future]]] = {}
 
     def _accept_daemon(self, listener: socketlib.socket) -> socketlib.socket:
         """Accept one daemon connection in short slices; between slices,
@@ -423,36 +441,67 @@ class SocketBackend(ExecutionBackend):
         self._pool = ThreadPoolExecutor(max_workers=n_daemons,
                                         thread_name_prefix="repro-io")
 
-    def _exchange_task(self, fn: Callable[..., Any], index: int,
-                       args: tuple, superstep: int) -> Any:
-        worker_id = self._assignment[index]
-        with self._locks[worker_id]:
-            kind, payload, exchange = self._channels[worker_id].request(
-                wire.TASK, (fn, index, args))
-        if kind == wire.ERROR:
-            raise payload
-        if kind != wire.RESULT:
-            raise RuntimeError(
-                f"worker daemon {worker_id} replied with frame kind "
-                f"{kind} to a task")
-        result, compute_in_daemon = payload
-        self._log.add(wire.WireRecord(
-            label="task", worker=worker_id, superstep=superstep,
-            bytes_out=exchange.bytes_out, bytes_in=exchange.bytes_in,
-            roundtrip_seconds=exchange.seconds,
-            compute_seconds=compute_in_daemon))
-        return result
-
     def _stage(self, calls: Calls) -> Calls:
-        # Every dispatch is one superstep of the measured wire log.
+        # Every dispatch is one superstep of the measured wire log, and
+        # one round per daemon.
         self._round += 1
+        self._owed = Counter(self._assignment[index] for index, _ in calls)
+        self._rounds = {}
         return calls
 
     def _submit(self, io: Executor, fn: Callable[..., Any], index: int,
                 args: tuple) -> Future:
-        # ``io`` threads only drive the wire; ``fn`` is what gets pickled.
-        return io.submit(self._exchange_task, fn, index, tuple(args),
-                         self._round)
+        worker_id = self._assignment[index]
+        tasks, futures = self._rounds.setdefault(worker_id, ([], []))
+        tasks.append((index, tuple(args)))
+        futures.append(Future())
+        if len(tasks) == self._owed[worker_id]:
+            # The daemon's round is complete: off it goes, out of our
+            # hands (results must not outlive their dispatch here).
+            # ``io`` threads only drive the wire; ``fn`` is what gets
+            # pickled.
+            del self._rounds[worker_id]
+            io.submit(self._run_round, worker_id, fn, tasks, futures,
+                      self._round)
+        return futures[-1]
+
+    def _run_round(self, worker_id: int, fn: Callable[..., Any],
+                   tasks: list[tuple[int, tuple]], futures: list[Future],
+                   superstep: int) -> None:
+        """One ROUND frame out, one RESULT frame back per task; each
+        future is fulfilled as its frame arrives, so the parent unpickles
+        result ``i`` while the daemon computes ``i + 1``.  Whatever ends
+        the round early fails every future still waiting on it."""
+        waiting = iter(futures)
+        failure: BaseException | None = None
+        try:
+            with self._locks[worker_id]:
+                replies = self._channels[worker_id].stream(
+                    wire.ROUND, (fn, tasks), len(tasks))
+                for kind, payload, exchange in replies:
+                    if kind != wire.RESULT:
+                        failure = payload if kind == wire.ERROR else \
+                            RuntimeError(
+                                f"worker daemon {worker_id} replied with "
+                                f"frame kind {kind} to a round")
+                        break
+                    result, compute_in_daemon = payload
+                    self._log.add(wire.WireRecord(
+                        label="task", worker=worker_id, superstep=superstep,
+                        bytes_out=exchange.bytes_out,
+                        bytes_in=exchange.bytes_in,
+                        roundtrip_seconds=exchange.seconds,
+                        compute_seconds=compute_in_daemon))
+                    next(waiting).set_result(result)
+        except OSError as exc:
+            failure = wire.WorkerLostError(
+                f"worker daemon {worker_id} (pid "
+                f"{self._daemons[worker_id].pid}) was lost mid-round: "
+                f"{type(exc).__name__}: {exc}")
+        except BaseException as exc:  # noqa: BLE001 - handed to the futures
+            failure = exc
+        for future in waiting:
+            future.set_exception(failure)
 
     def wire_summary(self) -> dict[str, Any] | None:
         return self._log.summary()

@@ -2,10 +2,15 @@
 
 Each daemon is a separate OS process that dials back to the parent's
 localhost listener, identifies itself with a HELLO frame, receives its
-partition shards once (INSTALL), then sits in a strict request/response
-loop executing TASK frames until SHUTDOWN.  This is the moral equivalent
-of a Spark executor: state (the cached partitions) lives with the
-worker across supersteps, and only models/gradients cross the wire.
+partition shards once (INSTALL), then serves one ROUND frame per
+superstep — all of its partitions' tasks, run in the order given, one
+RESULT frame streamed back per task — until SHUTDOWN.  This is the moral
+equivalent of a Spark executor: state (the cached partitions) lives with
+the worker across supersteps, and only models/gradients cross the wire,
+the broadcast model once per round however many tasks read it.  The
+channel is ``readonly``: large arrays (that shared model, the cached
+partitions) are read-only here, so a task that writes its input raises
+instead of corrupting its neighbour's — the ``shm`` arena's rule.
 
 The daemon times each task's execution (``compute_seconds``) and ships
 the timing inside the RESULT payload, so the parent can subtract compute
@@ -45,13 +50,15 @@ def daemon_main(port: int, worker_id: int,
 
     * connect, send ``HELLO worker_id``;
     * ``INSTALL {index: partition}`` → merge into the local cache, ACK;
-    * ``TASK (fn, index, args)`` → run ``fn(partitions[index], *args)``,
-      reply ``RESULT (result, compute_seconds)`` or ``ERROR exc``;
+    * ``ROUND (fn, [(index, args), ...])`` → for each task in order run
+      ``fn(partitions[index], *args)`` and send ``RESULT (result,
+      compute_seconds)``; the first task that raises sends ``ERROR exc``
+      and ends the round (the parent stops reading there too);
     * ``SHUTDOWN`` → reply BYE and exit.
     """
     conn = socket.create_connection((host, port),
                                     timeout=wire.DEFAULT_TIMEOUT)
-    channel = wire.FrameChannel(conn)
+    channel = wire.FrameChannel(conn, readonly=True)
     channel.send(wire.HELLO, worker_id)
     partitions: dict[int, Any] = {}
     try:
@@ -60,18 +67,19 @@ def daemon_main(port: int, worker_id: int,
             if kind == wire.INSTALL:
                 partitions.update(payload)
                 channel.send(wire.ACK, len(partitions))
-            elif kind == wire.TASK:
-                fn, index, args = payload
-                start = time.perf_counter()
-                try:
-                    if index not in partitions:
-                        raise RuntimeError(
-                            f"partition {index} is not installed on "
-                            f"worker daemon {worker_id}")
-                    result = fn(partitions[index], *args)
-                except BaseException as exc:  # noqa: BLE001 - shipped back
-                    channel.send(wire.ERROR, _safe_exception(exc))
-                else:
+            elif kind == wire.ROUND:
+                fn, tasks = payload
+                for index, args in tasks:
+                    start = time.perf_counter()
+                    try:
+                        if index not in partitions:
+                            raise RuntimeError(
+                                f"partition {index} is not installed on "
+                                f"worker daemon {worker_id}")
+                        result = fn(partitions[index], *args)
+                    except BaseException as exc:  # noqa: BLE001 - shipped
+                        channel.send(wire.ERROR, _safe_exception(exc))
+                        break
                     compute = time.perf_counter() - start
                     channel.send(wire.RESULT, (result, compute))
             elif kind == wire.SHUTDOWN:

@@ -17,8 +17,9 @@ placing them in POSIX shared memory
   followed by a ring of model-sized **result slots**.  Each superstep
   the parent writes ``w`` into the region once; every task reads it
   through a read-only view.  On the way back the trampoline pickles the
-  result with protocol 5: a buffer of at least :data:`SLOT_MIN_BYTES`
-  that still fits the task's slot is written there, the rest stays in
+  result with protocol 5: a large buffer (the socket frames' rule,
+  :func:`repro.engine.wire.stays_in_band`: at least 64 KiB) that still
+  fits the task's slot is written there, the rest stays in
   the stream, and the parent rebuilds the result from a **private copy**
   of the slot bytes, so results never alias a slot a later task
   overwrites (the backend hands a slot out again only once it is copied
@@ -53,6 +54,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..data import Partition
+from .wire import stays_in_band
 
 __all__ = ["ArraySpec", "PartitionSpec", "ShmLayout", "ShmStore",
            "ShmWorkerState", "BroadcastRef", "build_store",
@@ -60,10 +62,6 @@ __all__ = ["ArraySpec", "PartitionSpec", "ShmLayout", "ShmStore",
 
 #: 8-byte alignment for every packed array (float64-friendly).
 _ALIGN = 8
-
-#: Result buffers at least this large ride a result slot; smaller ones
-#: stay in the pickle stream (one pipe write carries them).
-SLOT_MIN_BYTES = 1 << 16
 
 _LOG = logging.getLogger(__name__)
 
@@ -371,9 +369,9 @@ def pack_result(result: Any, slot: memoryview) -> tuple[bytes, list[int], int]:
     spilled: list[int] = []
 
     def keep_in_band(buffer: pickle.PickleBuffer) -> bool:
-        raw = buffer.raw()
-        if raw.nbytes < SLOT_MIN_BYTES:
+        if stays_in_band(buffer):  # one pipe write carries a small one
             return True
+        raw = buffer.raw()
         start = sum(lengths)
         if start + raw.nbytes > slot.nbytes:
             spilled.append(raw.nbytes)

@@ -1,11 +1,23 @@
 """Length-prefixed frame protocol for the ``socket`` backend.
 
-One frame = a 5-byte header (``>BI``: kind byte + payload length) followed
-by a pickled payload.  msgpack would be the natural payload codec for a
-cross-language wire, but it is not part of this environment's toolchain,
-and every object crossing this wire is Python-to-Python (ndarrays, CSR
-partitions, RNG generators) — pickle protocol 5 is the measured
-transport.
+One frame, in wire order::
+
+    header   >BII   kind byte, pickle-stream length, out-of-band count n
+    lengths  >nQ    byte length of each out-of-band buffer
+    stream          pickle protocol 5 of the payload
+    buffers         the n out-of-band buffers, raw, back to back
+
+A buffer of at least :data:`LARGE_BUFFER_BYTES` (:func:`stays_in_band`,
+the rule ``shm`` uses for its result slots) leaves the stream: the frame
+is one ``sendmsg`` gather over header, stream and the arrays' own
+memory, nothing is concatenated, and the receiver ``recv_into``s one
+preallocated ``bytearray`` per buffer for ``pickle.loads(buffers=...)``.
+A model-sized array crosses with no copy besides the kernel's and
+arrives private and writable — or read-only on a ``readonly`` channel
+(the daemon side, where one round's tasks share what pickle's memo
+deduplicated).  Payloads are pickles because every object on this wire
+is Python-to-Python (ndarrays, CSR partitions, RNG generators) and
+msgpack is not in this environment's toolchain.
 
 This module and :mod:`repro.engine.daemon` are the only places outside
 ``repro/perf`` allowed to read the wall clock (the determinism linter's
@@ -13,9 +25,10 @@ DET001 exemption is scoped to exactly these files): the whole point of
 the socket backend is that each request's bytes-on-wire and elapsed wall
 seconds are *measured*, so they can be compared against the simulated
 :class:`~repro.cluster.network.NetworkModel` pricing.  An
-:class:`Exchange` records one request/response pair; trainers never see
-these — the backend aggregates them into a :func:`summarize` report
-after the run, keeping the simulated clock backend-invariant.
+:class:`Exchange` records one response frame and what preceded it;
+trainers never see these — the backend aggregates them into a
+:func:`summarize` report after the run, keeping the simulated clock
+backend-invariant.
 """
 
 from __future__ import annotations
@@ -25,33 +38,52 @@ import socket
 import struct
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
-__all__ = ["HELLO", "INSTALL", "TASK", "RESULT", "ERROR", "SHUTDOWN",
-           "BYE", "ACK", "KIND_NAMES", "Exchange", "WireRecord",
-           "FrameChannel", "RemoteTaskError", "summarize"]
+__all__ = ["HELLO", "INSTALL", "ROUND", "RESULT", "ERROR", "SHUTDOWN",
+           "BYE", "ACK", "LARGE_BUFFER_BYTES", "stays_in_band", "Exchange",
+           "WireRecord", "FrameChannel", "RemoteTaskError",
+           "WorkerLostError", "summarize"]
 
-#: Frame header: kind byte + big-endian uint32 payload length.
-_HEADER = struct.Struct(">BI")
+#: Frame header: kind byte, pickle-stream length, out-of-band buffer count.
+_HEADER = struct.Struct(">BII")
 
-HELLO, INSTALL, TASK, RESULT, ERROR, SHUTDOWN, BYE, ACK = range(1, 9)
+HELLO, INSTALL, ROUND, RESULT, ERROR, SHUTDOWN, BYE, ACK = range(1, 9)
 
-KIND_NAMES = {HELLO: "hello", INSTALL: "install", TASK: "task",
-              RESULT: "result", ERROR: "error", SHUTDOWN: "shutdown",
-              BYE: "bye", ACK: "ack"}
+#: A pickled buffer at least this large travels beside the pickle stream
+#: (a socket frame's out-of-band section, an ``shm`` result slot); a
+#: smaller one is cheaper left in the stream.
+LARGE_BUFFER_BYTES = 1 << 16
+
+#: Buffers per ``sendmsg``: the POSIX floor for IOV_MAX.  The first
+#: gather always holds header and stream; model-sized buffers fill the
+#: socket however few ride one call.
+_IOV_MAX = 16
 
 #: Generous ceiling on a single blocking socket operation; a wedged
 #: daemon fails loudly instead of hanging the run.
 DEFAULT_TIMEOUT = 300.0
 
 
+def stays_in_band(buffer: pickle.PickleBuffer) -> bool:
+    """The one size rule of every protocol-5 ``buffer_callback`` here."""
+    return buffer.raw().nbytes < LARGE_BUFFER_BYTES
+
+
 class RemoteTaskError(RuntimeError):
     """A daemon's task raised and the original could not be re-raised."""
 
 
+class WorkerLostError(ConnectionError):
+    """A worker daemon's connection failed while it owed the parent
+    results (the process died or stopped answering)."""
+
+
 @dataclass(frozen=True)
 class Exchange:
-    """Measured facts about one request/response round trip."""
+    """Measured facts about one response frame: its bytes, the seconds
+    since the request went out or the previous response arrived, and the
+    request's bytes if this is the first response to it."""
 
     bytes_out: int
     bytes_in: int
@@ -65,7 +97,9 @@ class WireRecord:
     ``compute_seconds`` is the daemon-side task execution time (reported
     inside the RESULT payload); ``roundtrip_seconds - compute_seconds``
     is therefore the measured communication cost of the exchange —
-    serialization, TCP transit, and dispatch overhead.
+    serialization, TCP transit, and dispatch overhead.  A round writes
+    one record per RESULT frame, the request's bytes and send time on
+    the first, so a superstep's records still sum to what crossed.
     """
 
     label: str
@@ -82,6 +116,7 @@ class WireRecord:
 
 
 def encode(obj: Any) -> bytes:
+    """``obj`` as one in-band pickle (every buffer copied into it)."""
     return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
@@ -93,12 +128,14 @@ class FrameChannel:
     """One connected socket speaking the frame protocol.
 
     Not thread-safe: the socket backend serializes access per daemon
-    with a lock, which also guarantees at most one outstanding frame in
-    each direction (strict request/response — no send/recv deadlock).
+    with a lock, which also guarantees strict request-then-stream order
+    on each connection (no interleaved frames, no send/recv deadlock).
+    ``readonly`` rebuilds received out-of-band arrays as read-only views.
     """
 
     def __init__(self, sock: socket.socket,
-                 timeout: float = DEFAULT_TIMEOUT) -> None:
+                 timeout: float = DEFAULT_TIMEOUT,
+                 readonly: bool = False) -> None:
         sock.settimeout(timeout)
         # Frames are tiny-header-then-payload; don't wait to coalesce.
         try:
@@ -106,43 +143,77 @@ class FrameChannel:
         except OSError:  # pragma: no cover - transport without TCP opts
             pass
         self._sock = sock
+        self._readonly = readonly
 
     # -- raw framing ---------------------------------------------------
     def send(self, kind: int, obj: Any) -> int:
         """Send one frame; returns total bytes written."""
-        payload = encode(obj)
-        self._sock.sendall(_HEADER.pack(kind, len(payload)) + payload)
-        return _HEADER.size + len(payload)
+        large: list[memoryview] = []
 
-    def _recv_exact(self, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
-            chunk = self._sock.recv(min(remaining, 1 << 20))
-            if not chunk:
+        def in_band(buffer: pickle.PickleBuffer) -> bool:
+            if stays_in_band(buffer):
+                return True
+            large.append(buffer.raw())
+            return False
+
+        stream = pickle.dumps(obj, protocol=5, buffer_callback=in_band)
+        head = struct.pack(f">BII{len(large)}Q", kind, len(stream),
+                           len(large), *(raw.nbytes for raw in large))
+        pieces = [memoryview(head), memoryview(stream), *large]
+        total = sum(piece.nbytes for piece in pieces)
+        # One gather-write per attempt, straight from the arrays' memory:
+        # a small frame is one segment, a model crosses uncopied.
+        while pieces:
+            sent = self._sock.sendmsg(pieces[:_IOV_MAX])
+            while pieces and sent >= pieces[0].nbytes:
+                sent -= pieces.pop(0).nbytes
+            if sent:
+                pieces[0] = pieces[0][sent:]
+        return total
+
+    def _read(self, n: int) -> bytearray:
+        """Exactly ``n`` bytes, received in place."""
+        buf = bytearray(n)
+        view = memoryview(buf)
+        while view:
+            got = self._sock.recv_into(view)
+            if not got:
                 raise ConnectionError("peer closed the wire mid-frame")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
+            view = view[got:]
+        return buf
 
     def recv(self) -> tuple[int, Any, int]:
         """Receive one frame; returns ``(kind, payload, total_bytes)``."""
-        header = self._recv_exact(_HEADER.size)
-        kind, length = _HEADER.unpack(header)
-        payload = self._recv_exact(length) if length else b""
-        return kind, decode(payload) if length else None, \
-            _HEADER.size + length
+        kind, length, count = _HEADER.unpack(self._read(_HEADER.size))
+        sizes = struct.unpack(f">{count}Q", self._read(8 * count))
+        stream = self._read(length)
+        buffers = [self._read(size) for size in sizes]
+        total = _HEADER.size + 8 * count + length + sum(sizes)
+        if self._readonly:
+            buffers = [memoryview(b).toreadonly() for b in buffers]
+        return kind, pickle.loads(stream, buffers=buffers), total
 
     # -- measured round trips ------------------------------------------
-    def request(self, kind: int, obj: Any) -> tuple[int, Any, Exchange]:
-        """Send a frame, await the response, measure the round trip."""
+    def stream(self, kind: int, obj: Any, replies: int,
+               ) -> Iterator[tuple[int, Any, Exchange]]:
+        """Send a frame, then yield each of ``replies`` response frames
+        with its measured :class:`Exchange`.  Stopping early keeps the
+        wire in step only where the peer stops at the same frame (an
+        ERROR frame ends a round on both sides)."""
         start = time.perf_counter()
         bytes_out = self.send(kind, obj)
-        reply_kind, reply, bytes_in = self.recv()
-        elapsed = time.perf_counter() - start
-        return reply_kind, reply, Exchange(bytes_out=bytes_out,
-                                           bytes_in=bytes_in,
-                                           seconds=elapsed)
+        for _ in range(replies):
+            reply_kind, reply, bytes_in = self.recv()
+            now = time.perf_counter()
+            yield reply_kind, reply, Exchange(bytes_out=bytes_out,
+                                              bytes_in=bytes_in,
+                                              seconds=now - start)
+            bytes_out, start = 0, now
+
+    def request(self, kind: int, obj: Any) -> tuple[int, Any, Exchange]:
+        """Send a frame, await the one response, measure the round trip."""
+        (reply,) = self.stream(kind, obj, 1)
+        return reply
 
     def close(self) -> None:
         try:

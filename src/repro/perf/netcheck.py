@@ -114,10 +114,13 @@ def simulate_wire_log(wire_stats: dict[str, Any],
     """Price the socket run's actual messages through the cluster's
     simulated :class:`NetworkModel`.
 
-    Each recorded superstep row aggregates its requests' bytes; every
-    request/response pair is priced as two transfers (out + in) of its
-    measured volume, using the model's ``bytes_per_value`` to convert
-    bytes back into the value counts ``transfer_seconds`` expects.
+    Each recorded superstep row aggregates its records' bytes; every
+    record (one result frame plus its share of the round's request) is
+    priced as two transfers (out + in) of its measured volume, using the
+    model's ``bytes_per_value`` to convert bytes back into the value
+    counts ``transfer_seconds`` expects.  A round sends one request per
+    daemon, not per task, so the out side is charged a few ``alpha`` more
+    than crossed; the bytes are exact.
     """
     network = cluster.network
     per_superstep = []
@@ -126,8 +129,8 @@ def simulate_wire_log(wire_stats: dict[str, Any],
         messages = row["messages"]
         out_values = row["bytes_out"] / network.bytes_per_value
         in_values = row["bytes_in"] / network.bytes_per_value
-        # messages requests + messages responses, each paying alpha; the
-        # payload is the sum of the actual frame bytes.
+        # messages request shares + messages responses, each paying
+        # alpha; the payload is the sum of the actual frame bytes.
         seconds = (network.transfer_seconds(out_values / max(1, messages))
                    * messages
                    + network.transfer_seconds(in_values / max(1, messages))

@@ -25,10 +25,12 @@ Regression coverage for the real-executor work:
 from __future__ import annotations
 
 import dataclasses
+import json
 import logging
 import multiprocessing as mp
 import os
 import pickle
+import signal
 import socket as socketlib
 import threading
 import time
@@ -39,7 +41,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from data.make_golden import SYSTEMS, golden_workload
+from data.make_golden import GOLDEN_PATH, SYSTEMS, golden_workload
 from repro.cluster import cluster1
 from repro.core import MLlibStarTrainer, MLlibTrainer, TrainerConfig
 from repro.data import Partition, SyntheticSpec, generate
@@ -51,7 +53,7 @@ from repro.engine.backend import (ExecutionBackend, SerialBackend,
 from repro.engine.shm import BroadcastRef, build_store, run_on_shm_partition
 from repro.glm import LocalStats, Objective
 from repro.perf.netcheck import fit_alpha_beta, validate_network
-from test_perf_backend import _assert_matches_serial, shm_segments
+from test_perf_backend import _assert_matches_serial, _run, shm_segments
 
 _HAVE_FORK = "fork" in mp.get_all_start_methods()
 
@@ -368,8 +370,8 @@ class TestShmBackendBroadcast:
 # result slots: large result buffers ride the arena, copied out on collect
 # ----------------------------------------------------------------------
 #: Model width of the slot tests: one slot holds exactly two buffers of
-#: ``SLOT_MIN_BYTES``.
-_SLOT_FEATURES = 2 * shm_store.SLOT_MIN_BYTES // 8
+#: ``wire.LARGE_BUFFER_BYTES``.
+_SLOT_FEATURES = 2 * wire.LARGE_BUFFER_BYTES // 8
 
 #: float64 elements per array: empty, 16 bytes, small, exactly the
 #: threshold, exactly one slot, larger than any slot.
@@ -378,11 +380,11 @@ _SIZES = (0, 2, 100, _SLOT_FEATURES // 2, _SLOT_FEATURES,
 
 
 @st.composite
-def _arrays(draw) -> np.ndarray:
+def _arrays(draw, sizes=_SIZES) -> np.ndarray:
     """Random *bit patterns* (NaN payloads included): the round trip is
     compared byte for byte, not by value."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    bits = rng.integers(0, 2**63, size=draw(st.sampled_from(_SIZES)))
+    bits = rng.integers(0, 2**63, size=draw(st.sampled_from(sizes)))
     if draw(st.booleans()):
         return bits.view(np.float64)
     return bits.astype(np.int32)
@@ -394,16 +396,20 @@ def _generators(seed: int) -> np.random.Generator:
     return rng
 
 
-_LEAVES = (_arrays()
-           | st.integers(0, 2**32 - 1).map(_generators)
-           | st.builds(LocalStats, st.integers(0, 2**40),
-                       st.integers(0, 2**20), st.integers(0, 2**40))
-           | st.integers(-5, 5))
-_RESULTS = st.recursive(
-    _LEAVES,
-    lambda children: (st.lists(children, max_size=4)
-                      | st.lists(children, max_size=4).map(tuple)),
-    max_leaves=6)
+def _results(arrays):
+    leaves = (arrays
+              | st.integers(0, 2**32 - 1).map(_generators)
+              | st.builds(LocalStats, st.integers(0, 2**40),
+                          st.integers(0, 2**20), st.integers(0, 2**40))
+              | st.integers(-5, 5))
+    return st.recursive(
+        leaves,
+        lambda children: (st.lists(children, max_size=4)
+                          | st.lists(children, max_size=4).map(tuple)),
+        max_leaves=6)
+
+
+_RESULTS = _results(_arrays())
 
 
 def _map_arrays(value, fn):
@@ -581,7 +587,7 @@ class TestResultSlots:
 
 def _overflow_fit(trainer_cls, backend: str, **overrides):
     """Two supersteps on a workload whose model (72 KB) and dual blocks
-    (9000 rows) are both past ``SLOT_MIN_BYTES``, so a second model-sized
+    (9000 rows) are both past ``LARGE_BUFFER_BYTES``, so a second model-sized
     buffer in one result cannot fit the slot.  Returns the result and the
     store's in-band fallback count (0 for backends without a store)."""
     dataset = generate(SyntheticSpec(n_rows=18000, n_features=9000,
@@ -635,6 +641,14 @@ class TestResultSlotOverflow:
 # ----------------------------------------------------------------------
 # wire protocol
 # ----------------------------------------------------------------------
+#: float64 elements of the smallest array that leaves the pickle stream.
+_LARGE = wire.LARGE_BUFFER_BYTES // 8
+
+#: Empty, tiny, one element either side of the out-of-band rule, and big
+#: enough that a frame carries several socket buffers' worth.
+_WIRE_SIZES = (0, 2, _LARGE - 1, _LARGE, _LARGE + 1, 3 * _LARGE)
+
+
 class TestWireProtocol:
     def _pair(self):
         left, right = socketlib.socketpair()
@@ -644,9 +658,9 @@ class TestWireProtocol:
         a, b = self._pair()
         try:
             payload = {"w": np.arange(4.0), "step": 3}
-            sent = a.send(wire.TASK, payload)
+            sent = a.send(wire.ROUND, payload)
             kind, received, total = b.recv()
-            assert kind == wire.TASK
+            assert kind == wire.ROUND
             assert total == sent
             assert received["step"] == 3
             assert np.array_equal(received["w"], payload["w"])
@@ -664,7 +678,7 @@ class TestWireProtocol:
         thread = threading.Thread(target=responder)
         thread.start()
         try:
-            kind, reply, exchange = a.request(wire.TASK, 21)
+            kind, reply, exchange = a.request(wire.ROUND, 21)
             assert (kind, reply) == (wire.RESULT, 42)
             assert exchange.bytes_out > 0 and exchange.bytes_in > 0
             assert exchange.seconds >= 0.0
@@ -681,6 +695,93 @@ class TestWireProtocol:
             with pytest.raises(ConnectionError, match="mid-frame"):
                 b.recv()
         finally:
+            b.close()
+
+    def test_truncation_inside_an_out_of_band_buffer_raises(self):
+        # Learn the frame's size from one delivery, capture its bytes
+        # from a second, replay all but the tail on another pair whose
+        # sender then closes: the cut falls in the buffer section, which
+        # comes last.
+        a, b = self._pair()
+        c, d = self._pair()
+        big = np.arange(4 * _LARGE, dtype=np.float64)
+
+        def send_twice():
+            a.send(wire.RESULT, big)
+            a.send(wire.RESULT, big)
+
+        sender = threading.Thread(target=send_twice)
+        sender.start()
+        try:
+            _, _, total = b.recv()
+            frame = bytes(b._read(total))
+            sender.join(timeout=10)
+            assert not sender.is_alive()
+            replay = threading.Thread(
+                target=lambda: (c._sock.sendall(frame[:-1000]), c.close()))
+            replay.start()
+            with pytest.raises(ConnectionError, match="mid-frame"):
+                d.recv()
+            replay.join(timeout=10)
+        finally:
+            for channel in (a, b, c, d):
+                channel.close()
+
+    @settings(max_examples=40, deadline=None)
+    @given(payload=_results(_arrays(_WIRE_SIZES)), strided=st.booleans(),
+           readonly=st.booleans())
+    def test_nested_payloads_round_trip_through_a_frame(
+            self, payload, strided, readonly):
+        if strided:
+            payload = _map_arrays(payload, lambda a: np.repeat(a, 2)[::2])
+        left, right = socketlib.socketpair()
+        a = wire.FrameChannel(left)
+        b = wire.FrameChannel(right, readonly=readonly)
+        sent: list[int] = []
+        sender = threading.Thread(
+            target=lambda: sent.append(a.send(wire.RESULT, payload)))
+        sender.start()
+        try:
+            kind, got, received = b.recv()
+            sender.join(timeout=10)
+            assert kind == wire.RESULT and [received] == sent
+            _assert_same(got, payload)
+            arrays = _arrays_in(got)
+            assert received >= sum(a.nbytes for a in arrays)
+            for i, arr in enumerate(arrays):
+                # Strided arrays are pickled in-band by numpy, whatever
+                # their size.
+                out_of_band = (arr.nbytes >= wire.LARGE_BUFFER_BYTES
+                               and not strided)
+                assert arr.flags.writeable == (not (readonly
+                                                    and out_of_band))
+                assert not any(np.may_share_memory(arr, other)
+                               for other in arrays[i + 1:])
+        finally:
+            a.close()
+            b.close()
+
+    def test_stream_puts_the_request_on_the_first_exchange(self):
+        a, b = self._pair()
+
+        def responder():
+            _, payload, _ = b.recv()
+            for item in payload:
+                b.send(wire.RESULT, item * 2)
+
+        thread = threading.Thread(target=responder)
+        thread.start()
+        try:
+            replies = list(a.stream(wire.ROUND, [1, 2, 3], 3))
+            assert [reply for _, reply, _ in replies] == [2, 4, 6]
+            exchanges = [exchange for _, _, exchange in replies]
+            assert exchanges[0].bytes_out > 0
+            assert [e.bytes_out for e in exchanges[1:]] == [0, 0]
+            assert all(e.bytes_in > 0 and e.seconds >= 0.0
+                       for e in exchanges)
+        finally:
+            thread.join(timeout=10)
+            a.close()
             b.close()
 
     def test_summarize_groups_by_superstep(self):
@@ -703,6 +804,113 @@ class TestWireProtocol:
 
     def test_empty_wire_log_summary_is_none(self):
         assert wire.WireLog().summary() is None
+
+
+# ----------------------------------------------------------------------
+# socket rounds: one frame per daemon per dispatch, results streamed back
+# ----------------------------------------------------------------------
+def _scribble_task(part, w) -> float:
+    w[0] = 1.0
+    return float(w[0])
+
+
+def _die_on_partition_two(part, w) -> float:
+    if part.index == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return float(w.sum())
+
+
+def _new_children(prior: set[int]) -> list:
+    return [p for p in mp.active_children() if p.pid not in prior]
+
+
+class TestSocketRounds:
+    #: A model wide enough to travel out of band.
+    W = np.linspace(-1.0, 1.0, 2 * _LARGE)
+
+    def test_shared_model_crosses_once_per_daemon(self):
+        w = self.W
+        for daemons in (1, 2):
+            with make_backend("socket", max_workers=daemons) as backend:
+                backend.install_partitions(_partitions(4))
+                got = backend.map_partitions(_probe_broadcast_task,
+                                             [(w,)] * 4)
+                assert got == [(True, float(w.sum()))] * 4
+                records = [r for r in backend._log.records
+                           if r.label == "task"]
+            # One record per RESULT frame; the round's request (w once,
+            # a few hundred bytes of frame) rides each daemon's first.
+            assert [r.worker for r in records if r.bytes_out] \
+                == list(range(daemons))
+            assert len(records) == 4
+            for r in records:
+                assert r.bytes_out == 0 \
+                    or w.nbytes < r.bytes_out < w.nbytes + 2048
+            assert all(0 < r.bytes_in < 2048 for r in records)
+            assert {r.superstep for r in records} == {1}
+
+    def test_small_shared_model_is_memoised_too(self):
+        # Below the out-of-band rule it is pickle's memo alone that
+        # keeps the model to one copy per round frame.
+        w = np.linspace(0.0, 1.0, 1000)
+        with make_backend("socket", max_workers=1) as backend:
+            backend.install_partitions(_partitions(4))
+            backend.map_partitions(_probe_broadcast_task, [(w,)] * 4)
+            assert w.nbytes < backend.wire_summary()[
+                "per_superstep"][1]["bytes_out"] < 2 * w.nbytes
+
+    def test_task_writing_a_shared_input_raises(self):
+        with make_backend("socket", max_workers=1) as backend:
+            backend.install_partitions(_partitions(3))
+            with pytest.raises(ValueError, match="read-only"):
+                backend.map_partitions(_scribble_task, [(self.W,)] * 3)
+            # The round ended at the ERROR frame, both ends in step.
+            assert backend.map_partitions(
+                _value_task, [(1.0,)] * 3) == [1.0, 2.0, 3.0]
+        assert self.W[0] == -1.0
+
+    def test_mid_round_fault_leaves_the_channel_usable(self):
+        with make_backend("socket", max_workers=1) as backend:
+            backend.install_partitions(_partitions(3))
+            with pytest.raises(ValueError, match="boom"):
+                backend.map_partitions(_boom_on_partition_one, [()] * 3)
+            assert backend.run_one(_value_task, 2, (0.5,)) == 2.5
+            assert backend.map_partitions(
+                _value_task, [(1.0,)] * 3) == [1.0, 2.0, 3.0]
+
+    def test_killed_daemon_fails_the_round_with_a_typed_error(self):
+        prior = {p.pid for p in mp.active_children()}
+        backend = make_backend("socket", max_workers=2)
+        try:
+            # Daemon 0 holds partitions 0 and 2: it answers the first,
+            # then SIGKILLs itself inside the second.
+            backend.install_partitions(_partitions(4))
+            assert len(_new_children(prior)) == 2
+            start = time.perf_counter()
+            with pytest.raises(wire.WorkerLostError,
+                               match="worker daemon 0 .* lost mid-round"):
+                backend.map_partitions(_die_on_partition_two,
+                                       [(self.W,)] * 4)
+            assert time.perf_counter() - start < 5.0
+        finally:
+            backend.close()
+        assert _new_children(prior) == []
+        # A fresh backend is unaffected: the golden numbers again.
+        result = _run("MLlib*", "socket")
+        pinned = json.loads(GOLDEN_PATH.read_text())["MLlib*"]
+        assert result.final_objective == pytest.approx(
+            pinned["final_objective"], rel=1e-9)
+        assert result.history.total_seconds == pytest.approx(
+            pinned["total_seconds"], rel=1e-9)
+        assert _new_children(prior) == []
+
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_interleaved_daemons_match_serial(self, monkeypatch, system):
+        # Three daemons under four partitions whatever the host: daemon
+        # 0 runs partitions 0 and 3 in one round, 1 and 2 one each, and
+        # results still land in partition order (ASGD through run_one).
+        monkeypatch.setattr(backend_module.os, "cpu_count", lambda: 3)
+        _assert_matches_serial(system, "socket")
 
 
 # ----------------------------------------------------------------------
