@@ -25,10 +25,11 @@ silently stops being checked.  This module replaces the lists with a
   path is what rules report (``seconds -> _helper -> list.append``);
 * **backend submit sites** (:meth:`CallGraph.submit_sites`): every
   ``<...backend...>.map_partitions(fn, ...)`` / ``.run_one(fn, ...)`` /
-  ``.submit(fn, ...)`` call, with the task argument classified (resolved
-  module-level function, lambda, nested function, bound attribute).  The
-  resolved task functions are the roots for the RACE family and part of
-  DET002's derived scope.
+  ``.submit(fn, ...)`` call and every call of the trainers' dispatch
+  helper ``._local_round(fn, ...)``, with the task argument classified
+  (resolved module-level function, lambda, nested function, bound
+  attribute).  The resolved task functions are the roots for the RACE
+  family and part of DET002's derived scope.
 
 Resolution is deliberately *unsound but precise*: a call that cannot be
 resolved statically (a method on an arbitrary object, a callable passed
@@ -56,8 +57,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 __all__ = ["CallGraph", "FunctionInfo", "ClassInfo", "ModuleInfo",
            "SubmitSite", "module_name_for", "own_body"]
 
+#: ``DistributedTrainer._local_round(task, ...)``: the trainers' one
+#: dispatch helper.  Inside it the task is a parameter, so its *callers*
+#: are the submit sites that name the worker tasks.
+ROUND_HELPER = "_local_round"
+
 #: Method names that hand a callable to an execution backend.
-SUBMIT_METHODS = frozenset({"map_partitions", "run_one", "submit"})
+SUBMIT_METHODS = frozenset({"map_partitions", "run_one", "submit",
+                            ROUND_HELPER})
 
 #: Suffix marking a module's top-level code as a pseudo-function node.
 MODULE_BODY = "<module>"
@@ -447,10 +454,11 @@ class CallGraph:
         if not (isinstance(func, ast.Attribute)
                 and func.attr in SUBMIT_METHODS):
             return
-        receiver = _dotted(func.value) or ""
-        lowered = receiver.lower()
-        if "backend" not in lowered and not (func.attr == "submit"
-                                             and "pool" in lowered):
+        # The raw backend methods are recognized by their receiver's
+        # name; the round helper is a submit site on any receiver.
+        lowered = (_dotted(func.value) or "").lower()
+        if (func.attr != ROUND_HELPER and "backend" not in lowered
+                and not (func.attr == "submit" and "pool" in lowered)):
             return
         if not call.args:
             return

@@ -373,7 +373,8 @@ class UnorderedIteration(CallGraphRule):
       schedule log carries a byte-identity replay contract;
     * every task function handed to an execution backend
       (``<backend>.map_partitions(fn, ...)`` / ``.run_one(fn, ...)`` /
-      ``.submit(fn, ...)`` sites, resolved through the call graph).
+      ``.submit(fn, ...)`` / ``._local_round(fn, ...)`` sites, resolved
+      through the call graph).
 
     Everything transitively reachable from a root — helper modules, glm
     kernels, wire formats, wherever they live — is in scope; nothing has

@@ -42,7 +42,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..engine.plan import Lane, PhasePlan, PhaseRequest, Segment
+from ..engine.plan import (Lane, PhasePlan, PhaseRequest, Segment,
+                           compression_ratio)
 from .allreduce import all_gather, partition_slices, reduce_scatter
 from .sparse import SupportMask
 
@@ -125,11 +126,7 @@ class HierWire:
     def dense_values(self) -> float:
         return self.intra_dense + self.cross_dense
 
-    @property
-    def compression(self) -> float:
-        if self.wire_values <= 0:
-            return 1.0
-        return self.dense_values / self.wire_values
+    compression = property(compression_ratio)
 
     # ------------------------------------------------------------------
     # planners: the two-tier schedule as engine-interpretable data
@@ -364,8 +361,6 @@ def hier_tree_fan_in(vectors_by_executor: list[list[np.ndarray]],
     """
     k = len(vectors_by_executor)
     _check_groups(groups, k)
-    if k == 0:
-        raise ValueError("need at least one executor")
     mpe = len(vectors_by_executor[0])
     if mpe < 1 or any(len(row) != mpe for row in vectors_by_executor):
         raise ValueError("every executor must ship the same number of "

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..cluster.network import NetworkModel
-from ..engine.plan import Lane, PhasePlan, PhaseRequest
+from ..engine.plan import Lane, PhasePlan, PhaseRequest, compression_ratio
 from .sparse import (CommStats, TreeWire, sparse_all_gather,
                      sparse_reduce_scatter, tree_fan_in_wire)
 
@@ -149,11 +149,7 @@ class SwitchWire:
             return self.fallback.dense_values
         return self.wire_values  # the switch carries raw vectors
 
-    @property
-    def compression(self) -> float:
-        if self.wire_values <= 0:
-            return 1.0
-        return self.dense_values / self.wire_values
+    compression = property(compression_ratio)
 
     # ------------------------------------------------------------------
     def phase_plan(self, request: PhaseRequest) -> PhasePlan:

@@ -45,7 +45,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from ..engine.plan import PhasePlan, PhaseRequest
+from ..engine.plan import PhasePlan, PhaseRequest, compression_ratio
 from .allreduce import all_gather, partition_slices, reduce_scatter
 
 __all__ = ["SPARSE_COMM_MODES", "SparsePayload", "CommStats", "TreeWire",
@@ -180,12 +180,7 @@ class CommStats:
     def num_senders(self) -> int:
         return len(self.per_sender)
 
-    @property
-    def compression(self) -> float:
-        """Dense-over-wire volume ratio (1.0 for an empty exchange)."""
-        if self.wire_values <= 0:
-            return 1.0
-        return self.dense_values / self.wire_values
+    compression = property(compression_ratio)
 
     def phase_plan(self, request: PhaseRequest) -> PhasePlan:
         """The flat shuffle round, priced at these message sizes."""
@@ -223,11 +218,7 @@ class TreeWire:
     def messages_per_executor(self) -> int:
         return len(self.leaf_values[0]) if self.leaf_values else 0
 
-    @property
-    def compression(self) -> float:
-        if self.wire_values <= 0:
-            return 1.0
-        return self.dense_values / self.wire_values
+    compression = property(compression_ratio)
 
     def phase_plan(self, request: PhaseRequest) -> PhasePlan:
         """The flat treeAggregate, priced at these message sizes."""

@@ -44,13 +44,11 @@ class MLlibTrainer(DistributedTrainer):
         self._tree = tree
         self._broadcast = broadcast
         self._engine: BspEngine | None = None
-        self._rngs: list[np.random.Generator] = []
 
     # ------------------------------------------------------------------
     def _prepare(self, data: PartitionedDataset) -> None:
         self._engine = self._open_bsp_engine(data, tree=self._tree,
                                              broadcast=self._broadcast)
-        self._rngs = self._worker_rngs(data.num_partitions)
 
     # ------------------------------------------------------------------
     def _run_step(self, step: int, w: np.ndarray,
@@ -69,18 +67,15 @@ class MLlibTrainer(DistributedTrainer):
         # pricing stays in the parent against the returned nnz counts.
         waves = self.config.tasks_per_executor
         launch = self.cluster.compute.task_launch_seconds
-        task_args = []
-        for i, part in enumerate(data.partitions):
-            batch = self._batch_size(part.n_rows)
-            per_task = max(1, batch // waves)
-            task_args.append((w, self.objective, waves, per_task,
-                              self._rngs[i]))
-        results = self._backend.map_partitions(gradient_wave_task, task_args)
+        results = self._local_round(
+            gradient_wave_task,
+            lambda i: (w, self.objective, waves, max(
+                1, self._batch_size(data.partitions[i].n_rows) // waves)),
+            data)
         gradients: list[np.ndarray] = []
         task_grads_by_executor: list[list[np.ndarray]] = []
         durations: list[float] = []
-        for i, (task_grads, nnz_list, rng) in enumerate(results):
-            self._rngs[i] = rng
+        for i, (task_grads, nnz_list) in enumerate(results):
             seconds = 0.0
             for nnz in nnz_list:
                 seconds += launch + self._compute_seconds(2 * nnz, 0, i)

@@ -20,7 +20,6 @@ from ..engine import (BroadcastModel, BspEngine, PartitionedDataset,
 from ..glm import Objective
 from .config import TrainerConfig
 from .trainer import DistributedTrainer
-from .worker import run_dual_on_partition, send_model_task
 
 __all__ = ["MLlibModelAveragingTrainer"]
 
@@ -39,14 +38,11 @@ class MLlibModelAveragingTrainer(DistributedTrainer):
         self._tree = tree
         self._broadcast = broadcast
         self._engine: BspEngine | None = None
-        self._rngs: list[np.random.Generator] = []
 
     # ------------------------------------------------------------------
     def _prepare(self, data: PartitionedDataset) -> None:
         self._engine = self._open_bsp_engine(data, tree=self._tree,
                                              broadcast=self._broadcast)
-        self._rngs = self._worker_rngs(data.num_partitions)
-        self._init_dual_state(data)
 
     # ------------------------------------------------------------------
     def _run_step(self, step: int, w: np.ndarray,
@@ -54,7 +50,6 @@ class MLlibModelAveragingTrainer(DistributedTrainer):
         engine = self._engine
         assert engine is not None
         m = data.n_features
-        dual = self.config.local_solver != "mgd"
 
         # Phase 1: every executor updates a local model over its
         # partition (independent local solves; fanned out across the
@@ -63,30 +58,7 @@ class MLlibModelAveragingTrainer(DistributedTrainer):
         # gamma-scaled model *delta* — the communication pattern (one
         # m-vector per executor up the tree, broadcast back) and its
         # pricing are unchanged.
-        locals_: list[np.ndarray] = []
-        durations: list[float] = []
-        if dual:
-            results = self._backend.map_partitions(
-                run_dual_on_partition,
-                [(w, self.objective, self._dual_spec, self._duals[i],
-                  self._rngs[i]) for i in range(data.num_partitions)])
-            for i, (delta_w, alpha, stats, rng) in enumerate(results):
-                self._rngs[i] = rng
-                self._duals[i] = alpha
-                locals_.append(delta_w)
-                durations.append(self._compute_seconds(
-                    stats.nnz_processed, stats.dense_ops, i))
-        else:
-            lr = self.schedule.at(step)
-            results = self._backend.map_partitions(
-                send_model_task,
-                [(w, self.objective, lr, self.config, self._rngs[i])
-                 for i in range(data.num_partitions)])
-            for i, (local_w, stats, rng) in enumerate(results):
-                self._rngs[i] = rng
-                locals_.append(local_w)
-                durations.append(self._compute_seconds(
-                    stats.nnz_processed, stats.dense_ops, i))
+        locals_, durations = self._send_model_round(step, w, data)
         engine.compute_phase(durations, step)
 
         # Phase 2: unchanged MLlib communication — models (not gradients)
@@ -104,7 +76,7 @@ class MLlibModelAveragingTrainer(DistributedTrainer):
         # ...which combines them on the driver (one dense pass): model
         # averaging for the primal path, delta summation (applied to the
         # broadcast iterate, in fixed partition order) for the dual path.
-        if dual:
+        if self._duals is not None:
             total = locals_[0].copy()
             for delta in locals_[1:]:
                 total += delta

@@ -25,7 +25,6 @@ from ..engine import BspEngine, PartitionedDataset
 from ..glm import Objective
 from .config import TrainerConfig
 from .trainer import DistributedTrainer
-from .worker import run_dual_on_partition, send_model_task
 
 __all__ = ["MLlibStarTrainer"]
 
@@ -50,15 +49,12 @@ class MLlibStarTrainer(DistributedTrainer):
         #: by its local sample count (matters for unbalanced partitions).
         self.combine = combine
         self._engine: BspEngine | None = None
-        self._rngs: list[np.random.Generator] = []
 
     # ------------------------------------------------------------------
     def _prepare(self, data: PartitionedDataset) -> None:
         engine = self._engine = self._open_bsp_engine(data)
         engine.shuffle.check_owners(data.n_features, data.num_partitions,
                                     "AllReduce")
-        self._rngs = self._worker_rngs(data.num_partitions)
-        self._init_dual_state(data)
 
     # ------------------------------------------------------------------
     def _run_step(self, step: int, w: np.ndarray,
@@ -67,50 +63,21 @@ class MLlibStarTrainer(DistributedTrainer):
         assert engine is not None
         m = data.n_features
 
-        if self.config.local_solver != "mgd":
-            # Dual path (CoCoA/CoCoA+): every executor runs H SDCA
-            # epochs over its dual block and ships a gamma-scaled model
-            # *delta*; deltas are summed through the exact same
-            # AllReduce and applied to the broadcast iterate.  Dual
-            # blocks round-trip through the parent like the RNGs.
-            results = self._backend.map_partitions(
-                run_dual_on_partition,
-                [(w, self.objective, self._dual_spec, self._duals[i],
-                  self._rngs[i]) for i in range(data.num_partitions)])
-            deltas: list[np.ndarray] = []
-            durations: list[float] = []
-            for i, (delta_w, alpha, stats, rng) in enumerate(results):
-                self._rngs[i] = rng
-                self._duals[i] = alpha
-                deltas.append(delta_w)
-                durations.append(self._compute_seconds(
-                    stats.nnz_processed, stats.dense_ops, i))
-            engine.compute_phase(durations, step)
-            total = self._exchange(deltas, m, step, durations,
-                                   combine="sum", weights=None)
-            return w + total
-
-        lr = self.schedule.at(step)
-
         # Phase 1: UpdateModel on every executor — independent local SGD
         # passes, fanned out across the execution backend (the combining
         # below stays in the parent, in fixed order).
-        results = self._backend.map_partitions(
-            send_model_task,
-            [(w, self.objective, lr, self.config, self._rngs[i])
-             for i in range(data.num_partitions)])
-        locals_: list[np.ndarray] = []
-        durations: list[float] = []
-        for i, (local_w, stats, rng) in enumerate(results):
-            self._rngs[i] = rng
-            locals_.append(local_w)
-            durations.append(self._compute_seconds(
-                stats.nnz_processed, stats.dense_ops, i))
+        vectors, durations = self._send_model_round(step, w, data)
         engine.compute_phase(durations, step)
+        if self._duals is not None:
+            # Dual path (CoCoA/CoCoA+): the vectors are gamma-scaled
+            # model *deltas*; they are summed through the exact same
+            # AllReduce and applied to the broadcast iterate.
+            return w + self._exchange(vectors, m, step, durations,
+                                      combine="sum", weights=None)
         weights = None
         if self.combine == "weighted":
             weights = [float(p.n_rows) for p in data.partitions]
-        return self._exchange(locals_, m, step, durations,
+        return self._exchange(vectors, m, step, durations,
                               combine=self.combine, weights=weights)
 
     def _exchange(self, locals_: list[np.ndarray], m: int, step: int,

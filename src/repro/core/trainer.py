@@ -28,6 +28,7 @@ uninterrupted ``fit``.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,11 @@ from ..collectives import Topology, open_topology
 from ..engine import (BroadcastModel, BspEngine, CommRecord,
                       PartitionedDataset, TreeAggregateModel)
 from ..engine.backend import ExecutionBackend, SerialBackend, make_backend
-from ..glm import GLMModel, Objective, get_schedule
+from ..glm import GLMModel, LocalStats, Objective, get_schedule
 from ..metrics import TrainingHistory
 from ..perf.profiler import NullProfiler, PhaseProfiler
 from .config import TrainerConfig
+from .worker import run_dual_on_partition, send_model_task
 
 __all__ = ["GapRecord", "TrainResult", "TrainingSession",
            "DistributedTrainer"]
@@ -113,6 +115,13 @@ class TrainResult:
 class DistributedTrainer:
     """Template for distributed MGD systems.
 
+    A BSP/PS trainer's ``_run_step`` is "local round -> price it -> its
+    own communication".  :meth:`_local_round` is the one place a
+    superstep's per-worker tasks are dispatched and their results — and
+    the worker state that round-trips with them (RNG streams, dual
+    blocks; both rebuilt per session) — come back;
+    :meth:`_send_model_round` is that round for the SendModel trainers.
+
     Parameters
     ----------
     objective:
@@ -171,6 +180,9 @@ class DistributedTrainer:
         #: ``fit`` to collect ``superstep`` / ``evaluate`` /
         #: ``local_solve`` phase timings.
         self.profiler: PhaseProfiler = NullProfiler()
+        #: Per-worker RNG streams, rebuilt by every ``TrainingSession``;
+        #: tasks hand them back advanced (see :meth:`_local_round`).
+        self._rngs: list[np.random.Generator] = []
         #: Per-worker dual blocks (one array of dual variables per
         #: partition row) when a dual local solver is active; ``None``
         #: under the primal default.  Round-tripped through the task
@@ -266,7 +278,7 @@ class DistributedTrainer:
     def _init_dual_state(self, data: PartitionedDataset) -> None:
         """Build the run's dual state when a dual solver is configured.
 
-        Called from dual-capable trainers' ``_prepare``: resolves the
+        Called by every ``TrainingSession``: resolves the
         :class:`~repro.glm.dual.DualSolverSpec` (family defaults for
         gamma, ``sigma' = gamma * K``) and zero-initializes one dual
         block per partition.  ``alpha = 0`` is feasible for every
@@ -314,6 +326,56 @@ class DistributedTrainer:
         cm = self.cluster.compute
         return (cm.sparse_pass_seconds(nnz_processed, node)
                 + cm.dense_op_seconds(dense_ops, node))
+
+    def _stats_seconds(self, stats: LocalStats, i: int) -> float:
+        """Price the work executor ``i``'s local-solve task reported."""
+        return self._compute_seconds(stats.nnz_processed, stats.dense_ops, i)
+
+    # ------------------------------------------------------------------
+    def _local_round(self, task: Callable[..., tuple],
+                     args_for: Callable[[int], tuple],
+                     data: PartitionedDataset) -> list[tuple]:
+        """One superstep's local solves, one task per partition.
+
+        Worker ``i`` runs ``task(partition_i, *args_for(i), rng_i)`` on
+        the execution backend.  Every task hands its generator back as
+        the last element of its result; it is kept for the next round
+        and the rest of each result is returned, in partition order.
+        """
+        results = self._backend.map_partitions(
+            task, [(*args_for(i), self._rngs[i])
+                   for i in range(data.num_partitions)])
+        self._rngs = [result[-1] for result in results]
+        return [result[:-1] for result in results]
+
+    def _send_model_round(self, step: int, w: np.ndarray,
+                          data: PartitionedDataset,
+                          ) -> tuple[list[np.ndarray], list[float]]:
+        """The SendModel local round: one m-vector per executor and the
+        priced seconds it took.
+
+        Primal (``mgd``): local SGD passes from ``w``; the vector is the
+        executor's local *model*, to be averaged.  Dual (``cocoa`` /
+        ``cocoa+``): H SDCA epochs over the executor's dual block; the
+        vector is a gamma-scaled model *delta*, to be summed onto ``w``,
+        and the committed dual blocks are kept for the next round like
+        the RNGs.
+        """
+        if self._duals is None:
+            lr = self.schedule.at(step)
+            results = self._local_round(
+                send_model_task,
+                lambda i: (w, self.objective, lr, self.config), data)
+        else:
+            duals = self._duals
+            results = self._local_round(
+                run_dual_on_partition,
+                lambda i: (w, self.objective, self._dual_spec, duals[i]),
+                data)
+            self._duals = [alpha for _, alpha, _ in results]
+        return ([result[0] for result in results],
+                [self._stats_seconds(result[-1], i)
+                 for i, result in enumerate(results)])
 
     # ------------------------------------------------------------------
     def open_session(self, dataset: SparseDataset,
@@ -429,6 +491,8 @@ class TrainingSession:
         self.diverged = False
         self._closed = False
 
+        trainer._rngs = trainer._worker_rngs(data.num_partitions)
+        trainer._init_dual_state(data)
         trainer._prepare(data)
         if initial_weights is None:
             w = np.zeros(dataset.n_features)

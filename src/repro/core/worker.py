@@ -6,12 +6,14 @@ phase, shaped for :mod:`repro.engine.backend`:
 * **module-level and partition-first** — process pools pickle functions
   by reference and look the partition up in the pool-side store, so every
   task takes ``(partition, ...)`` and must be importable by name;
-* **RNG round-trip** — tasks that draw randomness receive the worker's
-  private ``Generator`` and return it; the trainer stores the returned
-  generator back into ``self._rngs[i]``.  In-process backends hand back
-  the same (already advanced) object; process backends hand back a
-  pickled copy whose state round-trips exactly, so RNG streams advance
-  bit-identically to the serial loop no matter the backend;
+* **RNG round-trip** — tasks that draw randomness take the worker's
+  private ``Generator`` last and return it last;
+  ``DistributedTrainer._local_round`` supplies it and keeps what comes
+  back for the next round (ASGD's one-worker ``run_one`` likewise).
+  In-process backends hand back the same (already advanced) object;
+  process backends hand back a pickled copy whose state round-trips
+  exactly, so RNG streams advance bit-identically to the serial loop no
+  matter the backend;
 * **numerics only** — simulated-seconds pricing stays in the parent
   (tasks return raw work stats), so the cost model never crosses a
   process boundary and the priced clock is backend-invariant;

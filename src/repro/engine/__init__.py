@@ -5,7 +5,6 @@ from .backend import (BACKENDS, ExecutionBackend, SerialBackend,
                       ShmBackend, SocketBackend, ThreadBackend,
                       make_backend)
 from .broadcast import BroadcastModel
-from .dag import MiniRdd, RddContext
 from .driver import DRIVER_LABEL, BspEngine, CommRecord, executor_label
 from .rdd import PartitionedDataset
 from .shuffle import ShuffleModel, exchange
@@ -18,5 +17,4 @@ __all__ = [
     "TreeAggregateModel", "TreeAggregateTiming",
     "BroadcastModel",
     "ShuffleModel", "exchange",
-    "RddContext", "MiniRdd",
 ]

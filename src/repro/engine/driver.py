@@ -51,7 +51,8 @@ from ..cluster.faults import (CrashRecovery, FailureModel, FailureRecord,
                               NoFailures, RecoveryPolicy)
 from .aggregation import TreeAggregateModel
 from .broadcast import BroadcastModel
-from .plan import PhasePlan, PhaseRequest, WirePlanner, check_wire
+from .plan import (PhasePlan, PhaseRequest, WirePlanner, check_wire,
+                   compression_ratio)
 from .shuffle import ShuffleModel
 
 __all__ = ["BspEngine", "CommRecord", "DRIVER_LABEL", "executor_label"]
@@ -82,12 +83,7 @@ class CommRecord:
     seconds: float
     dense_seconds: float
 
-    @property
-    def compression(self) -> float:
-        """Dense-over-wire volume ratio (1.0 for an empty exchange)."""
-        if self.wire_values <= 0:
-            return 1.0
-        return self.dense_values / self.wire_values
+    compression = property(compression_ratio)
 
     @property
     def speedup(self) -> float:

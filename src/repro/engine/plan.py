@@ -20,7 +20,7 @@ and a ``phase_plan`` method.  Planners are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Protocol, Sequence
 
 from ..cluster import ClusterSpec
 
@@ -29,7 +29,7 @@ if TYPE_CHECKING:
     from .shuffle import ShuffleModel
 
 __all__ = ["Segment", "Lane", "TreeClose", "PhasePlan", "PhaseRequest",
-           "WirePlanner", "check_wire"]
+           "WirePlanner", "check_wire", "compression_ratio"]
 
 #: ``(seconds, span kind, wire values moved)``.
 Segment = tuple[float, str, float]
@@ -156,6 +156,14 @@ class WirePlanner(Protocol):
     def num_senders(self) -> int: ...
 
     def phase_plan(self, request: PhaseRequest) -> PhasePlan: ...
+
+
+def compression_ratio(sized: Any) -> float:
+    """Dense-over-wire volume ratio of a wire or comm record (1.0 for an
+    empty exchange); the body of their ``compression`` properties."""
+    if sized.wire_values <= 0:
+        return 1.0
+    return sized.dense_values / sized.wire_values
 
 
 def check_wire(wire, num_executors: int,

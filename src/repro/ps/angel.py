@@ -50,7 +50,6 @@ class AngelTrainer(DistributedTrainer):
         self._num_servers = num_servers
         self._controller = controller if controller is not None else BSP()
         self._engine: PsEngine | None = None
-        self._rngs: list[np.random.Generator] = []
 
     # ------------------------------------------------------------------
     def _prepare(self, data: PartitionedDataset) -> None:
@@ -58,7 +57,6 @@ class AngelTrainer(DistributedTrainer):
                                 controller=self._controller,
                                 faults=self.faults, recovery=self.recovery)
         self._install_recovery_costs(self._engine, data)
-        self._rngs = self._worker_rngs(data.num_partitions)
 
     # ------------------------------------------------------------------
     def _run_step(self, step: int, w: np.ndarray,
@@ -71,19 +69,16 @@ class AngelTrainer(DistributedTrainer):
         # Per-epoch local work fans out across the execution backend;
         # pricing (including the per-batch allocation overhead) stays in
         # the parent against the returned stats.
-        results = self._backend.map_partitions(
+        results = self._local_round(
             angel_epoch_task,
-            [(w, self.objective, lr, self._batch_size(part.n_rows),
-              self._rngs[i])
-             for i, part in enumerate(data.partitions)])
+            lambda i: (w, self.objective, lr, self._batch_size(
+                data.partitions[i].n_rows)), data)
         locals_: list[np.ndarray] = []
         durations: list[float] = []
         overheads: list[float] = []
-        for i, (local_w, stats, rng) in enumerate(results):
-            self._rngs[i] = rng
+        for i, (local_w, stats) in enumerate(results):
             locals_.append(local_w)
-            durations.append(self._compute_seconds(
-                stats.nnz_processed, stats.dense_ops, i))
+            durations.append(self._stats_seconds(stats, i))
             # One gradient buffer allocated and collected per batch.
             batches = stats.n_updates
             overhead_coords = (batches * self.alloc_overhead_coords_factor

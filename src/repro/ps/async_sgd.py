@@ -56,7 +56,6 @@ class AsyncSgdTrainer(DistributedTrainer):
                              else cluster.num_executors)
         self._trace_store = Trace()
         self._now = 0.0
-        self._rngs: list[np.random.Generator] = []
         #: (ready_time, tiebreak, worker_index) event heap.
         self._events: list[tuple[float, int, int]] = []
         self._tiebreak = 0
@@ -106,20 +105,18 @@ class AsyncSgdTrainer(DistributedTrainer):
         self._pull_versions[worker] = self._updates_applied
         # The batch-gradient compute runs through the execution backend
         # (one worker at a time — the event loop itself is the scheduler).
-        gradient_result, batch_nnz, rng = self._backend.run_one(
+        gradient, batch_nnz, rng = self._backend.run_one(
             asgd_gradient_task, worker,
             (self._pulled[worker], self.objective, batch,
              self._rngs[worker]))
         self._rngs[worker] = rng
-        self._pending[worker] = gradient_result
+        self._pending[worker] = gradient
 
         node = self.cluster.executors[worker]
         compute = (self._compute_seconds(2 * batch_nnz, 0, worker)
                    * self.cluster.slowdown(node, self._step_counter))
         m = data.n_features
         mode = self.config.sparse_comm
-        gradient = self._pending[worker]
-        assert gradient is not None
         # Wire accounting only: the push's sparse size lands in the span's
         # ``values`` field, but the event schedule runs on the dense clock
         # so ASP's update interleaving (and hence the numerics) is
@@ -143,7 +140,6 @@ class AsyncSgdTrainer(DistributedTrainer):
         self.cluster.reset_rng()
         self._trace_store = Trace()
         self._now = 0.0
-        self._rngs = self._worker_rngs(data.num_partitions)
         self._events = []
         self._tiebreak = 0
         k = data.num_partitions

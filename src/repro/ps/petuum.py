@@ -49,7 +49,6 @@ class PetuumTrainer(DistributedTrainer):
         self._controller = (controller if controller is not None
                             else SSP(staleness=2))
         self._engine: PsEngine | None = None
-        self._rngs: list[np.random.Generator] = []
         self._server: ParameterServer | None = None
 
     # ------------------------------------------------------------------
@@ -58,17 +57,12 @@ class PetuumTrainer(DistributedTrainer):
                                 controller=self._controller,
                                 faults=self.faults, recovery=self.recovery)
         self._install_recovery_costs(self._engine, data)
-        self._rngs = self._worker_rngs(data.num_partitions)
-        self._server = ParameterServer(
-            model_size=data.n_features,
-            num_servers=self._engine.num_servers,
-            sanitize=self.config.sanitize)
 
     def _on_initial_model(self, w: np.ndarray,
                           data: PartitionedDataset) -> None:
         self._server = ParameterServer(
             model_size=data.n_features,
-            num_servers=self._engine.num_servers if self._engine else 1,
+            num_servers=self._engine_started().num_servers,
             initial=w, sanitize=self.config.sanitize)
 
     # ------------------------------------------------------------------
@@ -87,18 +81,13 @@ class PetuumTrainer(DistributedTrainer):
         lr = self.schedule.at(step)
         # Per-batch local work fans out across the execution backend; the
         # server pushes below stay in the parent, in worker order.
-        results = self._backend.map_partitions(
+        results = self._local_round(
             petuum_batch_task,
-            [(w, self.objective, lr, self._batch_size(part.n_rows),
-              self.config, self._rngs[i])
-             for i, part in enumerate(data.partitions)])
-        locals_: list[np.ndarray] = []
-        durations: list[float] = []
-        for i, (local_w, stats, rng) in enumerate(results):
-            self._rngs[i] = rng
-            locals_.append(local_w)
-            durations.append(self._compute_seconds(
-                stats.nnz_processed, stats.dense_ops, i))
+            lambda i: (w, self.objective, lr, self._batch_size(
+                data.partitions[i].n_rows), self.config), data)
+        locals_ = [local_w for local_w, _ in results]
+        durations = [self._stats_seconds(stats, i)
+                     for i, (_, stats) in enumerate(results)]
         # Under --sparse-comm a worker's push (the delta ``local - w``)
         # is priced at its support — the coordinates local SGD touched.
         engine.run_step(durations, data.n_features,

@@ -105,13 +105,62 @@ def test_submit_site_discovery_and_classification():
     }
 
 
+def test_round_helper_calls_are_submit_sites(tmp_path):
+    # Inside DistributedTrainer._local_round the task is a parameter, so
+    # the helper's *callers* must count as submit sites — on any
+    # receiver, with the first argument classified like a raw submit.
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "tasks.py").write_text(
+        "def task(part, rng):\n    return float(sum(part)), rng\n")
+    (pkg / "trainers.py").write_text(
+        "from .tasks import task\n\n\n"
+        "class Trainer:\n"
+        "    def _local_round(self, fn, args_for, data):\n"
+        "        return self._backend.map_partitions(fn, [()])\n\n"
+        "    def run_named(self, data):\n"
+        "        return self._local_round(task, lambda i: (), data)\n\n"
+        "    def run_lambda(self, data):\n"
+        "        return self._local_round(lambda p, r: (0.0, r),\n"
+        "                                 lambda i: (), data)\n\n"
+        "    def run_nested(self, data):\n"
+        "        def local_task(part, rng):\n"
+        "            return 0.0, rng\n"
+        "        return self._local_round(local_task, lambda i: (), data)\n\n"
+        "    def run_bound(self, data):\n"
+        "        return self._local_round(self._bound, lambda i: (), data)\n\n"
+        "    def _bound(self, part, rng):\n"
+        "        return 0.0, rng\n")
+    graph = build_graph(pkg)
+    sites = {s.caller.name: s for s in graph.submit_sites()}
+    assert sites["run_named"].task == "pkg.tasks.task"
+    assert sites["run_named"].problem is None
+    assert "lambda" in sites["run_lambda"].problem
+    assert "nested" in sites["run_nested"].problem
+    assert "bound method" in sites["run_bound"].problem
+    # the forwarding call inside the helper proves nothing and roots nothing
+    assert sites["_local_round"].task is None
+    assert sites["_local_round"].problem is None
+    assert "pkg.tasks.task" in graph.task_functions()
+
+
 def test_repo_tree_submit_sites_resolve_worker_tasks():
-    # On the real tree the derived scope must find the worker tasks the
-    # old linter listed by filename.
+    # On the real tree the derived scope must find exactly the worker
+    # tasks: a task that drops out (a dispatch site the graph stopped
+    # seeing) silently leaves RACE001/RACE002/DET002's scope, and the
+    # linter would still exit 0.
     graph = build_graph(REPO_SRC)
-    tasks = set(graph.task_functions())
-    assert "repro.core.worker.send_model_task" in tasks
-    assert "repro.core.worker.gradient_wave_task" in tasks
+    assert set(graph.task_functions()) == {
+        "repro.core.worker.gradient_wave_task",
+        "repro.core.worker.send_model_task",
+        "repro.core.worker.petuum_batch_task",
+        "repro.core.worker.angel_epoch_task",
+        "repro.core.worker.run_dual_on_partition",
+        "repro.core.worker.full_pass_task",
+        "repro.core.worker.asgd_gradient_task",
+        "repro.engine.shm.run_on_shm_partition",
+    }
 
 
 # ----------------------------------------------------------------------

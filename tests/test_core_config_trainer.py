@@ -1,10 +1,13 @@
 """Unit tests for repro.core.config and the trainer template."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core import (MLlibStarTrainer, MLlibTrainer, TrainerConfig,
-                        TrainResult)
+from data.make_golden import SYSTEMS, golden_workload
+from repro.core import (MLlibModelAveragingTrainer, MLlibStarTrainer,
+                        MLlibTrainer, TrainerConfig, TrainResult)
 from repro.glm import Objective
 
 
@@ -98,3 +101,32 @@ class TestFitLoop:
         assert len(result.trace) > 0
         assert not result.diverged
         assert result.final_objective == result.history.final_objective
+
+
+class TestRefitResetsSessionState:
+    """The base owns the per-worker RNG streams and dual blocks and
+    rebuilds them per session: a second ``fit`` on the same trainer
+    object is the same computation, not a continuation of the first."""
+
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_second_fit_is_bit_identical(self, system):
+        trainer_cls, loss = SYSTEMS[system]
+        dataset, cluster, config = golden_workload()
+        trainer = trainer_cls(Objective(loss, "l2", 0.1), cluster, config)
+        first, second = trainer.fit(dataset), trainer.fit(dataset)
+        assert np.array_equal(second.model.weights, first.model.weights)
+        assert list(second.history.points) == list(first.history.points)
+        assert len(second.trace) == len(first.trace)
+
+    @pytest.mark.parametrize("trainer_cls", [MLlibStarTrainer,
+                                             MLlibModelAveragingTrainer])
+    def test_second_dual_fit_starts_from_fresh_blocks(self, trainer_cls):
+        dataset, cluster, config = golden_workload()
+        config = dataclasses.replace(config, local_solver="cocoa+",
+                                     local_iters=2)
+        trainer = trainer_cls(Objective("hinge", "l2", 0.1), cluster, config)
+        first, second = trainer.fit(dataset), trainer.fit(dataset)
+        # alpha = 0 again at step 0, and the same RNG streams after it.
+        assert second.duality_gaps[0] == first.duality_gaps[0]
+        assert second.duality_gaps == first.duality_gaps
+        assert np.array_equal(second.model.weights, first.model.weights)
