@@ -10,7 +10,7 @@ silently stops being checked.  This module replaces the lists with a
 * a **symbol table** over every analyzed file (modules, functions,
   classes, methods, module-level globals), keyed by dotted qualified
   names such as ``repro.core.worker.send_model_task`` or
-  ``repro.engine.backend.ThreadBackend._submit``;
+  ``repro.engine.backend.ShmBackend._submit``;
 * **import resolution** that follows aliases (``import numpy as np``),
   ``from``-imports, *relative* imports (``from ..glm import sgd_epoch``)
   and package re-exports (``repro.glm.__init__`` re-exporting

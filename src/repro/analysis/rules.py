@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .callgraph import CallGraph, FunctionInfo, local_bindings, own_body
 from .violations import Violation
@@ -186,11 +186,10 @@ def _attribute_root(node: ast.AST) -> str | None:
 
 
 # ----------------------------------------------------------------------
-# shared finding helpers (used by PURE001's interprocedural pass and the
-# RACE family in rules_race.py)
+# shared finding helpers (used by both PURE001 passes and the RACE family
+# in rules_race.py)
 # ----------------------------------------------------------------------
-def shared_state_findings(info: FunctionInfo,
-                          module_globals: set[str],
+def shared_state_findings(graph: CallGraph, info: FunctionInfo,
                           check_self: bool = True,
                           ) -> Iterator[tuple[ast.AST, str]]:
     """Mutations of state that outlives one call of ``info``.
@@ -201,8 +200,9 @@ def shared_state_findings(info: FunctionInfo,
     globals.  Rebinding a plain local name is never flagged — Python
     scoping makes it function-local.
     """
+    module = graph.modules.get(info.module)
     locals_ = local_bindings(info)
-    writable = {name for name in module_globals if name not in locals_}
+    writable = (module.module_globals - locals_) if module else set()
 
     def _shared_root(target: ast.AST) -> str | None:
         root = _attribute_root(target)
@@ -228,9 +228,10 @@ def shared_state_findings(info: FunctionInfo,
                 continue  # `x: int` alone assigns nothing
             else:
                 targets = [node.target]
-            for target in targets:
-                if not isinstance(target, (ast.Attribute, ast.Subscript)):
-                    continue
+            # Unpacking (`a, self.b = ...`) nests the stores a level down.
+            for target in (sub for t in targets for sub in ast.walk(t)
+                           if isinstance(sub, (ast.Attribute, ast.Subscript))
+                           and isinstance(sub.ctx, ast.Store)):
                 root = _shared_root(target)
                 if root == "self":
                     attr = (target.attr if isinstance(target, ast.Attribute)
@@ -430,11 +431,11 @@ class UnorderedIteration(CallGraphRule):
 class ImpureCostModel(CallGraphRule):
     """``seconds()`` / ``*_seconds()`` / ``timing()`` must not mutate.
 
-    Two layers:
+    Two layers over one finder, :func:`shared_state_findings`:
 
     * **intraprocedural** — the pricing function's own body must not
-      rebind globals/nonlocals, assign to ``self`` attributes, or call
-      mutating methods on ``self`` state;
+      rebind globals/nonlocals or write into (or call mutating methods
+      on) ``self`` state or module globals;
     * **interprocedural** — every project function the pricing function
       can reach through the call graph is checked for shared-state
       mutation and ambient RNG/clock reads; an impure helper is flagged
@@ -454,8 +455,6 @@ class ImpureCostModel(CallGraphRule):
                "same phase twice must return the same seconds; checked "
                "through the call graph (impure helpers are flagged at "
                "the pricing call site with the call path)")
-
-    MUTATORS = MUTATORS
 
     #: Constructors: self-assignments initialize a fresh object.
     _CONSTRUCTORS = frozenset({"__init__", "__post_init__"})
@@ -478,56 +477,13 @@ class ImpureCostModel(CallGraphRule):
                 continue
             if self._measures_wall_time(info):
                 continue
-            yield from self._check_body(info.src, info.node)
+            for node, detail in shared_state_findings(graph, info):
+                yield self.violation(
+                    info.src, node, f"{detail} inside a pricing function "
+                    "mutates cost-model state")
             yield from self._check_call_paths(graph, info, impurity_cache,
                                               alias_cache)
 
-    # -- intraprocedural -----------------------------------------------
-    def _check_body(self, src: "SourceFile",
-                    func: ast.AST) -> Iterator[Violation]:
-        for node in ast.walk(func):
-            if isinstance(node, (ast.Global, ast.Nonlocal)):
-                yield self.violation(
-                    src, node, "pricing code must not rebind "
-                    f"{'/'.join(node.names)} outside its own scope")
-            elif isinstance(node, ast.Assign):
-                yield from self._check_targets(src, node, node.targets)
-            elif isinstance(node, ast.AugAssign):
-                yield from self._check_targets(src, node, [node.target])
-            elif isinstance(node, ast.AnnAssign):
-                # `self.x: int` with no value declares, never assigns —
-                # per the AST grammar the target is always present, so
-                # the old `target is not None` guard was dead and the
-                # value-less form was wrongly treated as an assignment.
-                if node.value is not None:
-                    yield from self._check_targets(src, node, [node.target])
-            elif isinstance(node, ast.Call):
-                yield from self._check_mutator_call(src, node)
-
-    def _check_targets(self, src: "SourceFile", stmt: ast.AST,
-                       targets: Iterable[ast.AST]) -> Iterator[Violation]:
-        for target in targets:
-            for sub in ast.walk(target):
-                if (isinstance(sub, ast.Attribute)
-                        and _attribute_root(sub) == "self"):
-                    yield self.violation(
-                        src, stmt,
-                        f"assignment to self.{sub.attr} inside a pricing "
-                        "method mutates cost-model state")
-                    break
-
-    def _check_mutator_call(self, src: "SourceFile",
-                            call: ast.Call) -> Iterator[Violation]:
-        func = call.func
-        if (isinstance(func, ast.Attribute)
-                and func.attr in self.MUTATORS
-                and _attribute_root(func.value) == "self"):
-            yield self.violation(
-                src, call,
-                f".{func.attr}() on self state inside a pricing method "
-                "mutates cost-model state")
-
-    # -- interprocedural -----------------------------------------------
     def _check_call_paths(
             self, graph: CallGraph, root: FunctionInfo,
             impurity_cache: dict[str, list[tuple[ast.AST, str]]],
@@ -569,10 +525,8 @@ class ImpureCostModel(CallGraphRule):
                     alias_cache: dict[str, dict[str, str]],
                     ) -> list[tuple[ast.AST, str]]:
         if info.qualname not in impurity_cache:
-            module = graph.modules.get(info.module)
-            module_globals = module.module_globals if module else set()
             check_self = info.name not in self._CONSTRUCTORS
-            found = list(shared_state_findings(info, module_globals,
+            found = list(shared_state_findings(graph, info,
                                                check_self=check_self))
             if info.module not in alias_cache:
                 alias_cache[info.module] = _import_aliases(info.src.tree)

@@ -1,7 +1,7 @@
 """The RACE rule family: static enforcement of the backend task contract.
 
 The execution backends (:mod:`repro.engine.backend`) promise bit-identity
-across ``serial``/``threads``/``shm``/``socket`` — but only for tasks that
+across ``serial``/``shm``/``socket`` — but only for tasks that
 honour the contract stated in :mod:`repro.core.worker`:
 
 * a task is a **pure function of its arguments** — all state crosses the
@@ -18,16 +18,15 @@ the task too — exactly what the call graph makes checkable:
 * :class:`SharedStateMutation` (``RACE001``) — walks every function
   reachable from a task handed to a backend and flags mutation of module
   globals, closed-over state (``nonlocal``), and bound ``self``
-  attributes.  Under ``threads`` such a mutation is a data race whose
-  interleaving changes the numerics *silently* (no crash — just
-  different floats); under ``shm``/``socket`` each worker mutates its
-  own copy and the divergence is from serial, not between runs.  The
-  regression test ``tests/test_analysis_race.py`` demonstrates both the
-  static catch and the actual divergence.
+  attributes.  Under ``shm``/``socket`` each worker process mutates its
+  own copy, so the numerics diverge from serial *silently* (no crash —
+  just different floats).  The regression test
+  ``tests/test_analysis_race.py`` demonstrates both the static catch and
+  the actual divergence on ``socket``.
 * :class:`UnpicklableTask` (``RACE002``) — flags submit sites whose task
   argument is a lambda, a nested function, or a bound method/attribute:
   anything that is not a picklable module-level callable.  These work by
-  accident under ``threads`` and break (or worse, capture state) under
+  accident under ``serial`` and break (or worse, capture state) under
   ``shm``/``socket`` — the exact bug class that stays invisible until
   someone flips ``--backend``.
 
@@ -90,21 +89,20 @@ class SharedStateMutation(CallGraphRule):
             return
         for qual, path in graph.reachable(sorted(roots)).items():
             info = graph.functions[qual]
-            module = graph.modules.get(info.module)
-            module_globals = module.module_globals if module else set()
             root = graph.functions[path[0]]
             role = ("scheduler dispatch function"
                     if path[0] in dispatch else "backend task")
             consequence = (
                 "two replays of the same schedule diverge"
                 if path[0] in dispatch else
-                "thread and process backends make this a race")
+                "process backends give each worker its own copy, so "
+                "results diverge from serial")
             # A constructor assigning to `self` is building a fresh,
             # task-local object — not shared state.  (Same carve-out as
             # interprocedural PURE001.)
             check_self = info.name not in {"__init__", "__post_init__"}
             for node, detail in shared_state_findings(
-                    info, module_globals, check_self=check_self):
+                    graph, info, check_self=check_self):
                 yield Violation(
                     path=info.src.path, line=node.lineno,
                     col=node.col_offset + 1, rule=self.id,

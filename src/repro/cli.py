@@ -174,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=BACKENDS,
                        help="execution backend for the per-worker local "
                             "solves: 'serial' runs them in a loop, "
-                            "'threads' on a GIL-bound thread pool, "
                             "'shm' on a process pool over shared-memory "
                             "partitions and a broadcast arena, 'socket' "
                             "runs long-lived worker daemons over "
@@ -492,8 +491,6 @@ def _make_config(args, **overrides) -> TrainerConfig:
                 checkpoint_every=getattr(args, "checkpoint_every", 0),
                 max_retries=getattr(args, "max_retries", 2),
                 restart_seconds=getattr(args, "restart_seconds", 1.0))
-    if base["checkpoint_every"]:
-        base["recovery_strategy"] = "checkpoint"
     base.update(overrides)
     return TrainerConfig(**base)
 

@@ -274,32 +274,26 @@ class RecoveryPolicy:
         Recoveries allowed per (executor, step, phase).  A crash on the
         attempt after the last permitted retry raises
         :class:`RecoveryError` — the training run is lost.
-    strategy:
-        ``recompute`` — Spark's lineage story: the restarted executor
-        rebuilds its cached partition from source (priced by the engine's
-        per-executor reload cost) before redoing the step's work.
-        ``checkpoint`` — restore from the most recent checkpoint instead;
-        cheaper after a crash, but checkpoints cost time to write.
     checkpoint_every:
-        Write a checkpoint every this many steps (``checkpoint`` strategy
-        only; 0 disables writing, in which case restores fall back to
-        lineage recomputation until a checkpoint exists).
+        Write a checkpoint every this many steps and restore from the
+        most recent one — cheaper after a crash, but checkpoints cost
+        time to write (and until the first exists, restores fall back to
+        lineage).  0 never writes one: every recovery is Spark's lineage
+        story, the restarted executor rebuilding its cached partition
+        from source (priced by the engine's per-executor reload cost)
+        before redoing the step's work.
     restart_seconds:
         Fixed executor restart/reschedule delay paid on every recovery
         (container re-launch, task rescheduling, backoff).
     """
 
     max_retries: int = 2
-    strategy: str = "recompute"
     checkpoint_every: int = 0
     restart_seconds: float = 1.0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.strategy not in ("recompute", "checkpoint"):
-            raise ValueError("recovery strategy must be 'recompute' or "
-                             "'checkpoint'")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative")
         if self.restart_seconds < 0:
@@ -307,7 +301,7 @@ class RecoveryPolicy:
 
     @property
     def writes_checkpoints(self) -> bool:
-        return self.strategy == "checkpoint" and self.checkpoint_every > 0
+        return self.checkpoint_every > 0
 
 
 class CrashRecovery:
@@ -346,7 +340,7 @@ class CrashRecovery:
     def downtime(self, executor: int) -> float:
         """Seconds one recovery costs: restart + (checkpoint | lineage)."""
         base = self.recovery.restart_seconds
-        if (self.recovery.strategy == "checkpoint"
+        if (self.recovery.writes_checkpoints
                 and self.checkpoint_seconds is not None):
             return base + self.checkpoint_seconds
         return base + self._reload_seconds[executor]

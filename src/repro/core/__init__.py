@@ -1,7 +1,6 @@
 """The paper's systems: MLlib baseline, MLlib + model averaging, MLlib*."""
 
 from .config import TrainerConfig
-from .local import send_model_update
 from .mllib import MLlibTrainer
 from .mllib_ma import MLlibModelAveragingTrainer
 from .mllib_star import MLlibStarTrainer
@@ -13,5 +12,4 @@ __all__ = [
     "DistributedTrainer", "TrainingSession", "TrainResult",
     "MLlibTrainer", "MLlibModelAveragingTrainer", "MLlibStarTrainer",
     "SparkMlTrainer", "SparkMlStarTrainer",
-    "send_model_update",
 ]

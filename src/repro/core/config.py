@@ -69,12 +69,10 @@ class TrainerConfig:
     max_retries:
         Recoveries allowed per crash site before the run is declared
         lost with :class:`repro.cluster.faults.RecoveryError`.
-    recovery_strategy:
-        ``recompute`` (Spark lineage) or ``checkpoint`` (periodic
-        checkpoints are written and restored from).
     checkpoint_every:
-        Steps between checkpoint writes (``checkpoint`` strategy only;
-        0 disables writing).
+        Steps between checkpoint writes; recoveries restore from the
+        latest one.  0 (the default) writes none and recovers by Spark
+        lineage recompute.
     restart_seconds:
         Fixed executor restart/reschedule delay paid per recovery.
     sanitize:
@@ -96,11 +94,9 @@ class TrainerConfig:
         :mod:`repro.collectives.sparse`.
     backend:
         Host-side execution backend for the per-worker local solves:
-        ``serial`` (in-process reference loop), ``threads`` (thread pool;
-        the chunked kernels hold the GIL, so it trails ``serial`` — kept
-        as the shared-memory concurrency harness), ``shm`` (process
-        pool over shared-memory CSR shards with a zero-copy broadcast
-        arena) or ``socket`` (long-lived worker daemons over
+        ``serial`` (in-process reference loop), ``shm`` (process pool
+        over shared-memory CSR shards with a zero-copy broadcast arena)
+        or ``socket`` (long-lived worker daemons over
         localhost TCP whose bytes-on-wire and wall seconds are measured
         for ``repro perf --validate-network``).  A *wall-clock* knob
         only: every backend produces bit-identical iterates, histories
@@ -159,7 +155,6 @@ class TrainerConfig:
     failure_rate: float = 0.0
     failure_schedule: str | None = None
     max_retries: int = 2
-    recovery_strategy: str = "recompute"
     checkpoint_every: int = 0
     restart_seconds: float = 1.0
     sanitize: bool = False
@@ -193,9 +188,6 @@ class TrainerConfig:
             raise ValueError("failure_rate must be in [0, 1)")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.recovery_strategy not in ("recompute", "checkpoint"):
-            raise ValueError("recovery_strategy must be 'recompute' or "
-                             "'checkpoint'")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be non-negative")
         if self.restart_seconds < 0:

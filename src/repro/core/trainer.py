@@ -162,7 +162,6 @@ class DistributedTrainer:
             self.config.seed, num_executors=cluster.num_executors)
         self.recovery = RecoveryPolicy(
             max_retries=self.config.max_retries,
-            strategy=self.config.recovery_strategy,
             checkpoint_every=self.config.checkpoint_every,
             restart_seconds=self.config.restart_seconds)
         #: Barrier sanitizer (``--sanitize``): freezes the model at every

@@ -38,7 +38,6 @@ from ..data import Partition
 from ..glm import (DualSolverSpec, LocalStats, Objective, dual_local_solve,
                    gd_step, mgd_epoch, sample_batch, sgd_epoch)
 from .config import TrainerConfig
-from .local import send_model_update
 
 __all__ = ["gradient_wave_task", "send_model_task", "petuum_batch_task",
            "angel_epoch_task", "full_pass_task", "asgd_gradient_task",
@@ -63,9 +62,19 @@ def send_model_task(part: Partition, w: np.ndarray, objective: Objective,
                     lr: float, config: TrainerConfig,
                     rng: np.random.Generator,
                     ) -> tuple[np.ndarray, LocalStats, np.random.Generator]:
-    """SendModel (MLlib+MA / MLlib* / Petuum*-style): local SGD passes."""
-    local_w, stats = send_model_update(objective, w, part, lr, config, rng)
-    return local_w, stats, rng
+    """SendModel (MLlib+MA / MLlib*): Algorithm 3's ``UpdateModel``.
+
+    ``config.local_epochs`` shuffled passes of chunked SGD (chunk size
+    ``config.local_chunk_size``, lazy L2 when configured) from the global
+    model; returns the local model and the merged work stats."""
+    local_w = w
+    total = LocalStats()
+    for _ in range(config.local_epochs):
+        local_w, stats = sgd_epoch(
+            objective, local_w, part.X, part.y, lr, rng,
+            chunk_size=config.local_chunk_size, lazy=config.lazy_l2)
+        total = total.merge(stats)
+    return local_w, total, rng
 
 
 def petuum_batch_task(part: Partition, w: np.ndarray, objective: Objective,

@@ -2,8 +2,7 @@
 
 from .aggregation import TreeAggregateModel, TreeAggregateTiming
 from .backend import (BACKENDS, ExecutionBackend, SerialBackend,
-                      ShmBackend, SocketBackend, ThreadBackend,
-                      make_backend)
+                      ShmBackend, SocketBackend, make_backend)
 from .broadcast import BroadcastModel
 from .driver import DRIVER_LABEL, BspEngine, CommRecord, executor_label
 from .rdd import PartitionedDataset
@@ -12,8 +11,8 @@ from .shuffle import ShuffleModel, exchange
 __all__ = [
     "BspEngine", "CommRecord", "DRIVER_LABEL", "executor_label",
     "PartitionedDataset",
-    "BACKENDS", "ExecutionBackend", "SerialBackend", "ThreadBackend",
-    "ShmBackend", "SocketBackend", "make_backend",
+    "BACKENDS", "ExecutionBackend", "SerialBackend", "ShmBackend",
+    "SocketBackend", "make_backend",
     "TreeAggregateModel", "TreeAggregateTiming",
     "BroadcastModel",
     "ShuffleModel", "exchange",

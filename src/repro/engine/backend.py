@@ -7,10 +7,6 @@ partition — that the simulation previously executed serially in one
 Python process.  An :class:`ExecutionBackend` owns that region:
 
 * ``serial``  — in-process loop (the reference behaviour, zero overhead);
-* ``threads`` — a thread pool; partitions are shared by reference.  The
-  chunked CSR kernels hold the GIL, so this is *slower* than ``serial``
-  (measured, ``docs/performance.md``); it stays as the shared-memory
-  concurrency harness that makes a RACE001-flagged task diverge;
 * ``shm``     — a process pool over :mod:`repro.engine.shm`: partition
   CSR shards live in a write-once shared-memory segment, the broadcast
   model is written once per superstep into a shared arena, and the
@@ -28,6 +24,10 @@ Python process.  An :class:`ExecutionBackend` owns that region:
   :meth:`~ExecutionBackend.wire_summary` feeds ``repro perf
   --validate-network``, which compares them against
   :class:`~repro.cluster.network.NetworkModel`'s *simulated* seconds.
+
+Workers never share an address space, as Spark executors do not (a
+GIL-bound thread pool trailed ``serial`` on every measured shape;
+``docs/performance.md``).
 
 Bit-identity is structural, not statistical: tasks are submitted and
 collected in partition-index order, every task receives (and returns) its
@@ -64,7 +64,7 @@ from . import wire
 from .daemon import daemon_main
 
 __all__ = ["BACKENDS", "ExecutionBackend", "SerialBackend",
-           "ThreadBackend", "ShmBackend", "SocketBackend", "make_backend"]
+           "ShmBackend", "SocketBackend", "make_backend"]
 
 #: One dispatch: ``(partition index, task args)`` per task, in order.
 Calls = Sequence[tuple[int, tuple]]
@@ -206,27 +206,6 @@ class SerialBackend(ExecutionBackend):
         with self.profiler.phase("local_solve"):
             return [fn(self._partitions[index], *args)
                     for index, args in calls]
-
-
-class ThreadBackend(ExecutionBackend):
-    """Thread pool; partitions shared by reference (no copies at all)."""
-
-    name = "threads"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        super().__init__(max_workers)
-        self._partitions: Sequence[Any] = ()
-
-    def install_partitions(self, partitions: Sequence[Any]) -> None:
-        self.close()
-        self._partitions = list(partitions)
-        self._pool = ThreadPoolExecutor(
-            max_workers=self._pool_size(len(self._partitions)),
-            thread_name_prefix="repro-worker")
-
-    def _submit(self, pool: Executor, fn: Callable[..., Any], index: int,
-                args: tuple) -> Future:
-        return pool.submit(fn, self._partitions[index], *args)
 
 
 def _is_model_vector(value: Any, capacity: int) -> bool:
@@ -529,7 +508,7 @@ class SocketBackend(ExecutionBackend):
 
 _BACKEND_TYPES: dict[str, type[ExecutionBackend]] = {
     cls.name: cls
-    for cls in (SerialBackend, ThreadBackend, ShmBackend, SocketBackend)}
+    for cls in (SerialBackend, ShmBackend, SocketBackend)}
 
 #: Valid ``TrainerConfig.backend`` / ``--backend`` values, reference first.
 BACKENDS = tuple(_BACKEND_TYPES)

@@ -5,11 +5,11 @@ from .async_sgd import AsyncSgdTrainer
 from .consistency import ASP, BSP, SSP, Controller, get_controller
 from .engine import PsEngine, worker_label
 from .petuum import PetuumStarTrainer, PetuumTrainer
-from .server import ParameterServer, ps_step_seconds
+from .server import ParameterServer
 
 __all__ = [
     "Controller", "BSP", "SSP", "ASP", "get_controller",
-    "ParameterServer", "ps_step_seconds",
+    "ParameterServer",
     "PsEngine", "worker_label",
     "PetuumTrainer", "PetuumStarTrainer",
     "AngelTrainer", "AsyncSgdTrainer",

@@ -10,11 +10,8 @@ The global model is range-partitioned across ``num_servers`` shards
   (Petuum*/Angel-style model averaging, applied when all expected pushes
   for the logical step have arrived).
 
-Cost accounting mirrors the network model used everywhere else: a worker's
-pull/push touches every shard, but the *shards* serve workers concurrently
-with each other, so a fully synchronized step costs what the busiest shard
-pays to serve all ``k`` workers — the parameter-server analogue of
-removing the single driver.
+The store holds numerics only; :class:`repro.ps.engine.PsEngine` prices
+the pulls and pushes.
 """
 
 from __future__ import annotations
@@ -22,10 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.sanitizer import freeze_array
-from ..cluster import ClusterSpec
 from ..collectives import partition_slices
 
-__all__ = ["ParameterServer", "ps_step_seconds"]
+__all__ = ["ParameterServer"]
 
 
 class ParameterServer:
@@ -99,20 +95,3 @@ class ParameterServer:
         if vector.shape != (self.model_size,):
             raise ValueError(
                 f"expected shape ({self.model_size},), got {vector.shape}")
-
-
-def ps_step_seconds(cluster: ClusterSpec, model_size: int,
-                    num_servers: int, num_workers: int) -> float:
-    """Communication time of one synchronized pull+push round.
-
-    Each of ``num_workers`` workers pulls the full model from the shards
-    and pushes a full update back.  Shards operate concurrently; the
-    busiest shard serves ``num_workers`` messages of ``m / s`` values in
-    each direction, back to back on its link.
-    """
-    if num_workers < 1:
-        raise ValueError("need at least one worker")
-    shard_values = model_size / num_servers
-    net = cluster.network
-    one_direction = net.fan_in_seconds(num_workers, shard_values)
-    return 2.0 * one_direction

@@ -2,10 +2,9 @@
 
 ``racy_sum_task`` violates the backend contract on purpose: it
 accumulates into a module-level list, so the value each call returns
-depends on how many *other* calls have already appended — i.e. on
-scheduling.  The optional barrier makes the divergence deterministic in
-tests (both threads append before either sums) instead of depending on
-pool timing.
+depends on which *other* calls appended to the same copy of that list —
+all of them in one process, only its own partitions' in a worker
+process.
 """
 
 _ACC = []
@@ -15,10 +14,8 @@ def reset():
     del _ACC[:]
 
 
-def racy_sum_task(partition, barrier=None):
+def racy_sum_task(partition):
     _ACC.append(float(sum(partition)))
-    if barrier is not None:
-        barrier.wait()
     return float(sum(_ACC))
 
 

@@ -84,7 +84,6 @@ FAULTS = {
     "slow": {},  # installed on the trainer, see cell_parts
     "checkpoint": {"failure_schedule": "4@3,2@3:aggregate,"
                                        "2@3:reduce_scatter",
-                   "recovery_strategy": "checkpoint",
                    "checkpoint_every": 1},
 }
 

@@ -3,20 +3,20 @@
 The fixture package ``tests/data/analysis_fixtures/racy_pkg`` defines a
 task that mutates a module-level accumulator.  These tests assert the
 static side (RACE001 flags it, RACE002 flags unpicklable submissions,
-the pre-call-graph rules all passed it) and the dynamic side: run under
-the real ``ThreadBackend``, the flagged task actually returns different
-numbers than serial — deterministically, thanks to a barrier that forces
-the interleaving the linter warns about.
+the pre-call-graph rules all passed it) and the dynamic side: run on two
+real ``socket`` worker daemons, the flagged task actually returns
+different numbers than serial — deterministically, because each
+partition is pinned to its own daemon and so to its own copy of the
+accumulator.
 """
 
 from __future__ import annotations
 
 import sys
-import threading
 from pathlib import Path
 
 from repro.analysis import run_analysis
-from repro.engine.backend import SerialBackend, ThreadBackend
+from repro.engine.backend import SerialBackend, SocketBackend
 
 FIXTURES = Path(__file__).resolve().parent / "data" / "analysis_fixtures"
 RACY = FIXTURES / "racy_pkg"
@@ -114,48 +114,32 @@ def test_race001_reports_mutation_reached_through_helper(tmp_path):
 # ----------------------------------------------------------------------
 # dynamic: the flagged race really changes the numbers
 # ----------------------------------------------------------------------
-def test_racy_task_diverges_from_serial_under_threads():
-    partitions = [[1.0], [2.0]]
+PARTITIONS = [[1.0], [2.0]]
 
+
+def _map(backend, task) -> list[float]:
     tasks.reset()
-    serial = SerialBackend()
-    serial.install_partitions(partitions)
-    try:
-        serial_out = serial.map_partitions(tasks.racy_sum_task,
-                                           [(None,), (None,)])
-    finally:
-        serial.close()
+    with backend:
+        backend.install_partitions(PARTITIONS)
+        try:
+            return backend.map_partitions(task, [(), ()])
+        finally:
+            tasks.reset()
+
+
+def test_racy_task_diverges_from_serial_across_processes():
     # Serial sees prefix sums: the second call observes the first append.
+    serial_out = _map(SerialBackend(), tasks.racy_sum_task)
     assert serial_out == [1.0, 3.0]
-
-    tasks.reset()
-    threads = ThreadBackend(max_workers=2)
-    threads.install_partitions(partitions)
-    barrier = threading.Barrier(2)
-    try:
-        thread_out = threads.map_partitions(tasks.racy_sum_task,
-                                            [(barrier,), (barrier,)])
-    finally:
-        threads.close()
-        tasks.reset()
-    # Both threads append before either sums — the interleaving RACE001
-    # warns about — and the numbers silently differ from serial.
-    assert thread_out == [3.0, 3.0]
-    assert thread_out != serial_out
+    # Two daemons, partition i pinned to daemon i: each appends into its
+    # own copy of the module global, so neither sees the other's value —
+    # the numbers silently differ from serial, as RACE001 warns.
+    socket_out = _map(SocketBackend(max_workers=2), tasks.racy_sum_task)
+    assert socket_out == [1.0, 2.0]
+    assert socket_out != serial_out
 
 
 def test_clean_task_is_backend_invariant():
-    partitions = [[1.0], [2.0]]
-    serial = SerialBackend()
-    serial.install_partitions(partitions)
-    try:
-        serial_out = serial.map_partitions(tasks.clean_sum_task, [(), ()])
-    finally:
-        serial.close()
-    threads = ThreadBackend(max_workers=2)
-    threads.install_partitions(partitions)
-    try:
-        thread_out = threads.map_partitions(tasks.clean_sum_task, [(), ()])
-    finally:
-        threads.close()
-    assert serial_out == thread_out == [1.0, 2.0]
+    serial_out = _map(SerialBackend(), tasks.clean_sum_task)
+    socket_out = _map(SocketBackend(max_workers=2), tasks.clean_sum_task)
+    assert serial_out == socket_out == [1.0, 2.0]

@@ -332,6 +332,32 @@ def test_pure001_valueless_annassign_is_not_an_assignment(tmp_path):
     assert pure[0].line == 4
 
 
+def test_pure001_flags_direct_module_global_mutation(tmp_path):
+    # The same mutation is flagged in the pricing function's own body as
+    # one call away (the helper case below): one finder serves both.
+    src = ("_CACHE = []\n"
+           "\n\n"
+           "def direct_seconds(n):\n"
+           "    _CACHE.append(n)\n"
+           "    return n * 0.1\n")
+    result = lint(tmp_path, "cost.py", src)
+    pure = [v for v in result.violations if v.rule == "PURE001"]
+    assert len(pure) == 1
+    assert pure[0].line == 5
+    assert "module global '_CACHE'" in pure[0].message
+
+
+def test_pure001_flags_unpacking_into_self(tmp_path):
+    src = ("class CostModel:\n"
+           "    def seconds(self, n):\n"
+           "        total, self.last = n * 0.1, n\n"
+           "        return total\n")
+    result = lint(tmp_path, "cost.py", src)
+    pure = [v for v in result.violations if v.rule == "PURE001"]
+    assert [v.line for v in pure] == [3]
+    assert "self.last" in pure[0].message
+
+
 PURE001_INDIRECT = """\
 class CostModel:
     def __init__(self):

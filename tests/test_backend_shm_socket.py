@@ -49,7 +49,7 @@ from repro.engine import shm as shm_store
 from repro.engine import wire
 from repro.engine import backend as backend_module
 from repro.engine.backend import (ExecutionBackend, SerialBackend,
-                                  ShmBackend, ThreadBackend, make_backend)
+                                  ShmBackend, make_backend)
 from repro.engine.shm import BroadcastRef, build_store, run_on_shm_partition
 from repro.glm import LocalStats, Objective
 from repro.perf.netcheck import fit_alpha_beta, validate_network
@@ -140,7 +140,7 @@ class TestPartitionPickleAccounting:
 # ----------------------------------------------------------------------
 class TestBackendLifecycle:
     def test_context_manager_closes_pool(self):
-        backend = ThreadBackend()
+        backend = ShmBackend()
         with backend as entered:
             assert entered is backend
             backend.install_partitions(_partitions(2))

@@ -262,8 +262,7 @@ class TestCheckpointRestore:
         for trainer_cls in (MLlibTrainer, MLlibStarTrainer):
             clean, faulty = fit_pair(
                 trainer_cls, tiny_dataset, small_cluster,
-                fault_config("1@3", recovery_strategy="checkpoint",
-                             checkpoint_every=2))
+                fault_config("1@3", checkpoint_every=2))
             np.testing.assert_array_equal(clean.model.weights,
                                           faulty.model.weights)
             assert faulty.history.objectives() == clean.history.objectives()
@@ -280,8 +279,7 @@ class TestCheckpointRestore:
             fault_config(None)).fit(tiny_dataset)
         ckpt = MLlibTrainer(
             Objective("hinge"), small_cluster,
-            fault_config(None, recovery_strategy="checkpoint",
-                         checkpoint_every=1)).fit(tiny_dataset)
+            fault_config(None, checkpoint_every=1)).fit(tiny_dataset)
         np.testing.assert_array_equal(clean.model.weights,
                                       ckpt.model.weights)
         assert ckpt.history.total_seconds > clean.history.total_seconds
@@ -293,8 +291,7 @@ class TestCheckpointRestore:
         downtime is exactly one checkpoint read — not a lineage rebuild."""
         result = MLlibTrainer(
             Objective("hinge"), small_cluster,
-            fault_config("1@3", recovery_strategy="checkpoint",
-                         checkpoint_every=2,
+            fault_config("1@3", checkpoint_every=2,
                          restart_seconds=0.0)).fit(small_dataset)
         ckpt = next(s for s in result.trace.spans
                     if s.kind == "checkpoint")

@@ -21,7 +21,7 @@ from data.make_golden import GOLDEN_PATH, SYSTEMS, golden_workload
 from repro.core import TrainerConfig
 from repro.data import Partition
 from repro.engine.backend import (BACKENDS, SerialBackend, ShmBackend,
-                                  ThreadBackend, make_backend)
+                                  make_backend)
 from repro.glm import Objective
 from repro.perf.profiler import (NullProfiler, PhaseProfiler, measure)
 
@@ -54,10 +54,6 @@ class TestBackendBitIdentity:
     # One method per non-reference backend, not one test over
     # BACKENDS[1:]: the ids are long-lived (the recorded tier-1 floor and
     # CI selections name them).
-    @pytest.mark.parametrize("system", sorted(SYSTEMS))
-    def test_threads_match_serial(self, system):
-        _assert_matches_serial(system, "threads")
-
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
     def test_shm_matches_serial(self, system):
         _assert_matches_serial(system, "shm")
@@ -116,8 +112,8 @@ class TestBackendMechanics:
         for name in BACKENDS:
             config = TrainerConfig(backend=name)
             assert config.backend == name
-        # The removed backend gets the ordinary unknown-name error.
-        for name in ("bogus", "processes"):
+        # The removed backends get the ordinary unknown-name error.
+        for name in ("bogus", "processes", "threads"):
             with pytest.raises(ValueError, match="backend"):
                 TrainerConfig(backend=name)
             with pytest.raises(ValueError, match="backend"):
@@ -144,7 +140,7 @@ class TestBackendMechanics:
             backend.close()
 
     def test_pool_size_capped_by_partitions(self):
-        backend = ThreadBackend(max_workers=None)
+        backend = ShmBackend(max_workers=None)
         backend.install_partitions(_partitions(2))
         assert backend._pool_size(2) <= 2
         backend.close()
@@ -163,7 +159,7 @@ class TestBackendMechanics:
     def test_pool_backend_needs_partitions(self):
         # A plain RuntimeError, NOT an assert: the guard must survive
         # ``python -O`` stripping assert statements.
-        backend = ThreadBackend()
+        backend = ShmBackend()
         with pytest.raises(RuntimeError, match="install_partitions"):
             backend.map_partitions(_label_task, [(0.0,)])
 
@@ -258,8 +254,10 @@ class TestPerfCli:
 
     def test_removed_backend_is_rejected_by_the_parser(self, capsys):
         from repro.cli import main
-        with pytest.raises(SystemExit) as excinfo:
-            main(["train", "--backend", "processes"])
-        assert excinfo.value.code == 2
-        message = capsys.readouterr().err
-        assert all(repr(name) in message for name in BACKENDS)
+        assert BACKENDS == ("serial", "shm", "socket")
+        for name in ("processes", "threads"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["train", "--backend", name])
+            assert excinfo.value.code == 2
+            message = capsys.readouterr().err
+            assert all(repr(valid) in message for valid in BACKENDS)

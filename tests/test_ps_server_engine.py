@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import cluster1, cluster2
-from repro.ps import BSP, SSP, ParameterServer, PsEngine, ps_step_seconds
+from repro.ps import BSP, SSP, ParameterServer, PsEngine
 from repro.ps.engine import worker_label
 
 
@@ -49,24 +49,6 @@ class TestParameterServer:
             ps.push_sum(np.ones(5))
         with pytest.raises(ValueError):
             ParameterServer(model_size=2, num_servers=4)
-
-
-class TestPsStepSeconds:
-    def test_more_servers_faster(self):
-        cluster = cluster1()
-        slow = ps_step_seconds(cluster, 1_000_000, num_servers=1,
-                               num_workers=8)
-        fast = ps_step_seconds(cluster, 1_000_000, num_servers=8,
-                               num_workers=8)
-        assert fast < slow
-
-    def test_single_server_matches_driver_fanin(self):
-        """One shard = the driver bottleneck, in both directions."""
-        cluster = cluster1()
-        m, k = 500_000, 8
-        got = ps_step_seconds(cluster, m, num_servers=1, num_workers=k)
-        expected = 2 * cluster.network.fan_in_seconds(k, m)
-        assert got == pytest.approx(expected)
 
 
 class TestPsEngine:
