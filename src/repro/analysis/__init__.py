@@ -6,7 +6,7 @@ Two complementary layers (see ``docs/static_analysis.md``):
   (:func:`~repro.analysis.engine.run_analysis`,
   ``python -m repro.analysis``) with a project-wide call graph
   (:class:`~repro.analysis.callgraph.CallGraph`) scoping the rules:
-  DET001/DET002/PURE001/CFG001 plus the RACE001/RACE002 backend task
+  DET001/DET002/PURE001 plus the RACE001/RACE002 backend task
   contract and the NOQA001 unused-suppression audit, with per-line
   ``# repro: noqa[RULE]`` suppressions;
 * the **barrier sanitizer** — ``--sanitize`` runtime checks
@@ -20,8 +20,8 @@ from .engine import (AnalysisResult, SourceFile, collect_files, load_source,
                      parse_noqa, run_analysis)
 from .reporters import render_json, render_sarif, render_text
 from .rules import (ALL_RULES, AmbientNondeterminism, CallGraphRule,
-                    ConfigReachability, ImpureCostModel, ProjectRule, Rule,
-                    UnorderedIteration, UnusedSuppression, rule_registry)
+                    ImpureCostModel, Rule, UnorderedIteration,
+                    UnusedSuppression, rule_registry)
 from .rules_race import SharedStateMutation, UnpicklableTask
 from .sanitizer import (BarrierSanitizer, ReplicaDivergenceError,
                         SanitizerError, check_replicas, freeze_array,
@@ -32,8 +32,8 @@ __all__ = [
     "AnalysisResult", "SourceFile", "collect_files", "load_source",
     "parse_noqa", "run_analysis", "render_json", "render_sarif",
     "render_text", "ALL_RULES", "AmbientNondeterminism", "CallGraph",
-    "CallGraphRule", "ConfigReachability", "FunctionInfo",
-    "ImpureCostModel", "ProjectRule", "Rule", "SharedStateMutation",
+    "CallGraphRule", "FunctionInfo",
+    "ImpureCostModel", "Rule", "SharedStateMutation",
     "SubmitSite", "UnorderedIteration", "UnpicklableTask",
     "UnusedSuppression", "module_name_for", "rule_registry",
     "BarrierSanitizer", "ReplicaDivergenceError", "SanitizerError",

@@ -35,8 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.analysis",
         description="Determinism linter for the repro codebase "
                     "(DET001 ambient nondeterminism, DET002 unordered "
-                    "aggregation, PURE001 impure cost models, CFG001 "
-                    "unreachable config fields, RACE001/RACE002 backend "
+                    "aggregation, PURE001 impure cost models, "
+                    "RACE001/RACE002 backend "
                     "task contract, NOQA001 unused suppressions); "
                     "DET002/PURE001/RACE scope is derived from a "
                     "project-wide call graph, not file lists")

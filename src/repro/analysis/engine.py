@@ -34,8 +34,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .callgraph import CallGraph
-from .rules import (ALL_RULES, CallGraphRule, ProjectRule, Rule,
-                    rule_registry)
+from .rules import ALL_RULES, CallGraphRule, Rule, rule_registry
 from .violations import PARSE_RULE_ID, Violation
 
 __all__ = ["SourceFile", "AnalysisResult", "run_analysis", "collect_files",
@@ -256,7 +255,7 @@ def run_analysis(paths: Iterable[Path | str],
     by_path = {src.path: src for src in files}
     for src in files:
         for rule in rules:
-            if isinstance(rule, (ProjectRule, CallGraphRule)):
+            if isinstance(rule, CallGraphRule):
                 continue
             if rule.applies_to(src.path):
                 raw.extend(rule.check(src))
@@ -264,8 +263,6 @@ def run_analysis(paths: Iterable[Path | str],
         if isinstance(rule, CallGraphRule):
             assert graph is not None
             raw.extend(rule.check_graph(graph))
-        elif isinstance(rule, ProjectRule):
-            raw.extend(rule.check_project(files))
 
     kept: list[Violation] = []
     suppressed: list[Violation] = []

@@ -30,9 +30,6 @@ static checks:
   offending path reported (``seconds -> _helper -> list.append``).
   Scoped out of ``repro/perf/``: its timing accessors report *measured*
   wall-clock aggregates, not simulated prices, and accumulate by design.
-* :class:`ConfigReachability` (``CFG001``) — every ``TrainerConfig``
-  field must be reachable from the CLI (or explicitly allowlisted), so
-  new knobs cannot silently become dead code.
 * The ``RACE`` family (:mod:`repro.analysis.rules_race`) — backend task
   functions must not touch shared state (``RACE001``) and must be
   picklable module-level callables (``RACE002``).
@@ -40,10 +37,9 @@ static checks:
   comments that suppress nothing (detected by the engine after the other
   rules run; see :func:`repro.analysis.engine.run_analysis`).
 
-Rules are pluggable: subclass :class:`Rule` (:class:`ProjectRule` for
-cross-file checks, :class:`CallGraphRule` for checks scoped by the
-project call graph), give it a unique ``id``, and add it to
-:data:`ALL_RULES`.
+Rules are pluggable: subclass :class:`Rule` (:class:`CallGraphRule` for
+checks scoped by the project call graph), give it a unique ``id``, and
+add it to :data:`ALL_RULES`.
 """
 
 from __future__ import annotations
@@ -58,9 +54,9 @@ from .violations import Violation
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .engine import SourceFile
 
-__all__ = ["Rule", "ProjectRule", "CallGraphRule", "ALL_RULES",
+__all__ = ["Rule", "CallGraphRule", "ALL_RULES",
            "rule_registry", "AmbientNondeterminism", "UnorderedIteration",
-           "ImpureCostModel", "ConfigReachability", "UnusedSuppression",
+           "ImpureCostModel", "UnusedSuppression",
            "MUTATORS", "shared_state_findings", "ambient_findings"]
 
 
@@ -87,17 +83,6 @@ class Rule:
         return Violation(path=src.path, line=node.lineno,
                          col=node.col_offset + 1, rule=self.id,
                          message=message)
-
-
-class ProjectRule(Rule):
-    """A rule that needs to see every linted file at once (cross-file)."""
-
-    def check(self, src: "SourceFile") -> Iterator[Violation]:
-        return iter(())
-
-    def check_project(self,
-                      files: "list[SourceFile]") -> Iterator[Violation]:
-        raise NotImplementedError
 
 
 class CallGraphRule(Rule):
@@ -536,110 +521,6 @@ class ImpureCostModel(CallGraphRule):
 
 
 # ----------------------------------------------------------------------
-# CFG001 — every TrainerConfig field reachable from the CLI
-# ----------------------------------------------------------------------
-class ConfigReachability(ProjectRule):
-    """Every config-dataclass field must be settable from ``cli.py``."""
-
-    id = "CFG001"
-    summary = ("TrainerConfig/ServeConfig/SchedConfig fields must be "
-               "reachable from the CLI or explicitly allowlisted; "
-               "unreachable knobs are dead configuration")
-
-    #: Config dataclasses whose fields the CLI must be able to set.
-    CONFIG_CLASSES: tuple[str, ...] = ("TrainerConfig", "ServeConfig",
-                                       "SchedConfig")
-    #: Fields exempt from CLI reachability (none today; prefer wiring new
-    #: fields into the CLI over growing this list).
-    ALLOWED: frozenset[str] = frozenset()
-
-    def check_project(self,
-                      files: "list[SourceFile]") -> Iterator[Violation]:
-        found = self._find_config_classes(files)
-        if not found:
-            return
-        reachable = self._cli_reachable_names(files, found[0][0].path)
-        if reachable is None:
-            return  # no CLI module found anywhere; nothing to check
-        for config_src, config_class in found:
-            for name, node in self._dataclass_fields(config_class):
-                if name in reachable or name in self.ALLOWED:
-                    continue
-                yield self.violation(
-                    config_src, node,
-                    f"{config_class.name}.{name} is not reachable from "
-                    "the CLI; add a flag in cli.py, or allowlist it with "
-                    "# repro: noqa[CFG001] and a comment")
-
-    # ------------------------------------------------------------------
-    def _find_config_classes(
-            self, files: "list[SourceFile]",
-    ) -> "list[tuple[SourceFile, ast.ClassDef]]":
-        found = []
-        for src in files:
-            for node in ast.walk(src.tree):
-                if (isinstance(node, ast.ClassDef)
-                        and node.name in self.CONFIG_CLASSES):
-                    found.append((src, node))
-        return found
-
-    @staticmethod
-    def _dataclass_fields(cls: ast.ClassDef,
-                          ) -> list[tuple[str, ast.AnnAssign]]:
-        fields = []
-        for stmt in cls.body:
-            if (isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)
-                    and not stmt.target.id.startswith("_")):
-                annotation = ast.unparse(stmt.annotation)
-                if "ClassVar" in annotation:
-                    continue
-                fields.append((stmt.target.id, stmt))
-        return fields
-
-    def _cli_reachable_names(self, files: "list[SourceFile]",
-                             config_path: Path) -> set[str] | None:
-        """Names settable from CLI modules: keyword args, dict keys and
-        string subscripts anywhere in a ``cli.py``.
-
-        Falls back to ``<package>/cli.py`` next to the config's package
-        when the lint set does not include one (e.g. single-file runs).
-        """
-        trees = [src.tree for src in files if src.path.name == "cli.py"]
-        if not trees:
-            candidate = config_path.parent.parent / "cli.py"
-            if candidate.is_file():
-                try:
-                    trees = [ast.parse(candidate.read_text())]
-                except SyntaxError:
-                    return None
-        if not trees:
-            return None
-        names: set[str] = set()
-        for tree in trees:
-            names |= self._reachable_names(tree)
-        return names
-
-    @staticmethod
-    def _reachable_names(tree: ast.AST) -> set[str]:
-        names: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.keyword) and node.arg is not None:
-                names.add(node.arg)
-            elif isinstance(node, ast.Dict):
-                for key in node.keys:
-                    if (isinstance(key, ast.Constant)
-                            and isinstance(key.value, str)):
-                        names.add(key.value)
-            elif isinstance(node, ast.Subscript):
-                sl = node.slice
-                if (isinstance(sl, ast.Constant)
-                        and isinstance(sl.value, str)):
-                    names.add(sl.value)
-        return names
-
-
-# ----------------------------------------------------------------------
 # NOQA001 — suppressions must suppress something
 # ----------------------------------------------------------------------
 class UnusedSuppression(Rule):
@@ -674,7 +555,6 @@ ALL_RULES: tuple[Rule, ...] = (
     AmbientNondeterminism(),
     UnorderedIteration(),
     ImpureCostModel(),
-    ConfigReachability(),
     SharedStateMutation(),
     UnpicklableTask(),
     UnusedSuppression(),

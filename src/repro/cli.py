@@ -46,17 +46,21 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import sys
+import typing
 from pathlib import Path
 
 from .cluster import cluster1
-from .core import (MLlibModelAveragingTrainer, MLlibStarTrainer,
-                   MLlibTrainer, SparkMlStarTrainer, SparkMlTrainer,
-                   TrainerConfig)
+from .collectives import COLLECTIVES, SPARSE_COMM_MODES
+from .core import (LOCAL_SOLVERS, MLlibModelAveragingTrainer,
+                   MLlibStarTrainer, MLlibTrainer, SparkMlStarTrainer,
+                   SparkMlTrainer, TrainerConfig)
 from .data import CATALOG, dataset_names, load, read_libsvm
 from .engine.backend import BACKENDS
-from .glm import ArtifactError, GLMModel, Objective
+from .glm import SCHEDULES, ArtifactError, GLMModel, Objective
 from .metrics import (comm_report, evaluate_convergence, format_speedup,
                       format_table, render_ascii, sched_report,
                       serving_report, speedup, summarize,
@@ -83,6 +87,80 @@ SYSTEMS = {
     "spark.ml*": SparkMlStarTrainer,
 }
 
+#: Losses ``--loss`` and ``JobSpec.loss`` accept.
+LOSS_NAMES = ("hinge", "logistic", "squared")
+
+#: ``choices`` of the flags generated from config fields, by field name:
+#: the tuples the dataclasses validate against.
+_CHOICES = {"backend": BACKENDS, "collective": COLLECTIVES,
+            "sparse_comm": SPARSE_COMM_MODES, "local_solver": LOCAL_SOLVERS,
+            "lr_schedule": SCHEDULES, "policy": SCHED_POLICIES,
+            "loss": LOSS_NAMES, "system": sorted(SYSTEMS)}
+
+#: Config fields whose flag is not ``--field-name``: the flag, or None to
+#: keep the field off the command line.  A bool field that defaults to
+#: True (``lazy_l2``) gets a ``store_true`` flag that turns it off.
+_TRAINER_FLAGS = {"max_steps": "--steps", "lr_schedule": "--schedule",
+                  "local_chunk_size": "--chunk-size",
+                  "lazy_l2": "--eager-l2", "stop_threshold": None}
+_JOB_FLAGS = {"n_rows": "--rows", "n_features": "--features",
+              "lr_schedule": "--schedule",
+              "local_chunk_size": "--chunk-size"}
+
+
+def _field_docs(cls) -> dict[str, str]:
+    """Field name -> its entry in ``cls``'s numpy-style Parameters
+    section (one header may name several fields: ``a / b:``)."""
+    docs: dict[str, str] = {}
+    names: list[str] = []
+    section = inspect.getdoc(cls).split("----------\n", 1)[1]
+    for line in section.splitlines():
+        if line[:1].isspace():
+            for name in names:
+                docs[name] = f"{docs.get(name, '')} {line.strip()}".lstrip()
+        elif line.endswith(":"):
+            names = [name.strip() for name in line[:-1].split("/")]
+    return docs
+
+
+def _config_flags(cls, renames: dict):
+    """Yield ``(field, flag, type)`` for each field of ``cls`` that has a
+    flag; ``X | None`` annotations give type ``X``."""
+    hints = typing.get_type_hints(cls)
+    for field in dataclasses.fields(cls):
+        flag = renames.get(field.name, "--" + field.name.replace("_", "-"))
+        if flag is not None:
+            kind = next((t for t in typing.get_args(hints[field.name])
+                         if t is not type(None)), hints[field.name])
+            yield field, flag, kind
+
+
+def _add_fields(parser: argparse.ArgumentParser, cls,
+                renames: dict) -> None:
+    """Add one flag per field of config dataclass ``cls``: type, default
+    and choices from the field, help from its docstring entry."""
+    docs = _field_docs(cls)
+    for field, flag, kind in _config_flags(cls, renames):
+        if kind is bool:
+            parser.add_argument(flag, action="store_true",
+                                help=docs.get(field.name))
+            continue
+        required = field.default is dataclasses.MISSING
+        parser.add_argument(flag, type=None if kind is str else kind,
+                            default=None if required else field.default,
+                            required=required,
+                            choices=_CHOICES.get(field.name),
+                            help=docs.get(field.name))
+
+
+def _from_args(args, cls, renames: dict):
+    """Build ``cls`` from the flags :func:`_add_fields` added for it."""
+    values = {}
+    for field, flag, _ in _config_flags(cls, renames):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        values[field.name] = not value if field.default is True else value
+    return cls(**values)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -96,105 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_workload_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--dataset", default="avazu",
                        help="catalog name or path to a LIBSVM file")
-        p.add_argument("--loss", default="hinge",
-                       choices=["hinge", "logistic", "squared"])
+        p.add_argument("--loss", default="hinge", choices=LOSS_NAMES)
         p.add_argument("--l2", type=float, default=0.0,
                        help="L2 strength (0 = unregularized)")
         p.add_argument("--executors", type=int, default=8)
-        p.add_argument("--steps", type=int, default=30,
-                       help="communication-step cap")
-        p.add_argument("--learning-rate", type=float, default=0.5)
-        p.add_argument("--schedule", default="inv_sqrt",
-                       choices=["constant", "inv_sqrt", "inv_time"])
-        p.add_argument("--batch-fraction", type=float, default=0.01)
-        p.add_argument("--chunk-size", type=int, default=32)
-        p.add_argument("--local-epochs", type=int, default=1,
-                       help="SendModel only: local passes over the "
-                            "partition per communication step")
-        p.add_argument("--local-solver", default="mgd",
-                       choices=["mgd", "cocoa", "cocoa+"],
-                       help="SendModel local-solve family: 'mgd' runs the "
-                            "paper's primal minibatch-gradient passes; "
-                            "'cocoa'/'cocoa+' run SDCA epochs over each "
-                            "partition's dual variables and sum "
-                            "gamma-scaled model deltas, reporting a "
-                            "certified duality gap (requires --l2 > 0; "
-                            "MLlib* and MLlib+MA only)")
-        p.add_argument("--gamma", type=float, default=None,
-                       help="dual solvers: outer aggregation weight; "
-                            "default 1/K (averaging) for cocoa, 1 "
-                            "(adding) for cocoa+")
-        p.add_argument("--local-iters", type=int, default=1,
-                       help="dual solvers: SDCA passes over the local "
-                            "dual block per communication step (the H "
-                            "of CoCoA)")
-        p.add_argument("--tasks-per-executor", type=int, default=1,
-                       help="waves of tasks per executor in SendGradient "
-                            "trainers (Section V-C; the paper found 1 "
-                            "optimal)")
-        p.add_argument("--eager-l2", action="store_true",
-                       help="apply L2 decay densely every update instead "
-                            "of the Bottou lazy/scaled representation "
-                            "(ablation; slower on sparse data)")
-        p.add_argument("--divergence-limit", type=float, default=1.0e6,
-                       help="abort when the objective exceeds this value")
-        p.add_argument("--eval-every", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--sanitize", action="store_true",
-                       help="barrier sanitizer: freeze broadcast model "
-                            "arrays at superstep boundaries and "
-                            "digest-check replica bit-identity (in-place "
-                            "mutation of shared state raises at the "
-                            "faulting line)")
-        p.add_argument("--sparse-comm", default="off",
-                       choices=["auto", "on", "off"],
-                       help="communication wire format: 'off' prices the "
-                            "paper's dense 2km exchange, 'auto' switches "
-                            "each message to index/value pairs at the "
-                            "SparCML break-even point (nnz < m/2), 'on' "
-                            "forces sparse encoding; numerics are "
-                            "bit-identical across modes")
-        p.add_argument("--collective", default="flat",
-                       choices=["flat", "hier", "switch"],
-                       help="aggregation topology: 'flat' is the paper's "
-                            "shuffle AllReduce / treeAggregate, 'hier' "
-                            "adds an intra-node combine tier over the "
-                            "cluster placement map, 'switch' aggregates "
-                            "in-network at line rate with a bounded slot "
-                            "pool; a pricing choice only — iterates are "
-                            "bit-identical across topologies")
-        p.add_argument("--switch-slots", type=int, default=512,
-                       help="switch collective: register-pool slots "
-                            "(vectors needing more chunks stream in "
-                            "extra stall rounds)")
-        p.add_argument("--switch-chunk", type=int, default=256,
-                       help="switch collective: values per in-flight "
-                            "chunk")
-        p.add_argument("--backend", default="serial",
-                       choices=BACKENDS,
-                       help="execution backend for the per-worker local "
-                            "solves: 'serial' runs them in a loop, "
-                            "'shm' on a process pool over shared-memory "
-                            "partitions and a broadcast arena, 'socket' "
-                            "runs long-lived worker daemons over "
-                            "localhost TCP with measured bytes/seconds; "
-                            "purely a wall-clock choice — results are "
-                            "bit-identical across backends")
-        p.add_argument("--failure-rate", type=float, default=0.0,
-                       help="per-(step, executor) crash probability "
-                            "(0 disables fault injection)")
-        p.add_argument("--failure-schedule", default=None, metavar="SPEC",
-                       help="scripted crashes, e.g. '3@12' or "
-                            "'1@5:reduce_scatter,0@2x5'")
-        p.add_argument("--checkpoint-every", type=int, default=0,
-                       help="steps between checkpoint writes (switches "
-                            "recovery to checkpoint-restore; 0 keeps "
-                            "lineage recompute)")
-        p.add_argument("--max-retries", type=int, default=2,
-                       help="recoveries allowed per crash site before "
-                            "the run is declared lost")
-        p.add_argument("--restart-seconds", type=float, default=1.0,
-                       help="executor restart delay paid per recovery")
+        _add_fields(p, TrainerConfig, _TRAINER_FLAGS)
+        # The command line's own defaults: a short run at MLlib's decay.
+        p.set_defaults(steps=30, learning_rate=0.5, schedule="inv_sqrt")
 
     train = sub.add_parser("train", help="train one system")
     add_workload_args(train)
@@ -352,25 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = sched.add_subparsers(dest="sched_command", required=True)
 
     def add_sched_run_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--policy", default="fifo",
-                       choices=list(SCHED_POLICIES),
-                       help="admission order: strict arrival order with "
-                            "backfill, or weighted fair share by job "
-                            "priority")
-        p.add_argument("--elastic", action="store_true",
-                       help="grow/shrink elastic jobs between their "
-                            "min/max widths at superstep barriers")
-        p.add_argument("--preempt", action="store_true",
-                       help="let a starved higher-priority job preempt "
-                            "the lightest running job (checkpointed at "
-                            "its next barrier; 'fair' policy only)")
-        p.add_argument("--total-executors", type=int, default=8,
-                       help="executors in the shared scheduler pool")
-        p.add_argument("--resize-every", type=int, default=1,
-                       help="consider elastic width changes only at "
-                            "every Nth barrier of a job")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for per-job sub-cluster construction")
+        _add_fields(p, SchedConfig, {})
         p.add_argument("--gantt", action="store_true",
                        help="render the per-job gantt chart")
         p.add_argument("--show-log", action="store_true",
@@ -379,44 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the run summary (report, per-job "
                             "rows, log digest) to JSON")
 
-    def add_job_spec_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--name", required=True, help="unique job name")
-        p.add_argument("--system", default="MLlib*",
-                       choices=sorted(SYSTEMS))
-        p.add_argument("--arrival", type=float, default=0.0,
-                       help="simulated arrival second")
-        p.add_argument("--priority", type=int, default=1,
-                       help="fair-share weight (>= 1)")
-        p.add_argument("--executors", type=int, default=4,
-                       help="requested gang width")
-        p.add_argument("--min-executors", type=int, default=None,
-                       help="elastic lower width bound (default: rigid)")
-        p.add_argument("--max-executors", type=int, default=None,
-                       help="elastic upper width bound (default: rigid)")
-        p.add_argument("--steps", type=int, default=5,
-                       help="communication-step budget")
-        p.add_argument("--rows", type=int, default=240,
-                       help="synthetic dataset rows")
-        p.add_argument("--features", type=int, default=64,
-                       help="synthetic dataset features (model size)")
-        p.add_argument("--nnz-per-row", type=float, default=8.0)
-        p.add_argument("--data-seed", type=int, default=17)
-        p.add_argument("--loss", default="hinge",
-                       choices=["hinge", "logistic", "squared"])
-        p.add_argument("--l2", type=float, default=0.1)
-        p.add_argument("--learning-rate", type=float, default=0.5)
-        p.add_argument("--schedule", default="inv_sqrt",
-                       choices=["constant", "inv_sqrt", "inv_time"])
-        p.add_argument("--batch-fraction", type=float, default=0.25)
-        p.add_argument("--chunk-size", type=int, default=16)
-        p.add_argument("--eval-every", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0,
-                       help="trainer seed")
-
     submit = ssub.add_parser("submit", help="append one job to the queue")
     submit.add_argument("--queue", required=True, metavar="PATH",
                         help="JSON job-queue file (created if missing)")
-    add_job_spec_args(submit)
+    _add_fields(submit, JobSpec, _JOB_FLAGS)
 
     slist = ssub.add_parser("list", help="show the queued jobs")
     slist.add_argument("--queue", required=True, metavar="PATH")
@@ -467,42 +401,12 @@ def _make_objective(args) -> Objective:
     return Objective(args.loss)
 
 
-def _make_config(args, **overrides) -> TrainerConfig:
-    base = dict(max_steps=args.steps, learning_rate=args.learning_rate,
-                lr_schedule=args.schedule,
-                batch_fraction=args.batch_fraction,
-                local_chunk_size=args.chunk_size,
-                local_epochs=getattr(args, "local_epochs", 1),
-                tasks_per_executor=getattr(args, "tasks_per_executor", 1),
-                lazy_l2=not getattr(args, "eager_l2", False),
-                divergence_limit=getattr(args, "divergence_limit", 1.0e6),
-                sanitize=getattr(args, "sanitize", False),
-                sparse_comm=getattr(args, "sparse_comm", "off"),
-                backend=getattr(args, "backend", "serial"),
-                collective=getattr(args, "collective", "flat"),
-                switch_slots=getattr(args, "switch_slots", 512),
-                switch_chunk=getattr(args, "switch_chunk", 256),
-                local_solver=getattr(args, "local_solver", "mgd"),
-                gamma=getattr(args, "gamma", None),
-                local_iters=getattr(args, "local_iters", 1),
-                eval_every=args.eval_every, seed=args.seed,
-                failure_rate=getattr(args, "failure_rate", 0.0),
-                failure_schedule=getattr(args, "failure_schedule", None),
-                checkpoint_every=getattr(args, "checkpoint_every", 0),
-                max_retries=getattr(args, "max_retries", 2),
-                restart_seconds=getattr(args, "restart_seconds", 1.0))
-    base.update(overrides)
-    return TrainerConfig(**base)
-
-
-def _fit(system: str, args, stop_threshold: float | None = None):
+def _fit(system: str, args):
     dataset = _load_dataset(args.dataset)
     objective = _make_objective(args)
     cluster = cluster1(executors=args.executors)
-    overrides = {} if stop_threshold is None else {
-        "stop_threshold": stop_threshold}
     trainer = SYSTEMS[system](objective, cluster,
-                              _make_config(args, **overrides))
+                              _from_args(args, TrainerConfig, _TRAINER_FLAGS))
     return trainer.fit(dataset), dataset
 
 
@@ -629,7 +533,7 @@ def cmd_tune(args) -> int:
         trainer_cls=SYSTEMS[args.system],
         objective=_make_objective(args),
         cluster=cluster1(executors=args.executors),
-        base_config=_make_config(args),
+        base_config=_from_args(args, TrainerConfig, _TRAINER_FLAGS),
     )
     points = search.run(dataset, grid)
     rows = [[p.params["learning_rate"], p.params["local_chunk_size"],
@@ -823,14 +727,8 @@ def cmd_serve_bench(args) -> int:
         payload = {
             "bench": "serving", "model": label, "dataset": dataset.name,
             "saturation_qps": saturation,
-            "config": {
-                "max_batch": config.max_batch,
-                "max_delay": config.max_delay,
-                "queue_limit": config.queue_limit,
-                "workers": config.workers,
-                "seed": config.seed,
-                "duration": args.duration,
-            },
+            "config": {**dataclasses.asdict(config),
+                       "duration": args.duration},
             "rows": rows,
         }
         Path(args.out).write_text(json.dumps(payload, indent=2),
@@ -941,13 +839,6 @@ def cmd_perf(args) -> int:
     return 0
 
 
-def _make_sched_config(args) -> SchedConfig:
-    return SchedConfig(policy=args.policy, elastic=args.elastic,
-                       preempt=args.preempt,
-                       total_executors=args.total_executors,
-                       resize_every=args.resize_every, seed=args.seed)
-
-
 def _sched_queue_path(args) -> Path:
     return Path(args.queue)
 
@@ -985,7 +876,7 @@ def _sched_job_rows(summaries: list[dict]) -> list[list[object]]:
 
 def _sched_play(args, specs: list[JobSpec], queue: Path | None) -> int:
     try:
-        config = _make_sched_config(args)
+        config = _from_args(args, SchedConfig, {})
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -1011,11 +902,7 @@ def _sched_play(args, specs: list[JobSpec], queue: Path | None) -> int:
         print()
         print(render_ascii(result.trace, width=72))
     payload = {
-        "config": {"policy": config.policy, "elastic": config.elastic,
-                   "preempt": config.preempt,
-                   "total_executors": config.total_executors,
-                   "resize_every": config.resize_every,
-                   "seed": config.seed},
+        "config": dataclasses.asdict(config),
         "report": {
             "jobs": report.jobs, "finished": report.finished,
             "preemptions": report.preemptions, "resizes": report.resizes,
@@ -1043,17 +930,7 @@ def cmd_sched_submit(args) -> int:
         print(f"error: job {args.name!r} is already queued",
               file=sys.stderr)
         return 1
-    specs.append(JobSpec(
-        name=args.name, system=args.system, arrival=args.arrival,
-        priority=args.priority, executors=args.executors,
-        min_executors=args.min_executors,
-        max_executors=args.max_executors, steps=args.steps,
-        n_rows=args.rows, n_features=args.features,
-        nnz_per_row=args.nnz_per_row, data_seed=args.data_seed,
-        loss=args.loss, l2=args.l2, learning_rate=args.learning_rate,
-        lr_schedule=args.schedule, batch_fraction=args.batch_fraction,
-        local_chunk_size=args.chunk_size, eval_every=args.eval_every,
-        seed=args.seed))
+    specs.append(_from_args(args, JobSpec, _JOB_FLAGS))
     _sched_save_queue(queue, specs)
     print(f"queued {args.name} ({len(specs)} job(s) in {queue})")
     return 0
@@ -1109,7 +986,11 @@ def cmd_sched_cancel(args) -> int:
 
 def cmd_sched_run(args) -> int:
     queue = _sched_queue_path(args)
-    specs = _sched_load_queue(queue)
+    try:
+        specs = _sched_load_queue(queue)
+    except (KeyError, ValueError) as exc:  # a hand-edited bad job entry
+        print(f"error: {queue}: {exc}", file=sys.stderr)
+        return 1
     if not specs:
         print("error: queue is empty", file=sys.stderr)
         return 1

@@ -1,6 +1,6 @@
 """The paper's systems: MLlib baseline, MLlib + model averaging, MLlib*."""
 
-from .config import TrainerConfig
+from .config import LOCAL_SOLVERS, TrainerConfig
 from .mllib import MLlibTrainer
 from .mllib_ma import MLlibModelAveragingTrainer
 from .mllib_star import MLlibStarTrainer
@@ -8,7 +8,7 @@ from .spark_ml import SparkMlStarTrainer, SparkMlTrainer
 from .trainer import DistributedTrainer, TrainingSession, TrainResult
 
 __all__ = [
-    "TrainerConfig",
+    "TrainerConfig", "LOCAL_SOLVERS",
     "DistributedTrainer", "TrainingSession", "TrainResult",
     "MLlibTrainer", "MLlibModelAveragingTrainer", "MLlibStarTrainer",
     "SparkMlTrainer", "SparkMlStarTrainer",

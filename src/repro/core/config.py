@@ -12,9 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from ..collectives import COLLECTIVES, SPARSE_COMM_MODES
 from ..engine.backend import BACKENDS
+from ..glm import DUAL_SOLVERS, SCHEDULES
 
-__all__ = ["TrainerConfig"]
+__all__ = ["TrainerConfig", "LOCAL_SOLVERS"]
+
+#: Valid ``TrainerConfig.local_solver`` values: primal MGD, then the duals.
+LOCAL_SOLVERS = ("mgd",) + DUAL_SOLVERS
 
 
 @dataclass(frozen=True)
@@ -37,8 +42,9 @@ class TrainerConfig:
         SendModel only: examples per local SGD update.  1 is textbook
         per-example SGD; larger values vectorize the same schedule.
     lazy_l2:
-        Use the Bottou lazy/scaled representation for L2 decay in local
-        SGD (Section IV-B1).  Eager mode exists for the ablation bench.
+        L2 decay in local SGD: on, the Bottou lazy/scaled representation
+        (Section IV-B1); off (``--eager-l2``), dense decay every update —
+        the ablation bench's slower eager mode.
     max_steps:
         Hard cap on communication steps.
     eval_every:
@@ -170,6 +176,9 @@ class TrainerConfig:
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.lr_schedule not in SCHEDULES:
+            raise ValueError(f"lr_schedule must be one of {SCHEDULES}, got "
+                             f"{self.lr_schedule!r}")
         if not 0 < self.batch_fraction <= 1:
             raise ValueError("batch_fraction must be in (0, 1]")
         if self.local_epochs < 1:
@@ -192,19 +201,19 @@ class TrainerConfig:
             raise ValueError("checkpoint_every must be non-negative")
         if self.restart_seconds < 0:
             raise ValueError("restart_seconds must be non-negative")
-        if self.sparse_comm not in ("auto", "on", "off"):
+        if self.sparse_comm not in SPARSE_COMM_MODES:
             raise ValueError("sparse_comm must be 'auto', 'on' or 'off'")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got "
                              f"{self.backend!r}")
-        if self.collective not in ("flat", "hier", "switch"):
+        if self.collective not in COLLECTIVES:
             raise ValueError("collective must be 'flat', 'hier' or "
                              "'switch'")
         if self.switch_slots < 1:
             raise ValueError("switch_slots must be at least 1")
         if self.switch_chunk < 1:
             raise ValueError("switch_chunk must be at least 1")
-        if self.local_solver not in ("mgd", "cocoa", "cocoa+"):
+        if self.local_solver not in LOCAL_SOLVERS:
             raise ValueError("local_solver must be 'mgd', 'cocoa' or "
                              "'cocoa+'")
         if self.gamma is not None and not 0.0 < self.gamma <= 1.0:

@@ -17,8 +17,8 @@ from .model import (ARTIFACT_FORMAT, ARTIFACT_VERSION, ArtifactError,
 from .objective import Objective
 from .regularizers import (REGULARIZERS, L1Regularizer, L2Regularizer,
                            NoRegularizer, Regularizer, get_regularizer)
-from .schedules import (ConstantLR, InvSqrtLR, InvTimeLR, LearningRate,
-                        get_schedule)
+from .schedules import (SCHEDULES, ConstantLR, InvSqrtLR, InvTimeLR,
+                        LearningRate, get_schedule)
 
 __all__ = [
     "Loss", "HingeLoss", "LogisticLoss", "SquaredHingeLoss", "SquaredLoss",
@@ -37,4 +37,5 @@ __all__ = [
     "get_dual_loss", "make_dual_spec", "require_dual_capable",
     "dual_local_solve", "certified_gap",
     "LearningRate", "ConstantLR", "InvSqrtLR", "InvTimeLR", "get_schedule",
+    "SCHEDULES",
 ]

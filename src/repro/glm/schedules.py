@@ -13,7 +13,10 @@ import math
 from dataclasses import dataclass
 
 __all__ = ["LearningRate", "ConstantLR", "InvSqrtLR", "InvTimeLR",
-           "get_schedule"]
+           "get_schedule", "SCHEDULES"]
+
+#: Schedule names :func:`get_schedule` builds (``TrainerConfig.lr_schedule``).
+SCHEDULES = ("constant", "inv_sqrt", "inv_time")
 
 
 class LearningRate:
@@ -73,12 +76,11 @@ class InvTimeLR(LearningRate):
 
 
 def get_schedule(name: str, eta0: float, decay: float = 1.0e-3) -> LearningRate:
-    """Build a schedule by name (``constant``, ``inv_sqrt``, ``inv_time``)."""
+    """Build a schedule by name (one of :data:`SCHEDULES`)."""
     if name == "constant":
         return ConstantLR(eta0)
     if name == "inv_sqrt":
         return InvSqrtLR(eta0)
     if name == "inv_time":
         return InvTimeLR(eta0, decay)
-    raise KeyError(f"unknown schedule {name!r}; "
-                   "expected constant, inv_sqrt or inv_time")
+    raise KeyError(f"unknown schedule {name!r}; expected one of {SCHEDULES}")

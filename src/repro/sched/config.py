@@ -2,8 +2,8 @@
 
 One frozen dataclass, mirroring :class:`repro.core.TrainerConfig`'s
 conventions: validation in ``__post_init__``, ``with_overrides`` for
-copies, and every field reachable from the CLI (enforced by the CFG001
-lint rule — ``SchedConfig`` is in its ``CONFIG_CLASSES`` registry).
+copies, and one CLI flag per field, generated by ``repro.cli`` from the
+field and its docstring entry below.
 """
 
 from __future__ import annotations

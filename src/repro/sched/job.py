@@ -58,10 +58,13 @@ class JobSpec:
         convergence/divergence, exactly like a standalone run).
     n_rows / n_features / nnz_per_row / data_seed:
         Synthetic workload recipe (see :class:`repro.data.SyntheticSpec`).
-    loss / l2 / learning_rate / lr_schedule / batch_fraction /
-    local_chunk_size / eval_every / seed:
+    loss / l2:
+        Objective: loss name and L2 strength (0 = unregularized).
+    learning_rate / lr_schedule / batch_fraction / local_chunk_size:
         Trainer hyperparameters, forwarded into the per-job
         :class:`~repro.core.TrainerConfig`.
+    eval_every / seed:
+        Evaluation cadence and trainer seed, forwarded likewise.
     """
 
     name: str
@@ -106,6 +109,10 @@ class JobSpec:
                 f"n_features ({self.n_features}) must be >= max_executors "
                 f"({hi}): the AllReduce model partition needs at least "
                 "one coordinate per executor")
+        # Reject bad hyperparameters at submission, not when the queue
+        # reaches this job mid-schedule.
+        self.trainer_config()
+        self.objective()
 
     # ------------------------------------------------------------------
     @property

@@ -60,8 +60,8 @@ def test_missing_path_is_usage_error(tmp_path, capsys):
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("DET001", "DET002", "PURE001", "CFG001",
-                    "RACE001", "RACE002", "NOQA001"):
+    for rule_id in ("DET001", "DET002", "PURE001", "RACE001",
+                    "RACE002", "NOQA001"):
         assert rule_id in out
 
 

@@ -62,7 +62,7 @@ def test_old_rules_passed_the_racy_task():
     # The acceptance criterion: before the call graph, nothing flagged
     # this task — the first-generation rule set exits clean on it.
     result = run_analysis([RACY],
-                          select=["DET001", "DET002", "PURE001", "CFG001"])
+                          select=["DET001", "DET002", "PURE001"])
     assert result.violations == []
 
 

@@ -12,8 +12,8 @@ from pathlib import Path
 from repro.analysis import (PARSE_RULE_ID, parse_noqa, rule_registry,
                             run_analysis)
 
-ALL_IDS = {"DET001", "DET002", "PURE001", "CFG001",
-           "RACE001", "RACE002", "NOQA001"}
+ALL_IDS = {"DET001", "DET002", "PURE001", "RACE001", "RACE002",
+           "NOQA001"}
 
 
 def lint(tmp_path: Path, name: str, source: str, **kwargs):
@@ -436,96 +436,6 @@ def test_pure001_noqa_suppresses(tmp_path):
     result = lint(tmp_path, "cost.py", src)
     assert result.violations == []
     assert [v.rule for v in result.suppressed] == ["PURE001"]
-
-
-# ----------------------------------------------------------------------
-# CFG001: TrainerConfig fields must be reachable from the CLI
-# ----------------------------------------------------------------------
-CFG_CONFIG = """\
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class TrainerConfig:
-    max_steps: int = 10
-    learning_rate: float = 0.1
-    hidden_knob: float = 0.5
-"""
-
-CFG_CLI = """\
-def make_config(args):
-    return dict(max_steps=args.steps, learning_rate=args.lr)
-"""
-
-
-def _write_cfg_project(tmp_path, config_src, cli_src):
-    (tmp_path / "config.py").write_text(config_src)
-    (tmp_path / "cli.py").write_text(cli_src)
-    return run_analysis([tmp_path], select=["CFG001"])
-
-
-def test_cfg001_flags_unreachable_field(tmp_path):
-    result = _write_cfg_project(tmp_path, CFG_CONFIG, CFG_CLI)
-    assert [v.rule for v in result.violations] == ["CFG001"]
-    assert "hidden_knob" in result.violations[0].message
-
-
-def test_cfg001_clean_when_every_field_wired(tmp_path):
-    cli = ("def make_config(args):\n"
-           "    return dict(max_steps=args.steps, learning_rate=args.lr,\n"
-           "                hidden_knob=args.knob)\n")
-    result = _write_cfg_project(tmp_path, CFG_CONFIG, cli)
-    assert result.violations == []
-
-
-def test_cfg001_string_subscript_counts_as_reachable(tmp_path):
-    cli = ("def make_config(args, overrides):\n"
-           "    overrides['hidden_knob'] = 1.0\n"
-           "    return dict(max_steps=1, learning_rate=0.1)\n")
-    result = _write_cfg_project(tmp_path, CFG_CONFIG, cli)
-    assert result.violations == []
-
-
-def test_cfg001_noqa_on_field_line_suppresses(tmp_path):
-    config = CFG_CONFIG.replace(
-        "hidden_knob: float = 0.5",
-        "hidden_knob: float = 0.5  # repro: noqa[CFG001]")
-    result = _write_cfg_project(tmp_path, config, CFG_CLI)
-    assert result.violations == []
-    assert [v.rule for v in result.suppressed] == ["CFG001"]
-
-
-def test_cfg001_covers_serve_config_too(tmp_path):
-    config = ("from dataclasses import dataclass\n"
-              "\n\n"
-              "@dataclass(frozen=True)\n"
-              "class ServeConfig:\n"
-              "    max_batch: int = 32\n"
-              "    secret_knob: int = 1\n")
-    cli = ("def make_serve(args):\n"
-           "    return dict(max_batch=args.serve_max_batch)\n")
-    result = _write_cfg_project(tmp_path, config, cli)
-    assert [v.rule for v in result.violations] == ["CFG001"]
-    assert "ServeConfig.secret_knob" in result.violations[0].message
-
-
-def test_cfg001_checks_every_config_class(tmp_path):
-    # one wired class does not excuse another class's unwired field
-    config = (CFG_CONFIG
-              + "\n\n@dataclass(frozen=True)\n"
-                "class ServeConfig:\n"
-                "    workers: int = 2\n")
-    cli = ("def make(args):\n"
-           "    return dict(max_steps=1, learning_rate=0.1,\n"
-           "                hidden_knob=2.0, workers=args.w)\n")
-    result = _write_cfg_project(tmp_path, config, cli)
-    assert result.violations == []
-
-
-def test_cfg001_silent_without_config_class(tmp_path):
-    (tmp_path / "misc.py").write_text("x = 1\n")
-    result = run_analysis([tmp_path], select=["CFG001"])
-    assert result.violations == []
 
 
 # ----------------------------------------------------------------------

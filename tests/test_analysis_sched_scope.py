@@ -1,11 +1,10 @@
 """Linter scope extensions for the scheduler subsystem.
 
 The scheduler's determinism contract is enforced the same way the
-aggregation paths' is: ``SchedConfig`` joins the CFG001 config classes,
-the ``sched`` package joins the DET002 aggregation scope, and pure
-``dispatch_*`` policy functions become RACE001 roots — mutating shared
-state from a dispatch decision would make two replays of the same
-schedule diverge.
+aggregation paths' is: the ``sched`` package joins the DET002
+aggregation scope, and pure ``dispatch_*`` policy functions become
+RACE001 roots — mutating shared state from a dispatch decision would
+make two replays of the same schedule diverge.
 """
 
 from __future__ import annotations
@@ -133,43 +132,6 @@ def test_race001_clean_pure_dispatch_passes(tmp_path):
         "                    key=lambda i: jobs[i].arrival)\n"
         "    return tuple(ranked)\n")
     result = run_analysis([pkg])
-    assert result.violations == []
-
-
-# ----------------------------------------------------------------------
-# CFG001: SchedConfig fields must be reachable from the CLI
-# ----------------------------------------------------------------------
-SCHED_CONFIG = """\
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class SchedConfig:
-    policy: str = "fifo"
-    total_executors: int = 8
-    secret_knob: int = 3
-"""
-
-
-def test_cfg001_flags_unwired_sched_config_field(tmp_path):
-    (tmp_path / "config.py").write_text(SCHED_CONFIG)
-    (tmp_path / "cli.py").write_text(
-        "def make_sched(args):\n"
-        "    return dict(policy=args.policy,\n"
-        "                total_executors=args.total_executors)\n")
-    result = run_analysis([tmp_path], select=["CFG001"])
-    assert [v.rule for v in result.violations] == ["CFG001"]
-    assert "SchedConfig.secret_knob" in result.violations[0].message
-
-
-def test_cfg001_clean_when_sched_fields_wired(tmp_path):
-    (tmp_path / "config.py").write_text(SCHED_CONFIG)
-    (tmp_path / "cli.py").write_text(
-        "def make_sched(args):\n"
-        "    return dict(policy=args.policy,\n"
-        "                total_executors=args.total_executors,\n"
-        "                secret_knob=args.knob)\n")
-    result = run_analysis([tmp_path], select=["CFG001"])
     assert result.violations == []
 
 

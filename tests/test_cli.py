@@ -1,10 +1,12 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.cli import SYSTEMS, build_parser, main
+from repro.cli import SYSTEMS, _make_serve_config, build_parser, main
+from repro.serve import ServeConfig
 
 
 @pytest.fixture()
@@ -130,6 +132,17 @@ class TestServingParser:
         assert args.serve_queue_limit is None
         assert args.serve_workers == 2
 
+    def test_every_serve_config_field_is_settable(self):
+        args = build_parser().parse_args([
+            "predict", "--model", "m.npz", "--data", "url",
+            "--serve-max-batch", "7", "--serve-max-delay-ms", "3",
+            "--serve-queue-limit", "9", "--serve-workers", "5",
+            "--seed", "4"])
+        config = _make_serve_config(args, default_queue=128)
+        default = ServeConfig()
+        assert [f.name for f in dataclasses.fields(ServeConfig)
+                if getattr(config, f.name) == getattr(default, f.name)] == []
+
     def test_save_defaults(self):
         args = build_parser().parse_args(["save"])
         assert args.system == "MLlib*"
@@ -230,6 +243,10 @@ class TestServeBenchCommand:
         payload = json.loads(out_path.read_text())
         assert payload["bench"] == "serving"
         assert [r["rate"] for r in payload["rows"]] == [2000.0, 8000.0]
+        # key order is part of the (unsorted) file's bytes
+        assert list(payload["config"].items()) == [
+            ("max_batch", 32), ("max_delay", 0.001), ("queue_limit", 128),
+            ("workers", 2), ("seed", 0), ("duration", 0.05)]
 
 
 class TestGanttCommand:

@@ -17,6 +17,7 @@ class TestTrainerConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("learning_rate", 0.0),
+        ("lr_schedule", "bogus"),
         ("batch_fraction", 0.0),
         ("batch_fraction", 1.5),
         ("local_epochs", 0),

@@ -115,8 +115,24 @@ class TestRun:
         assert main(["sched", "run", "--queue", str(queue),
                      "--out", str(out_path)]) == 0
         payload = json.loads(out_path.read_text())
-        assert payload["config"]["policy"] == "fifo"
+        assert payload["config"] == {"policy": "fifo", "elastic": False,
+                                     "preempt": False, "total_executors": 8,
+                                     "resize_every": 1, "seed": 0}
         assert payload["jobs"][0]["name"] == "exp1"
+
+    def test_bad_queue_entry_fails_before_any_job_plays(self, queue,
+                                                        capsys):
+        submit(queue, "exp1")
+        submit(queue, "exp2")
+        payload = json.loads(queue.read_text())
+        payload["jobs"][1]["lr_schedule"] = "bogus"   # hand-edited file
+        queue.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["sched", "run", "--queue", str(queue)]) == 1
+        captured = capsys.readouterr()
+        assert "lr_schedule" in captured.err
+        assert "schedule log:" not in captured.out
+        assert not queue.with_suffix(".json.status").exists()
 
     def test_run_gantt_and_log_flags(self, queue, capsys):
         submit(queue, "exp1")

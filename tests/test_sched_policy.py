@@ -147,6 +147,9 @@ def test_jobspec_basic_validation():
         JobSpec(name="j", priority=0)
     with pytest.raises(ValueError):
         JobSpec(name="j", steps=0)
+    # trainer hyperparameters fail at submission, not mid-schedule
+    with pytest.raises(ValueError, match="lr_schedule"):
+        JobSpec(name="j", lr_schedule="bogus")
 
 
 def test_jobspec_json_round_trip():
