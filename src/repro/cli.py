@@ -113,7 +113,7 @@ def _field_docs(cls) -> dict[str, str]:
     section (one header may name several fields: ``a / b:``)."""
     docs: dict[str, str] = {}
     names: list[str] = []
-    section = inspect.getdoc(cls).split("----------\n", 1)[1]
+    section = (inspect.getdoc(cls) or "").partition("----------\n")[2]
     for line in section.splitlines():
         if line[:1].isspace():
             for name in names:
