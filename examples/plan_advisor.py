@@ -1,8 +1,9 @@
-"""Where does a communication step's time go?  (analytic advisor)
+"""Where does a communication step's time go?  (step-cost advisor)
 
 Uses ``repro.planner`` to decompose one communication step's simulated
 time into compute / communication / driver-serialized components for
-every system, across the analog catalog.  This is the quantitative form
+every system, across the analog catalog.  The advisor prices step 1 on
+the engine phases each trainer runs, without training.  This is the quantitative form
 of the paper's Section III/IV analysis: the driver share explodes with
 model size for MLlib, while MLlib* has no driver term at all.
 
@@ -41,8 +42,8 @@ def main() -> None:
         title="per-communication-step cost decomposition "
               "(8 executors, analog scale)"))
     print("\nThe driver share grows with the model and vanishes for "
-          "MLlib* — Figure 2's\narchitectural argument, derived from the "
-          "cost model instead of measured.")
+          "MLlib* — Figure 2's\narchitectural argument, priced by the "
+          "trainers' engines without training.")
 
 
 if __name__ == "__main__":

@@ -19,11 +19,11 @@ Two details matter for reproducing the paper's bottleneck analysis:
   pays k transfers back to back.
 * **Concurrent pairwise exchange.**  In a shuffle (and therefore in
   Reduce-Scatter / AllGather), *every* node sends and receives
-  simultaneously on its own links.  :meth:`NetworkModel.round_seconds`
-  prices one communication round of a balanced exchange as the *maximum*
-  cost over nodes, not the sum — this is why removing the driver from the
-  data path shortens latency even though total traffic is unchanged
-  (Section IV-B2's ``2 k m`` invariant).
+  simultaneously on its own links, so a balanced round costs what the
+  busiest node pays, not the sum over nodes
+  (:meth:`repro.engine.ShuffleModel.round_seconds`) — this is why
+  removing the driver from the data path shortens latency even though
+  total traffic is unchanged (Section IV-B2's ``2 k m`` invariant).
 
 :class:`TieredNetworkModel` adds the second rung of the aggregation
 ladder (Snap ML's hierarchical scheme): executors co-located on one
@@ -119,23 +119,6 @@ class NetworkModel:
         for values in values_by_message:
             total += self.transfer_seconds(values)
         return total
-
-    def fan_out_seconds(self, receivers: int, values_each: float) -> float:
-        """Cost of ONE node pushing a message to ``receivers`` nodes.
-
-        The sender's uplink serializes the copies (Spark's driver-side
-        broadcast behaves this way for the first hop).
-        """
-        return self.fan_in_seconds(receivers, values_each)
-
-    def round_seconds(self, values_per_node: float) -> float:
-        """Cost of one balanced all-pairs round.
-
-        Every node simultaneously sends and receives ``values_per_node``
-        coordinates on its own links; the round costs what the busiest node
-        pays, i.e. a single transfer.  Used for shuffle-based collectives.
-        """
-        return self.transfer_seconds(values_per_node)
 
     # ------------------------------------------------------------------
     # intra-node tier (degenerate in the flat model)

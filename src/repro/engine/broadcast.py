@@ -40,7 +40,9 @@ class BroadcastModel:
             return 0.0
         net = cluster.network
         if self.mode == "serial":
-            return net.fan_out_seconds(k, model_size)
+            # The driver's uplink sends the k copies back to back: the
+            # same serialized k transfers as a fan-in into one node.
+            return net.fan_in_seconds(k, model_size)
         # Torrent: ~log2(k+1) store-and-forward rounds of the full payload.
         rounds = max(1, math.ceil(math.log2(k + 1)))
         return rounds * net.transfer_seconds(model_size)

@@ -52,6 +52,3 @@ class PartitionedDataset:
 
     def partition(self, executor_index: int) -> Partition:
         return self.partitions[executor_index]
-
-    def total_nnz(self) -> int:
-        return sum(p.nnz for p in self.partitions)

@@ -93,12 +93,6 @@ class ScaledVector:
         self._values += (coeff / self._scale) * vector
         self.dense_ops += self.dim
 
-    def dot_sparse(self, indices: np.ndarray, values: np.ndarray) -> float:
-        """Compute ``w[indices] . values`` without materializing w."""
-        if indices.size == 0:
-            return 0.0
-        return float(self._scale * np.dot(self._values[indices], values))
-
     # ------------------------------------------------------------------
     def _rebase(self) -> None:
         self._values *= self._scale

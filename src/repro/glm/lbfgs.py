@@ -13,7 +13,7 @@ Two entry points:
   curvature pairs, ``push(s, y)`` records a new pair.  The trainer owns
   the outer loop so it can charge simulated time to each distributed
   function/gradient evaluation.
-* :func:`minimize` — a standalone batch driver with Armijo backtracking
+* :func:`minimize` — a standalone batch driver with the strong-Wolfe
   line search, used by the unit tests against analytic problems.
 
 Only smooth objectives should be optimized (logistic or squared loss, or
@@ -29,8 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["LbfgsState", "LineSearchResult", "armijo_line_search",
-           "WolfeResult", "wolfe_line_search", "minimize", "MinimizeResult"]
+__all__ = ["LbfgsState", "WolfeResult", "wolfe_line_search", "minimize",
+           "MinimizeResult"]
 
 #: Curvature pairs with s.y below this are discarded (preserves positive
 #: definiteness of the implicit Hessian approximation).
@@ -85,44 +85,6 @@ class LbfgsState:
             beta = rho * np.dot(y, q)
             q += (alpha - beta) * s
         return -q
-
-
-@dataclass(frozen=True)
-class LineSearchResult:
-    """Outcome of a backtracking line search."""
-
-    step: float
-    fval: float
-    evaluations: int
-    success: bool
-
-
-def armijo_line_search(f: Callable[[np.ndarray], float], w: np.ndarray,
-                       direction: np.ndarray, fval: float,
-                       grad: np.ndarray, initial_step: float = 1.0,
-                       c1: float = 1.0e-4, shrink: float = 0.5,
-                       max_evals: int = 20) -> LineSearchResult:
-    """Backtrack until the Armijo sufficient-decrease condition holds.
-
-    Each trial costs one objective evaluation — in the distributed setting
-    that is a full pass over the data, which is why the trainers account
-    for ``evaluations`` explicitly.
-    """
-    slope = float(np.dot(grad, direction))
-    if slope >= 0:
-        # Not a descent direction (can happen with stale curvature);
-        # caller should reset to steepest descent.
-        return LineSearchResult(step=0.0, fval=fval, evaluations=0,
-                                success=False)
-    step = initial_step
-    for evals in range(1, max_evals + 1):
-        candidate = f(w + step * direction)
-        if candidate <= fval + c1 * step * slope:
-            return LineSearchResult(step=step, fval=candidate,
-                                    evaluations=evals, success=True)
-        step *= shrink
-    return LineSearchResult(step=0.0, fval=fval, evaluations=max_evals,
-                            success=False)
 
 
 @dataclass(frozen=True)

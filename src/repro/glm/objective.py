@@ -98,26 +98,6 @@ class Objective:
         return (-conjugate_total / n_total
                 - self.regularizer.value(w_alpha))
 
-    def duality_gap(self, w: np.ndarray, X: sp.csr_matrix, y: np.ndarray,
-                    alpha: np.ndarray) -> float:
-        """Certified suboptimality bound ``P(w) - D(alpha)``.
-
-        By weak duality this is non-negative and upper-bounds
-        ``P(w) - P(w*)`` for *any* primal iterate ``w`` and feasible
-        dual vector ``alpha`` — no optimum or reference run needed,
-        which is what makes it a certificate rather than an estimate.
-        Requires L2 regularization with positive strength (the dual
-        mapping divides by ``lambda``).  For the partitioned,
-        per-worker-block variant see :func:`repro.glm.dual.certified_gap`.
-        """
-        from .dual import require_dual_capable
-        require_dual_capable(self)
-        n = X.shape[0]
-        lam = self.regularizer.strength
-        w_alpha = np.asarray(X.T @ alpha).ravel() / (lam * n)
-        dual = self.dual_value(self.conjugate_sum(alpha, y), n, w_alpha)
-        return self.value(w, X, y) - dual
-
     # ------------------------------------------------------------------
     def spec(self) -> dict:
         """JSON-serializable recipe that :meth:`from_spec` reverses.

@@ -125,24 +125,6 @@ class LatencyHistogram:
             "max": self.max,
         }
 
-    def bucket_rows(self) -> list[list[object]]:
-        """Non-empty display buckets as ``[upper-edge, count, bar]`` rows.
-
-        Pairs with ``format_table(["<= seconds", "count", ""], rows)``.
-        """
-        rows: list[list[object]] = []
-        peak = max(self._counts) if self.count else 0
-        for idx, count in enumerate(self._counts):
-            if count == 0:
-                continue
-            if idx == self._n_buckets:
-                label = f"> {self._bucket_edge(idx - 1):.3g}"
-            else:
-                label = f"<= {self._bucket_edge(idx):.3g}"
-            bar = "#" * max(1, round(24 * count / peak))
-            rows.append([label, count, bar])
-        return rows
-
     def merge(self, other: "LatencyHistogram") -> None:
         """Fold another histogram's samples into this one."""
         for value in other._samples:

@@ -1,17 +1,19 @@
-"""Analytic per-step cost breakdown and system advisor.
+"""Per-step cost breakdown and system advisor, priced by the engines.
 
 The paper's related work discusses a cost-based optimizer for gradient
 descent plans (Kaoudi et al., reference [11]); the authors sidestep it by
-grid searching.  This module implements the piece that *is* derivable from
-first principles in our setting: an analytic decomposition of one
-communication step's simulated time into compute, communication and
-driver-serialized components, for every system in the study.
+grid searching.  This module answers the part of that question our
+simulator can answer exactly: how one communication step's simulated
+time splits into compute, communication and driver-serialized work, for
+every system in the study — where each step's time goes, when the driver
+dominates, at what model size AllReduce starts paying off — without
+running the training.
 
-The decomposition answers the practical questions the paper's analysis
-raises — where does each step's time go, when does the driver dominate,
-at what model size does AllReduce start paying off — without running the
-training.  It prices exactly the same phases the trainers execute, so
-tests can check the prediction against a measured run.
+There is no second cost model here.  :func:`estimate_step_cost` runs
+step 1 of a system on a fresh :class:`~repro.engine.BspEngine` or
+:class:`~repro.ps.engine.PsEngine` with the same phase calls its trainer
+makes, and reads the split off the engine's clock and trace — so a
+fault-free ``fit`` agrees with it exactly (``tests/test_planner.py``).
 """
 
 from __future__ import annotations
@@ -19,13 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cluster import ClusterSpec
-from ..engine import BroadcastModel, ShuffleModel, TreeAggregateModel
+from ..engine import DRIVER_LABEL, BspEngine
 from ..ps.engine import PsEngine
 
 __all__ = ["StepCost", "WorkloadProfile", "estimate_step_cost",
            "rank_systems", "ADVISABLE_SYSTEMS"]
 
 ADVISABLE_SYSTEMS = ("MLlib", "MLlib+MA", "MLlib*", "Petuum*", "Angel")
+
+#: Driver spans that serialize a step: the treeAggregate fan-in + update.
+_DRIVER_KINDS = frozenset({"aggregate", "update"})
 
 
 @dataclass(frozen=True)
@@ -34,8 +39,7 @@ class WorkloadProfile:
 
     ``nnz_per_step_per_worker`` is the stored nonzeros one worker touches
     in one communication step (batch nnz for SendGradient/Petuum, the full
-    partition — times local epochs — for SendModel systems); use
-    :meth:`from_dataset` helpers or fill it directly.
+    partition — times local epochs — for SendModel systems).
     """
 
     model_size: int
@@ -68,73 +72,41 @@ class StepCost:
                 f"driver {self.driver:.4f})")
 
 
-def _sendgradient_cost(cluster: ClusterSpec,
-                       profile: WorkloadProfile) -> StepCost:
-    """MLlib: batch gradient + treeAggregate + update + broadcast."""
-    slowest = min(node.speed for node in cluster.executors)
-    compute = cluster.compute.sparse_pass_seconds(
-        2 * profile.nnz_per_step_per_worker,
-        cluster.executors[0]) / slowest
-    timing = TreeAggregateModel().timing(cluster, profile.model_size)
-    update = cluster.compute.dense_op_seconds(profile.model_size,
-                                              cluster.driver)
-    broadcast = BroadcastModel().seconds(cluster, profile.model_size)
-    return StepCost(system="MLlib", compute=compute,
-                    communication=timing.aggregator_seconds + broadcast,
-                    driver=timing.driver_seconds + update)
-
-
-def _sendmodel_driver_cost(cluster: ClusterSpec,
-                           profile: WorkloadProfile) -> StepCost:
-    """MLlib+MA: local pass + the unchanged driver round-trip."""
-    base = _sendgradient_cost(cluster, profile)
-    return StepCost(system="MLlib+MA", compute=base.compute,
-                    communication=base.communication, driver=base.driver)
-
-
-def _allreduce_cost(cluster: ClusterSpec,
-                    profile: WorkloadProfile) -> StepCost:
-    """MLlib*: local pass + Reduce-Scatter + AllGather."""
-    slowest = min(node.speed for node in cluster.executors)
-    compute = cluster.compute.sparse_pass_seconds(
-        2 * profile.nnz_per_step_per_worker,
-        cluster.executors[0]) / slowest
-    k = cluster.num_executors
-    shuffle = ShuffleModel()
-    piece = profile.model_size / k
-    comm = 2 * shuffle.round_seconds(cluster, k - 1, piece)
-    combine = cluster.compute.dense_op_seconds(profile.model_size,
-                                               cluster.executors[0])
-    return StepCost(system="MLlib*", compute=compute + combine,
-                    communication=comm, driver=0.0)
-
-
-def _ps_cost(system: str, cluster: ClusterSpec,
-             profile: WorkloadProfile) -> StepCost:
-    """Petuum*/Angel: local work + sharded pull/push."""
-    slowest = min(node.speed for node in cluster.executors)
-    compute = cluster.compute.sparse_pass_seconds(
-        2 * profile.nnz_per_step_per_worker,
-        cluster.executors[0]) / slowest
-    engine = PsEngine(cluster)
-    comm = engine.comm_seconds(profile.model_size)
-    return StepCost(system=system, compute=compute, communication=comm,
-                    driver=0.0)
-
-
 def estimate_step_cost(system: str, cluster: ClusterSpec,
                        profile: WorkloadProfile) -> StepCost:
-    """Analytic per-step cost for one system on one workload."""
-    if system == "MLlib":
-        return _sendgradient_cost(cluster, profile)
-    if system == "MLlib+MA":
-        return _sendmodel_driver_cost(cluster, profile)
-    if system == "MLlib*":
-        return _allreduce_cost(cluster, profile)
+    """Step 1 of ``system`` on ``cluster``, priced by its trainer's engine.
+
+    Every executor makes one sparse pass with updates (2 x nnz) over its
+    share.  ``compute`` is that phase's duration, ``driver`` the driver's
+    aggregate + update spans, ``communication`` the rest of the step.
+    """
+    m = profile.model_size
+    work = [cluster.compute.sparse_pass_seconds(
+        2 * profile.nnz_per_step_per_worker, node)
+        for node in cluster.executors]
     if system in ("Petuum*", "Angel"):
-        return _ps_cost(system, cluster, profile)
-    raise KeyError(f"unknown system {system!r}; "
-                   f"choose from {ADVISABLE_SYSTEMS}")
+        engine = PsEngine(cluster)
+        engine.run_step(work, m)
+        compute = max((s.end for s in engine.trace.spans
+                       if s.kind == "compute"), default=0.0)
+    elif system in ADVISABLE_SYSTEMS:
+        engine = BspEngine(cluster)
+        compute = engine.compute_phase(work, 1)
+        if system == "MLlib*":
+            engine.reduce_scatter_phase(m, 1)
+            engine.all_gather_phase(m, 1)
+        else:
+            engine.tree_aggregate_phase(m, 1)
+            engine.driver_update_phase(
+                cluster.compute.dense_op_seconds(m, cluster.driver), 1)
+            engine.broadcast_phase(m, 1)
+    else:
+        raise KeyError(f"unknown system {system!r}; "
+                       f"choose from {ADVISABLE_SYSTEMS}")
+    driver = engine.trace.busy_seconds(DRIVER_LABEL, _DRIVER_KINDS)
+    return StepCost(system=system, compute=compute,
+                    communication=engine.now - compute - driver,
+                    driver=driver)
 
 
 def rank_systems(cluster: ClusterSpec, profile: WorkloadProfile,

@@ -71,10 +71,6 @@ class SchedResult:
     makespan: float = 0.0
 
     @property
-    def finished_jobs(self) -> tuple[Job, ...]:
-        return tuple(j for j in self.jobs if j.state == "finished")
-
-    @property
     def total_steps(self) -> int:
         """Supersteps completed across all jobs (the goodput numerator)."""
         return sum(j.steps_done for j in self.jobs)

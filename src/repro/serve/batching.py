@@ -65,11 +65,6 @@ class Prediction:
         """Arrival-to-completion time (queueing + service)."""
         return self.completed - self.arrival
 
-    @property
-    def queue_seconds(self) -> float:
-        """Time spent waiting for the batch to dispatch."""
-        return self.dispatched - self.arrival
-
 
 def stack_requests(requests: list[PredictRequest]) -> sp.csr_matrix:
     """Stack request rows into one CSR matrix, preserving order.

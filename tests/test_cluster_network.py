@@ -30,16 +30,6 @@ class TestAggregatePatterns:
         one = net.transfer_seconds(500)
         assert net.fan_in_seconds(8, 500) == pytest.approx(8 * one)
 
-    def test_fan_out_equals_fan_in(self):
-        net = NetworkModel()
-        assert net.fan_out_seconds(5, 100) == net.fan_in_seconds(5, 100)
-
-    def test_round_is_one_transfer(self):
-        """Balanced all-pairs rounds cost a single transfer, not k of them."""
-        net = NetworkModel()
-        assert net.round_seconds(500) == pytest.approx(
-            net.transfer_seconds(500))
-
     def test_fan_in_zero_senders_free(self):
         assert NetworkModel().fan_in_seconds(0, 1000) == 0.0
 

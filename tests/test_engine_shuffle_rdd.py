@@ -63,7 +63,7 @@ class TestPartitionedDataset:
     def test_total_rows_and_nnz_preserved(self, ds):
         data = PartitionedDataset.load(ds, cluster1(executors=4))
         assert sum(p.n_rows for p in data.partitions) == ds.n_rows
-        assert data.total_nnz() == ds.nnz
+        assert sum(p.nnz for p in data.partitions) == ds.nnz
 
     def test_partition_accessor(self, ds):
         data = PartitionedDataset.load(ds, cluster1(executors=4))

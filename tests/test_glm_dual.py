@@ -290,7 +290,9 @@ class TestCertificates:
         X, y, w0 = make_problem(n, m, density, seed, loss)
         objective = Objective(loss, "l2", 0.1)
         alpha = feasible_alpha(loss, y, np.random.default_rng(alpha_seed))
-        assert objective.duality_gap(w0, X, y, alpha) >= -1e-9
+        part = Partition(index=0, X=X, y=y)
+        gap, _, _ = certified_gap(objective, w0, [part], [alpha], part)
+        assert gap >= -1e-9
 
     @pytest.mark.parametrize("loss", DUAL_CAPABLE)
     def test_gap_vanishes_at_the_optimum(self, loss):
@@ -307,7 +309,8 @@ class TestCertificates:
             dw, alpha, _ = dual_local_solve(objective, w, X, y, alpha,
                                             spec, rng)
             w = w + dw
-        gap = objective.duality_gap(w, X, y, alpha)
+        part = Partition(index=0, X=X, y=y)
+        gap, _, _ = certified_gap(objective, w, [part], [alpha], part)
         assert 0.0 <= gap + 1e-12 and gap < 1e-6
 
     def test_certified_gap_validates_block_count(self):

@@ -1,7 +1,6 @@
 """Unit tests for repro.glm.lazy_update (ScaledVector)."""
 
 import numpy as np
-import pytest
 
 from repro.glm.lazy_update import ScaledVector
 
@@ -53,12 +52,6 @@ class TestScaledVector:
         sv.axpy_dense(1.0, np.array([10.0, 10.0]))
         assert np.allclose(sv.to_array(), [12.0, 14.0])
         assert sv.dense_ops == 2
-
-    def test_dot_sparse(self):
-        sv = ScaledVector(np.array([1.0, 2.0, 3.0]))
-        sv.decay(2.0)
-        got = sv.dot_sparse(np.array([0, 2]), np.array([1.0, 1.0]))
-        assert got == pytest.approx(2.0 * (1.0 + 3.0))
 
     def test_rebase_preserves_value(self):
         sv = ScaledVector(np.array([1.0, -2.0]))

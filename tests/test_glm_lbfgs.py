@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.glm.lbfgs import (LbfgsState, armijo_line_search, minimize)
+from repro.glm.lbfgs import LbfgsState, minimize
 
 
 def quadratic(A, b):
@@ -73,37 +73,6 @@ class TestLbfgsState:
     def test_invalid_memory(self):
         with pytest.raises(ValueError):
             LbfgsState(memory=0)
-
-
-class TestArmijoLineSearch:
-    def test_accepts_full_step_on_easy_problem(self):
-        def f(w):
-            return float(w @ w)
-        w = np.array([1.0, 0.0])
-        grad = 2 * w
-        result = armijo_line_search(f, w, -grad, f(w), grad)
-        assert result.success
-        assert result.fval < f(w)
-
-    def test_backtracks_when_needed(self):
-        # Steep narrow valley: full step overshoots.
-        def f(w):
-            return float(1000 * w[0] ** 2)
-        w = np.array([1.0])
-        grad = np.array([2000.0])
-        result = armijo_line_search(f, w, -grad, f(w), grad)
-        assert result.success
-        assert result.step < 1.0
-        assert result.evaluations > 1
-
-    def test_non_descent_direction_fails_fast(self):
-        def f(w):
-            return float(w @ w)
-        w = np.array([1.0])
-        grad = np.array([2.0])
-        result = armijo_line_search(f, w, grad, f(w), grad)  # uphill
-        assert not result.success
-        assert result.evaluations == 0
 
 
 class TestMinimize:
