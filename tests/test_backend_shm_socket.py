@@ -840,8 +840,13 @@ class TestSocketRounds:
                            if r.label == "task"]
             # One record per RESULT frame; the round's request (w once,
             # a few hundred bytes of frame) rides each daemon's first.
-            assert [r.worker for r in records if r.bytes_out] \
+            # Daemons' frames are logged by their own io threads, so the
+            # interleaving across daemons is arrival order.
+            assert sorted(r.worker for r in records if r.bytes_out) \
                 == list(range(daemons))
+            for daemon in range(daemons):
+                assert next(r for r in records
+                            if r.worker == daemon).bytes_out
             assert len(records) == 4
             for r in records:
                 assert r.bytes_out == 0 \
