@@ -20,11 +20,12 @@ reference run supplies a dual value ``D_ref``; weak duality makes it a
 lower bound on the optimum ``P(w*)`` for every run, so the first history
 point with ``P(w) <= D_ref + eps`` has *certified* suboptimality
 ``<= eps + gap_ref``.  Two gates stand in front of every reported
-speedup, mirroring ``perf.harness``:
+speedup:
 
-* **bit-equality** — the representative CoCoA+ run is re-fit under
-  ``use_reference_kernels()`` and must reproduce the fast kernels'
-  weights, history and certificates bit for bit;
+* **bit-equality** — the representative CoCoA+ config's SDCA epochs run
+  on every executor's row block through both the fast kernel and the
+  retained reference body (:mod:`repro.glm.reference`), which must
+  agree bit for bit;
 * **certification** — the reference gap must be below ``eps/2``, and
   every dual run's recorded certificates must be non-negative with a
   non-decreasing dual (ascent never goes backwards).
@@ -57,7 +58,8 @@ from repro.cluster import (GIGABIT, ClusterSpec, ComputeCostModel,
                            NetworkModel, NoStragglers, homogeneous_nodes)
 from repro.core import MLlibStarTrainer, TrainerConfig
 from repro.data import SyntheticSpec, generate
-from repro.glm import Objective, use_reference_kernels
+from repro.glm import (Objective, dual_epoch, dual_row_norms,
+                       get_dual_loss, make_dual_spec, reference)
 from repro.metrics import format_table
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_cocoa.json"
@@ -139,7 +141,7 @@ def _time_to(history, target: float):
 
 
 # ----------------------------------------------------------------------
-# Gates: no speedup is reported unless both hold (cf. perf.harness).
+# Gates: no speedup is reported unless both hold.
 # ----------------------------------------------------------------------
 def certified_lower_bound(dataset, smoke: bool):
     """A duality-certified lower bound on ``P(w*)`` for this workload.
@@ -159,18 +161,32 @@ def certified_lower_bound(dataset, smoke: bool):
 
 
 def assert_fast_matches_reference(dataset, smoke: bool) -> None:
-    """Re-fit the representative config on the retained reference kernels;
-    fast kernels must be a pure speed change."""
-    config = _dual_config("cocoa+", max(_h_list(smoke)), smoke, None)
-    fast = _fit(dataset, RATIOS[BAR_RATIO], config)
-    with use_reference_kernels():
-        ref = _fit(dataset, RATIOS[BAR_RATIO], config)
-    assert np.array_equal(fast.model.weights, ref.model.weights), (
-        "reference kernels produced different weights")
-    assert list(fast.history.points) == list(ref.history.points), (
-        "reference kernels produced a different history")
-    assert list(fast.duality_gaps) == list(ref.duality_gaps), (
-        "reference kernels produced different certificates")
+    """Run the representative config's first-superstep SDCA epochs
+    (CoCoA+, largest H) on each executor's row block through the fast
+    kernel and the retained reference body; fast kernels must be a pure
+    speed change."""
+    objective = _objective()
+    epochs = max(_h_list(smoke))
+    n = dataset.X.shape[0]
+    spec = make_dual_spec("cocoa+", None, epochs, n, EXECUTORS)
+    scale = spec.sigma_prime / (objective.regularizer.strength * n)
+    delta = get_dual_loss(objective.loss.name).delta
+    rng = np.random.default_rng(1)
+    for rows in np.array_split(np.arange(n), EXECUTORS):
+        X, y = dataset.X[rows], dataset.y[rows]
+        norms = dual_row_norms(X.indptr, X.data, len(rows))
+        fast = [np.zeros(X.shape[1]), np.zeros(len(rows)),
+                np.zeros(len(rows))]
+        ref = [v.copy() for v in fast]
+        for _ in range(epochs):
+            order = rng.permutation(len(rows))
+            counts = dual_epoch(X.indptr, X.indices, X.data, y, *fast,
+                                order, scale, norms, delta)
+            assert counts == reference.dual_epoch_reference(
+                X, y, *ref, order, scale, delta), (
+                "reference kernel touched a different number of values")
+            assert all(np.array_equal(a, b) for a, b in zip(fast, ref)), (
+                "reference kernel produced a different SDCA epoch")
 
 
 def _assert_certificates(result, label: str) -> None:

@@ -15,10 +15,10 @@ executor->machine placement map):
   per-round latencies when the pool is starved).
 
 Every mode reuses the flat combine kernels verbatim, so the *numerics*
-never change — only the pricing does.  As in ``perf.harness``, the
-bit-identity of every run against its ``--collective flat`` twin
-(weights, per-step objectives) is asserted *before* any speedup is
-reported: a topology that changed the model is a bug, not a win.
+never change — only the pricing does.  The bit-identity of every run
+against its ``--collective flat`` twin (weights, per-step objectives) is
+asserted *before* any speedup is reported: a topology that changed the
+model is a bug, not a win.
 
 The sweep is executor count x payload density:
 
@@ -106,7 +106,7 @@ def _run(dataset, machines: int, executors_per_machine: int, mode: str,
 
 
 def _assert_bit_identical(flat, result, label: str) -> None:
-    """The gate in front of every reported speedup (cf. perf.harness)."""
+    """The gate in front of every reported speedup."""
     assert np.array_equal(result.model.weights, flat.model.weights), (
         f"{label}: weights differ from --collective flat")
     flat_points = flat.history.points

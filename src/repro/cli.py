@@ -305,32 +305,17 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
 
     perf = sub.add_parser(
-        "perf", help="wall-clock profiling: reference-vs-fast kernel "
-                     "speedups and an execution-backend sweep")
-    perf.add_argument("--rows", type=int, default=1500,
-                      help="rows in the synthetic kernel workload")
-    perf.add_argument("--features", type=int, default=40000,
-                      help="features (model size) in the kernel workload")
-    perf.add_argument("--repeats", type=int, default=3,
-                      help="timing repeats per measurement (best-of-N)")
+        "perf", help="measured-vs-simulated network validation: train "
+                     "serial vs socket (gated on bit-identity), price the "
+                     "socket run's messages through the NetworkModel and "
+                     "fit the real transport's alpha/bandwidth")
     perf.add_argument("--executors", type=int, default=4,
-                      help="executors for the backend sweep workload")
+                      help="executors in the validation workload")
     perf.add_argument("--steps", type=int, default=4,
-                      help="training steps in the backend sweep workload")
+                      help="training steps in the validation workload")
     perf.add_argument("--seed", type=int, default=3)
-    perf.add_argument("--skip-backends", action="store_true",
-                      help="time only the kernels (skip the end-to-end "
-                           "backend sweep)")
-    perf.add_argument("--validate-network", action="store_true",
-                      help="run ONLY the measured-vs-simulated network "
-                           "validation: train serial vs socket (gated on "
-                           "bit-identity), then compare the socket run's "
-                           "measured bytes/seconds against the "
-                           "NetworkModel's simulated pricing of the same "
-                           "messages, plus a least-squares alpha/"
-                           "bandwidth fit of the real transport")
     perf.add_argument("--out", metavar="PATH",
-                      help="write the measurements to JSON")
+                      help="write the report to JSON")
 
     sched = sub.add_parser(
         "sched", help="multi-tenant cluster scheduler: queue management "
@@ -780,60 +765,15 @@ def _print_netcheck(report: dict) -> None:
 
 
 def cmd_perf(args) -> int:
-    # Imported here (not at module top): the harness is the one module
+    # Imported here (not at module top): repro.perf is the one package
     # allowed to read the wall clock, and most CLI commands never need it.
-    from .data import SyntheticSpec, generate
-    from .perf.harness import backend_sweep, kernel_benchmarks
     from .perf.netcheck import validate_network
 
-    if args.validate_network:
-        report = validate_network(executors=args.executors,
-                                  steps=args.steps, seed=args.seed)
-        _print_netcheck(report)
-        if args.out:
-            Path(args.out).write_text(json.dumps(report, indent=2),
-                                      encoding="ascii")
-            print(f"wrote {args.out}")
-        return 0
-
-    kernels = kernel_benchmarks(rows=args.rows, features=args.features,
-                                repeats=args.repeats)
-    print(format_table(
-        ["kernel", "reference s", "fast s", "speedup", "bit-identical"],
-        [[e["kernel"], f"{e['reference_seconds']:.4f}",
-          f"{e['fast_seconds']:.4f}", f"{e['speedup']:.2f}x",
-          "yes" if e["bit_identical"] else "NO"] for e in kernels],
-        title=f"local-solver kernels: reference vs fast "
-              f"({args.rows} rows x {args.features} features, "
-              f"best of {args.repeats})"))
-
-    payload = {"bench": "wallclock-cli", "kernels": kernels}
-    if not args.skip_backends:
-        dataset = generate(SyntheticSpec(n_rows=400, n_features=48,
-                                         nnz_per_row=8.0, noise=0.02,
-                                         seed=17), name="perf-sweep")
-        objective = Objective("hinge", "l2", 0.1)
-
-        def make_trainer(backend: str):
-            config = TrainerConfig(max_steps=args.steps, learning_rate=0.3,
-                                   lr_schedule="inv_sqrt",
-                                   batch_fraction=0.25, local_chunk_size=16,
-                                   seed=args.seed, backend=backend)
-            return MLlibStarTrainer(
-                objective, cluster1(executors=args.executors), config)
-
-        sweep = backend_sweep(make_trainer, dataset, repeats=args.repeats)
-        print()
-        print(format_table(
-            ["backend", "wall s", "speedup vs baseline"],
-            [[name, f"{sweep['seconds'][name]:.4f}",
-              f"{sweep['speedup_vs_baseline'][name]:.2f}x"]
-             for name in sweep["seconds"]],
-            title=f"MLlib* end-to-end backends (baseline: "
-                  f"{sweep['baseline']}; histories bit-identical)"))
-        payload["backends"] = sweep
+    report = validate_network(executors=args.executors, steps=args.steps,
+                              seed=args.seed)
+    _print_netcheck(report)
     if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2),
+        Path(args.out).write_text(json.dumps(report, indent=2),
                                   encoding="ascii")
         print(f"wrote {args.out}")
     return 0

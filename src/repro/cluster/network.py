@@ -103,7 +103,9 @@ class NetworkModel:
         Same serialized-downlink pattern as :meth:`fan_in_seconds`, but
         each message is priced individually — the shape sparse payloads
         produce, where every sender ships its own support.  Equal-sized
-        messages reduce to ``fan_in_seconds(len(values), size)`` exactly.
+        messages give ``fan_in_seconds(len(values), size)`` up to float
+        rounding: a running sum of n equal terms need not be bit-equal
+        to n times the term.
 
         An *empty* message list is rejected: a fan-in with no senders is
         a caller bug (a singleton aggregation group or a one-executor

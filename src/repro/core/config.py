@@ -102,12 +102,11 @@ class TrainerConfig:
         Host-side execution backend for the per-worker local solves:
         ``serial`` (in-process reference loop), ``shm`` (process pool
         over shared-memory CSR shards with a zero-copy broadcast arena)
-        or ``socket`` (long-lived worker daemons over
-        localhost TCP whose bytes-on-wire and wall seconds are measured
-        for ``repro perf --validate-network``).  A *wall-clock* knob
-        only: every backend produces bit-identical iterates, histories
-        and simulated seconds (fixed per-worker RNG streams, fixed
-        combine order).  See :mod:`repro.engine.backend` and
+        or ``socket`` (long-lived worker daemons over localhost TCP
+        whose bytes-on-wire and wall seconds are measured for
+        ``repro perf``).  A *wall-clock* knob only: every backend
+        produces bit-identical iterates, histories and simulated
+        seconds (fixed per-worker RNG streams, fixed combine order).  See :mod:`repro.engine.backend` and
         ``docs/performance.md``.
     collective:
         Aggregation topology: ``flat`` (the paper's shuffle AllReduce /

@@ -192,7 +192,7 @@ class DistributedTrainer:
         #: Measured transport accounting from the last closed session
         #: (``socket`` backend only; ``None`` otherwise).  Harvested by
         #: ``TrainingSession.close`` before the backend is torn down —
-        #: this is what ``repro perf --validate-network`` compares
+        #: this is what ``repro perf`` compares
         #: against the simulated :class:`NetworkModel` pricing.
         self.last_wire_stats: dict | None = None
 

@@ -21,9 +21,9 @@ Python process.  An :class:`ExecutionBackend` owns that region:
   and model-sized arrays travel out of band, uncopied.  Everything
   crosses a real transport, so each superstep's bytes-on-wire and wall
   seconds are *measured* — the backend's
-  :meth:`~ExecutionBackend.wire_summary` feeds ``repro perf
-  --validate-network``, which compares them against
-  :class:`~repro.cluster.network.NetworkModel`'s *simulated* seconds.
+  :meth:`~ExecutionBackend.wire_summary` feeds ``repro perf``, which
+  compares them against :class:`~repro.cluster.network.NetworkModel`'s
+  *simulated* seconds.
 
 Workers never share an address space, as Spark executors do not (a
 GIL-bound thread pool trailed ``serial`` on every measured shape;

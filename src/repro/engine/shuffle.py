@@ -57,7 +57,8 @@ class ShuffleModel:
         make every message's wire size depend on its support, so a
         sender's uplink cost is the sum of its individually priced
         transfers.  With equal sizes this equals
-        ``round_seconds(cluster, len(message_values), size)`` exactly.
+        ``round_seconds(cluster, len(message_values), size)`` up to
+        float rounding (a running sum, not a product).
         A node with nothing to send (a one-executor shuffle) costs 0.0.
         """
         if len(message_values) == 0:

@@ -9,7 +9,7 @@ from .kernels import (apply_update_inplace, chunk_grad_touched,
                       permuted_epoch, touched_columns)
 from .lazy_update import ScaledVector
 from .local_solvers import (LocalStats, apply_update, gd_step, mgd_epoch,
-                            sample_batch, sgd_epoch, use_reference_kernels)
+                            sample_batch, sgd_epoch)
 from .losses import (LOSSES, HingeLoss, LogisticLoss, Loss,
                      SquaredHingeLoss, SquaredLoss, get_loss)
 from .model import (ARTIFACT_FORMAT, ARTIFACT_VERSION, ArtifactError,
@@ -30,7 +30,7 @@ __all__ = [
     "ArtifactError", "ARTIFACT_FORMAT", "ARTIFACT_VERSION",
     "read_artifact_meta",
     "LocalStats", "gd_step", "mgd_epoch", "sgd_epoch", "sample_batch",
-    "apply_update", "use_reference_kernels",
+    "apply_update",
     "apply_update_inplace", "chunk_grad_touched", "chunk_margins",
     "permuted_epoch", "touched_columns", "dual_epoch", "dual_row_norms",
     "DualLoss", "DualSolverSpec", "DUAL_LOSSES", "DUAL_SOLVERS",

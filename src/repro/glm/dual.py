@@ -50,9 +50,8 @@ primal epoch solvers — bit-identical across execution backends.
 The hot inner loop lives in :func:`repro.glm.kernels.dual_epoch`
 (raw-CSR row gather, cached row norms, in-place shared-vector update);
 the retained pre-optimization body is
-:func:`repro.glm.reference.dual_epoch_reference` and
-:func:`repro.glm.use_reference_kernels` switches between them — both
-paths are bit-identical (``tests/test_glm_dual.py``).
+:func:`repro.glm.reference.dual_epoch_reference`, its bit-exact oracle
+(``tests/test_glm_dual.py`` compares the two epoch by epoch).
 """
 
 from __future__ import annotations
@@ -321,13 +320,11 @@ def dual_local_solve(objective: Objective, w: np.ndarray,
     iterate copy and one for the delta materialization).
 
     Inputs are never mutated — ``w`` may be a read-only shared-memory or
-    sanitizer-frozen view.  Epoch permutations are drawn from ``rng`` in
-    the dispatcher so the fast and reference kernels consume identical
-    RNG streams.
+    sanitizer-frozen view.  Epoch permutations are drawn from ``rng``
+    here, so the kernel takes each epoch's row ``order`` as an argument.
     """
-    from . import reference
     from .kernels import dual_epoch, dual_row_norms
-    from .local_solvers import _KERNEL_MODE, LocalStats
+    from .local_solvers import LocalStats
 
     require_dual_capable(objective)
     n = X.shape[0]
@@ -343,18 +340,11 @@ def dual_local_solve(objective: Objective, w: np.ndarray,
     acur = np.array(alpha, dtype=np.float64, copy=True)
     dalpha = np.zeros(n)
     stats = LocalStats(dense_ops=w.shape[0])
-    use_reference = _KERNEL_MODE[0] == "reference"
-    if not use_reference:
-        norms = dual_row_norms(X.indptr, X.data, n)
+    norms = dual_row_norms(X.indptr, X.data, n)
     for _ in range(spec.epochs):
         order = rng.permutation(n)
-        if use_reference:
-            nnz, updates = reference.dual_epoch_reference(
-                X, y, u, acur, dalpha, order, scale, dloss.delta)
-        else:
-            nnz, updates = dual_epoch(X.indptr, X.indices, X.data, y, u,
-                                      acur, dalpha, order, scale, norms,
-                                      dloss.delta)
+        nnz, updates = dual_epoch(X.indptr, X.indices, X.data, y, u, acur,
+                                  dalpha, order, scale, norms, dloss.delta)
         stats.nnz_processed += nnz
         stats.n_updates += updates
     # One sparse pass + one dense write materialize the shipped delta.

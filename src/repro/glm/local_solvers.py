@@ -18,18 +18,14 @@ labels are in {-1, +1}; gradients are means over the examples used.
 
 The epoch loops run on the fast CSR kernels of :mod:`repro.glm.kernels`
 (pre-permuted epoch slicing, support-gathered gradients, in-place
-updates).  :func:`use_reference_kernels` temporarily routes them to the
-retained pre-optimization bodies in :mod:`repro.glm.reference` — both
-paths are bit-identical (enforced by ``tests/test_perf_kernels.py``); the
-switch exists so tests can compare them and so the wall-clock bench can
-measure the "before" baseline.
+updates).  The retained pre-optimization bodies in
+:mod:`repro.glm.reference` are their bit-exact oracle
+(``tests/test_perf_kernels.py`` compares the two).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,30 +36,7 @@ from .lazy_update import ScaledVector
 from .objective import Objective
 
 __all__ = ["LocalStats", "gd_step", "mgd_epoch", "sgd_epoch",
-           "sample_batch", "apply_update", "use_reference_kernels"]
-
-#: Active kernel implementation: ``"fast"`` (default) or ``"reference"``.
-#: Module-level so :func:`use_reference_kernels` can flip it for a scope;
-#: it selects between bit-identical implementations, so it can never
-#: change results — only wall-clock speed.
-_KERNEL_MODE = ["fast"]
-
-
-@contextmanager
-def use_reference_kernels() -> Iterator[None]:
-    """Run epoch solvers on the retained reference implementations.
-
-    For tests (comparing fast vs reference bit-for-bit) and for the
-    wall-clock benchmark's "before" baseline.  Process-local: parallel
-    backends do not see a flip made after their pool started, so
-    benchmarks pair reference kernels with the serial backend.
-    """
-    previous = _KERNEL_MODE[0]
-    _KERNEL_MODE[0] = "reference"
-    try:
-        yield
-    finally:
-        _KERNEL_MODE[0] = previous
+           "sample_batch", "apply_update"]
 
 
 @dataclass
@@ -140,10 +113,6 @@ def mgd_epoch(objective: Objective, w: np.ndarray, X: sp.csr_matrix,
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     order = rng.permutation(n) if shuffle else np.arange(n)
-    if _KERNEL_MODE[0] == "reference":
-        from . import reference
-        return reference.mgd_epoch_reference(objective, w, X, y, lr,
-                                             batch_size, order)
     Xp, yp = permuted_epoch(X, y, order, shuffle)
     stats = LocalStats()
     current = np.array(w, copy=True)
@@ -242,13 +211,6 @@ def sgd_epoch(objective: Objective, w: np.ndarray, X: sp.csr_matrix,
     n = X.shape[0]
     order = rng.permutation(n) if shuffle else np.arange(n)
     use_lazy = (lazy and objective.regularizer.name in ("none", "l2"))
-    if _KERNEL_MODE[0] == "reference":
-        from . import reference
-        if use_lazy:
-            return reference.sgd_epoch_lazy_reference(
-                objective, w, X, y, lr, chunk_size, order)
-        return reference.sgd_epoch_eager_reference(
-            objective, w, X, y, lr, chunk_size, order)
     Xp, yp = permuted_epoch(X, y, order, shuffle)
     if use_lazy:
         return _sgd_epoch_lazy(objective, w, Xp, yp, lr, chunk_size)

@@ -1,20 +1,16 @@
 """Retained reference implementations of the local-solver hot loops.
 
-These are the pre-optimization bodies of :func:`repro.glm.mgd_epoch` and
-:func:`repro.glm.sgd_epoch`, kept verbatim so the fast kernels in
-:mod:`repro.glm.kernels` have a bit-exact oracle:
+These are the pre-optimization bodies of :func:`repro.glm.mgd_epoch`,
+:func:`repro.glm.sgd_epoch` and the SDCA epoch of
+:func:`repro.glm.dual_local_solve`, kept verbatim so the fast kernels in
+:mod:`repro.glm.kernels` have a bit-exact oracle.  No training path calls
+them: the property tests (``tests/test_perf_kernels.py``,
+``tests/test_glm_dual.py``) assert fast == reference across densities,
+chunk sizes, regularizers and dual losses.
 
-* the property tests (``tests/test_perf_kernels.py``) assert fast ==
-  reference across densities, chunk sizes and regularizers;
-* the wall-clock harness (:mod:`repro.perf.harness`) times reference vs
-  fast to report per-kernel speedups in ``BENCH_wallclock.json``;
-* :func:`repro.glm.use_reference_kernels` routes the public solver entry
-  points here, so whole training runs can be executed on the reference
-  path (the "before" baseline of the end-to-end benchmark).
-
-Each function takes the epoch's row ``order`` instead of an RNG — the
-dispatcher draws the permutation once, so reference and fast runs consume
-identical RNG streams.
+Each function takes the epoch's row ``order`` instead of an RNG; a test
+draws the permutation from a twin of the generator the solver consumes,
+so both sides see the same rows in the same order.
 """
 
 from __future__ import annotations

@@ -1,13 +1,10 @@
 """Latency histograms for the serving layer.
 
 A :class:`LatencyHistogram` records per-request (simulated) latencies and
-answers two questions:
-
-* **exact quantiles** — p50/p95/p99 computed from the raw samples with a
-  deterministic nearest-rank rule (no interpolation, so results are
-  bit-identical across platforms and library versions);
-* **shape** — log-spaced bucket counts for display, the classic
-  "how wide is the tail" view SLO dashboards plot.
+answers the SLO question with **exact quantiles**: p50/p95/p99 computed
+from the raw samples with a deterministic nearest-rank rule (no
+interpolation, so results are bit-identical across platforms and library
+versions).
 
 Samples are simulated seconds (the repo has no wall clock — see rule
 DET001), but nothing here assumes a time unit.
@@ -16,45 +13,16 @@ DET001), but nothing here assumes a time unit.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 
 __all__ = ["LatencyHistogram"]
 
 
 class LatencyHistogram:
-    """Streaming latency recorder with exact nearest-rank quantiles.
+    """Streaming latency recorder with exact nearest-rank quantiles."""
 
-    Parameters
-    ----------
-    lo:
-        Lower edge of the first display bucket; smaller samples land in
-        an underflow bucket.
-    decades:
-        Number of decades the bucket grid spans above ``lo``.
-    buckets_per_decade:
-        Display resolution (10 gives ~25% wide buckets).
-    """
-
-    def __init__(self, lo: float = 1.0e-6, decades: int = 7,
-                 buckets_per_decade: int = 10) -> None:
-        if lo <= 0:
-            raise ValueError("lo must be positive")
-        if decades < 1 or buckets_per_decade < 1:
-            raise ValueError("need at least one decade and one bucket")
-        self._lo = lo
-        self._n_buckets = decades * buckets_per_decade + 1
-        self._per_decade = buckets_per_decade
-        # underflow bucket 0, log-spaced buckets, overflow bucket at end
-        self._counts = [0] * (self._n_buckets + 1)
+    def __init__(self) -> None:
         self._samples: list[float] = []
         self._total = 0.0
-        # Upper edges of the regular buckets 1.._n_buckets-1, computed once
-        # by the same formula the display labels use.  Bucketing compares
-        # against these directly (bisect) instead of inverting them with
-        # log10 — the roundoff of log10(edge/lo) * per_decade can land an
-        # exact-edge sample one bucket too high, off by one vs its label.
-        self._edges = [self._bucket_edge(i)
-                       for i in range(1, self._n_buckets)]
         # Sorted-sample cache for the percentile methods; invalidated on
         # record so summary() doesn't re-sort once per percentile.
         self._sorted: list[float] | None = None
@@ -67,18 +35,6 @@ class LatencyHistogram:
         self._samples.append(value)
         self._total += value
         self._sorted = None
-        self._counts[self._bucket_index(value)] += 1
-
-    def _bucket_index(self, value: float) -> int:
-        if value < self._lo:
-            return 0
-        # First bucket whose upper edge covers the value; a sample lying
-        # exactly on an edge belongs to that edge's bucket ("<= edge").
-        return 1 + bisect_left(self._edges, value)
-
-    def _bucket_edge(self, idx: int) -> float:
-        """Upper edge of bucket ``idx`` (0 = underflow)."""
-        return self._lo * 10.0 ** (idx / self._per_decade)
 
     # ------------------------------------------------------------------
     @property

@@ -1,4 +1,4 @@
-"""Wall-clock performance layer: profiling and measurement harness.
+"""Wall-clock performance layer: profiling and network validation.
 
 This package is the **only** place in ``repro`` allowed to read the host
 wall clock.  Everywhere else, "seconds" means *simulated* seconds priced
@@ -8,13 +8,14 @@ explicitly (see :mod:`repro.analysis.rules`) rather than via per-line
 ``noqa`` so the exemption is structural and reviewable in one place.
 
 Wall-clock readings made here are **never** fed back into the simulation
-— they exist to measure the reproduction's own host-side speed (the
-subject of ``BENCH_wallclock.json`` and the ``repro perf`` CLI command).
+— they exist to measure the reproduction's own host-side speed: the
+per-phase :mod:`repro.perf.profiler` read by ``benchmarks/e2e``, and the
+measured-vs-simulated wire check behind ``repro perf``.
 
 Only :mod:`repro.perf.profiler` is re-exported here;
-:mod:`repro.perf.harness` imports the trainers (which import the profiler
-for their instrumentation hooks), so import it explicitly as
-``repro.perf.harness`` to avoid the cycle.
+:mod:`repro.perf.netcheck` imports the trainers (which import the
+profiler for their instrumentation hooks), so import it explicitly as
+``repro.perf.netcheck`` to avoid the cycle.
 """
 
 from .profiler import NullProfiler, PhaseProfiler, PhaseStat

@@ -1,5 +1,4 @@
-"""Measured-vs-simulated network validation (``repro perf
---validate-network``).
+"""Measured-vs-simulated network validation (``repro perf``).
 
 Everything priced by :class:`repro.cluster.network.NetworkModel` has so
 far been *simulated*: ``alpha + bytes / bandwidth`` with paper-derived
@@ -34,13 +33,13 @@ clock.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from ..cluster import ClusterSpec, cluster1
 from ..core import MLlibStarTrainer, TrainerConfig
-from ..data import SparseDataset, SyntheticSpec, generate
+from ..data import SyntheticSpec, generate
 from ..glm import Objective
 
 __all__ = ["validate_network", "fit_alpha_beta", "simulate_wire_log"]
@@ -151,47 +150,34 @@ def simulate_wire_log(wire_stats: dict[str, Any],
     }
 
 
-def _default_workload(rows: int, features: int,
-                      seed: int) -> SparseDataset:
-    return generate(SyntheticSpec(n_rows=rows, n_features=features,
-                                  nnz_per_row=8.0, noise=0.02, seed=17),
-                    name="netcheck")
-
-
 def validate_network(rows: int = 400, features: int = 48,
-                     executors: int = 4, steps: int = 5, seed: int = 3,
-                     make_trainer: Callable[[str], Any] | None = None,
-                     dataset: SparseDataset | None = None,
-                     ) -> dict[str, Any]:
+                     executors: int = 4, steps: int = 5,
+                     seed: int = 3) -> dict[str, Any]:
     """Run the serial-vs-socket validation; return the full report.
 
-    ``make_trainer(backend)`` may override the default MLlib* workload;
-    it must return a fresh trainer per call and its cluster is used for
-    the simulated pricing.  Raises :class:`AssertionError` if the socket
-    run is not bit-identical to serial — measured numbers for a drifted
-    computation would be meaningless.
+    The workload is MLlib* on a ``rows`` x ``features`` synthetic set
+    over ``cluster1(executors)``, whose network model prices the wire.
+    Raises :class:`AssertionError` if the socket run is not bit-identical
+    to serial — measured numbers for a drifted computation would be
+    meaningless.
     """
-    if dataset is None:
-        dataset = _default_workload(rows, features, seed)
-    if make_trainer is not None:
-        factory = make_trainer
-    else:
-        objective = Objective("hinge", "l2", 0.1)
-        default_cluster = cluster1(executors=executors)
+    dataset = generate(SyntheticSpec(n_rows=rows, n_features=features,
+                                     nnz_per_row=8.0, noise=0.02, seed=17),
+                       name="netcheck")
+    objective = Objective("hinge", "l2", 0.1)
+    cluster = cluster1(executors=executors)
 
-        def factory(backend: str) -> Any:
-            config = TrainerConfig(max_steps=steps, learning_rate=0.3,
-                                   lr_schedule="inv_sqrt",
-                                   batch_fraction=0.25,
-                                   local_chunk_size=16, seed=seed,
-                                   backend=backend)
-            return MLlibStarTrainer(objective, default_cluster, config)
+    def factory(backend: str) -> MLlibStarTrainer:
+        config = TrainerConfig(max_steps=steps, learning_rate=0.3,
+                               lr_schedule="inv_sqrt", batch_fraction=0.25,
+                               local_chunk_size=16, seed=seed,
+                               backend=backend)
+        return MLlibStarTrainer(objective, cluster, config)
 
     serial_trainer = factory("serial")
     serial_result = serial_trainer.fit(dataset)
     socket_trainer = factory("socket")
     socket_result = socket_trainer.fit(dataset)
-    cluster = socket_trainer.cluster
 
     serial_points = list(serial_result.history.points)
     socket_points = list(socket_result.history.points)
@@ -225,7 +211,7 @@ def validate_network(rows: int = 400, features: int = 48,
     return {
         "bit_identical": True,
         "workload": {
-            "system": getattr(socket_trainer, "system", "custom"),
+            "system": socket_trainer.system,
             "dataset": dataset.name,
             "executors": cluster.num_executors,
             "history_points": len(serial_points),

@@ -224,7 +224,7 @@ def test_det001_still_flags_rng_under_perf(tmp_path):
            "import time\n"
            "start = time.time()\n"
            "rng = np.random.default_rng()\n")
-    result = lint(tmp_path, "perf/harness.py", src)
+    result = lint(tmp_path, "perf/netcheck.py", src)
     det = [v for v in result.violations if v.rule == "DET001"]
     assert len(det) == 1
     assert det[0].line == 4

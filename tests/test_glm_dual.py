@@ -28,9 +28,9 @@ from repro.core import MLlibStarTrainer, TrainerConfig
 from repro.core.worker import run_dual_on_partition
 from repro.data import Partition, SyntheticSpec, generate
 from repro.glm import (DUAL_LOSSES, Objective, certified_gap,
-                       dual_local_solve, get_dual_loss, get_loss,
-                       make_dual_spec, require_dual_capable,
-                       use_reference_kernels)
+                       dual_epoch, dual_local_solve, dual_row_norms,
+                       get_dual_loss, get_loss, make_dual_spec, reference,
+                       require_dual_capable)
 
 DUAL_CAPABLE = sorted(DUAL_LOSSES)
 
@@ -235,23 +235,25 @@ class TestDualLocalSolveBitIdentity:
                                    workers):
         n, m, density, seed = params
         X, y, w0 = make_problem(n, m, density, seed, loss)
-        objective = Objective(loss, "l2", 0.1)
         rng = np.random.default_rng(seed + 7)
         alpha0 = feasible_alpha(loss, y, rng) * 0.5
         spec = make_dual_spec(solver, None, epochs, 4 * n, workers)
-        rng_fast = np.random.default_rng(seed + 1)
-        rng_ref = np.random.default_rng(seed + 1)
-        dw_f, a_f, st_f = dual_local_solve(objective, w0, X, y, alpha0,
-                                           spec, rng_fast)
-        with use_reference_kernels():
-            dw_r, a_r, st_r = dual_local_solve(objective, w0, X, y,
-                                               alpha0, spec, rng_ref)
-        assert np.array_equal(dw_f, dw_r)
-        assert np.array_equal(a_f, a_r)
-        assert st_f == st_r
-        # Both paths draw the same permutations: one per epoch.
-        assert (rng_fast.bit_generator.state
-                == rng_ref.bit_generator.state)
+        # dual_local_solve's epoch set-up, with lambda = 0.1.
+        scale = spec.sigma_prime / (0.1 * spec.n_total)
+        delta = get_dual_loss(loss).delta
+        norms = dual_row_norms(X.indptr, X.data, n)
+        fast = [np.array(w0, copy=True), alpha0.copy(), np.zeros(n)]
+        ref = [np.array(w0, copy=True), alpha0.copy(), np.zeros(n)]
+        order_rng = np.random.default_rng(seed + 1)
+        for _ in range(spec.epochs):
+            order = order_rng.permutation(n)
+            counts_f = dual_epoch(X.indptr, X.indices, X.data, y, *fast,
+                                  order, scale, norms, delta)
+            counts_r = reference.dual_epoch_reference(X, y, *ref, order,
+                                                      scale, delta)
+            assert counts_f == counts_r
+            for got, want in zip(fast, ref):
+                assert np.array_equal(got, want)
 
     def test_inputs_are_not_mutated(self):
         # The backend contract: w may be a read-only shared view and the

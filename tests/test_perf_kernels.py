@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from repro.glm import (Objective, apply_update, apply_update_inplace,
                        chunk_grad_touched, chunk_margins, mgd_epoch,
-                       permuted_epoch, sgd_epoch, touched_columns,
-                       use_reference_kernels)
+                       permuted_epoch, reference, sgd_epoch,
+                       touched_columns)
 from repro.glm.lazy_update import ScaledVector
 
 
@@ -66,13 +66,17 @@ class TestSgdEpochBitIdentity:
         w_fast, stats_fast = sgd_epoch(objective, w0, X, y, 0.05, rng_fast,
                                        chunk_size=chunk_size,
                                        shuffle=shuffle)
-        with use_reference_kernels():
-            w_ref, stats_ref = sgd_epoch(objective, w0, X, y, 0.05,
-                                         rng_ref, chunk_size=chunk_size,
-                                         shuffle=shuffle)
+        # The dispatcher's draw, from a twin RNG: one permutation or none.
+        order = rng_ref.permutation(n) if shuffle else np.arange(n)
+        if objective.regularizer.name in ("none", "l2"):
+            w_ref, stats_ref = reference.sgd_epoch_lazy_reference(
+                objective, w0, X, y, 0.05, chunk_size, order)
+        else:
+            w_ref, stats_ref = reference.sgd_epoch_eager_reference(
+                objective, w0, X, y, 0.05, chunk_size, order)
         assert np.array_equal(w_fast, w_ref)
         assert stats_fast == stats_ref
-        # Both paths must consume the RNG identically (one permutation).
+        # The fast path consumes the RNG exactly as the dispatcher's draw.
         assert (rng_fast.bit_generator.state
                 == rng_ref.bit_generator.state)
 
@@ -89,11 +93,12 @@ class TestSgdEpochBitIdentity:
         rng_ref = np.random.default_rng(seed + 2)
         w_fast, stats_fast = mgd_epoch(objective, w0, X, y, 0.05,
                                        batch_size, rng_fast)
-        with use_reference_kernels():
-            w_ref, stats_ref = mgd_epoch(objective, w0, X, y, 0.05,
-                                         batch_size, rng_ref)
+        w_ref, stats_ref = reference.mgd_epoch_reference(
+            objective, w0, X, y, 0.05, batch_size, rng_ref.permutation(n))
         assert np.array_equal(w_fast, w_ref)
         assert stats_fast == stats_ref
+        assert (rng_fast.bit_generator.state
+                == rng_ref.bit_generator.state)
 
 
 class TestKernelUnits:
@@ -182,14 +187,3 @@ class TestScaledVectorValuesView:
         sv.axpy_dense(1.0, np.array([1.0, 1.0]))
         assert np.array_equal(sv.to_array(), [2.0, 3.0])
 
-
-class TestReferenceModeSwitch:
-    def test_mode_restored_after_exception(self):
-        from repro.glm import local_solvers
-        try:
-            with use_reference_kernels():
-                assert local_solvers._KERNEL_MODE[0] == "reference"
-                raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        assert local_solvers._KERNEL_MODE[0] == "fast"

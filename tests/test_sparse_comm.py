@@ -520,20 +520,6 @@ class TestLinterScope:
 # metrics/data bugfix regressions (satellites)
 # ----------------------------------------------------------------------
 class TestHistogramEdgePlacement:
-    def test_exact_edge_sample_matches_its_label(self):
-        """A sample equal to a bucket's printed upper edge must land in
-        that bucket; log10 roundoff used to push some one bucket high."""
-        hist = LatencyHistogram(lo=1.0e-6, decades=7, buckets_per_decade=10)
-        for idx in range(1, hist._n_buckets):
-            edge = hist._bucket_edge(idx)
-            assert hist._bucket_index(edge) == idx, (
-                f"edge {edge!r} of bucket {idx} misplaced")
-
-    def test_underflow_and_overflow(self):
-        hist = LatencyHistogram(lo=1.0e-3, decades=2, buckets_per_decade=2)
-        assert hist._bucket_index(1.0e-4) == 0
-        assert hist._bucket_index(1.0e3) == hist._n_buckets
-
     def test_summary_uses_one_sort(self, monkeypatch):
         hist = LatencyHistogram()
         for value in [0.5, 0.1, 0.9, 0.3]:
