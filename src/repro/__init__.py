@@ -40,8 +40,8 @@ from .data import (SparseDataset, SyntheticSpec, avazu_like, dataset_names,
                    generate, kdd12_like, kddb_like, load, partition_rows,
                    read_libsvm, train_test_split, url_like, write_libsvm,
                    wx_like)
-from .engine import (BroadcastModel, BspEngine, PartitionedDataset,
-                     ShuffleModel, TreeAggregateModel)
+from .engine import (BspEngine, PartitionedDataset, ShuffleModel,
+                     TreeAggregateModel)
 from .glm import (BinaryMetrics, GLMModel, HingeLoss, LogisticLoss,
                   Objective, SquaredHingeLoss, SquaredLoss, evaluate_binary,
                   get_loss, get_regularizer, roc_auc)
@@ -71,8 +71,8 @@ __all__ = [
     "BinaryMetrics", "evaluate_binary", "roc_auc",
     # engine & collectives
     "BspEngine", "PartitionedDataset", "TreeAggregateModel",
-    "BroadcastModel", "ShuffleModel", "partition_slices", "reduce_scatter",
-    "all_gather", "all_reduce_average",
+    "ShuffleModel", "partition_slices", "reduce_scatter", "all_gather",
+    "all_reduce_average",
     # trainers
     "TrainerConfig", "DistributedTrainer", "TrainResult", "MLlibTrainer",
     "MLlibModelAveragingTrainer", "MLlibStarTrainer", "PetuumTrainer",

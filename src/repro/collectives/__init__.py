@@ -16,8 +16,7 @@ trainers open one :class:`Topology` per session and never branch on the
 collective's name again.
 """
 
-from .allreduce import (all_gather, all_reduce_average, all_reduce_weighted,
-                        combine_weight_scale, partition_slices,
+from .allreduce import (all_gather, all_reduce_average, partition_slices,
                         reduce_scatter, traffic_values)
 from .hierarchical import (HierWire, hier_all_gather, hier_dense_wire,
                            hier_reduce_scatter, hier_tree_fan_in)
@@ -30,9 +29,8 @@ from .sparse import (SPARSE_COMM_MODES, CommStats, SparsePayload, TreeWire,
                      tree_fan_in_wire, wire_values)
 from .topology import COLLECTIVES, TOPOLOGIES, Topology, open_topology
 
-__all__ = ["partition_slices", "combine_weight_scale", "reduce_scatter",
-           "all_gather", "all_reduce_average", "all_reduce_weighted",
-           "traffic_values", "SPARSE_COMM_MODES", "SparsePayload",
+__all__ = ["partition_slices", "reduce_scatter", "all_gather",
+           "all_reduce_average", "traffic_values", "SPARSE_COMM_MODES", "SparsePayload",
            "CommStats", "TreeWire", "encode", "materialize",
            "payload_wire_values", "wire_values", "sparse_reduce_scatter",
            "sparse_all_gather", "tree_fan_in_wire",

@@ -32,15 +32,12 @@ the shuffle primitive, and the routed reference that
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..analysis.sanitizer import check_replicas as _check_replicas
 
-__all__ = ["partition_slices", "combine_weight_scale", "reduce_scatter",
-           "all_gather", "all_reduce_average", "all_reduce_weighted",
-           "traffic_values"]
+__all__ = ["partition_slices", "reduce_scatter", "all_gather",
+           "all_reduce_average", "traffic_values"]
 
 
 def partition_slices(model_size: int, num_workers: int) -> list[slice]:
@@ -60,56 +57,25 @@ def partition_slices(model_size: int, num_workers: int) -> list[slice]:
             for i in range(num_workers)]
 
 
-def combine_weight_scale(combine: str, weights: list[float] | None,
-                         num_workers: int) -> np.ndarray | None:
-    """Validate a combine/weights pairing; return the normalized scale.
-
-    Returns the normalized weight vector for ``combine='weighted'`` and
-    ``None`` for the unweighted schemes.  Raises :class:`ValueError` when
-    ``weights`` is passed with a combine that ignores it (previously a
-    silent no-op) or when any weight is non-positive or non-finite (NaN
-    and inf used to slip past the positivity check and poison the
-    combined model).
-    """
-    if combine != "weighted":
-        if weights is not None:
-            raise ValueError(
-                f"weights are only valid with combine='weighted', "
-                f"not combine={combine!r}")
-        return None
-    if weights is None or len(weights) != num_workers:
-        raise ValueError("weighted combine needs one weight per model")
-    if any(not math.isfinite(w) or w <= 0 for w in weights):
-        raise ValueError("weights must be positive and finite")
-    scale = np.asarray(weights, dtype=np.float64)
-    return scale / scale.sum()
-
-
-def reduce_scatter(models: list[np.ndarray], combine: str = "average",
-                   weights: list[float] | None = None) -> list[np.ndarray]:
+def reduce_scatter(models: list[np.ndarray],
+                   combine: str = "average") -> list[np.ndarray]:
     """Phase 1: each worker ends up with the combined partition it owns.
 
     ``models[r]`` is worker ``r``'s full local model.  Returns
     ``partitions`` where ``partitions[r]`` is the combined slice owned by
     worker ``r``.  Combination schemes:
 
-    * ``average`` — plain model averaging (MLlib*'s default);
-    * ``sum`` — model summation (original Petuum; can diverge);
-    * ``weighted`` — sample-weighted averaging, the reweighting
-      improvement the paper attributes to Zhang & Jordan [15]
-      (Section IV-B1 remark).  ``weights[r]`` is typically worker ``r``'s
-      local example count, making the combined model the unbiased global
-      mean when partitions are unbalanced.
+    * ``average`` — plain model averaging (MLlib*'s primal exchange);
+    * ``sum`` — summation (the CoCoA dual path adds its deltas).
     """
-    if combine not in ("average", "sum", "weighted"):
-        raise ValueError("combine must be 'average', 'sum' or 'weighted'")
+    if combine not in ("average", "sum"):
+        raise ValueError("combine must be 'average' or 'sum'")
     k = len(models)
     if k == 0:
         raise ValueError("need at least one model")
     m = models[0].shape[0]
     if any(w.shape != (m,) for w in models):
         raise ValueError("all local models must have the same shape")
-    scale = combine_weight_scale(combine, weights, k)
 
     # One owner range at a time, on purpose: reducing one full-width
     # (k, m) stack is not bit-identical (NumPy sums a width-1 range
@@ -117,13 +83,9 @@ def reduce_scatter(models: list[np.ndarray], combine: str = "average",
     # holds k x m floats at once (+35 % peak RSS on the wide workloads).
     partitions: list[np.ndarray] = []
     for owned in partition_slices(m, k):
-        stacked = np.vstack([model[owned] for model in models])
-        if scale is not None:
-            combined = scale @ stacked
-        else:
-            combined = stacked.sum(axis=0)
-            if combine == "average":
-                combined = combined / k
+        combined = np.vstack([model[owned] for model in models]).sum(axis=0)
+        if combine == "average":
+            combined = combined / k
         partitions.append(combined)
     return partitions
 
@@ -162,15 +124,6 @@ def all_reduce_average(models: list[np.ndarray]) -> np.ndarray:
     if not models:
         raise ValueError("need at least one model")
     partitions = reduce_scatter(models, combine="average")
-    return all_gather(partitions, models[0].shape[0])
-
-
-def all_reduce_weighted(models: list[np.ndarray],
-                        weights: list[float]) -> np.ndarray:
-    """Weighted AllReduce: ``sum(w_i * model_i) / sum(w_i)``."""
-    if not models:
-        raise ValueError("need at least one model")
-    partitions = reduce_scatter(models, combine="weighted", weights=weights)
     return all_gather(partitions, models[0].shape[0])
 
 

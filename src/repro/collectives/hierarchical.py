@@ -320,7 +320,6 @@ def _fan_in_wire(support: SupportMask,
 def hier_reduce_scatter(models: list[np.ndarray],
                         groups: tuple[tuple[int, ...], ...],
                         combine: str = "average",
-                        weights: list[float] | None = None,
                         mode: str = "off",
                         ) -> tuple[list[np.ndarray], HierWire]:
     """Two-tier Reduce-Scatter: flat arithmetic, hierarchical pricing.
@@ -332,7 +331,7 @@ def hier_reduce_scatter(models: list[np.ndarray],
     per message on both tiers).
     """
     _check_groups(groups, len(models))
-    partitions = reduce_scatter(models, combine=combine, weights=weights)
+    partitions = reduce_scatter(models, combine=combine)
     return partitions, _rs_wire(
         SupportMask(models, int(models[0].shape[0]), mode), groups)
 

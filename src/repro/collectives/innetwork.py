@@ -223,7 +223,6 @@ def _bypass(wire: SwitchWire, host: "CommStats | TreeWire",
 # ----------------------------------------------------------------------
 def switch_reduce_scatter(models: list[np.ndarray],
                           combine: str = "average",
-                          weights: list[float] | None = None,
                           mode: str = "off", pool_slots: int = 512,
                           chunk_values: int = 256,
                           ) -> tuple[list[np.ndarray], SwitchWire]:
@@ -235,8 +234,8 @@ def switch_reduce_scatter(models: list[np.ndarray],
     the host-aggregation twin that sizes the fallback) — bit-identical
     to every other collective, fallback or not.
     """
-    partitions, host = sparse_reduce_scatter(
-        models, combine=combine, weights=weights, mode=mode)
+    partitions, host = sparse_reduce_scatter(models, combine=combine,
+                                             mode=mode)
     return partitions, _bypass(
         switch_dense_wire("reduce_scatter", int(models[0].shape[0]),
                           len(models), pool_slots, chunk_values),

@@ -270,7 +270,6 @@ class SupportMask:
 # sparse shuffle collectives: the flat data plane, then a sized wire
 # ----------------------------------------------------------------------
 def sparse_reduce_scatter(models: list[np.ndarray], combine: str = "average",
-                          weights: list[float] | None = None,
                           mode: str = "auto",
                           ) -> tuple[list[np.ndarray], CommStats]:
     """Reduce-Scatter with per-message sparse sizing.
@@ -282,7 +281,7 @@ def sparse_reduce_scatter(models: list[np.ndarray], combine: str = "average",
     locally and pays no wire cost.
     """
     _check_mode(mode)
-    partitions = reduce_scatter(models, combine=combine, weights=weights)
+    partitions = reduce_scatter(models, combine=combine)
     k, m = len(models), int(models[0].shape[0])
     ranges = partition_slices(m, k)
     support = SupportMask(models, m, mode)

@@ -55,14 +55,11 @@ class Topology:
         """Wire of ``phase`` for one always-dense vector per executor."""
         return None
 
-    def reduce_scatter(self, models: list[np.ndarray], combine: str,
-                       weights: list[float] | None):
+    def reduce_scatter(self, models: list[np.ndarray], combine: str):
         """``(owner partitions, wire)`` of one Reduce-Scatter."""
         if self.mode == "off":
-            return reduce_scatter(models, combine=combine,
-                                  weights=weights), None
-        return sparse_reduce_scatter(models, combine=combine,
-                                     weights=weights, mode=self.mode)
+            return reduce_scatter(models, combine=combine), None
+        return sparse_reduce_scatter(models, combine=combine, mode=self.mode)
 
     def all_gather(self, partitions: list[np.ndarray], model_size: int,
                    check_replicas: bool):
@@ -84,9 +81,9 @@ class HierTopology(Topology):
     def dense_wire(self, phase, model_size):
         return hier_dense_wire(phase, model_size, self.groups)
 
-    def reduce_scatter(self, models, combine, weights):
+    def reduce_scatter(self, models, combine):
         return hier_reduce_scatter(models, self.groups, combine=combine,
-                                   weights=weights, mode=self.mode)
+                                   mode=self.mode)
 
     def all_gather(self, partitions, model_size, check_replicas):
         return hier_all_gather(partitions, model_size, self.groups,
@@ -106,9 +103,8 @@ class SwitchTopology(Topology):
             phase, model_size, sum(len(group) for group in self.groups),
             **self.switch)
 
-    def reduce_scatter(self, models, combine, weights):
-        return switch_reduce_scatter(models, combine=combine,
-                                     weights=weights, mode=self.mode,
+    def reduce_scatter(self, models, combine):
+        return switch_reduce_scatter(models, combine=combine, mode=self.mode,
                                      **self.switch)
 
     def all_gather(self, partitions, model_size, check_replicas):

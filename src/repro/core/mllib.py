@@ -21,8 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster import ClusterSpec
-from ..engine import (BroadcastModel, BspEngine, PartitionedDataset,
-                      TreeAggregateModel)
+from ..engine import BspEngine, PartitionedDataset, TreeAggregateModel
 from ..glm import Objective, apply_update
 from .config import TrainerConfig
 from .trainer import DistributedTrainer
@@ -38,17 +37,14 @@ class MLlibTrainer(DistributedTrainer):
 
     def __init__(self, objective: Objective, cluster: ClusterSpec,
                  config: TrainerConfig | None = None,
-                 tree: TreeAggregateModel | None = None,
-                 broadcast: BroadcastModel | None = None) -> None:
+                 tree: TreeAggregateModel | None = None) -> None:
         super().__init__(objective, cluster, config)
         self._tree = tree
-        self._broadcast = broadcast
         self._engine: BspEngine | None = None
 
     # ------------------------------------------------------------------
     def _prepare(self, data: PartitionedDataset) -> None:
-        self._engine = self._open_bsp_engine(data, tree=self._tree,
-                                             broadcast=self._broadcast)
+        self._engine = self._open_bsp_engine(data, tree=self._tree)
 
     # ------------------------------------------------------------------
     def _run_step(self, step: int, w: np.ndarray,

@@ -30,24 +30,19 @@ __all__ = ["MLlibStarTrainer"]
 
 
 class MLlibStarTrainer(DistributedTrainer):
-    """The paper's MLlib*: SendModel + shuffle-based AllReduce."""
+    """The paper's MLlib*: SendModel + shuffle-based AllReduce.
+
+    The primal path averages the local models (plain model averaging,
+    §IV-B1); a dual solver sums its gamma-scaled deltas through the same
+    exchange.  There is no other combine.
+    """
 
     system = "MLlib*"
     supports_dual_solver = True
 
     def __init__(self, objective: Objective, cluster: ClusterSpec,
-                 config: TrainerConfig | None = None,
-                 combine: str = "average") -> None:
+                 config: TrainerConfig | None = None) -> None:
         super().__init__(objective, cluster, config)
-        if combine not in ("average", "sum", "weighted"):
-            raise ValueError(
-                "combine must be 'average', 'sum' or 'weighted'")
-        #: 'average' is MLlib*'s scheme; 'sum' exists for the
-        #: aggregation-scheme ablation (model summation can diverge);
-        #: 'weighted' is the Zhang & Jordan [15] reweighting the paper's
-        #: Section IV-B1 remark suggests, weighting each worker's model
-        #: by its local sample count (matters for unbalanced partitions).
-        self.combine = combine
         self._engine: BspEngine | None = None
 
     # ------------------------------------------------------------------
@@ -73,22 +68,18 @@ class MLlibStarTrainer(DistributedTrainer):
             # model *deltas*; they are summed through the exact same
             # AllReduce and applied to the broadcast iterate.
             return w + self._exchange(vectors, m, step, durations,
-                                      combine="sum", weights=None)
-        weights = None
-        if self.combine == "weighted":
-            weights = [float(p.n_rows) for p in data.partitions]
+                                      combine="sum")
         return self._exchange(vectors, m, step, durations,
-                              combine=self.combine, weights=weights)
+                              combine="average")
 
     def _exchange(self, locals_: list[np.ndarray], m: int, step: int,
-                  durations: list[float], combine: str,
-                  weights: list[float] | None) -> np.ndarray:
+                  durations: list[float], combine: str) -> np.ndarray:
         """Reduce-Scatter + AllGather of one vector per executor.
 
-        The priced shuffle AllReduce shared by the primal path (combine
-        local *models*, usually averaging) and the dual path (``sum``
-        the gamma-scaled *deltas*) — both exchange exactly one m-vector
-        per executor, so topology and sparse-wire pricing compose
+        The priced shuffle AllReduce shared by the primal path
+        (``average`` the local *models*) and the dual path (``sum`` the
+        gamma-scaled *deltas*) — both exchange exactly one m-vector per
+        executor, so topology and sparse-wire pricing compose
         identically.
         """
         engine = self._engine
@@ -103,8 +94,7 @@ class MLlibStarTrainer(DistributedTrainer):
         # they say: every topology calls the one dense data plane
         # (collectives.allreduce) once and sizes its wire from support
         # counts, so iterates are bit-identical across both flags.
-        partitions, rs_wire = self._topology.reduce_scatter(
-            locals_, combine, weights)
+        partitions, rs_wire = self._topology.reduce_scatter(locals_, combine)
         engine.reduce_scatter_phase(m, step, redo_seconds=durations,
                                     wire=rs_wire)
 

@@ -39,8 +39,8 @@ from ..cluster.faults import (FailureRecord, RecoveryPolicy,
                               build_failure_model)
 from ..data import SparseDataset
 from ..collectives import Topology, open_topology
-from ..engine import (BroadcastModel, BspEngine, CommRecord,
-                      PartitionedDataset, TreeAggregateModel)
+from ..engine import (BspEngine, CommRecord, PartitionedDataset,
+                      TreeAggregateModel)
 from ..engine.backend import ExecutionBackend, SerialBackend, make_backend
 from ..glm import GLMModel, LocalStats, Objective, get_schedule
 from ..metrics import TrainingHistory
@@ -140,6 +140,12 @@ class DistributedTrainer:
     #: trainers override this; requesting a dual solver from any other
     #: system fails fast in :meth:`open_session`.
     supports_dual_solver = False
+
+    #: Whether the trainer's engine runs the crash/retry loop that fault
+    #: injection and checkpointing price.  A trainer without one (the
+    #: event-driven async trainer) rejects those fields in
+    #: :meth:`open_session` instead of silently running fault-free.
+    supports_faults = True
 
     #: The session's collective topology (BSP trainers only; opened with
     #: the engine by :meth:`_open_bsp_engine`).
@@ -243,21 +249,22 @@ class DistributedTrainer:
         return list(getattr(engine, "comm_records", []))
 
     def _checkpoint_phase(self, step: int, model_size: int) -> None:
-        """Write a recovery checkpoint (engines price it; no-op without
-        an engine, e.g. the event-driven async trainer)."""
+        """Write a recovery checkpoint (engines price it).  A no-op
+        without an engine: the event-driven async trainer rejects
+        ``checkpoint_every`` up front, and the scheduler's preemption
+        checkpoint of an async job costs nothing."""
         engine = getattr(self, "_engine", None)
         if engine is not None:
             engine.checkpoint_phase(model_size, step)
 
     def _open_bsp_engine(self, data: PartitionedDataset,
                          tree: TreeAggregateModel | None = None,
-                         broadcast: BroadcastModel | None = None,
                          ) -> BspEngine:
         """Build a run's BSP engine with its recovery costs, and open the
         collective topology (``config.collective``) that will price the
         run's exchanges on it."""
-        engine = BspEngine(self.cluster, tree=tree, broadcast=broadcast,
-                           faults=self.faults, recovery=self.recovery)
+        engine = BspEngine(self.cluster, tree=tree, faults=self.faults,
+                           recovery=self.recovery)
         self._install_recovery_costs(engine, data)
         self._topology = open_topology(
             self.config, self.cluster,
@@ -402,6 +409,19 @@ class DistributedTrainer:
                 f"local_solver={self.config.local_solver!r}; the dual "
                 "CoCoA family is implemented for the SendModel trainers "
                 "(MLlib*, MLlib+MA)")
+        if not self.supports_faults:
+            config = self.config
+            unsupported = [
+                f"{name}={getattr(config, name)!r}"
+                for name, off in (("failure_rate", 0.0),
+                                  ("failure_schedule", None),
+                                  ("checkpoint_every", 0))
+                if getattr(config, name) != off]
+            if unsupported:
+                raise ValueError(
+                    f"{self.system} does not support "
+                    f"{', '.join(unsupported)}; it has no crash-recovery "
+                    "loop to inject failures into or checkpoint for")
         data = PartitionedDataset.load(dataset, self.cluster,
                                        strategy=partition_strategy,
                                        seed=self.config.seed)

@@ -3,7 +3,6 @@
 from .aggregation import TreeAggregateModel, TreeAggregateTiming
 from .backend import (BACKENDS, ExecutionBackend, SerialBackend,
                       ShmBackend, SocketBackend, make_backend)
-from .broadcast import BroadcastModel
 from .driver import DRIVER_LABEL, BspEngine, CommRecord, executor_label
 from .rdd import PartitionedDataset
 from .shuffle import ShuffleModel, exchange
@@ -14,6 +13,5 @@ __all__ = [
     "BACKENDS", "ExecutionBackend", "SerialBackend", "ShmBackend",
     "SocketBackend", "make_backend",
     "TreeAggregateModel", "TreeAggregateTiming",
-    "BroadcastModel",
     "ShuffleModel", "exchange",
 ]

@@ -50,7 +50,6 @@ from ..cluster import ClusterSpec, Trace
 from ..cluster.faults import (CrashRecovery, FailureModel, FailureRecord,
                               NoFailures, RecoveryPolicy)
 from .aggregation import TreeAggregateModel
-from .broadcast import BroadcastModel
 from .plan import (PhasePlan, PhaseRequest, WirePlanner, check_wire,
                    compression_ratio)
 from .shuffle import ShuffleModel
@@ -106,8 +105,6 @@ class BspEngine:
         The simulated cluster (nodes, network, costs, stragglers).
     tree:
         Aggregation model (depth 1 = flat, 2 = MLlib's treeAggregate).
-    broadcast:
-        Broadcast transport model.
     faults:
         Failure model deciding which (step, phase, executor, attempt)
         tuples crash; defaults to :class:`NoFailures`.
@@ -117,14 +114,12 @@ class BspEngine:
 
     def __init__(self, cluster: ClusterSpec,
                  tree: TreeAggregateModel | None = None,
-                 broadcast: BroadcastModel | None = None,
                  faults: FailureModel | None = None,
                  recovery: RecoveryPolicy | None = None) -> None:
         if cluster.num_executors < 1:
             raise ValueError("BSP engine needs at least one executor")
         self.cluster = cluster
         self.tree = tree if tree is not None else TreeAggregateModel()
-        self.broadcast = broadcast if broadcast is not None else BroadcastModel()
         self.shuffle = ShuffleModel()
         self.faults = faults if faults is not None else NoFailures()
         # Fail fast on failure scripts that could never fire: an event
@@ -311,9 +306,14 @@ class BspEngine:
         return seconds
 
     def broadcast_phase(self, model_size: int, step: int) -> float:
-        """Driver ships the size-``m`` model to all executors."""
-        duration = (self.broadcast.seconds(self.cluster, model_size)
-                    * self._net_slowdown(step))
+        """Driver ships the size-``m`` model to all executors.
+
+        The driver's uplink sends the ``k`` copies back to back: the same
+        serialized ``k`` transfers as a fan-in into one node, the linear
+        growth in ``k`` visible in the paper's Figure 3(a).
+        """
+        duration = (self.cluster.network.fan_in_seconds(
+            self.num_executors, model_size) * self._net_slowdown(step))
         start = self.now
         end = start + duration
         if duration > 0:

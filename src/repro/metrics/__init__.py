@@ -3,8 +3,7 @@
 from .convergence import (ACCURACY_LOSS, ConvergenceResult,
                           convergence_threshold, evaluate_convergence,
                           speedup)
-from .export import (history_to_rows, write_histories_json,
-                     write_history_csv, write_trace_csv)
+from .export import history_to_rows, write_histories_json, write_history_csv
 from .gantt import KIND_CHARS, GanttSummary, render_ascii, summarize
 from .histogram import LatencyHistogram
 from .history import HistoryPoint, TrainingHistory
@@ -24,6 +23,5 @@ __all__ = [
     "LatencyHistogram", "ServingReport", "serving_report",
     "SchedReport", "sched_report",
     "history_to_rows", "write_history_csv", "write_histories_json",
-    "write_trace_csv",
     "render_curves", "CURVE_GLYPHS",
 ]

@@ -1,4 +1,4 @@
-"""Export training histories and traces to CSV / JSON.
+"""Export training histories to CSV / JSON.
 
 The benches print tables, but downstream users typically want the raw
 convergence series (objective vs steps vs simulated seconds — the data
@@ -12,11 +12,9 @@ import csv
 import json
 from pathlib import Path
 
-from ..cluster import Trace
 from .history import TrainingHistory
 
-__all__ = ["history_to_rows", "write_history_csv", "write_histories_json",
-           "write_trace_csv"]
+__all__ = ["history_to_rows", "write_history_csv", "write_histories_json"]
 
 
 def history_to_rows(history: TrainingHistory) -> list[dict]:
@@ -60,14 +58,3 @@ def write_histories_json(histories: list[TrainingHistory],
         for h in histories
     ]
     Path(path).write_text(json.dumps(payload, indent=2), encoding="ascii")
-
-
-def write_trace_csv(trace: Trace, path: str | Path) -> None:
-    """Write a gantt trace (node/start/end/kind/step) to CSV."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="ascii") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["node", "start", "end", "kind", "step"])
-        for span in trace.spans:
-            writer.writerow([span.node, span.start, span.end, span.kind,
-                             span.step])

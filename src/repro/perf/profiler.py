@@ -77,9 +77,6 @@ class PhaseProfiler:
                  round(1e3 * stat.mean, 4)]
                 for name, stat in self._stats.items()]
 
-    def reset(self) -> None:
-        self._stats.clear()
-
 
 class _NullPhase:
     """A reusable no-op context manager (cheaper than nullcontext())."""

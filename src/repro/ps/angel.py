@@ -44,17 +44,14 @@ class AngelTrainer(DistributedTrainer):
 
     def __init__(self, objective: Objective, cluster: ClusterSpec,
                  config: TrainerConfig | None = None,
-                 num_servers: int | None = None,
                  controller: Controller | None = None) -> None:
         super().__init__(objective, cluster, config)
-        self._num_servers = num_servers
         self._controller = controller if controller is not None else BSP()
         self._engine: PsEngine | None = None
 
     # ------------------------------------------------------------------
     def _prepare(self, data: PartitionedDataset) -> None:
-        self._engine = PsEngine(self.cluster, num_servers=self._num_servers,
-                                controller=self._controller,
+        self._engine = PsEngine(self.cluster, controller=self._controller,
                                 faults=self.faults, recovery=self.recovery)
         self._install_recovery_costs(self._engine, data)
 

@@ -33,7 +33,7 @@ from ..core.trainer import DistributedTrainer
 from ..core.worker import asgd_gradient_task
 from ..engine import PartitionedDataset
 from ..glm import Objective, apply_update
-from .engine import worker_label
+from .engine import pull_push_seconds, worker_label
 
 __all__ = ["AsyncSgdTrainer"]
 
@@ -47,13 +47,12 @@ class AsyncSgdTrainer(DistributedTrainer):
     """
 
     system = "ASGD"
+    #: No crash loop: the event clock has no barrier to stall or replay.
+    supports_faults = False
 
     def __init__(self, objective: Objective, cluster: ClusterSpec,
-                 config: TrainerConfig | None = None,
-                 num_servers: int | None = None) -> None:
+                 config: TrainerConfig | None = None) -> None:
         super().__init__(objective, cluster, config)
-        self._num_servers = (num_servers if num_servers is not None
-                             else cluster.num_executors)
         self._trace_store = Trace()
         self._now = 0.0
         #: (ready_time, tiebreak, worker_index) event heap.
@@ -72,20 +71,6 @@ class AsyncSgdTrainer(DistributedTrainer):
         self._step_counter = 0
 
     # ------------------------------------------------------------------
-    def _comm_seconds(self, model_size: int) -> float:
-        """One pull + one push against the shards (no peer contention
-        modelled: asynchrony spreads requests over time).
-
-        Always dense: under ASP the *order* in which pushes land is part
-        of the numerics, so repricing events by sparse wire size would
-        reorder updates and change convergence.  Sparse mode is therefore
-        wire accounting only here (span ``values``) — the event clock
-        never moves (see :meth:`_begin_cycle`).
-        """
-        net = self.cluster.network
-        return 2.0 * (self._num_servers * net.alpha
-                      + model_size * net.bytes_per_value / net.bandwidth)
-
     def _schedule(self, worker: int, ready: float) -> None:
         heapq.heappush(self._events, (ready, self._tiebreak, worker))
         self._tiebreak += 1
@@ -119,13 +104,16 @@ class AsyncSgdTrainer(DistributedTrainer):
         mode = self.config.sparse_comm
         # Wire accounting only: the push's sparse size lands in the span's
         # ``values`` field, but the event schedule runs on the dense clock
-        # so ASP's update interleaving (and hence the numerics) is
-        # independent of the wire format.
+        # (one pull + one push against the shards, no peer contention
+        # modelled: asynchrony spreads requests over time).  Under ASP the
+        # *order* in which pushes land is part of the numerics, so
+        # repricing events by sparse wire size would reorder updates and
+        # change convergence.
         if mode == "off":
             push_wire = float(m)
         else:
             push_wire = wire_values(int(np.count_nonzero(gradient)), m, mode)
-        comm = self._comm_seconds(m)
+        comm = pull_push_seconds(self.cluster, m)
         label = worker_label(worker)
         if compute > 0:
             self._trace_store.add(label, start, start + compute, "compute",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Controller", "BSP", "SSP", "ASP", "get_controller"]
+__all__ = ["Controller", "BSP", "SSP", "ASP"]
 
 
 class Controller:
@@ -91,14 +91,3 @@ class ASP(Controller):
 
     def max_lead(self) -> None:
         return None
-
-
-def get_controller(name: str, staleness: int = 2) -> Controller:
-    """Build a controller by name (``bsp``, ``ssp``, ``asp``)."""
-    if name == "bsp":
-        return BSP()
-    if name == "ssp":
-        return SSP(staleness)
-    if name == "asp":
-        return ASP()
-    raise KeyError(f"unknown controller {name!r}; expected bsp, ssp or asp")

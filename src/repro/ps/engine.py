@@ -12,14 +12,13 @@ logical step — the moment the step's model state is fully at the servers —
 is the maximum finish time across workers for that step.
 
 Communication pricing per worker and step (pull the full model + push a
-full update): each of the ``s`` shards is contacted twice, and shard-side
-bandwidth serializes when workers outnumber shards::
+full update, :func:`pull_push_seconds`): the model is sharded one shard
+per worker (the co-located deployment every PS system here runs), and
+each of the ``k`` shards is contacted twice::
 
-    comm = 2 * (s * alpha + (m * bytes / bandwidth) * max(1, k / s))
+    comm = 2 * (k * alpha + m * bytes / bandwidth)
 
-With ``s = k`` (the common co-located deployment) this is close to the
-balanced all-to-all of AllReduce; with few shards it degrades toward the
-driver bottleneck — parameter servers generalize between the two.
+— close to the balanced all-to-all of AllReduce.
 """
 
 from __future__ import annotations
@@ -33,12 +32,33 @@ from ..collectives.sparse import wire_values
 from ..engine.driver import CommRecord
 from .consistency import BSP, Controller
 
-__all__ = ["PsEngine", "push_wire_values", "worker_label"]
+__all__ = ["PsEngine", "pull_push_seconds", "push_wire_values",
+           "worker_label"]
 
 
 def worker_label(index: int) -> str:
     """Human-readable label for PS worker ``index`` (0-based)."""
     return f"worker-{index + 1}"
+
+
+def pull_push_seconds(cluster: ClusterSpec, model_size: int,
+                      push_values: float | None = None) -> float:
+    """Pull + push cost for one worker and one step (see module doc).
+
+    ``push_values`` prices the push half at a sparse encoded size instead
+    of the full model (the pull is always dense — a worker needs the
+    whole model).  With ``push_values=None`` this is the symmetric dense
+    formula.
+    """
+    net = cluster.network
+    shards = cluster.num_executors
+    pull = (shards * net.alpha
+            + model_size * net.bytes_per_value / net.bandwidth)
+    if push_values is None:
+        return 2.0 * pull
+    push = (shards * net.alpha
+            + push_values * net.bytes_per_value / net.bandwidth)
+    return pull + push
 
 
 def push_wire_values(w: np.ndarray, locals_: list[np.ndarray],
@@ -65,13 +85,11 @@ class PsEngine:
     cluster:
         Worker nodes are the cluster's executors; the driver node is not
         used (PS deployments have no Spark-style driver in the data path).
-    num_servers:
-        Model shards.  Defaults to one shard per worker.
     controller:
         Consistency controller (BSP / SSP / ASP).
     """
 
-    def __init__(self, cluster: ClusterSpec, num_servers: int | None = None,
+    def __init__(self, cluster: ClusterSpec,
                  controller: Controller | None = None,
                  faults: FailureModel | None = None,
                  recovery: RecoveryPolicy | None = None) -> None:
@@ -79,10 +97,6 @@ class PsEngine:
             raise ValueError("PS engine needs at least one worker")
         self.cluster = cluster
         self.num_workers = cluster.num_executors
-        self.num_servers = (num_servers if num_servers is not None
-                            else self.num_workers)
-        if self.num_servers < 1:
-            raise ValueError("need at least one server shard")
         self.controller = controller if controller is not None else BSP()
         self.faults = faults if faults is not None else NoFailures()
         # Same guard as BspEngine: scripted crashes aimed at workers this
@@ -115,24 +129,8 @@ class PsEngine:
     # ------------------------------------------------------------------
     def comm_seconds(self, model_size: int,
                      push_values: float | None = None) -> float:
-        """Pull + push cost for one worker and one step (see module doc).
-
-        ``push_values`` prices the push half at a sparse encoded size
-        instead of the full model (the pull is always dense — a worker
-        needs the whole model).  With ``push_values=None`` this is
-        bit-identical to the symmetric dense formula.
-        """
-        net = self.cluster.network
-        shard_contention = max(1.0, self.num_workers / self.num_servers)
-        pull = (self.num_servers * net.alpha
-                + model_size * net.bytes_per_value / net.bandwidth
-                * shard_contention)
-        if push_values is None:
-            return 2.0 * pull
-        push = (self.num_servers * net.alpha
-                + push_values * net.bytes_per_value / net.bandwidth
-                * shard_contention)
-        return pull + push
+        """:func:`pull_push_seconds` on this engine's cluster."""
+        return pull_push_seconds(self.cluster, model_size, push_values)
 
     def run_step(self, compute_seconds: list[float], model_size: int,
                  overhead_seconds: list[float] | None = None,

@@ -42,10 +42,8 @@ class PetuumTrainer(DistributedTrainer):
 
     def __init__(self, objective: Objective, cluster: ClusterSpec,
                  config: TrainerConfig | None = None,
-                 num_servers: int | None = None,
                  controller: Controller | None = None) -> None:
         super().__init__(objective, cluster, config)
-        self._num_servers = num_servers
         self._controller = (controller if controller is not None
                             else SSP(staleness=2))
         self._engine: PsEngine | None = None
@@ -53,8 +51,7 @@ class PetuumTrainer(DistributedTrainer):
 
     # ------------------------------------------------------------------
     def _prepare(self, data: PartitionedDataset) -> None:
-        self._engine = PsEngine(self.cluster, num_servers=self._num_servers,
-                                controller=self._controller,
+        self._engine = PsEngine(self.cluster, controller=self._controller,
                                 faults=self.faults, recovery=self.recovery)
         self._install_recovery_costs(self._engine, data)
 
@@ -62,7 +59,7 @@ class PetuumTrainer(DistributedTrainer):
                           data: PartitionedDataset) -> None:
         self._server = ParameterServer(
             model_size=data.n_features,
-            num_servers=self._engine_started().num_servers,
+            num_servers=data.num_partitions,
             initial=w, sanitize=self.config.sanitize)
 
     # ------------------------------------------------------------------

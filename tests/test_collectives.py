@@ -54,8 +54,10 @@ class TestReduceScatter:
             reduce_scatter([np.ones(4), np.ones(5)])
 
     def test_invalid_combine(self):
-        with pytest.raises(ValueError):
-            reduce_scatter([np.ones(4)], combine="median")
+        # Only MLlib*'s primal average and the dual path's sum exist.
+        for combine in ("median", "weighted"):
+            with pytest.raises(ValueError, match="'average' or 'sum'"):
+                reduce_scatter([np.ones(4)], combine=combine)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

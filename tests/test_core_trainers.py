@@ -87,17 +87,6 @@ class TestMLlibStar:
         star = MLlibStarTrainer(obj, small_cluster, cfg).fit(big)
         assert star.history.total_seconds < ma.history.total_seconds
 
-    def test_sum_combine_supported(self, tiny_dataset, small_cluster):
-        trainer = MLlibStarTrainer(Objective("hinge"), small_cluster,
-                                   CFG, combine="sum")
-        result = trainer.fit(tiny_dataset)
-        assert len(result.history) > 0
-
-    def test_invalid_combine(self, small_cluster):
-        with pytest.raises(ValueError):
-            MLlibStarTrainer(Objective("hinge"), small_cluster,
-                             CFG, combine="max")
-
     def test_model_smaller_than_executors_rejected(self, small_cluster):
         from repro.data import SyntheticSpec, generate
         micro = generate(SyntheticSpec(n_rows=50, n_features=3,

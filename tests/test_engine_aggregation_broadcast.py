@@ -1,10 +1,10 @@
-"""Unit tests for repro.engine.aggregation and repro.engine.broadcast."""
+"""Unit tests for repro.engine.aggregation and the driver broadcast price."""
 
 import pytest
 
 from repro.cluster import cluster1
+from repro.engine import BspEngine, executor_label
 from repro.engine.aggregation import TreeAggregateModel
-from repro.engine.broadcast import BroadcastModel
 
 
 class TestTreeAggregatePlan:
@@ -61,24 +61,21 @@ class TestTreeAggregateTiming:
 
 class TestBroadcast:
     def test_serial_linear_in_executors(self):
+        """The driver's uplink sends the k copies back to back: the
+        broadcast costs exactly a k-message fan-in, and each executor's
+        copy lands after the previous one's (the paper's staircase)."""
         m = 100_000
-        c8 = cluster1(executors=8)
-        c16 = cluster1(executors=16)
-        b = BroadcastModel(mode="serial")
-        assert b.seconds(c16, m) == pytest.approx(2 * b.seconds(c8, m))
-
-    def test_torrent_sublinear(self):
-        m = 1_000_000
-        b_serial = BroadcastModel(mode="serial")
-        b_torrent = BroadcastModel(mode="torrent")
-        c = cluster1(executors=16)
-        assert b_torrent.seconds(c, m) < b_serial.seconds(c, m)
-
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            BroadcastModel(mode="gossip")
-
-    def test_no_executors_is_free(self):
-        from repro.cluster import ClusterSpec, homogeneous_nodes
-        lonely = ClusterSpec(nodes=homogeneous_nodes(1))
-        assert BroadcastModel().seconds(lonely, 1000) == 0.0
+        seconds = {}
+        for k in (8, 16):
+            cluster = cluster1(executors=k)
+            engine = BspEngine(cluster)
+            seconds[k] = engine.broadcast_phase(m, step=0)
+            assert seconds[k] == cluster.network.fan_in_seconds(k, m)
+            per_copy = seconds[k] / k
+            for i in range(k):
+                recvs = [s for s in engine.trace.spans_for(executor_label(i))
+                         if s.kind == "recv"]
+                assert len(recvs) == 1
+                assert recvs[0].start == pytest.approx(i * per_copy)
+                assert recvs[0].end == pytest.approx((i + 1) * per_copy)
+        assert seconds[16] == pytest.approx(2 * seconds[8])

@@ -5,7 +5,7 @@ import numpy as np
 from repro.cluster import ComputeCostModel, cluster1, cluster2
 from repro.core import (MLlibStarTrainer, MLlibTrainer, SparkMlStarTrainer,
                         SparkMlTrainer, TrainerConfig)
-from repro.engine import BroadcastModel, TreeAggregateModel
+from repro.engine import TreeAggregateModel
 from repro.glm import Objective
 from repro.metrics import write_histories_json, write_history_csv
 from repro.tuning import GridSearch
@@ -26,21 +26,6 @@ class TestEngineVariantsInTrainers:
                             tree=TreeAggregateModel(depth=2)).fit(big)
         assert flat.trace.busy_seconds("driver") > (
             tree.trace.busy_seconds("driver"))
-
-    def test_torrent_broadcast_speeds_up_mllib(self, small_cluster):
-        obj = Objective("hinge")
-        cfg = TrainerConfig(max_steps=3, seed=1)
-        from repro.data import SyntheticSpec, generate
-        big = generate(SyntheticSpec(n_rows=400, n_features=20_000,
-                                     nnz_per_row=8.0, seed=4), "big")
-        cluster16 = cluster1(executors=16)
-        serial = MLlibTrainer(obj, cluster16, cfg,
-                              broadcast=BroadcastModel("serial")).fit(big)
-        torrent = MLlibTrainer(obj, cluster1(executors=16), cfg,
-                               broadcast=BroadcastModel("torrent")).fit(big)
-        assert torrent.history.total_seconds < serial.history.total_seconds
-        # Identical numerics: transport does not change math.
-        assert np.allclose(serial.model.weights, torrent.model.weights)
 
     def test_custom_compute_model_scales_time(self, tiny_dataset):
         obj = Objective("hinge")

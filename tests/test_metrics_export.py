@@ -5,10 +5,8 @@ import json
 
 import pytest
 
-from repro.cluster import Trace
 from repro.metrics import (TrainingHistory, history_to_rows,
-                           write_histories_json, write_history_csv,
-                           write_trace_csv)
+                           write_histories_json, write_history_csv)
 
 
 @pytest.fixture
@@ -69,19 +67,3 @@ class TestJsonExport:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_histories_json([], tmp_path / "x.json")
-
-
-class TestTraceExport:
-    def test_trace_csv(self, tmp_path):
-        trace = Trace()
-        trace.add("driver", 0.0, 1.0, "update", step=3)
-        trace.add("executor-1", 0.0, 2.0, "compute", step=3)
-        path = tmp_path / "t.csv"
-        write_trace_csv(trace, path)
-        with path.open() as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == 2
-        assert rows[0]["node"] == "driver"
-        assert rows[0]["kind"] == "update"
-        assert rows[1]["end"] == "2.0"
-        assert rows[1]["step"] == "3"

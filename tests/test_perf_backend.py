@@ -195,13 +195,6 @@ class TestPhaseProfiler:
             assert calls == 1
             assert wall >= 0.0 and mean_ms >= 0.0
 
-    def test_reset(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("x"):
-            pass
-        profiler.reset()
-        assert profiler.report() == {}
-
     def test_null_profiler_records_nothing(self):
         profiler = NullProfiler()
         with profiler.phase("x"):

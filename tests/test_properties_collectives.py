@@ -27,8 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collectives import (all_gather, all_reduce_average,
-                               combine_weight_scale, encode,
+from repro.collectives import (all_gather, all_reduce_average, encode,
                                hier_reduce_scatter, hier_tree_fan_in,
                                partition_slices, payload_wire_values,
                                reduce_scatter, sparse_all_gather,
@@ -155,23 +154,18 @@ class TestFailedOwnerRecovery:
 # ----------------------------------------------------------------------
 # one data plane: the loop over owner ranges == the routed shuffle
 # ----------------------------------------------------------------------
-def routed_reduce_scatter(models, combine, weights):
+def routed_reduce_scatter(models, combine):
     """Reduce-Scatter as a literal shuffle: worker r routes slice i of its
     model to owner i through ``exchange``; owners combine their inbox."""
     k, m = len(models), models[0].shape[0]
-    scale = combine_weight_scale(combine, weights, k)
     slices = partition_slices(m, k)
     inboxes = exchange([{owner: model[slices[owner]] for owner in range(k)}
                         for model in models], k)
     partitions = []
     for pieces in inboxes:
-        stacked = np.vstack(pieces)
-        if scale is not None:
-            combined = scale @ stacked
-        else:
-            combined = stacked.sum(axis=0)
-            if combine == "average":
-                combined = combined / k
+        combined = np.vstack(pieces).sum(axis=0)
+        if combine == "average":
+            combined = combined / k
         partitions.append(combined)
     return partitions
 
@@ -185,18 +179,16 @@ def routed_all_gather(partitions):
 
 
 def assert_data_plane_matches_routed(models, combine):
-    k, m = len(models), models[0].shape[0]
-    weights = ([float(2 * r + 1) for r in range(k)]
-               if combine == "weighted" else None)
-    got = reduce_scatter(models, combine=combine, weights=weights)
-    want = routed_reduce_scatter(models, combine, weights)
+    m = models[0].shape[0]
+    got = reduce_scatter(models, combine=combine)
+    want = routed_reduce_scatter(models, combine)
     assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
     full = all_gather(got, m, check_replicas=True)
     assert {r.tobytes() for r in routed_all_gather(want)} == {full.tobytes()}
 
 
 class TestDataPlaneEqualsRoutedShuffle:
-    @pytest.mark.parametrize("combine", ["average", "sum", "weighted"])
+    @pytest.mark.parametrize("combine", ["average", "sum"])
     @given(models=st.one_of(
         worker_models(),
         worker_models(min_workers=8, max_workers=20, narrow=True)))
@@ -204,7 +196,7 @@ class TestDataPlaneEqualsRoutedShuffle:
     def test_bytes_equal_to_routed_reference(self, combine, models):
         assert_data_plane_matches_routed(models, combine)
 
-    @pytest.mark.parametrize("combine", ["average", "sum", "weighted"])
+    @pytest.mark.parametrize("combine", ["average", "sum"])
     @pytest.mark.parametrize("k", [8, 9, 16, 32])
     def test_one_coordinate_owner_ranges(self, k, combine):
         """m == k and k <= m < 2k with k >= 8: NumPy sums a width-1

@@ -6,7 +6,7 @@ import pytest
 from repro.cluster import cluster1, cluster2
 from repro.core import TrainerConfig
 from repro.glm import Objective
-from repro.ps import AsyncSgdTrainer
+from repro.ps import AsyncSgdTrainer, PsEngine
 
 
 CFG = TrainerConfig(max_steps=20, learning_rate=0.2, batch_fraction=0.1,
@@ -55,6 +55,36 @@ class TestAsyncSgd:
         # ASP never blocks: no wait spans at all.
         for node in result.trace.nodes():
             assert result.trace.wait_seconds(node) == 0.0
+
+    def test_send_spans_cost_one_ps_pull_push(self, tiny_dataset,
+                                              small_cluster):
+        """Every pull + push is the parameter-server price, one shard
+        per worker (the event clock is always dense)."""
+        result = AsyncSgdTrainer(Objective("hinge"), small_cluster,
+                                 CFG).fit(tiny_dataset)
+        comm = PsEngine(small_cluster).comm_seconds(tiny_dataset.n_features)
+        sends = [s for node in result.trace.nodes()
+                 for s in result.trace.spans_for(node) if s.kind == "send"]
+        assert len(sends) >= 20 * 4
+        for span in sends:
+            assert span.end == span.start + comm
+
+    @pytest.mark.parametrize("overrides", [
+        {"failure_schedule": "1@2"},
+        {"failure_rate": 0.5},
+        {"checkpoint_every": 2},
+        {"failure_schedule": "1@2", "checkpoint_every": 2},
+    ])
+    def test_rejects_fault_and_checkpoint_fields(self, tiny_dataset,
+                                                 small_cluster, overrides):
+        """The event clock has no crash loop, so these fields are
+        rejected by name instead of running fault-free."""
+        trainer = AsyncSgdTrainer(Objective("hinge"), small_cluster,
+                                  CFG.with_overrides(**overrides))
+        with pytest.raises(ValueError, match="ASGD does not support") as err:
+            trainer.fit(tiny_dataset)
+        for name in overrides:
+            assert name in str(err.value)
 
     def test_deterministic(self, tiny_dataset, small_cluster):
         a = AsyncSgdTrainer(Objective("hinge"), small_cluster, CFG).fit(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ps.consistency import ASP, BSP, SSP, get_controller
+from repro.ps.consistency import ASP, BSP, SSP
 
 
 class TestBSP:
@@ -51,15 +51,3 @@ class TestASP:
     def test_never_blocks(self):
         asp = ASP()
         assert asp.release_time(100, 3.5, [[1.0] * 5, []]) == 3.5
-
-
-class TestRegistry:
-    def test_get_controller(self):
-        assert isinstance(get_controller("bsp"), BSP)
-        assert isinstance(get_controller("ssp", staleness=3), SSP)
-        assert get_controller("ssp", staleness=3).staleness == 3
-        assert isinstance(get_controller("asp"), ASP)
-
-    def test_unknown(self):
-        with pytest.raises(KeyError):
-            get_controller("eventual")

@@ -104,5 +104,3 @@ class TestPsEngine:
             engine.run_step([1.0], model_size=100)
         with pytest.raises(ValueError):
             engine.run_step([1.0, -1.0], model_size=100)
-        with pytest.raises(ValueError):
-            PsEngine(cluster1(executors=2), num_servers=0)

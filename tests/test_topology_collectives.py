@@ -83,7 +83,7 @@ def topology_cases(draw):
     k = sum(sizes)
     m = draw(st.integers(k, 64))
     density = draw(st.floats(0.0, 1.0))
-    combine = draw(st.sampled_from(["average", "sum", "weighted"]))
+    combine = draw(st.sampled_from(["average", "sum"]))
     mode = draw(st.sampled_from(["off", "auto", "on"]))
     seed = draw(st.integers(0, 2 ** 16))
     return sizes, m, density, combine, mode, seed
@@ -101,12 +101,9 @@ class TestBitIdentity:
         k = sum(sizes)
         groups = _contiguous_groups(sizes)
         models = _models(k, m, density, seed)
-        weights = ([float(i + 1) for i in range(k)]
-                   if combine == "weighted" else None)
-        flat_parts = reduce_scatter(models, combine=combine,
-                                    weights=weights)
+        flat_parts = reduce_scatter(models, combine=combine)
         hier_parts, rs_wire = hier_reduce_scatter(
-            models, groups, combine=combine, weights=weights, mode=mode)
+            models, groups, combine=combine, mode=mode)
         for a, b in zip(flat_parts, hier_parts):
             assert np.array_equal(a, b)
         flat_full = all_gather(flat_parts, m)
@@ -128,13 +125,10 @@ class TestBitIdentity:
         sizes, m, density, combine, mode, seed = case
         k = sum(sizes)
         models = _models(k, m, density, seed)
-        weights = ([float(i + 1) for i in range(k)]
-                   if combine == "weighted" else None)
-        flat_parts = reduce_scatter(models, combine=combine,
-                                    weights=weights)
+        flat_parts = reduce_scatter(models, combine=combine)
         sw_parts, rs_wire = switch_reduce_scatter(
-            models, combine=combine, weights=weights, mode=mode,
-            pool_slots=2, chunk_values=7)
+            models, combine=combine, mode=mode, pool_slots=2,
+            chunk_values=7)
         for a, b in zip(flat_parts, sw_parts):
             assert np.array_equal(a, b)
         sw_full, _ = switch_all_gather(sw_parts, m, mode=mode,
@@ -614,7 +608,7 @@ class TestPhaseInterpreter:
         m = 120
         exchange = _topology(topology, cluster, mode="auto")
         parts, rs_wire = exchange.reduce_scatter(
-            _models(6, m, density, seed=21), "average", None)
+            _models(6, m, density, seed=21), "average")
         wires = (rs_wire, exchange.all_gather(parts, m, False)[1])
         faults = (build_failure_model(schedule="1@99", num_executors=6)
                   if faulty else None)
@@ -720,7 +714,7 @@ class TestOneDataPlane:
         exchange = _topology(topology, cluster, mode)
         counts = _count_calls(monkeypatch, reduce_scatter, all_gather,
                               check_replicas)
-        parts, rs_wire = exchange.reduce_scatter(models, "average", None)
+        parts, rs_wire = exchange.reduce_scatter(models, "average")
         full, _ = exchange.all_gather(parts, m, check_replicas=True)
         assert counts == {"reduce_scatter": 1, "all_gather": 1,
                           "check_replicas": 1}

@@ -1,12 +1,9 @@
-"""Tests for weighted model averaging and skewed partitioning."""
+"""Tests for skewed (geometrically unbalanced) partitioning."""
 
 import numpy as np
 import pytest
 
-from repro.collectives import all_reduce_weighted, reduce_scatter
-from repro.core import MLlibStarTrainer, TrainerConfig
 from repro.data import SyntheticSpec, generate, partition_rows
-from repro.glm import Objective
 
 
 class TestSkewedPartitioning:
@@ -34,67 +31,3 @@ class TestSkewedPartitioning:
         b = partition_rows(ds, 4, strategy="skewed", seed=2)
         for pa, pb in zip(a, b):
             assert np.array_equal(pa.y, pb.y)
-
-
-class TestWeightedReduceScatter:
-    def test_equals_weighted_mean(self):
-        rng = np.random.default_rng(0)
-        models = [rng.normal(size=12) for _ in range(3)]
-        weights = [1.0, 2.0, 7.0]
-        got = all_reduce_weighted(models, weights)
-        expected = (models[0] * 0.1 + models[1] * 0.2 + models[2] * 0.7)
-        assert np.allclose(got, expected)
-
-    def test_uniform_weights_equal_plain_average(self):
-        rng = np.random.default_rng(1)
-        models = [rng.normal(size=10) for _ in range(4)]
-        weighted = all_reduce_weighted(models, [3.0] * 4)
-        assert np.allclose(weighted, np.mean(models, axis=0))
-
-    def test_validation(self):
-        models = [np.ones(4), np.ones(4)]
-        with pytest.raises(ValueError, match="one weight per model"):
-            reduce_scatter(models, combine="weighted", weights=[1.0])
-        with pytest.raises(ValueError, match="positive"):
-            reduce_scatter(models, combine="weighted", weights=[1.0, 0.0])
-        with pytest.raises(ValueError, match="combine"):
-            reduce_scatter(models, combine="median")
-
-    def test_unbiasedness_under_skew(self):
-        """The motivating property: with unbalanced shards, weighting by
-        sample count recovers the global mean of per-sample statistics,
-        while plain averaging is biased toward small shards."""
-        rng = np.random.default_rng(2)
-        # Each "model" is its shard's mean of per-sample vectors.
-        samples = rng.normal(size=(100, 6))
-        shards = [samples[:80], samples[80:95], samples[95:]]
-        models = [s.mean(axis=0) for s in shards]
-        weights = [len(s) for s in shards]
-        weighted = all_reduce_weighted(models, weights)
-        assert np.allclose(weighted, samples.mean(axis=0))
-        plain = np.mean(models, axis=0)
-        assert not np.allclose(plain, samples.mean(axis=0))
-
-
-class TestWeightedTrainer:
-    def test_weighted_combine_runs(self, tiny_dataset, small_cluster):
-        trainer = MLlibStarTrainer(Objective("hinge"), small_cluster,
-                                   TrainerConfig(max_steps=4, seed=1),
-                                   combine="weighted")
-        result = trainer.fit(tiny_dataset, partition_strategy="skewed")
-        assert result.final_objective < result.history.objectives()[0]
-
-    def test_weighted_equals_average_on_balanced_partitions(
-            self, tiny_dataset, small_cluster):
-        cfg = TrainerConfig(max_steps=3, seed=1)
-        plain = MLlibStarTrainer(Objective("hinge"), small_cluster, cfg,
-                                 combine="average").fit(tiny_dataset)
-        weighted = MLlibStarTrainer(Objective("hinge"), small_cluster, cfg,
-                                    combine="weighted").fit(tiny_dataset)
-        # 800 rows / 4 workers: exactly balanced => identical numerics.
-        assert np.allclose(plain.model.weights, weighted.model.weights)
-
-    def test_invalid_combine_rejected(self, small_cluster):
-        with pytest.raises(ValueError):
-            MLlibStarTrainer(Objective("hinge"), small_cluster,
-                             combine="mode")
