@@ -11,8 +11,7 @@ from .cost import ComputeCostModel
 from .faults import (FAILURE_PHASES, CompositeFailures, FailureEvent,
                      FailureModel, FailureRecord, NoFailures, RandomFailures,
                      RecoveryError, RecoveryPolicy, ScheduledFailures,
-                     SlowNetworkEpisode, build_failure_model,
-                     parse_failure_schedule)
+                     build_failure_model, parse_failure_schedule)
 from .network import GIGABIT, TEN_GIGABIT, NetworkModel, TieredNetworkModel
 from .node import (LogNormalStragglers, NodeSpec, NoStragglers,
                    StragglerModel, heterogeneous_nodes, homogeneous_nodes)
@@ -27,6 +26,6 @@ __all__ = [
     "Span", "Trace", "SPAN_KINDS",
     "FAILURE_PHASES", "FailureEvent", "FailureRecord", "FailureModel",
     "NoFailures", "RandomFailures", "ScheduledFailures", "CompositeFailures",
-    "SlowNetworkEpisode", "RecoveryPolicy", "RecoveryError",
+    "RecoveryPolicy", "RecoveryError",
     "build_failure_model", "parse_failure_schedule",
 ]

@@ -127,8 +127,7 @@ def cluster1(executors: int = 8, stragglers: StragglerModel | None = None,
     )
 
 
-def cluster2(machines: int = 32, speed_sigma: float = 0.25,
-             straggler_sigma: float = 0.35, seed: int = 0,
+def cluster2(machines: int = 32, straggler_sigma: float = 0.35, seed: int = 0,
              compute: ComputeCostModel | None = None) -> ClusterSpec:
     """A slice of the paper's Cluster 2: heterogeneous, 10 Gbps.
 
@@ -140,7 +139,7 @@ def cluster2(machines: int = 32, speed_sigma: float = 0.25,
     if machines < 1:
         raise ValueError("need at least one machine")
     rng = np.random.default_rng(seed)
-    nodes = heterogeneous_nodes(machines + 1, rng, speed_sigma=speed_sigma)
+    nodes = heterogeneous_nodes(machines + 1, rng)
     return ClusterSpec(
         nodes=nodes,
         network=NetworkModel(bandwidth=TEN_GIGABIT, alpha=5.0e-4),
@@ -151,9 +150,8 @@ def cluster2(machines: int = 32, speed_sigma: float = 0.25,
 
 
 def tiered_cluster(machines: int = 2, executors_per_machine: int = 4,
-                   stragglers: StragglerModel | None = None, seed: int = 0,
-                   compute: ComputeCostModel | None = None,
-                   network: TieredNetworkModel | None = None) -> ClusterSpec:
+                   stragglers: StragglerModel | None = None,
+                   seed: int = 0) -> ClusterSpec:
     """Cluster 1's hardware re-racked into multi-executor machines.
 
     ``machines * executors_per_machine`` executors (plus a driver) on
@@ -171,9 +169,8 @@ def tiered_cluster(machines: int = 2, executors_per_machine: int = 4,
     nodes = homogeneous_nodes(k + 1, speed=1.0, cores=16, memory_gb=24.0)
     return ClusterSpec(
         nodes=nodes,
-        network=network if network is not None
-        else TieredNetworkModel(bandwidth=GIGABIT, alpha=1.0e-3),
-        compute=compute if compute is not None else ComputeCostModel(),
+        network=TieredNetworkModel(bandwidth=GIGABIT, alpha=1.0e-3),
+        compute=ComputeCostModel(),
         stragglers=stragglers if stragglers is not None else NoStragglers(),
         seed=seed,
         placement=tuple(i // executors_per_machine for i in range(k)),

@@ -5,13 +5,7 @@ processed*: computing a dot product ``w . x`` and the corresponding gradient
 contribution touches each stored nonzero of ``x`` a constant number of
 times.  The cost model therefore prices a pass over a batch as::
 
-    seconds = nnz(batch) * sec_per_nnz * update_factor / node.speed
-
-``update_factor`` lets trainers express that their inner loop does more work
-per nonzero — e.g. SendModel workers apply the update immediately after the
-gradient (roughly 2x the FLOPs of gradient-only), and eager dense L2 decay
-touches every model coordinate per update, which is what the Bottou lazy
-trick avoids.
+    seconds = nnz(batch) * sec_per_nnz / node.speed
 
 A separate dense term prices operations that touch every model coordinate
 (dense regularization, model averaging itself) at ``sec_per_coord``.
@@ -56,14 +50,11 @@ class ComputeCostModel:
         if self.task_launch_seconds < 0:
             raise ValueError("task_launch_seconds must be non-negative")
 
-    def sparse_pass_seconds(self, nnz: float, node: NodeSpec,
-                            update_factor: float = 1.0) -> float:
+    def sparse_pass_seconds(self, nnz: float, node: NodeSpec) -> float:
         """Cost of one pass over ``nnz`` stored nonzeros on ``node``."""
         if nnz < 0:
             raise ValueError("nnz must be non-negative")
-        if update_factor <= 0:
-            raise ValueError("update_factor must be positive")
-        return node.compute_seconds(nnz * self.sec_per_nnz * update_factor)
+        return node.compute_seconds(nnz * self.sec_per_nnz)
 
     def dense_op_seconds(self, coords: float, node: NodeSpec) -> float:
         """Cost of touching ``coords`` dense model coordinates on ``node``."""

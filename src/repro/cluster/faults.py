@@ -41,7 +41,6 @@ __all__ = [
     "RandomFailures",
     "ScheduledFailures",
     "CompositeFailures",
-    "SlowNetworkEpisode",
     "RecoveryPolicy",
     "RecoveryError",
     "CrashRecovery",
@@ -105,26 +104,8 @@ class FailureRecord:
     attempt: int
 
 
-@dataclass(frozen=True)
-class SlowNetworkEpisode:
-    """A transient network degradation over a step interval (inclusive)."""
-
-    start_step: int
-    end_step: int
-    factor: float
-
-    def __post_init__(self) -> None:
-        if self.start_step < 1 or self.end_step < self.start_step:
-            raise ValueError("need 1 <= start_step <= end_step")
-        if self.factor < 1.0:
-            raise ValueError("slowdown factor must be >= 1")
-
-    def active(self, step: int) -> bool:
-        return self.start_step <= step <= self.end_step
-
-
 class FailureModel:
-    """Base class: decides whether an attempt crashes, and network health.
+    """Base class: decides whether an attempt crashes.
 
     ``crash_event(step, phase, executor, attempt)`` is consulted by the
     engines before *every* attempt (attempt 0 is the first try, attempt
@@ -138,10 +119,6 @@ class FailureModel:
     def crash_event(self, step: int, phase: str, executor: int,
                     attempt: int) -> FailureEvent | None:
         raise NotImplementedError
-
-    def network_slowdown(self, step: int) -> float:
-        """Multiplicative factor on network transfer times at ``step``."""
-        return 1.0
 
     def validate_executors(self, num_executors: int) -> None:
         """Reject scripted events that can never fire on this cluster.
@@ -202,16 +179,11 @@ class RandomFailures(FailureModel):
 
 
 class ScheduledFailures(FailureModel):
-    """A fixed failure script ("executor 3 dies at step 12").
+    """A fixed failure script ("executor 3 dies at step 12")."""
 
-    Optionally carries :class:`SlowNetworkEpisode` entries so one model
-    can script both crash and slow-network scenarios.
-    """
-
-    def __init__(self, events: list[FailureEvent] | tuple[FailureEvent, ...],
-                 slow_network: tuple[SlowNetworkEpisode, ...] = ()) -> None:
+    def __init__(self,
+                 events: list[FailureEvent] | tuple[FailureEvent, ...]) -> None:
         self.events = tuple(events)
-        self.slow_network = tuple(slow_network)
 
     def crash_event(self, step: int, phase: str, executor: int,
                     attempt: int) -> FailureEvent | None:
@@ -220,13 +192,6 @@ class ScheduledFailures(FailureModel):
                     and event.phase == phase and attempt < event.repeats):
                 return event
         return None
-
-    def network_slowdown(self, step: int) -> float:
-        factor = 1.0
-        for episode in self.slow_network:
-            if episode.active(step):
-                factor *= episode.factor
-        return factor
 
     def validate_executors(self, num_executors: int) -> None:
         super().validate_executors(num_executors)
@@ -240,7 +205,7 @@ class ScheduledFailures(FailureModel):
 
 
 class CompositeFailures(FailureModel):
-    """Union of several failure models (first crash wins; slowdowns stack)."""
+    """Union of several failure models (first crash wins)."""
 
     def __init__(self, models: list[FailureModel]) -> None:
         self.models = tuple(models)
@@ -252,12 +217,6 @@ class CompositeFailures(FailureModel):
             if event is not None:
                 return event
         return None
-
-    def network_slowdown(self, step: int) -> float:
-        factor = 1.0
-        for model in self.models:
-            factor *= model.network_slowdown(step)
-        return factor
 
     def validate_executors(self, num_executors: int) -> None:
         for model in self.models:
@@ -423,20 +382,21 @@ def parse_failure_schedule(spec: str) -> list[FailureEvent]:
             raise ValueError(
                 f"bad failure schedule entry {entry!r}: expected "
                 "EXECUTOR@STEP[:PHASE][xREPEATS]")
-        repeats = 1
+        repeat_text = "1"
         phase = "compute"
         if "x" in rest:
             rest, _, repeat_text = rest.rpartition("x")
-            repeats = int(repeat_text)
         if ":" in rest:
             rest, _, phase = rest.partition(":")
         try:
             executor = int(head)
             step = int(rest)
+            repeats = int(repeat_text)
         except ValueError:
             raise ValueError(
-                f"bad failure schedule entry {entry!r}: executor and "
-                "step must be integers") from None
+                f"bad failure schedule entry {entry!r}: executor, step "
+                "and repeats must be integers in "
+                "EXECUTOR@STEP[:PHASE][xREPEATS]") from None
         events.append(FailureEvent(executor=executor, step=step,
                                    phase=phase, repeats=repeats))
     return events

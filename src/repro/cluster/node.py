@@ -122,16 +122,16 @@ def homogeneous_nodes(count: int, speed: float = 1.0, cores: int = 16,
             for i in range(count)]
 
 
-def heterogeneous_nodes(count: int, rng: np.random.Generator,
-                        speed_sigma: float = 0.25, cores: int = 20,
-                        memory_gb: float = 360.0) -> list[NodeSpec]:
-    """Build ``count`` nodes with log-normally distributed static speeds.
+def heterogeneous_nodes(count: int,
+                        rng: np.random.Generator) -> list[NodeSpec]:
+    """Build ``count`` 20-core, 360 GB nodes with log-normally distributed
+    static speeds (sigma 0.25).
 
     Mimics Cluster 2: a large shared production cluster where machine
     generations and co-located load make per-node throughput vary.
     """
     if count < 1:
         raise ValueError("cluster needs at least one node")
-    speeds = np.exp(rng.normal(0.0, speed_sigma, size=count))
-    return [NodeSpec(node_id=i, speed=float(s), cores=cores, memory_gb=memory_gb)
+    speeds = np.exp(rng.normal(0.0, 0.25, size=count))
+    return [NodeSpec(node_id=i, speed=float(s), cores=20, memory_gb=360.0)
             for i, s in enumerate(speeds)]

@@ -38,7 +38,7 @@ nothing here iterates a set (rule DET002 applies to this module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,8 +147,7 @@ class HierWire:
     def _intra_sends(self, request: PhaseRequest) -> list[Segment]:
         """Per executor, the segment that puts its intra-tier messages
         on the wire (zero-length for one with nothing to send)."""
-        return [(self._intra_seconds(request, (i,)) * request.net_slow,
-                 "send", float(sum(row)))
+        return [(self._intra_seconds(request, (i,)), "send", float(sum(row)))
                 for i, row in enumerate(self.intra_sends)]
 
     def _fan_in_plan(self, request: PhaseRequest) -> PhasePlan:
@@ -178,7 +177,7 @@ class HierWire:
         driver_seconds = driver_ingress + compute.dense_op_seconds(
             len(self.groups) * m, cluster.driver)
 
-        level1_end = request.start + level1 * request.net_slow
+        level1_end = request.start + level1
         busy: Lane = ((level1_end - request.start, "aggregate", 0.0),)
         lanes: list[Lane] = [(send,) for send in self._intra_sends(request)]
         for group in self.groups:
@@ -212,11 +211,10 @@ class HierWire:
             node = cluster.executors[leader]
             cross_row = self.cross_sends[leader]
             cross_send = (net.fan_in_varied_seconds(cross_row)
-                          * request.net_slow if cross_row else 0.0)
+                          if cross_row else 0.0)
             cross: Segment = (cross_send, "send", float(sum(cross_row)))
             if scatter:
-                drain = (self._intra_seconds(request, group[1:])
-                         * request.net_slow)
+                drain = self._intra_seconds(request, group[1:])
                 members = len(group) - 1
                 fold = (compute.dense_op_seconds(members * m, node)
                         if members else 0.0)
@@ -371,8 +369,7 @@ def hier_tree_fan_in(vectors_by_executor: list[list[np.ndarray]],
 
 
 def hier_dense_wire(phase: str, model_size: int,
-                    groups: tuple[tuple[int, ...], ...],
-                    messages_per_executor: int = 1) -> HierWire:
+                    groups: tuple[tuple[int, ...], ...]) -> HierWire:
     """Dense-sized two-tier wire, for trainers that ship dense vectors.
 
     The spark.ml L-BFGS gradients are dense, so there is nothing to size
@@ -381,15 +378,11 @@ def hier_dense_wire(phase: str, model_size: int,
     """
     k = sum(len(group) for group in groups)
     _check_groups(groups, k)
-    if messages_per_executor < 1:
-        raise ValueError("messages_per_executor must be at least 1")
     dense = SupportMask((), model_size, "off")
     if phase == "tree_aggregate":
-        return _fan_in_wire(dense, groups, messages_per_executor)
+        return _fan_in_wire(dense, groups, 1)
     if phase == "reduce_scatter":
-        wire = _rs_wire(dense, groups)
-    elif phase == "all_gather":
-        wire = _ag_wire(dense, groups)
-    else:
-        raise ValueError(f"unknown hierarchical phase {phase!r}")
-    return replace(wire, messages_per_executor=messages_per_executor)
+        return _rs_wire(dense, groups)
+    if phase == "all_gather":
+        return _ag_wire(dense, groups)
+    raise ValueError(f"unknown hierarchical phase {phase!r}")

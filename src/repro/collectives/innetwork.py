@@ -167,10 +167,8 @@ class SwitchWire:
             return self.fallback.phase_plan(request)
         cluster, m = request.cluster, request.model_size
         net = cluster.network
-        stream_raw = switch_stream_seconds(net, self.values_per_link,
-                                           self.chunk_values,
-                                           self.pool_slots)
-        stream = stream_raw * request.net_slow
+        stream = switch_stream_seconds(net, self.values_per_link,
+                                       self.chunk_values, self.pool_slots)
         up = request.phase != "all_gather"
         lane: Lane = ((stream, "send" if up else "recv",
                        self.values_per_link),)
@@ -182,7 +180,7 @@ class SwitchWire:
                 driver_ingress + cluster.compute.dense_op_seconds(
                     m, cluster.driver),
                 self.dense_values, self.wire_values,
-                stream_raw + driver_ingress)
+                stream + driver_ingress)
         return PhasePlan(
             lanes=tuple(lanes),
             retry_lanes=tuple(request.redo_lane(i) + lane

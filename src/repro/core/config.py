@@ -115,8 +115,9 @@ class TrainerConfig:
         ``ClusterSpec.placement``) or ``switch`` (SwitchML-style
         in-network aggregation with a bounded slot pool).  A *pricing*
         knob only: every topology runs the same flat combine kernels, so
-        iterates are bit-identical across all three.  See
-        ``docs/communication.md``.
+        iterates are bit-identical across all three.  BSP systems only:
+        the parameter-server systems (Petuum, Petuum*, Angel, ASGD)
+        reject anything but ``flat``.  See ``docs/communication.md``.
     switch_slots:
         ``switch`` only: aggregation slots in the switch register pool.
         Vectors needing more chunks than slots stream in multiple

@@ -141,11 +141,10 @@ class DistributedTrainer:
     #: system fails fast in :meth:`open_session`.
     supports_dual_solver = False
 
-    #: Whether the trainer's engine runs the crash/retry loop that fault
-    #: injection and checkpointing price.  A trainer without one (the
-    #: event-driven async trainer) rejects those fields in
-    #: :meth:`open_session` instead of silently running fault-free.
-    supports_faults = True
+    #: Config fields the system cannot honour, each mapped to the one
+    #: value it runs as; :meth:`open_session` rejects any other value by
+    #: name instead of silently running as that value.
+    fixed_fields: dict[str, object] = {}
 
     #: The session's collective topology (BSP trainers only; opened with
     #: the engine by :meth:`_open_bsp_engine`).
@@ -409,19 +408,15 @@ class DistributedTrainer:
                 f"local_solver={self.config.local_solver!r}; the dual "
                 "CoCoA family is implemented for the SendModel trainers "
                 "(MLlib*, MLlib+MA)")
-        if not self.supports_faults:
-            config = self.config
-            unsupported = [
-                f"{name}={getattr(config, name)!r}"
-                for name, off in (("failure_rate", 0.0),
-                                  ("failure_schedule", None),
-                                  ("checkpoint_every", 0))
-                if getattr(config, name) != off]
-            if unsupported:
-                raise ValueError(
-                    f"{self.system} does not support "
-                    f"{', '.join(unsupported)}; it has no crash-recovery "
-                    "loop to inject failures into or checkpoint for")
+        unsupported = [f"{name}={getattr(self.config, name)!r}"
+                       for name, value in self.fixed_fields.items()
+                       if getattr(self.config, name) != value]
+        if unsupported:
+            raise ValueError(
+                f"{self.system} does not support {', '.join(unsupported)}"
+                "; it runs only as " + ", ".join(
+                    f"{name}={value!r}"
+                    for name, value in self.fixed_fields.items()))
         data = PartitionedDataset.load(dataset, self.cluster,
                                        strategy=partition_strategy,
                                        seed=self.config.seed)

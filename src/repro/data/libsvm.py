@@ -30,8 +30,8 @@ def _normalize_label(raw: str) -> float:
     raise ValueError(f"cannot interpret label {raw!r} as binary")
 
 
-def read_libsvm(path: str | Path, n_features: int | None = None,
-                name: str | None = None) -> SparseDataset:
+def read_libsvm(path: str | Path,
+                n_features: int | None = None) -> SparseDataset:
     """Parse a LIBSVM file into a :class:`SparseDataset`.
 
     Parameters
@@ -40,8 +40,8 @@ def read_libsvm(path: str | Path, n_features: int | None = None,
         File to read.
     n_features:
         Force the feature-space width; inferred from the data when omitted.
-    name:
-        Dataset name; defaults to the file stem.
+
+    The dataset is named after the file stem.
     """
     path = Path(path)
     labels: list[float] = []
@@ -90,7 +90,7 @@ def read_libsvm(path: str | Path, n_features: int | None = None,
         shape=(len(labels), width),
     )
     y = np.asarray(labels, dtype=np.float64)
-    return SparseDataset(name=name or path.stem, X=X, y=y)
+    return SparseDataset(name=path.stem, X=X, y=y)
 
 
 def write_libsvm(dataset: SparseDataset, path: str | Path) -> None:

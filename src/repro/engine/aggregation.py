@@ -180,29 +180,25 @@ class TreeAggregateModel:
         cluster, m = request.cluster, request.model_size
         k = cluster.num_executors
         net = cluster.network
-        slow = request.net_slow
         timing = self.timing(cluster, m, request.messages_per_executor,
                              wire=wire)
-        level1_end = request.start + timing.aggregator_seconds * slow
+        level1_end = request.start + timing.aggregator_seconds
         busy: Lane = ((level1_end - request.start, "aggregate", 0.0),)
         if wire is None:
-            dense_send: Lane = ((net.transfer_seconds(m) * slow, "send",
-                                 float(m)),)
+            dense_send: Lane = ((net.transfer_seconds(m), "send", float(m)),)
             lanes = [busy if i in timing.groups else dense_send
                      for i in range(k)]
             a = len(timing.groups)
             mpe = request.messages_per_executor
             messages = k * mpe if a == 0 else (k - a) * mpe + a
             dense_values = wire_values = float(m) * messages
-            dense_seconds: float | None = timing.ingress_seconds * slow
         else:
             lanes = [busy if i in timing.groups else
-                     ((net.fan_in_varied_seconds(row) * slow, "send",
+                     ((net.fan_in_varied_seconds(row), "send",
                        float(sum(row))),)
                      for i, row in enumerate(wire.leaf_values)]
             dense_values, wire_values = wire.dense_values, wire.wire_values
-            dense_seconds = None
         return request.fan_in_plan(
             lanes, level1_end, [i not in timing.groups for i in range(k)],
             timing.driver_seconds, dense_values, wire_values,
-            timing.ingress_seconds, dense_seconds)
+            timing.ingress_seconds)

@@ -155,12 +155,6 @@ class BspEngine:
         if barrier > busy_until + 1e-12:
             self.trace.add(label, busy_until, barrier, "wait", step)
 
-    def _net_slowdown(self, step: int) -> float:
-        """Transient network degradation factor (1.0 when faults are off)."""
-        if not self.faults.enabled:
-            return 1.0
-        return self.faults.network_slowdown(step)
-
     # ------------------------------------------------------------------
     # the phase interpreter
     # ------------------------------------------------------------------
@@ -220,7 +214,7 @@ class BspEngine:
         return barrier - start
 
     def _plan_communication(self, wire: WirePlanner | None, flat_planner,
-                            phase: str, model_size: int, step: int,
+                            phase: str, model_size: int,
                             redo_seconds: list[float] | None,
                             messages_per_executor: int | None = None,
                             combine_coords: float = 0.0) -> PhasePlan:
@@ -230,7 +224,6 @@ class BspEngine:
         request = PhaseRequest(
             cluster=self.cluster, tree=self.tree, shuffle=self.shuffle,
             phase=phase, model_size=model_size, start=self.now,
-            net_slow=self._net_slowdown(step),
             messages_per_executor=messages_per_executor or 1,
             combine_coords=combine_coords, redo_seconds=redo_seconds)
         if wire is None:
@@ -288,8 +281,8 @@ class BspEngine:
         pricing choice (``docs/communication.md``).
         """
         plan = self._plan_communication(
-            wire, self.tree, "tree_aggregate", model_size, step,
-            redo_seconds, messages_per_executor=messages_per_executor)
+            wire, self.tree, "tree_aggregate", model_size, redo_seconds,
+            messages_per_executor=messages_per_executor)
         return self._run_plan(plan, step, "aggregate", "tree_aggregate")
 
     def driver_update_phase(self, seconds: float, step: int) -> float:
@@ -312,8 +305,8 @@ class BspEngine:
         serialized ``k`` transfers as a fan-in into one node, the linear
         growth in ``k`` visible in the paper's Figure 3(a).
         """
-        duration = (self.cluster.network.fan_in_seconds(
-            self.num_executors, model_size) * self._net_slowdown(step))
+        duration = self.cluster.network.fan_in_seconds(
+            self.num_executors, model_size)
         start = self.now
         end = start + duration
         if duration > 0:
@@ -367,7 +360,7 @@ class BspEngine:
         """
         self.shuffle.check_owners(model_size, self.num_executors, phase)
         plan = self._plan_communication(
-            wire, self.shuffle, phase, model_size, step, redo_seconds,
+            wire, self.shuffle, phase, model_size, redo_seconds,
             combine_coords=combine_coords)
         return self._run_plan(plan, step, phase, phase)
 
@@ -395,8 +388,7 @@ class BspEngine:
         their own links).  Future crash restores read the checkpoint back
         at the same cost instead of recomputing lineage.
         """
-        duration = (self.cluster.network.transfer_seconds(model_size)
-                    * self._net_slowdown(step))
+        duration = self.cluster.network.transfer_seconds(model_size)
         start = self.now
         end = start + duration
         if duration > 0:

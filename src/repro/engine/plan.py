@@ -79,8 +79,6 @@ class PhaseRequest:
     #: Simulated time the phase starts at (tree plans price the level-1
     #: stage as an absolute end time, as the hand-written bodies did).
     start: float
-    #: Transient network degradation factor at this step.
-    net_slow: float
     messages_per_executor: int = 1
     #: Dense coordinate ops each owner spends combining received pieces.
     combine_coords: float = 0.0
@@ -107,9 +105,8 @@ class PhaseRequest:
         ``k - 1`` fan-in), redo the combine."""
         k = self.cluster.num_executors
         piece = self.model_size / k
-        refill: Segment = (
-            self.cluster.network.fan_in_seconds(k - 1, piece)
-            * self.net_slow, "recv", float((k - 1) * piece))
+        refill: Segment = (self.cluster.network.fan_in_seconds(k - 1, piece),
+                           "recv", float((k - 1) * piece))
         return tuple(self.redo_lane(i) + (refill,) + self.combine_lane(i)
                      for i in range(k))
 
@@ -117,35 +114,30 @@ class PhaseRequest:
         """The dense flat shuffle round every round is compared against
         (closed form: ``k - 1`` equal pieces)."""
         k = self.cluster.num_executors
-        return (self.shuffle.round_seconds(self.cluster, k - 1,
-                                           self.model_size / k)
-                * self.net_slow)
+        return self.shuffle.round_seconds(self.cluster, k - 1,
+                                          self.model_size / k)
 
     def fan_in_plan(self, lanes: Sequence[Lane], level1_end: float,
                     idles_at_level1: Sequence[bool], driver_seconds: float,
                     dense_values: float, wire_values: float,
-                    ingress_seconds: float,
-                    dense_seconds: float | None = None) -> PhasePlan:
+                    ingress_seconds: float) -> PhasePlan:
         """Assemble a treeAggregate-shaped plan.
 
         A crashed sender recomputes its vector and re-sends it, so every
-        retry lane is the redo followed by the first-attempt lane.
-        ``driver_seconds`` and ``ingress_seconds`` are unslowed (the
-        network factor is applied here); ``dense_seconds`` defaults to
-        the dense flat treeAggregate's critical-path ingress.
+        retry lane is the redo followed by the first-attempt lane.  The
+        record's dense seconds are the dense flat treeAggregate's
+        critical-path ingress.
         """
-        if dense_seconds is None:
-            dense_seconds = self.net_slow * self.tree.timing(
-                self.cluster, self.model_size,
-                self.messages_per_executor).ingress_seconds
+        dense_seconds = self.tree.timing(
+            self.cluster, self.model_size,
+            self.messages_per_executor).ingress_seconds
         return PhasePlan(
             lanes=tuple(lanes),
             retry_lanes=tuple(self.redo_lane(i) + lane
                               for i, lane in enumerate(lanes)),
-            comm=(dense_values, wire_values,
-                  ingress_seconds * self.net_slow, dense_seconds),
+            comm=(dense_values, wire_values, ingress_seconds, dense_seconds),
             close=TreeClose(level1_end, tuple(idles_at_level1),
-                            driver_seconds * self.net_slow))
+                            driver_seconds))
 
 
 class WirePlanner(Protocol):

@@ -94,8 +94,8 @@ class ShuffleModel:
                       (k - 1) * (request.model_size / k))] * k
             wire_values = dense_values
         else:
-            sends = [(self.sender_seconds(cluster, row) * request.net_slow,
-                      "send", float(sum(row))) for row in wire.per_sender]
+            sends = [(self.sender_seconds(cluster, row), "send",
+                      float(sum(row))) for row in wire.per_sender]
             dense_values, wire_values = wire.dense_values, wire.wire_values
         return PhasePlan(
             lanes=tuple((send,) + request.combine_lane(i)

@@ -106,18 +106,18 @@ class WolfeResult:
 def wolfe_line_search(fg: Callable[[np.ndarray],
                                    tuple[float, np.ndarray]],
                       w: np.ndarray, direction: np.ndarray, fval: float,
-                      grad: np.ndarray, c1: float = 1.0e-4,
-                      c2: float = 0.9, max_evals: int = 20,
-                      max_step: float = 1.0e3) -> WolfeResult:
+                      grad: np.ndarray, max_evals: int = 20) -> WolfeResult:
     """Strong Wolfe line search (Nocedal & Wright, Algorithms 3.5/3.6).
 
     Unlike Armijo backtracking, the curvature condition guarantees
     ``s . y > 0`` for the accepted step, which keeps the L-BFGS Hessian
     approximation positive definite — this is what spark.ml's optimizer
-    (breeze ``StrongWolfeLineSearch``) uses.  Each trial evaluates both
-    the objective and the gradient; distributed callers charge a full
-    pass per trial.
+    (breeze ``StrongWolfeLineSearch``) uses, with its sufficient-decrease
+    ``c1 = 1e-4`` and curvature ``c2 = 0.9``; steps grow up to ``1e3``.
+    Each trial evaluates both the objective and the gradient;
+    distributed callers charge a full pass per trial.
     """
+    c1, c2, max_step = 1.0e-4, 0.9, 1.0e3
     dphi0 = float(np.dot(grad, direction))
     if dphi0 >= 0:
         return WolfeResult(step=0.0, fval=fval, grad=None, evaluations=0,
@@ -184,10 +184,10 @@ class MinimizeResult:
 
 
 def minimize(fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
-             w0: np.ndarray, max_iters: int = 100, memory: int = 10,
+             w0: np.ndarray, max_iters: int = 100,
              gtol: float = 1.0e-6) -> MinimizeResult:
     """Minimize a smooth function given ``fg(w) -> (f, grad)``."""
-    state = LbfgsState(memory=memory)
+    state = LbfgsState()
     w = np.array(w0, dtype=np.float64, copy=True)
     fval, grad = fg(w)
     f_evals = g_evals = 1
@@ -203,7 +203,7 @@ def minimize(fg: Callable[[np.ndarray], tuple[float, np.ndarray]],
         g_evals += search.evaluations
         if not search.success:
             # Restart from steepest descent once; give up if that fails.
-            state = LbfgsState(memory=memory)
+            state = LbfgsState()
             direction = -grad
             search = wolfe_line_search(fg, w, direction, fval, grad)
             f_evals += search.evaluations

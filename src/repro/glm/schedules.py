@@ -75,12 +75,12 @@ class InvTimeLR(LearningRate):
         return self.eta0 / (1.0 + self.decay * step)
 
 
-def get_schedule(name: str, eta0: float, decay: float = 1.0e-3) -> LearningRate:
+def get_schedule(name: str, eta0: float) -> LearningRate:
     """Build a schedule by name (one of :data:`SCHEDULES`)."""
     if name == "constant":
         return ConstantLR(eta0)
     if name == "inv_sqrt":
         return InvSqrtLR(eta0)
     if name == "inv_time":
-        return InvTimeLR(eta0, decay)
+        return InvTimeLR(eta0)
     raise KeyError(f"unknown schedule {name!r}; expected one of {SCHEDULES}")

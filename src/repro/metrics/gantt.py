@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cluster import Trace
+from ..engine import DRIVER_LABEL
 
 __all__ = ["GanttSummary", "summarize", "render_ascii", "KIND_CHARS"]
 
@@ -46,13 +47,13 @@ class GanttSummary:
                 f"executors_waiting={self.executor_wait_fraction:.0%}")
 
 
-def summarize(trace: Trace, driver_label: str = "driver") -> GanttSummary:
+def summarize(trace: Trace) -> GanttSummary:
     """Compute busy/wait fractions from a trace."""
     makespan = trace.end_time()
     nodes = trace.nodes()
-    executors = [n for n in nodes if n != driver_label]
+    executors = [n for n in nodes if n != DRIVER_LABEL]
     per_node = {n: trace.utilization(n) for n in nodes}
-    driver_busy = per_node.get(driver_label, 0.0)
+    driver_busy = per_node.get(DRIVER_LABEL, 0.0)
     if executors and makespan > 0:
         busy = sum(per_node[n] for n in executors) / len(executors)
         wait = sum(trace.wait_seconds(n) for n in executors) / (
@@ -64,8 +65,7 @@ def summarize(trace: Trace, driver_label: str = "driver") -> GanttSummary:
                         executor_wait_fraction=wait, per_node_busy=per_node)
 
 
-def render_ascii(trace: Trace, width: int = 100,
-                 driver_label: str = "driver") -> str:
+def render_ascii(trace: Trace, width: int = 100) -> str:
     """Render the trace as a text gantt chart.
 
     One row per node; each column is a ``makespan / width`` bucket filled
@@ -81,8 +81,8 @@ def render_ascii(trace: Trace, width: int = 100,
 
     nodes = trace.nodes()
     # Keep the paper's row order: driver on top, then executors.
-    if driver_label in nodes:
-        nodes = [driver_label] + [n for n in nodes if n != driver_label]
+    if DRIVER_LABEL in nodes:
+        nodes = [DRIVER_LABEL] + [n for n in nodes if n != DRIVER_LABEL]
 
     label_width = max(len(n) for n in nodes)
     lines: list[str] = []

@@ -27,7 +27,7 @@ from ..glm import Objective
 from ..core.config import TrainerConfig
 from ..core.trainer import DistributedTrainer
 from ..core.worker import angel_epoch_task
-from .consistency import BSP, Controller
+from .consistency import BSP
 from .engine import PsEngine, push_wire_values
 
 __all__ = ["AngelTrainer"]
@@ -41,12 +41,14 @@ class AngelTrainer(DistributedTrainer):
     #: Dense coordinates' worth of work charged per batch for gradient
     #: buffer allocation + GC (Section V-B2's overhead).
     alloc_overhead_coords_factor = 3.0
+    #: Workers pull and push through the parameter server, never a
+    #: collective.
+    fixed_fields = {"collective": "flat"}
 
     def __init__(self, objective: Objective, cluster: ClusterSpec,
-                 config: TrainerConfig | None = None,
-                 controller: Controller | None = None) -> None:
+                 config: TrainerConfig | None = None) -> None:
         super().__init__(objective, cluster, config)
-        self._controller = controller if controller is not None else BSP()
+        self._controller = BSP()
         self._engine: PsEngine | None = None
 
     # ------------------------------------------------------------------

@@ -47,8 +47,10 @@ class AsyncSgdTrainer(DistributedTrainer):
     """
 
     system = "ASGD"
-    #: No crash loop: the event clock has no barrier to stall or replay.
-    supports_faults = False
+    #: No crash loop (the event clock has no barrier to stall or replay)
+    #: and no collective: every push goes to the parameter server.
+    fixed_fields = {"failure_rate": 0.0, "failure_schedule": None,
+                    "checkpoint_every": 0, "collective": "flat"}
 
     def __init__(self, objective: Objective, cluster: ClusterSpec,
                  config: TrainerConfig | None = None) -> None:

@@ -157,14 +157,11 @@ class PsEngine:
             raise ValueError("push_values list length mismatch")
 
         t = self._steps_run
-        slow = 1.0
-        if self.faults.enabled:
-            slow = self.faults.network_slowdown(t + 1)
-        dense_comm = self.comm_seconds(model_size) * slow
+        dense_comm = self.comm_seconds(model_size)
         if push_values is None:
             comm_list = [dense_comm] * self.num_workers
         else:
-            comm_list = [self.comm_seconds(model_size, push_values[r]) * slow
+            comm_list = [self.comm_seconds(model_size, push_values[r])
                          for r in range(self.num_workers)]
         self.comm_records.append(CommRecord(
             step=t, phase="ps_pull_push",
@@ -225,8 +222,6 @@ class PsEngine:
         same cost instead of recomputing lineage.
         """
         duration = self.cluster.network.transfer_seconds(model_size)
-        if self.faults.enabled:
-            duration *= self.faults.network_slowdown(step)
         t = max(0, self._steps_run - 1)
         for r in range(self.num_workers):
             last = (self._finish_times[r][-1]

@@ -26,7 +26,7 @@ from ..glm import Objective
 from ..core.config import TrainerConfig
 from ..core.trainer import DistributedTrainer
 from ..core.worker import petuum_batch_task
-from .consistency import SSP, Controller
+from .consistency import SSP
 from .engine import PsEngine, push_wire_values
 from .server import ParameterServer
 
@@ -39,13 +39,14 @@ class PetuumTrainer(DistributedTrainer):
     system = "Petuum"
     #: How the servers combine pushed worker results.
     combine = "sum"
+    #: Workers pull and push through the parameter server, never a
+    #: collective.
+    fixed_fields = {"collective": "flat"}
 
     def __init__(self, objective: Objective, cluster: ClusterSpec,
-                 config: TrainerConfig | None = None,
-                 controller: Controller | None = None) -> None:
+                 config: TrainerConfig | None = None) -> None:
         super().__init__(objective, cluster, config)
-        self._controller = (controller if controller is not None
-                            else SSP(staleness=2))
+        self._controller = SSP(staleness=2)
         self._engine: PsEngine | None = None
         self._server: ParameterServer | None = None
 

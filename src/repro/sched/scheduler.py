@@ -2,8 +2,9 @@
 
 :class:`ClusterScheduler` multiplexes one shared pool of simulated
 executors across a queue of training jobs.  Each running job trains on
-its *own* sub-cluster (built by ``cluster_factory`` at the granted gang
-width) through a :class:`~repro.core.TrainingSession`, which pauses at
+its *own* sub-cluster (homogeneous Cluster 1 hardware at the granted
+gang width, so a width change keeps per-executor hardware identical)
+through a :class:`~repro.core.TrainingSession`, which pauses at
 every superstep barrier — the only points where the scheduler may act on
 a job.  Between barriers a job is untouchable, exactly like a BSP system
 whose workers are mid-superstep.
@@ -76,12 +77,6 @@ class SchedResult:
         return sum(j.steps_done for j in self.jobs)
 
 
-def _default_cluster_factory(seed: int):
-    def factory(width: int) -> ClusterSpec:
-        return cluster1(executors=width, seed=seed)
-    return factory
-
-
 class ClusterScheduler:
     """Deterministic event-driven scheduler over a shared executor pool.
 
@@ -89,19 +84,10 @@ class ClusterScheduler:
     ----------
     config:
         Run control (policy, elasticity, preemption, pool size, seed).
-    cluster_factory:
-        ``factory(width) -> ClusterSpec`` building the sub-cluster a job
-        trains on at gang width ``width``.  Defaults to homogeneous
-        Cluster 1 hardware at the scheduler's seed, so every width change
-        keeps per-executor hardware identical.
     """
 
-    def __init__(self, config: SchedConfig | None = None,
-                 cluster_factory=None) -> None:
+    def __init__(self, config: SchedConfig | None = None) -> None:
         self.config = config if config is not None else SchedConfig()
-        self.cluster_factory = (cluster_factory if cluster_factory is not None
-                                else _default_cluster_factory(
-                                    self.config.seed))
         self.pool = ExecutorPool(self.config.total_executors)
         self.log = SchedLog()
         self.trace = Trace()
@@ -398,7 +384,7 @@ class ClusterScheduler:
         cost for a width change, plus checkpoint-restore for a resume
         after preemption.
         """
-        cluster = self.cluster_factory(width)
+        cluster = cluster1(executors=width, seed=self.config.seed)
         trainer = job.spec.make_trainer(cluster)
         dataset = self._dataset(job)
         overhead = 0.0

@@ -23,8 +23,7 @@ __all__ = ["poisson_job_trace"]
 
 def poisson_job_trace(rate: float, duration: float, seed: int = 0, *,
                       system: str = "MLlib*", elastic: bool = False,
-                      max_width: int = 6,
-                      n_features: int = 64) -> list[JobSpec]:
+                      max_width: int = 6) -> list[JobSpec]:
     """Draw a Poisson trace of training jobs over ``[0, duration)``.
 
     Parameters
@@ -43,8 +42,8 @@ def poisson_job_trace(rate: float, duration: float, seed: int = 0, *,
         ``max_width``) instead of a rigid gang.
     max_width:
         Cap on any job's maximum width (keep below the scheduler pool).
-    n_features:
-        Model size of every job (must stay >= the widest gang).
+
+    Every job trains a 64-feature model (wider than any gang).
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
@@ -81,7 +80,7 @@ def poisson_job_trace(rate: float, duration: float, seed: int = 0, *,
             max_executors=hi,
             steps=steps,
             n_rows=n_rows,
-            n_features=n_features,
+            n_features=64,
             nnz_per_row=6.0,
             data_seed=seed * 1009 + index,
             seed=seed,

@@ -19,9 +19,9 @@ Cells: {MLlib (plus a two-wave and a depth-1 variant), MLlib+MA, MLlib*
 tiered cluster, switch, switch with a starved slot pool} x sparse_comm
 {off, auto, on} x faults {none, a scripted crash in each of compute /
 aggregate / reduce_scatter / all_gather, a seeded random-rate run, a
-retry-budget-exhausting schedule, a crash under a slow-network episode,
-a crash restored from a checkpoint}; plus Petuum and Angel under a
-scripted crash (the parameter-server engine shares the retry loop).
+retry-budget-exhausting schedule, a crash restored from a checkpoint};
+plus Petuum and Angel under a scripted crash (the parameter-server
+engine shares the retry loop).
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ import json
 from pathlib import Path
 
 from repro.cluster import LogNormalStragglers, cluster1, tiered_cluster
-from repro.cluster.faults import (RecoveryError, ScheduledFailures,
-                                  SlowNetworkEpisode,
-                                  parse_failure_schedule)
+from repro.cluster.faults import RecoveryError
 from repro.core import (MLlibModelAveragingTrainer, MLlibStarTrainer,
                         MLlibTrainer, SparkMlStarTrainer, SparkMlTrainer,
                         TrainerConfig)
@@ -81,7 +79,6 @@ FAULTS = {
     "random": {"failure_rate": 0.12},
     "exhaust": {"failure_schedule":
                 "1@2:aggregatex5,1@2:reduce_scatterx5"},
-    "slow": {},  # installed on the trainer, see cell_parts
     "checkpoint": {"failure_schedule": "4@3,2@3:aggregate,"
                                        "2@3:reduce_scatter",
                    "checkpoint_every": 1},
@@ -162,10 +159,6 @@ def cell_parts(system: str, collective: str, sparse: str,
                      **COLLECTIVES[collective], **FAULTS[fault])
     trainer = trainer_cls(Objective(loss, "l2", 0.1),
                           _cluster(config.collective), config, **kwargs)
-    if fault == "slow":
-        trainer.faults = ScheduledFailures(
-            parse_failure_schedule("5@2:aggregate,5@2:all_gather"),
-            slow_network=(SlowNetworkEpisode(2, 3, 3.0),))
     return _fit_parts(trainer, _dataset())
 
 

@@ -21,12 +21,6 @@ class TestComputeCostModel:
         assert cm.sparse_pass_seconds(1e6, fast) == pytest.approx(
             cm.sparse_pass_seconds(1e6, ref) / 2)
 
-    def test_update_factor(self):
-        cm = ComputeCostModel()
-        node = NodeSpec(node_id=0)
-        assert cm.sparse_pass_seconds(1e5, node, update_factor=2.0) == (
-            pytest.approx(2 * cm.sparse_pass_seconds(1e5, node)))
-
     def test_dense_op_seconds(self):
         cm = ComputeCostModel(sec_per_coord=1e-9)
         node = NodeSpec(node_id=0)

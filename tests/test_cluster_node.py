@@ -48,7 +48,7 @@ class TestHomogeneousNodes:
 class TestHeterogeneousNodes:
     def test_speeds_vary(self):
         rng = np.random.default_rng(0)
-        nodes = heterogeneous_nodes(50, rng, speed_sigma=0.25)
+        nodes = heterogeneous_nodes(50, rng)
         speeds = [n.speed for n in nodes]
         assert len(set(speeds)) > 1
         assert all(s > 0 for s in speeds)

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from repro.cluster import (FailureEvent, RandomFailures, RecoveryError,
-                           ScheduledFailures, SlowNetworkEpisode,
-                           build_failure_model, parse_failure_schedule)
+                           ScheduledFailures, build_failure_model,
+                           parse_failure_schedule)
 from repro.core import (MLlibModelAveragingTrainer, MLlibStarTrainer,
                         MLlibTrainer, SparkMlStarTrainer, TrainerConfig)
 from repro.data import SyntheticSpec, generate
@@ -55,6 +55,10 @@ class TestScheduleParsing:
             parse_failure_schedule("nonsense")
         with pytest.raises(ValueError, match="integers"):
             parse_failure_schedule("a@b")
+        for spec in ("1@2x", "1@2xa"):
+            with pytest.raises(ValueError,
+                               match=rf"{spec!r}.*EXECUTOR@STEP"):
+                parse_failure_schedule(spec)
         with pytest.raises(ValueError, match="phase"):
             parse_failure_schedule("1@2:warp_drive")
 
@@ -92,13 +96,6 @@ class TestFailureModels:
         assert model.crash_event(2, "compute", 0, 1) is not None
         assert model.crash_event(2, "compute", 0, 2) is None
         assert model.crash_event(3, "compute", 0, 0) is None
-
-    def test_slow_network_episode(self):
-        model = ScheduledFailures(
-            [], slow_network=(SlowNetworkEpisode(2, 3, 4.0),))
-        assert model.network_slowdown(1) == 1.0
-        assert model.network_slowdown(2) == 4.0
-        assert model.network_slowdown(4) == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -349,25 +346,6 @@ class TestCrashTraffic:
         # The seven healthy senders each delivered their k - 1 pieces.
         assert engine.trace.traffic_values(step=1) == (
             (k - 1) * (k - 1) * piece + refill.values)
-
-
-# ----------------------------------------------------------------------
-# slow-network episodes
-# ----------------------------------------------------------------------
-class TestSlowNetwork:
-    def test_episode_stretches_communication(self, tiny_dataset,
-                                             small_cluster, fault_config):
-        obj = Objective("hinge")
-        clean = MLlibStarTrainer(obj, small_cluster,
-                                 fault_config(None)).fit(tiny_dataset)
-        trainer = MLlibStarTrainer(obj, small_cluster, fault_config(None))
-        trainer.faults = ScheduledFailures(
-            [], slow_network=(SlowNetworkEpisode(2, 3, 5.0),))
-        slow = trainer.fit(tiny_dataset)
-        np.testing.assert_array_equal(clean.model.weights,
-                                      slow.model.weights)
-        assert slow.history.total_seconds > clean.history.total_seconds
-        assert not slow.failures
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Tests for the asynchronous SGD trainer (real staleness numerics)."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.cluster import cluster1, cluster2
 from repro.core import TrainerConfig
 from repro.glm import Objective
-from repro.ps import AsyncSgdTrainer, PsEngine
+from repro.ps import (AngelTrainer, AsyncSgdTrainer, PetuumStarTrainer,
+                      PetuumTrainer, PsEngine)
 
 
 CFG = TrainerConfig(max_steps=20, learning_rate=0.2, batch_fraction=0.1,
@@ -74,17 +77,24 @@ class TestAsyncSgd:
         {"failure_rate": 0.5},
         {"checkpoint_every": 2},
         {"failure_schedule": "1@2", "checkpoint_every": 2},
+        {"collective": "hier"},
     ])
     def test_rejects_fault_and_checkpoint_fields(self, tiny_dataset,
                                                  small_cluster, overrides):
-        """The event clock has no crash loop, so these fields are
-        rejected by name instead of running fault-free."""
-        trainer = AsyncSgdTrainer(Objective("hinge"), small_cluster,
+        """The event clock has no crash loop, and no parameter-server
+        system runs a collective, so these fields are rejected by name
+        instead of running fault-free or flat."""
+        trainers = [AsyncSgdTrainer]
+        if set(overrides) == {"collective"}:
+            trainers += [PetuumTrainer, PetuumStarTrainer, AngelTrainer]
+        for trainer_cls in trainers:
+            trainer = trainer_cls(Objective("hinge"), small_cluster,
                                   CFG.with_overrides(**overrides))
-        with pytest.raises(ValueError, match="ASGD does not support") as err:
-            trainer.fit(tiny_dataset)
-        for name in overrides:
-            assert name in str(err.value)
+            with pytest.raises(ValueError, match=(
+                    f"{re.escape(trainer.system)} does not support")) as err:
+                trainer.fit(tiny_dataset)
+            for name in overrides:
+                assert name in str(err.value)
 
     def test_deterministic(self, tiny_dataset, small_cluster):
         a = AsyncSgdTrainer(Objective("hinge"), small_cluster, CFG).fit(

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.core import TrainerConfig
 from repro.glm import Objective
-from repro.ps import (ASP, BSP, SSP, AngelTrainer, PetuumStarTrainer,
+from repro.ps import (BSP, SSP, AngelTrainer, PetuumStarTrainer,
                       PetuumTrainer)
 
 
@@ -45,12 +45,6 @@ class TestPetuum:
     def test_uses_ssp_by_default(self, small_cluster):
         trainer = PetuumTrainer(Objective("hinge"), small_cluster, CFG)
         assert isinstance(trainer._controller, SSP)
-
-    def test_custom_controller(self, tiny_dataset, small_cluster):
-        trainer = PetuumStarTrainer(Objective("hinge"), small_cluster, CFG,
-                                    controller=ASP())
-        result = trainer.fit(tiny_dataset)
-        assert result.history.total_seconds > 0
 
 
 class TestPetuumStar:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -189,10 +190,9 @@ class TestTrafficInvariant:
 
     def test_hier_tree_dense_split(self):
         groups = ((0, 1, 2), (3, 4), (5,))
-        wire = hier_dense_wire("tree_aggregate", 40, groups,
-                               messages_per_executor=2)
-        # members ship mpe messages each; one partial per machine.
-        assert wire.intra_dense == 40.0 * 2 * (6 - 3)
+        wire = hier_dense_wire("tree_aggregate", 40, groups)
+        # members ship one message each; one partial per machine.
+        assert wire.intra_dense == 40.0 * (6 - 3)
         assert wire.cross_dense == 40.0 * 3
 
 
@@ -366,6 +366,9 @@ class TestDegenerateHierEqualsFlat:
 # (iii) golden convergence survives --collective hier / switch
 # ----------------------------------------------------------------------
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_convergence.json"
+#: Systems that pull and push through a parameter server, never a
+#: collective.
+PS_SYSTEMS = ("Petuum", "Petuum*", "Angel", "ASGD")
 
 
 @pytest.fixture(scope="module")
@@ -377,16 +380,22 @@ def golden() -> dict:
 @pytest.mark.parametrize("collective", ["hier", "switch"])
 @pytest.mark.parametrize("system", sorted(SYSTEMS))
 def test_golden_numerics_survive_topologies(system, collective, golden):
-    """Every system reproduces its pinned objective under every topology.
+    """Every BSP system reproduces its pinned objective under every
+    topology; the parameter-server systems reject the collective.
 
     Simulated seconds are *allowed* to change (pricing the schedule is
     the topology's whole point); the weights are not.
     """
     trainer_cls, loss = SYSTEMS[system]
     dataset, cluster, config = golden_workload()
-    result = trainer_cls(
-        Objective(loss, "l2", 0.1), cluster,
-        config.with_overrides(collective=collective)).fit(dataset)
+    trainer = trainer_cls(Objective(loss, "l2", 0.1), cluster,
+                          config.with_overrides(collective=collective))
+    if system in PS_SYSTEMS:
+        with pytest.raises(ValueError, match=re.escape(
+                f"{system} does not support collective='{collective}'")):
+            trainer.fit(dataset)
+        return
+    result = trainer.fit(dataset)
     pinned = golden[system]
     assert result.history.total_steps == pinned["total_steps"]
     assert result.final_objective == pytest.approx(
