@@ -154,21 +154,13 @@ class AnalysisResult:
 def _select_rules(select: Sequence[str] | None,
                   ignore: Sequence[str] | None) -> list[Rule]:
     registry = rule_registry()
-    if select:
-        unknown = [r for r in select if r not in registry]
+    for ids in (select or (), ignore or ()):
+        unknown = [r for r in ids if r not in registry]
         if unknown:
             raise KeyError(f"unknown rule id(s): {', '.join(unknown)}; "
                            f"known: {', '.join(sorted(registry))}")
-        chosen = [registry[r] for r in select]
-    else:
-        chosen = list(ALL_RULES)
-    if ignore:
-        unknown = [r for r in ignore if r not in registry]
-        if unknown:
-            raise KeyError(f"unknown rule id(s): {', '.join(unknown)}; "
-                           f"known: {', '.join(sorted(registry))}")
-        chosen = [rule for rule in chosen if rule.id not in set(ignore)]
-    return chosen
+    chosen = [registry[r] for r in select] if select else list(ALL_RULES)
+    return [rule for rule in chosen if rule.id not in set(ignore or ())]
 
 
 def _noqa_column(src: SourceFile, line: int) -> int:

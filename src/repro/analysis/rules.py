@@ -48,7 +48,8 @@ import ast
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
-from .callgraph import CallGraph, FunctionInfo, local_bindings, own_body
+from .callgraph import (CallGraph, FunctionInfo, _dotted, _module_imports,
+                        local_bindings, module_name_for, own_body)
 from .violations import Violation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -109,45 +110,6 @@ MUTATORS = frozenset({
     "pop", "popitem", "clear", "setdefault", "sort", "reverse",
     "setflags", "fill",
 })
-
-
-def _import_aliases(tree: ast.AST) -> dict[str, str]:
-    """Map local names to the dotted module paths they were imported as.
-
-    ``import numpy as np`` maps ``np -> numpy``; ``from datetime import
-    datetime`` maps ``datetime -> datetime.datetime``; plain ``import
-    random`` maps ``random -> random``.
-    """
-    aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    aliases[alias.asname] = alias.name
-                else:
-                    top = alias.name.split(".")[0]
-                    aliases[top] = top
-        elif isinstance(node, ast.ImportFrom):
-            if node.module is None or node.level:
-                continue  # relative imports never bind external modules
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                aliases[alias.asname or alias.name] = (
-                    f"{node.module}.{alias.name}")
-    return aliases
-
-
-def _dotted_name(node: ast.AST) -> str | None:
-    """Flatten ``a.b.c`` attribute chains to ``"a.b.c"`` (else None)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 def _resolve(dotted: str | None, aliases: dict[str, str]) -> str | None:
@@ -243,7 +205,7 @@ def ambient_findings(info: FunctionInfo,
     for node in own_body(info):
         if not isinstance(node, ast.Call):
             continue
-        name = _resolve(_dotted_name(node.func), aliases)
+        name = _resolve(_dotted(node.func), aliases)
         if name is None:
             continue
         if checker._diagnose(name, node) is not None:
@@ -302,12 +264,13 @@ class AmbientNondeterminism(Rule):
                 and path.name in cls.MEASURED_TRANSPORT_FILES)
 
     def check(self, src: "SourceFile") -> Iterator[Violation]:
-        aliases = _import_aliases(src.tree)
+        aliases = _module_imports(src.tree, module_name_for(src.path),
+                                  src.path.name == "__init__.py")
         wall_ok = self._wall_clock_exempt(src.path)
         for node in ast.walk(src.tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = _resolve(_dotted_name(node.func), aliases)
+            name = _resolve(_dotted(node.func), aliases)
             if name is None:
                 continue
             if wall_ok and (name in self.WALL_CLOCKS
@@ -455,7 +418,6 @@ class ImpureCostModel(CallGraphRule):
 
     def check_graph(self, graph: CallGraph) -> Iterator[Violation]:
         impurity_cache: dict[str, list[tuple[ast.AST, str]]] = {}
-        alias_cache: dict[str, dict[str, str]] = {}
         for qual in sorted(graph.functions):
             info = graph.functions[qual]
             if info.is_module_body or not self._is_pricing_name(info.name):
@@ -466,13 +428,11 @@ class ImpureCostModel(CallGraphRule):
                 yield self.violation(
                     info.src, node, f"{detail} inside a pricing function "
                     "mutates cost-model state")
-            yield from self._check_call_paths(graph, info, impurity_cache,
-                                              alias_cache)
+            yield from self._check_call_paths(graph, info, impurity_cache)
 
     def _check_call_paths(
             self, graph: CallGraph, root: FunctionInfo,
             impurity_cache: dict[str, list[tuple[ast.AST, str]]],
-            alias_cache: dict[str, dict[str, str]],
     ) -> Iterator[Violation]:
         seen = {root.qualname}
         queue: list[tuple[str, ast.AST, tuple[str, ...]]] = [
@@ -488,8 +448,7 @@ class ImpureCostModel(CallGraphRule):
             if self._measures_wall_time(info):
                 continue  # measurement code; not a cost model
             for node, detail in self._impurities(graph, info,
-                                                 impurity_cache,
-                                                 alias_cache):
+                                                 impurity_cache):
                 key = (entry.lineno, qual, detail)
                 if key in reported:
                     continue
@@ -507,15 +466,13 @@ class ImpureCostModel(CallGraphRule):
 
     def _impurities(self, graph: CallGraph, info: FunctionInfo,
                     impurity_cache: dict[str, list[tuple[ast.AST, str]]],
-                    alias_cache: dict[str, dict[str, str]],
                     ) -> list[tuple[ast.AST, str]]:
         if info.qualname not in impurity_cache:
             check_self = info.name not in self._CONSTRUCTORS
             found = list(shared_state_findings(graph, info,
                                                check_self=check_self))
-            if info.module not in alias_cache:
-                alias_cache[info.module] = _import_aliases(info.src.tree)
-            found.extend(ambient_findings(info, alias_cache[info.module]))
+            found.extend(ambient_findings(
+                info, graph.modules[info.module].imports))
             impurity_cache[info.qualname] = found
         return impurity_cache[info.qualname]
 

@@ -14,31 +14,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cluster import ClusterSpec
-from ..engine import BspEngine, PartitionedDataset, TreeAggregateModel
-from ..glm import Objective
-from .config import TrainerConfig
-from .trainer import DistributedTrainer
+from ..engine import PartitionedDataset
+from .mllib import MLlibTrainer
 
 __all__ = ["MLlibModelAveragingTrainer"]
 
 
-class MLlibModelAveragingTrainer(DistributedTrainer):
-    """SendModel through the unchanged MLlib aggregation path."""
+class MLlibModelAveragingTrainer(MLlibTrainer):
+    """SendModel through the unchanged MLlib aggregation path: MLlib's
+    engine and ``tree`` parameter, with a different step."""
 
     system = "MLlib+MA"
     supports_dual_solver = True
-
-    def __init__(self, objective: Objective, cluster: ClusterSpec,
-                 config: TrainerConfig | None = None,
-                 tree: TreeAggregateModel | None = None) -> None:
-        super().__init__(objective, cluster, config)
-        self._tree = tree
-        self._engine: BspEngine | None = None
-
-    # ------------------------------------------------------------------
-    def _prepare(self, data: PartitionedDataset) -> None:
-        self._engine = self._open_bsp_engine(data, tree=self._tree)
 
     # ------------------------------------------------------------------
     def _run_step(self, step: int, w: np.ndarray,

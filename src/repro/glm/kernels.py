@@ -1,37 +1,9 @@
-"""Fast CSR kernels for the local solvers' hot loops.
+"""CSR kernels for the mini-batch and SDCA local solvers' hot loops.
 
-Profiling the SendModel epoch loop (``sgd_epoch`` with small chunks on a
-wide model — the WX regime: 51k features, ~11 nnz per row, chunk size 64)
-shows four dominant costs that are pure implementation overhead:
-
-1. **Per-batch fancy indexing** — ``X[rows]`` with a random ``rows``
-   gathers scattered CSR rows on *every* batch.  Permuting the epoch once
-   (``Xp = X[order]``) and slicing contiguous ranges ``Xp[a:b]`` yields
-   byte-identical chunk matrices (``X[order][a:b] == X[order[a:b]]``) at a
-   fraction of the cost.
-2. **Per-chunk matrix construction** — even a contiguous ``Xp[a:b]``
-   slice builds a fresh ``csr_matrix`` (index-dtype checks, shape checks,
-   format validation) thousands of times per epoch.  The lazy SGD loop
-   therefore works on the raw ``indptr``/``indices``/``data`` arrays:
-   a chunk is just the slice ``indices[indptr[a]:indptr[b]]`` and its
-   margins are a product + segmented sum (:func:`chunk_margins`) — scipy's
-   CSR matvec accumulates each row's products in the same order, so the
-   result is bit-identical.
-3. **Dense per-chunk gradients** — ``Xc.T @ factor`` materializes an
-   ``m``-length array per chunk even though only the chunk's column
-   support (``nnz`` entries) is nonzero.  :func:`chunk_grad_touched`
-   gathers exactly the touched coordinates; scipy's CSC matvec and
-   ``np.bincount`` both accumulate each output coordinate's contributions
-   in row-ascending order, so the sums are bit-identical.
-4. **Fresh model arrays per update** — ``apply_update`` allocates up to
-   four ``m``-length temporaries per batch.  :func:`apply_update_inplace`
-   reuses the iterate and one scratch buffer while performing the exact
-   same float operations in the exact same order.
-
-Every kernel here is verified bit-identical to the retained reference
-implementation (:mod:`repro.glm.reference`) by the property tests in
-``tests/test_perf_kernels.py`` — these are wall-clock optimizations only;
-the numerics (and therefore the golden convergence values) are unchanged.
+The lazy-L2 SGD epoch is compiled instead (:mod:`repro.glm.native`).
+Every kernel here is bit-identical to its retained reference body in
+:mod:`repro.glm.reference` (``tests/test_perf_kernels.py``,
+``tests/test_glm_dual.py``).
 """
 
 from __future__ import annotations
@@ -41,8 +13,7 @@ import scipy.sparse as sp
 
 from .objective import Objective
 
-__all__ = ["permuted_epoch", "touched_columns", "chunk_margins",
-           "chunk_grad_touched", "apply_update_inplace", "dual_row_norms",
+__all__ = ["permuted_epoch", "apply_update_inplace", "dual_row_norms",
            "dual_epoch"]
 
 
@@ -58,67 +29,6 @@ def permuted_epoch(X: sp.csr_matrix, y: np.ndarray, order: np.ndarray,
     if not shuffle:
         return X, y
     return X[order], y[order]
-
-
-def touched_columns(indices: np.ndarray,
-                    single_row: bool = False) -> np.ndarray:
-    """Sorted unique column indices of a chunk (``np.unique`` replacement).
-
-    ``indices`` is the chunk's raw CSR index slice.  ``np.unique``
-    re-derives sortedness it could assume: a single canonical-format CSR
-    row already *is* sorted and duplicate-free (pass ``single_row=True``
-    to skip the sort entirely), and for multi-row chunks a plain sort +
-    neighbour-diff mask skips unique's generic machinery.  Output is
-    bit-identical to ``np.unique(indices)``.
-    """
-    if indices.size == 0:
-        return indices[:0]
-    if single_row:
-        return indices
-    s = np.sort(indices)
-    keep = np.empty(s.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(s[1:], s[:-1], out=keep[1:])
-    return s[keep]
-
-
-def chunk_margins(indices: np.ndarray, data: np.ndarray,
-                  row_nnz: np.ndarray, v: np.ndarray,
-                  n_rows: int) -> np.ndarray:
-    """Row margins ``Xc @ v`` computed from the chunk's raw CSR arrays.
-
-    Bit-identical to scipy's CSR matvec: both form the products
-    ``data[k] * v[indices[k]]`` and accumulate them per row in storage
-    (row-major, column-ascending) order — ``np.bincount`` adds its
-    weights in occurrence order, which is the same sequence of float
-    additions.  Avoids constructing a ``csr_matrix`` per chunk.
-    """
-    if indices.size == 0:
-        return np.zeros(n_rows)
-    rows_local = np.repeat(np.arange(n_rows), row_nnz)
-    return np.bincount(rows_local, weights=data * v[indices],
-                       minlength=n_rows)
-
-
-def chunk_grad_touched(indices: np.ndarray, data: np.ndarray,
-                       row_nnz: np.ndarray, factor: np.ndarray,
-                       touched: np.ndarray) -> np.ndarray:
-    """Mean loss gradient of a chunk, gathered on its column support.
-
-    Bit-identical to ``(np.asarray(Xc.T @ factor) / n_rows)[touched]``
-    without materializing the ``m``-length dense gradient: scipy's CSC
-    matvec accumulates each column's products in row-ascending order, and
-    ``np.bincount`` adds its weights in occurrence order — the same order,
-    because CSR data is stored row-major.  ``touched`` must be the sorted
-    unique column support of the chunk (see :func:`touched_columns`).
-    """
-    if touched.size == 0:
-        return np.zeros(0)
-    per_nnz = np.repeat(factor, row_nnz)
-    vals = data * per_nnz
-    pos = np.searchsorted(touched, indices)
-    return np.bincount(pos, weights=vals,
-                       minlength=touched.size) / row_nnz.shape[0]
 
 
 def dual_row_norms(indptr: np.ndarray, data: np.ndarray,

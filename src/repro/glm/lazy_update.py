@@ -53,10 +53,10 @@ class ScaledVector:
     def values(self) -> np.ndarray:
         """Read-only view of the unscaled storage (``w == scale * values``).
 
-        Hot paths (margin computation in ``sgd_epoch``) need the raw
-        storage to dot against without materializing ``scale * values``;
-        the view is write-protected so callers cannot bypass
-        :meth:`axpy_sparse`'s ``dense_ops`` accounting.
+        The reference lazy epoch dots its margins against the raw storage
+        without materializing ``scale * values``; the view is
+        write-protected so callers cannot bypass :meth:`axpy_sparse`'s
+        ``dense_ops`` accounting.
         """
         view = self._values.view()
         view.setflags(write=False)

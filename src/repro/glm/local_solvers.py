@@ -16,11 +16,10 @@ All solvers return a fresh weight vector plus :class:`LocalStats` so the
 cluster cost model can convert the work into simulated seconds.  ``y``
 labels are in {-1, +1}; gradients are means over the examples used.
 
-The epoch loops run on the fast CSR kernels of :mod:`repro.glm.kernels`
-(pre-permuted epoch slicing, support-gathered gradients, in-place
-updates).  The retained pre-optimization bodies in
-:mod:`repro.glm.reference` are their bit-exact oracle
-(``tests/test_perf_kernels.py`` compares the two).
+The lazy SGD epoch runs compiled (:mod:`repro.glm.native`); the other
+epoch loops run on the CSR kernels of :mod:`repro.glm.kernels`.  The
+retained bodies in :mod:`repro.glm.reference` are their bit-exact oracle
+(``tests/test_perf_kernels.py``) and the lazy epoch's fallback.
 """
 
 from __future__ import annotations
@@ -30,9 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .kernels import (apply_update_inplace, chunk_grad_touched,
-                      chunk_margins, permuted_epoch, touched_columns)
-from .lazy_update import ScaledVector
+from . import native
+from .kernels import apply_update_inplace, permuted_epoch
 from .objective import Objective
 
 __all__ = ["LocalStats", "gd_step", "mgd_epoch", "sgd_epoch",
@@ -129,70 +127,6 @@ def mgd_epoch(objective: Objective, w: np.ndarray, X: sp.csr_matrix,
     return current, stats
 
 
-def _sgd_epoch_lazy(objective: Objective, w: np.ndarray, Xp: sp.csr_matrix,
-                    yp: np.ndarray, lr: float,
-                    chunk_size: int) -> tuple[np.ndarray, LocalStats]:
-    """Chunked SGD with L2 handled through a :class:`ScaledVector`.
-
-    ``Xp``/``yp`` are already in epoch order (see
-    :func:`repro.glm.kernels.permuted_epoch`), so each chunk is a
-    contiguous slice of the raw CSR arrays — no ``csr_matrix`` is
-    constructed per chunk — and gradients are gathered on the chunk's
-    column support instead of materializing an ``m``-length dense array.
-    """
-    lam = objective.regularizer.strength
-    sv = ScaledVector(w)
-    stats = LocalStats()
-    n = Xp.shape[0]
-    indptr, indices, data = Xp.indptr, Xp.indices, Xp.data
-    single_row = chunk_size == 1 and Xp.has_canonical_format
-    for start in range(0, n, chunk_size):
-        end = min(start + chunk_size, n)
-        yc = yp[start:end]
-        lo, hi = indptr[start], indptr[end]
-        idx = indices[lo:hi]
-        dat = data[lo:hi]
-        row_nnz = np.diff(indptr[start:end + 1])
-        margins = sv.scale * chunk_margins(idx, dat, row_nnz, sv.values,
-                                           end - start)
-        factor = objective.loss.gradient_factor(margins, yc)
-        touched = touched_columns(idx, single_row=single_row)
-        grad = chunk_grad_touched(idx, dat, row_nnz, factor, touched)
-        if lam:
-            decay = 1.0 - lr * lam
-            if decay <= 0:
-                raise ValueError(
-                    f"lr * lambda = {lr * lam:g} >= 1 makes the lazy decay "
-                    "non-positive; lower the learning rate")
-            sv.decay(decay)
-        sv.axpy_sparse(-lr, touched, grad)
-        stats.nnz_processed += 2 * int(idx.size)
-        stats.n_updates += 1
-    stats.dense_ops = sv.dense_ops + sv.dim  # final materialization
-    return sv.to_array(), stats
-
-
-def _sgd_epoch_eager(objective: Objective, w: np.ndarray, Xp: sp.csr_matrix,
-                     yp: np.ndarray, lr: float,
-                     chunk_size: int) -> tuple[np.ndarray, LocalStats]:
-    """Chunked SGD with the regularizer applied densely every update."""
-    stats = LocalStats()
-    current = np.array(w, copy=True)
-    scratch = np.empty_like(current)
-    reg = objective.regularizer
-    n = Xp.shape[0]
-    for start in range(0, n, chunk_size):
-        Xc = Xp[start:start + chunk_size]
-        yc = yp[start:start + chunk_size]
-        grad = objective.batch_loss_gradient(current, Xc, yc)
-        apply_update_inplace(current, grad, lr, objective, scratch)
-        stats.nnz_processed += 2 * int(Xc.nnz)
-        stats.n_updates += 1
-        if reg.is_dense:
-            stats.dense_ops += w.shape[0]
-    return current, stats
-
-
 def sgd_epoch(objective: Objective, w: np.ndarray, X: sp.csr_matrix,
               y: np.ndarray, lr: float, rng: np.random.Generator,
               chunk_size: int = 1, lazy: bool = True,
@@ -201,17 +135,24 @@ def sgd_epoch(objective: Objective, w: np.ndarray, X: sp.csr_matrix,
 
     ``chunk_size=1`` is textbook per-example SGD; larger chunks vectorize
     the same schedule (each chunk is one update at the current iterate),
-    trading update granularity for NumPy throughput.  With L2
+    trading update granularity for throughput.  With L2
     regularization and ``lazy=True`` the decay is applied through the
-    scaled representation (Bottou's trick); L1 always takes the eager path
-    because its subgradient is not a uniform rescaling.
+    scaled representation (Bottou's trick) by the compiled epoch, or by
+    the reference body where it cannot be built; L1 always takes the eager
+    path because its subgradient is not a uniform rescaling.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
-    n = X.shape[0]
-    order = rng.permutation(n) if shuffle else np.arange(n)
-    use_lazy = (lazy and objective.regularizer.name in ("none", "l2"))
-    Xp, yp = permuted_epoch(X, y, order, shuffle)
-    if use_lazy:
-        return _sgd_epoch_lazy(objective, w, Xp, yp, lr, chunk_size)
-    return _sgd_epoch_eager(objective, w, Xp, yp, lr, chunk_size)
+    if not (lazy and objective.regularizer.name in ("none", "l2")):
+        # Eager chunked SGD is mini-batch GD with batches of chunk_size.
+        return mgd_epoch(objective, w, X, y, lr, chunk_size, rng, shuffle)
+    order = rng.permutation(X.shape[0]) if shuffle else np.arange(X.shape[0])
+    module = native.library()
+    if module is None:
+        # Imported here: the reference module imports this one.
+        from .reference import sgd_epoch_lazy_reference
+        return sgd_epoch_lazy_reference(objective, w, X, y, lr, chunk_size,
+                                        order)
+    weights, counts = native.lazy_epoch(module, objective, w, X, y, lr,
+                                        chunk_size, order)
+    return weights, LocalStats(*counts)

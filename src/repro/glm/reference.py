@@ -3,10 +3,12 @@
 These are the pre-optimization bodies of :func:`repro.glm.mgd_epoch`,
 :func:`repro.glm.sgd_epoch` and the SDCA epoch of
 :func:`repro.glm.dual_local_solve`, kept verbatim so the fast kernels in
-:mod:`repro.glm.kernels` have a bit-exact oracle.  No training path calls
-them: the property tests (``tests/test_perf_kernels.py``,
-``tests/test_glm_dual.py``) assert fast == reference across densities,
-chunk sizes, regularizers and dual losses.
+:mod:`repro.glm.kernels` and the compiled lazy epoch of
+:mod:`repro.glm.native` have a bit-exact oracle: the property tests
+(``tests/test_perf_kernels.py``, ``tests/test_glm_dual.py``) assert
+fast == reference across densities, chunk sizes, regularizers and dual
+losses.  Training calls only :func:`sgd_epoch_lazy_reference`, where the
+compiled epoch cannot be built.
 
 Each function takes the epoch's row ``order`` instead of an RNG; a test
 draws the permutation from a twin of the generator the solver consumes,
@@ -23,7 +25,7 @@ from .local_solvers import LocalStats, apply_update
 from .objective import Objective
 
 __all__ = ["mgd_epoch_reference", "sgd_epoch_lazy_reference",
-           "sgd_epoch_eager_reference", "dual_epoch_reference"]
+           "dual_epoch_reference"]
 
 
 def mgd_epoch_reference(objective: Objective, w: np.ndarray,
@@ -74,26 +76,6 @@ def sgd_epoch_lazy_reference(objective: Objective, w: np.ndarray,
         stats.n_updates += 1
     stats.dense_ops = sv.dense_ops + sv.dim  # final materialization
     return sv.to_array(), stats
-
-
-def sgd_epoch_eager_reference(objective: Objective, w: np.ndarray,
-                              X: sp.csr_matrix, y: np.ndarray, lr: float,
-                              chunk_size: int, order: np.ndarray,
-                              ) -> tuple[np.ndarray, LocalStats]:
-    """Reference chunked SGD with the regularizer applied densely."""
-    stats = LocalStats()
-    current = np.array(w, copy=True)
-    reg = objective.regularizer
-    for start in range(0, order.size, chunk_size):
-        rows = order[start:start + chunk_size]
-        Xc, yc = X[rows], y[rows]
-        grad = objective.batch_loss_gradient(current, Xc, yc)
-        current = apply_update(current, grad, lr, objective)
-        stats.nnz_processed += 2 * int(Xc.nnz)
-        stats.n_updates += 1
-        if reg.is_dense:
-            stats.dense_ops += w.shape[0]
-    return current, stats
 
 
 def dual_epoch_reference(X: sp.csr_matrix, y: np.ndarray, u: np.ndarray,

@@ -34,8 +34,9 @@ class Regularizer:
 
     @property
     def is_dense(self) -> bool:
-        """True when the gradient touches every coordinate of w."""
-        return False
+        """True when the gradient touches every coordinate of w (any
+        penalty with a non-zero strength)."""
+        return self.strength != 0
 
 
 class NoRegularizer(Regularizer):
@@ -68,10 +69,6 @@ class L2Regularizer(Regularizer):
     def gradient(self, w: np.ndarray) -> np.ndarray:
         return self.strength * w
 
-    @property
-    def is_dense(self) -> bool:
-        return True
-
 
 class L1Regularizer(Regularizer):
     """Omega(w) = lambda * ||w||_1 (subgradient: lambda * sign(w))."""
@@ -89,10 +86,6 @@ class L1Regularizer(Regularizer):
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
         return self.strength * np.sign(w)
-
-    @property
-    def is_dense(self) -> bool:
-        return True
 
 
 REGULARIZERS = ("none", "l1", "l2")

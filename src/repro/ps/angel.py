@@ -21,10 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cluster import ClusterSpec
 from ..engine import PartitionedDataset
-from ..glm import Objective
-from ..core.config import TrainerConfig
 from ..core.trainer import DistributedTrainer
 from ..core.worker import angel_epoch_task
 from .consistency import BSP
@@ -45,11 +42,8 @@ class AngelTrainer(DistributedTrainer):
     #: collective.
     fixed_fields = {"collective": "flat"}
 
-    def __init__(self, objective: Objective, cluster: ClusterSpec,
-                 config: TrainerConfig | None = None) -> None:
-        super().__init__(objective, cluster, config)
-        self._controller = BSP()
-        self._engine: PsEngine | None = None
+    _controller = BSP()
+    _engine: PsEngine | None = None
 
     # ------------------------------------------------------------------
     def _prepare(self, data: PartitionedDataset) -> None:

@@ -20,10 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cluster import ClusterSpec
 from ..engine import PartitionedDataset
-from ..glm import Objective
-from ..core.config import TrainerConfig
 from ..core.trainer import DistributedTrainer
 from ..core.worker import petuum_batch_task
 from .consistency import SSP
@@ -43,12 +40,9 @@ class PetuumTrainer(DistributedTrainer):
     #: collective.
     fixed_fields = {"collective": "flat"}
 
-    def __init__(self, objective: Objective, cluster: ClusterSpec,
-                 config: TrainerConfig | None = None) -> None:
-        super().__init__(objective, cluster, config)
-        self._controller = SSP(staleness=2)
-        self._engine: PsEngine | None = None
-        self._server: ParameterServer | None = None
+    _controller = SSP(staleness=2)
+    _engine: PsEngine | None = None
+    _server: ParameterServer | None = None
 
     # ------------------------------------------------------------------
     def _prepare(self, data: PartitionedDataset) -> None:

@@ -1,7 +1,8 @@
 """Fast kernels vs reference implementations: bit-identity and units.
 
-The wall-clock fast path (:mod:`repro.glm.kernels`) is only legitimate
-if it is a pure speed change: every kernel must produce bit-for-bit the
+The wall-clock fast path (:mod:`repro.glm.kernels` and the compiled lazy
+epoch of :mod:`repro.glm.native`) is only legitimate if it is a pure
+speed change: every kernel must produce bit-for-bit the
 results of the retained reference bodies (:mod:`repro.glm.reference`)
 on every input shape, density, chunk size and regularizer.  Hypothesis
 drives the epoch solvers through both paths and compares weights, stats
@@ -10,6 +11,15 @@ and RNG end-states exactly — no tolerances anywhere in this file.
 
 from __future__ import annotations
 
+import importlib.util
+import logging
+import multiprocessing as mp
+import os
+import subprocess
+import sys
+import tempfile
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,10 +27,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.glm import (Objective, apply_update, apply_update_inplace,
-                       chunk_grad_touched, chunk_margins, mgd_epoch,
-                       permuted_epoch, reference, sgd_epoch,
-                       touched_columns)
+                       mgd_epoch, native, permuted_epoch, reference,
+                       sgd_epoch)
+from repro.engine.backend import ExecutionBackend
 from repro.glm.lazy_update import ScaledVector
+from repro.glm.losses import HingeLoss
+from test_perf_backend import _assert_matches_serial
 
 
 def make_problem(n_rows: int, n_features: int, density: float, seed: int):
@@ -72,7 +84,8 @@ class TestSgdEpochBitIdentity:
             w_ref, stats_ref = reference.sgd_epoch_lazy_reference(
                 objective, w0, X, y, 0.05, chunk_size, order)
         else:
-            w_ref, stats_ref = reference.sgd_epoch_eager_reference(
+            # Eager chunked SGD is mini-batch GD over the same order.
+            w_ref, stats_ref = reference.mgd_epoch_reference(
                 objective, w0, X, y, 0.05, chunk_size, order)
         assert np.array_equal(w_fast, w_ref)
         assert stats_fast == stats_ref
@@ -102,48 +115,6 @@ class TestSgdEpochBitIdentity:
 
 
 class TestKernelUnits:
-    @given(params=problem_params)
-    @settings(max_examples=40, deadline=None)
-    def test_touched_columns_is_unique(self, params):
-        n, m, density, seed = params
-        X, _, _ = make_problem(n, m, density, seed)
-        got = touched_columns(X.indices)
-        assert np.array_equal(got, np.unique(X.indices))
-
-    def test_touched_columns_empty(self):
-        idx = np.zeros(0, dtype=np.int32)
-        assert touched_columns(idx).size == 0
-
-    def test_touched_columns_single_row_skips_sort(self):
-        # A canonical CSR row is already sorted and duplicate-free.
-        idx = np.array([2, 5, 9], dtype=np.int32)
-        assert touched_columns(idx, single_row=True) is idx
-
-    @given(params=problem_params)
-    @settings(max_examples=40, deadline=None)
-    def test_chunk_margins_matches_matvec(self, params):
-        n, m, density, seed = params
-        X, _, _ = make_problem(n, m, density, seed)
-        v = np.random.default_rng(seed + 3).standard_normal(m)
-        got = chunk_margins(X.indices, X.data, np.diff(X.indptr), v, n)
-        assert np.array_equal(got, X @ v)
-
-    @given(params=problem_params)
-    @settings(max_examples=40, deadline=None)
-    def test_chunk_grad_touched_matches_dense(self, params):
-        n, m, density, seed = params
-        X, _, _ = make_problem(n, m, density, seed)
-        factor = np.random.default_rng(seed + 4).standard_normal(n)
-        touched = touched_columns(X.indices)
-        got = chunk_grad_touched(X.indices, X.data, np.diff(X.indptr),
-                                 factor, touched)
-        dense = np.asarray(X.T @ factor) / n
-        assert np.array_equal(got, dense[touched])
-        # Everything off the support is exactly zero in the dense version.
-        mask = np.ones(m, dtype=bool)
-        mask[touched] = False
-        assert not np.any(dense[mask])
-
     @given(m=st.integers(min_value=1, max_value=100),
            seed=st.integers(min_value=0, max_value=1000),
            loss=st.sampled_from(["hinge", "squared"]),
@@ -187,3 +158,235 @@ class TestScaledVectorValuesView:
         sv.axpy_dense(1.0, np.array([1.0, 1.0]))
         assert np.array_equal(sv.to_array(), [2.0, 3.0])
 
+
+
+# ----------------------------------------------------------------------
+# the compiled lazy epoch (repro.glm.native)
+# ----------------------------------------------------------------------
+@st.composite
+def lazy_problems(draw):
+    """A partition for the lazy epoch: empty rows, chunks and partitions,
+    optional duplicate/unsorted columns, int32 or int64 indices, and
+    read-only arrays as the shm backend hands them over."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    m = draw(st.integers(min_value=1, max_value=30))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    rng = np.random.default_rng(seed)
+    row_nnz = np.minimum(m, rng.integers(0, draw(st.integers(0, 8)) + 1, n)
+                         * (rng.random(n) < draw(st.floats(0, 1))))
+    indptr = np.concatenate([[0], np.cumsum(row_nnz)])
+    if draw(st.booleans()):  # canonical: sorted, duplicate-free rows
+        indices = np.concatenate([np.zeros(0, np.int64)] + [
+            np.sort(rng.choice(m, k, replace=False)) for k in row_nnz])
+    else:  # duplicate and unsorted columns
+        indices = rng.integers(0, m, size=indptr[-1])
+    data = rng.standard_normal(indptr[-1]) * draw(
+        st.sampled_from([0.1, 1.0, 100.0]))
+    X = sp.csr_matrix((data, indices.astype(np.int32),
+                       indptr.astype(np.int32)), shape=(n, m))
+    if draw(st.booleans()):
+        X.indptr = X.indptr.astype(np.int64)
+        X.indices = X.indices.astype(np.int64)
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    if draw(st.booleans()):
+        for array in (X.data, X.indices, X.indptr, y):
+            array.setflags(write=False)
+    w0 = rng.standard_normal(m) * 0.3
+    w0[rng.random(m) < draw(st.sampled_from([0.0, 0.1]))] = draw(
+        st.sampled_from([np.nan, np.inf, -0.0]))
+    return X, y, w0, seed
+
+
+def _outcome(run):
+    try:
+        return run(), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+class TestCompiledLazyEpoch:
+    @given(problem=lazy_problems(),
+           loss=st.sampled_from(["hinge", "logistic", "squared",
+                                 "squared_hinge"]),
+           lr_lambda=st.sampled_from([0.0, 0.02, 0.5, 0.97, 1.0, 1.5]),
+           chunk_size=st.sampled_from([1, 2, 64, 1000]),
+           shuffle=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_compiled_equals_reference(self, problem, loss, lr_lambda,
+                                       chunk_size, shuffle):
+        X, y, w0, seed = problem
+        n = X.shape[0]
+        lr = 0.05
+        objective = (Objective(loss, "l2", lr_lambda / lr) if lr_lambda
+                     else Objective(loss))
+        rng_fast = np.random.default_rng(seed)
+        rng_ref = np.random.default_rng(seed)
+        fast, fast_error = _outcome(lambda: sgd_epoch(
+            objective, w0, X, y, lr, rng_fast, chunk_size=chunk_size,
+            shuffle=shuffle))
+        order = rng_ref.permutation(n) if shuffle else np.arange(n)
+        ref, ref_error = _outcome(lambda: reference.sgd_epoch_lazy_reference(
+            objective, w0, X, y, lr, chunk_size, order))
+        assert fast_error == ref_error
+        if n == 0:
+            assert fast_error is None
+        if ref is not None:
+            assert fast[0].tobytes() == ref[0].tobytes()
+            assert fast[1] == ref[1]
+        assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_rebase_fires_and_matches(self):
+        # lr * lambda = 0.97 shrinks the scale below the rebase threshold
+        # within five chunks; both paths must count the same dense work.
+        X, y, w0 = make_problem(60, 20, 0.3, 4)
+        objective = Objective("hinge", "l2", 0.97 / 0.05)
+        order = np.random.default_rng(3).permutation(60)
+        fast, stats = sgd_epoch(objective, w0, X, y, 0.05,
+                                np.random.default_rng(3), chunk_size=2)
+        ref, ref_stats = reference.sgd_epoch_lazy_reference(
+            objective, w0, X, y, 0.05, 2, order)
+        assert fast.tobytes() == ref.tobytes() and stats == ref_stats
+        assert stats.dense_ops > 2 * 20  # rebases beyond the final one
+
+    @pytest.mark.parametrize("index", [np.int32, np.int64])
+    def test_index_arrays_are_read_in_place(self, index):
+        if native.library() is None:
+            pytest.skip("the compiled tier is unavailable")
+        X, y, w0 = make_problem(2000, 50, 0.5, 6)
+        X.indptr, X.indices = X.indptr.astype(index), X.indices.astype(index)
+        tracemalloc.start()
+        try:
+            sgd_epoch(Objective("hinge", "l2", 0.1), w0, X, y, 0.05,
+                      np.random.default_rng(6), chunk_size=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < X.indices.nbytes / 2  # no copy of the index arrays
+
+    @pytest.mark.parametrize("defect", ["column", "negative", "indptr"])
+    def test_malformed_csr_is_rejected_before_the_c_loop(self, defect):
+        # scipy does not check these; the C loop would index out of bounds.
+        if native.library() is None:
+            pytest.skip("the compiled tier is unavailable")
+        X, y, w0 = make_problem(10, 6, 0.5, 1)
+        if defect == "column":
+            X.indices[-1] = 6
+        elif defect == "negative":
+            X.indices[0] = -1
+        else:
+            assert X.indptr[2] < X.indptr[-1]
+            X.indptr[1] = X.indptr[-1]
+        with pytest.raises(ValueError, match="not a valid CSR matrix"):
+            sgd_epoch(Objective("hinge", "l2", 0.1), w0, X, y, 0.05,
+                      np.random.default_rng(0), chunk_size=4)
+
+    def test_compiled_tier_builds_where_a_compiler_is_expected(self):
+        if importlib.util.find_spec("cffi") is None or "CC" in os.environ:
+            pytest.skip("no cffi, or the compiler is overridden")
+        assert native.library() is not None
+
+    def test_callback_errors_propagate(self):
+        if native.library() is None:
+            pytest.skip("the compiled tier is unavailable")
+
+        class Broken(HingeLoss):
+            def gradient_factor(self, margins, y):
+                raise ArithmeticError("broken loss")
+
+        X, y, w0 = make_problem(10, 6, 0.5, 1)
+        with pytest.raises(ArithmeticError, match="broken loss"):
+            sgd_epoch(Objective(Broken()), w0, X, y, 0.05,
+                      np.random.default_rng(0), chunk_size=4)
+
+    def test_forced_fallback_runs_the_reference_and_warns_once(
+            self, monkeypatch, caplog):
+        def unavailable():
+            raise ImportError("no C compiler")
+
+        monkeypatch.setattr(native, "_build", unavailable)
+        native.library.cache_clear()
+        X, y, w0 = make_problem(30, 12, 0.3, 2)
+        objective = Objective("logistic", "l2", 0.1)
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.glm.native"):
+                for seed in range(3):
+                    got, stats = sgd_epoch(objective, w0, X, y, 0.05,
+                                           np.random.default_rng(seed),
+                                           chunk_size=4)
+                    order = np.random.default_rng(seed).permutation(30)
+                    ref, ref_stats = reference.sgd_epoch_lazy_reference(
+                        objective, w0, X, y, 0.05, 4, order)
+                    assert got.tobytes() == ref.tobytes()
+                    assert stats == ref_stats
+        finally:
+            native.library.cache_clear()
+        warnings = [r for r in caplog.records if r.name == "repro.glm.native"]
+        assert len(warnings) == 1
+        assert "no C compiler" in warnings[0].getMessage()
+
+
+def _load_in_child(barrier, queue) -> None:
+    barrier.wait(timeout=60)
+    module = native.library()
+    X, y, w0 = make_problem(40, 16, 0.3, 8)
+    w, _ = sgd_epoch(Objective("hinge", "l2", 0.1), w0, X, y, 0.05,
+                     np.random.default_rng(8), chunk_size=3)
+    queue.put((None if module is None else module.__file__, w.tobytes()))
+
+
+class TestCompiledBuild:
+    """The cache: one complete module whoever builds first, and a build
+    that still loads when the cache cannot be written."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_compiler(self):
+        if native.library() is None:
+            pytest.skip("the compiled tier is unavailable")
+
+    def test_concurrent_first_use_loads_one_module(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        ctx = mp.get_context("spawn")
+        barrier, queue = ctx.Barrier(3), ctx.Queue()
+        procs = [ctx.Process(target=_load_in_child, args=(barrier, queue))
+                 for _ in range(3)]
+        for proc in procs:
+            proc.start()
+        results = [queue.get(timeout=180) for _ in procs]
+        for proc in procs:
+            proc.join(timeout=30)
+            assert not proc.is_alive() and proc.exitcode == 0
+        X, y, w0 = make_problem(40, 16, 0.3, 8)
+        expected, _ = reference.sgd_epoch_lazy_reference(
+            Objective("hinge", "l2", 0.1), w0, X, y, 0.05, 3,
+            np.random.default_rng(8).permutation(40))
+        cached = list((tmp_path / "repro").iterdir())
+        assert len(cached) == 1 and cached[0].suffix == ".so"
+        assert {path for path, _ in results} == {str(cached[0])}
+        assert {w for _, w in results} == {expected.tobytes()}
+
+    def test_unwritable_cache_builds_in_a_temporary_directory(self,
+                                                              tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        code = ("from repro.glm import native; m = native.library(); "
+                "print(m.__file__)")
+        env = {**os.environ, "XDG_CACHE_HOME": str(blocker),
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=180,
+                             check=True).stdout.strip()
+        assert out.startswith(tempfile.gettempdir())
+        assert not os.path.exists(out)  # loaded, then cleaned up
+
+    @pytest.mark.parametrize("backend", ["shm", "socket"])
+    def test_spawned_workers_run_the_compiled_epoch(self, backend, tmp_path,
+                                                    monkeypatch):
+        # The parent already holds its module, so a module in the fresh
+        # cache was built by a worker, which then ran the epoch with it.
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(ExecutionBackend, "default_start_method",
+                            "spawn")
+        _assert_matches_serial("MLlib*", backend)
+        assert [p.suffix for p in (tmp_path / "repro").iterdir()] == [".so"]
