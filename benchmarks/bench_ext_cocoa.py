@@ -100,8 +100,7 @@ def _dataset(smoke: bool):
 
 
 def _cluster(network: NetworkModel) -> ClusterSpec:
-    nodes = homogeneous_nodes(EXECUTORS + 1, speed=1.0, cores=16,
-                              memory_gb=24.0)
+    nodes = homogeneous_nodes(EXECUTORS + 1, speed=1.0)
     return ClusterSpec(nodes=nodes, network=network,
                        compute=ComputeCostModel(),
                        stragglers=NoStragglers(), seed=0)

@@ -50,8 +50,7 @@ def _cluster() -> ClusterSpec:
     """Bandwidth-dominated network: per-message latency is negligible, so
     the priced seconds track wire volume (the regime sparsity targets)."""
     return ClusterSpec(
-        nodes=homogeneous_nodes(EXECUTORS + 1, speed=1.0, cores=16,
-                                memory_gb=24.0),
+        nodes=homogeneous_nodes(EXECUTORS + 1, speed=1.0),
         network=NetworkModel(bandwidth=GIGABIT, alpha=1.0e-5))
 
 

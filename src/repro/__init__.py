@@ -48,8 +48,7 @@ from .glm import (BinaryMetrics, GLMModel, HingeLoss, LogisticLoss,
 from .metrics import (ACCURACY_LOSS, ConvergenceResult, TrainingHistory,
                       evaluate_convergence, render_ascii, speedup, summarize)
 from .ps import (ASP, BSP, SSP, AngelTrainer, AsyncSgdTrainer,
-                 ParameterServer, PetuumStarTrainer, PetuumTrainer,
-                 PsEngine)
+                 PetuumStarTrainer, PetuumTrainer, PsEngine)
 from .planner import (StepCost, WorkloadProfile, estimate_step_cost,
                       rank_systems)
 from .tuning import GridPoint, GridSearch, expand_grid
@@ -82,7 +81,7 @@ __all__ = [
     "GridSearch", "GridPoint", "expand_grid",
     "StepCost", "WorkloadProfile", "estimate_step_cost", "rank_systems",
     # ps substrate
-    "ParameterServer", "PsEngine", "BSP", "SSP", "ASP",
+    "PsEngine", "BSP", "SSP", "ASP",
     # metrics
     "TrainingHistory", "ACCURACY_LOSS", "ConvergenceResult",
     "evaluate_convergence", "speedup", "summarize", "render_ascii",

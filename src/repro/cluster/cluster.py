@@ -116,8 +116,7 @@ def cluster1(executors: int = 8, stragglers: StragglerModel | None = None,
              seed: int = 0,
              compute: ComputeCostModel | None = None) -> ClusterSpec:
     """The paper's Cluster 1: homogeneous, 1 Gbps, 1 driver + 8 executors."""
-    nodes = homogeneous_nodes(executors + 1, speed=1.0, cores=16,
-                              memory_gb=24.0)
+    nodes = homogeneous_nodes(executors + 1, speed=1.0)
     return ClusterSpec(
         nodes=nodes,
         network=NetworkModel(bandwidth=GIGABIT, alpha=1.0e-3),
@@ -166,7 +165,7 @@ def tiered_cluster(machines: int = 2, executors_per_machine: int = 4,
     if executors_per_machine < 1:
         raise ValueError("need at least one executor per machine")
     k = machines * executors_per_machine
-    nodes = homogeneous_nodes(k + 1, speed=1.0, cores=16, memory_gb=24.0)
+    nodes = homogeneous_nodes(k + 1, speed=1.0)
     return ClusterSpec(
         nodes=nodes,
         network=TieredNetworkModel(bandwidth=GIGABIT, alpha=1.0e-3),

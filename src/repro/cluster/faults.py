@@ -53,6 +53,10 @@ __all__ = [
 #: belong to MLlib*'s AllReduce.
 FAILURE_PHASES = ("compute", "aggregate", "reduce_scatter", "all_gather")
 
+#: Where a crash lands within the attempt's work: half of it was spent
+#: (and wasted) before the executor died.
+CRASH_AT_FRACTION = 0.5
+
 
 class RecoveryError(RuntimeError):
     """An executor kept failing past the policy's retry budget."""
@@ -62,8 +66,6 @@ class RecoveryError(RuntimeError):
 class FailureEvent:
     """One scripted (or sampled) executor crash.
 
-    ``at_fraction`` places the crash within the phase's work: 0.5 means
-    half the attempt's time was spent (and wasted) before the crash.
     ``repeats`` makes the same crash recur on consecutive retry attempts,
     which is how retry exhaustion is scripted.
     """
@@ -71,7 +73,6 @@ class FailureEvent:
     executor: int
     step: int
     phase: str = "compute"
-    at_fraction: float = 0.5
     repeats: int = 1
 
     def __post_init__(self) -> None:
@@ -83,8 +84,6 @@ class FailureEvent:
         if self.phase not in FAILURE_PHASES:
             raise ValueError(f"unknown failure phase {self.phase!r}; "
                              f"expected one of {FAILURE_PHASES}")
-        if not 0.0 <= self.at_fraction <= 1.0:
-            raise ValueError("at_fraction must be in [0, 1]")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
 
@@ -157,13 +156,10 @@ class RandomFailures(FailureModel):
 
     rate: float
     seed: int = 0
-    at_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate < 1.0:
             raise ValueError("failure rate must be in [0, 1)")
-        if not 0.0 <= self.at_fraction <= 1.0:
-            raise ValueError("at_fraction must be in [0, 1]")
 
     def crash_event(self, step: int, phase: str, executor: int,
                     attempt: int) -> FailureEvent | None:
@@ -174,8 +170,7 @@ class RandomFailures(FailureModel):
             np.random.SeedSequence(entropy)).random()
         if draw >= self.rate:
             return None
-        return FailureEvent(executor=executor, step=step, phase="compute",
-                            at_fraction=self.at_fraction)
+        return FailureEvent(executor=executor, step=step, phase="compute")
 
 
 class ScheduledFailures(FailureModel):
@@ -329,7 +324,7 @@ class CrashRecovery:
             if event is None:
                 return self.trace.add_lane(label, t, current, step)
             total = sum(seconds for seconds, _, _ in current)
-            crash_at = t + total * event.at_fraction
+            crash_at = t + total * CRASH_AT_FRACTION
             cursor = t
             for seconds, kind, values in current:  # work before the crash
                 end = min(cursor + seconds, crash_at)

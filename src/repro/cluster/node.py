@@ -1,10 +1,9 @@
 """Simulated cluster nodes and heterogeneity models.
 
 A :class:`NodeSpec` describes a single machine of the simulated cluster: its
-relative computational speed and the number of cores it exposes to the
-execution engine.  Real training math runs on the local host; the node specs
-only drive the *cost model* that converts work (nonzeros processed, bytes
-transferred) into simulated seconds.
+relative computational speed.  Real training math runs on the local host;
+the node specs only drive the *cost model* that converts work (nonzeros
+processed, bytes transferred) into simulated seconds.
 
 The paper evaluates on two clusters:
 
@@ -50,24 +49,14 @@ class NodeSpec:
     speed:
         Relative computational speed.  ``speed=1.0`` is the reference
         machine; ``speed=0.5`` takes twice as long for the same work.
-    cores:
-        Number of cores.  The engine uses this to decide how many concurrent
-        tasks a node could run (the paper found 1 task per executor optimal,
-        but the ablation bench varies this).
-    memory_gb:
-        Memory capacity, used only for dataset-fit sanity checks.
     """
 
     node_id: int
     speed: float = 1.0
-    cores: int = 16
-    memory_gb: float = 24.0
 
     def __post_init__(self) -> None:
         if self.speed <= 0:
             raise ValueError(f"node speed must be positive, got {self.speed}")
-        if self.cores < 1:
-            raise ValueError(f"node needs at least one core, got {self.cores}")
 
     def compute_seconds(self, work_units: float) -> float:
         """Convert abstract work units into seconds on this node."""
@@ -113,19 +102,17 @@ class LogNormalStragglers(StragglerModel):
         return float(max(1.0, np.exp(rng.normal(0.0, self.sigma))))
 
 
-def homogeneous_nodes(count: int, speed: float = 1.0, cores: int = 16,
-                      memory_gb: float = 24.0) -> list[NodeSpec]:
+def homogeneous_nodes(count: int, speed: float = 1.0) -> list[NodeSpec]:
     """Build ``count`` identical nodes (Cluster 1 style)."""
     if count < 1:
         raise ValueError("cluster needs at least one node")
-    return [NodeSpec(node_id=i, speed=speed, cores=cores, memory_gb=memory_gb)
-            for i in range(count)]
+    return [NodeSpec(node_id=i, speed=speed) for i in range(count)]
 
 
 def heterogeneous_nodes(count: int,
                         rng: np.random.Generator) -> list[NodeSpec]:
-    """Build ``count`` 20-core, 360 GB nodes with log-normally distributed
-    static speeds (sigma 0.25).
+    """Build ``count`` nodes with log-normally distributed static speeds
+    (sigma 0.25).
 
     Mimics Cluster 2: a large shared production cluster where machine
     generations and co-located load make per-node throughput vary.
@@ -133,5 +120,5 @@ def heterogeneous_nodes(count: int,
     if count < 1:
         raise ValueError("cluster needs at least one node")
     speeds = np.exp(rng.normal(0.0, 0.25, size=count))
-    return [NodeSpec(node_id=i, speed=float(s), cores=20, memory_gb=360.0)
+    return [NodeSpec(node_id=i, speed=float(s))
             for i, s in enumerate(speeds)]

@@ -81,16 +81,6 @@ class CommReport:
             return 1.0
         return self.dense_comm_seconds / self.comm_seconds
 
-    HEADERS = ["system", "phases", "dense values", "wire values",
-               "compression", "comm s", "dense comm s", "speedup"]
-
-    def row(self) -> list[object]:
-        return [self.system, self.phases, self.dense_values,
-                self.wire_values, format_speedup(self.compression),
-                round(self.comm_seconds, 4),
-                round(self.dense_comm_seconds, 4),
-                format_speedup(self.speedup)]
-
     def describe(self) -> str:
         lines = [
             f"wire volume {self.wire_values:.0f} values vs "
@@ -145,20 +135,9 @@ class RecoveryReport:
             return 0.0
         return self.recovery_seconds / self.total_seconds
 
-    def row(self) -> list[object]:
-        return [self.system, self.num_failures,
-                round(self.recovery_seconds, 4),
-                round(self.total_seconds, 4),
-                f"{self.overhead_fraction:.1%}"]
-
 
 def recovery_report(result) -> RecoveryReport:
-    """Summarize the fault-recovery cost of a ``TrainResult``.
-
-    Pairs with ``format_table(["system", "failures", "recovery s",
-    "total s", "overhead"], [r.row() for r in reports])`` in the
-    fault-recovery bench.
-    """
+    """Summarize the fault-recovery cost of a ``TrainResult``."""
     return RecoveryReport(
         system=result.history.system,
         num_failures=len(result.failures),
@@ -203,15 +182,6 @@ class ServingReport:
         if self.shadow_rows == 0:
             return 0.0
         return self.disagreements / self.shadow_rows
-
-    HEADERS = ["offered", "completed", "shed", "shed %", "qps",
-               "mean batch", "max queue", "p50 s", "p95 s", "p99 s"]
-
-    def row(self) -> list[object]:
-        return [self.offered, self.completed, self.shed,
-                f"{self.shed_rate:.1%}", round(self.qps, 1),
-                round(self.mean_batch, 2), self.max_queue_depth,
-                round(self.p50, 6), round(self.p95, 6), round(self.p99, 6)]
 
     def describe(self) -> str:
         lines = [
@@ -277,16 +247,6 @@ class SchedReport:
     max_queue_wait: float
     jct_p50: float
     jct_p95: float
-
-    HEADERS = ["policy", "jobs", "done", "preempt", "resize", "makespan",
-               "goodput", "util", "wait mean", "jct p50", "jct p95"]
-
-    def row(self) -> list[object]:
-        return [self.policy, self.jobs, self.finished, self.preemptions,
-                self.resizes, round(self.makespan, 4),
-                round(self.goodput, 2), f"{self.utilization:.1%}",
-                round(self.mean_queue_wait, 4),
-                round(self.jct_p50, 4), round(self.jct_p95, 4)]
 
     def describe(self) -> str:
         return "\n".join([

@@ -1,4 +1,4 @@
-"""Parameter-server execution timeline.
+"""Parameter-server execution timeline and the PS trainers' one step.
 
 :class:`PsEngine` plays the role :class:`~repro.engine.driver.BspEngine`
 plays for Spark-style systems: it advances simulated per-worker clocks,
@@ -19,6 +19,9 @@ each of the ``k`` shards is contacted twice::
     comm = 2 * (k * alpha + m * bytes / bandwidth)
 
 — close to the balanced all-to-all of AllReduce.
+
+:class:`PsTrainer` is the step Petuum, Petuum* and Angel share (Section
+III-B): pull the model, train locally, push, and let the servers combine.
 """
 
 from __future__ import annotations
@@ -29,10 +32,13 @@ from ..cluster import ClusterSpec, Trace
 from ..cluster.faults import (CrashRecovery, FailureModel, FailureRecord,
                               NoFailures, RecoveryPolicy)
 from ..collectives.sparse import wire_values
+from ..core.trainer import DistributedTrainer
+from ..engine import PartitionedDataset
 from ..engine.driver import CommRecord
+from ..glm import LocalStats
 from .consistency import BSP, Controller
 
-__all__ = ["PsEngine", "pull_push_seconds", "push_wire_values",
+__all__ = ["PsEngine", "PsTrainer", "pull_push_seconds", "push_wire_values",
            "worker_label"]
 
 
@@ -235,3 +241,58 @@ class PsEngine:
         self.now = max(self.now, max(
             (ft[-1] for ft in self._finish_times if ft), default=self.now))
         return duration
+
+
+class PsTrainer(DistributedTrainer):
+    """One pull/train/push step on a :class:`PsEngine`.
+
+    A subclass supplies its local round (:meth:`_local_solves`), its
+    consistency controller (``_controller``), the servers' combine and,
+    for Angel, a per-worker overhead.  The workers pull the frozen
+    barrier model ``w``; the combine runs in the parent, in worker order.
+    """
+
+    #: Workers pull and push through the parameter server, never a
+    #: collective.
+    fixed_fields = {"collective": "flat"}
+
+    _controller: Controller
+    _engine: PsEngine | None = None
+
+    def _prepare(self, data: PartitionedDataset) -> None:
+        self._engine = PsEngine(self.cluster, controller=self._controller,
+                                faults=self.faults, recovery=self.recovery)
+        self._install_recovery_costs(self._engine, data)
+
+    def _local_solves(self, w: np.ndarray, lr: float,
+                      data: PartitionedDataset) -> list[tuple]:
+        """One ``(local model, stats)`` per worker, trained from ``w``."""
+        raise NotImplementedError
+
+    def _overhead_seconds(self, stats: list[LocalStats],
+                          model_size: int) -> list[float] | None:
+        """Per-worker work beyond the local solve (none by default)."""
+        return None
+
+    def _combine(self, w: np.ndarray,
+                 locals_: list[np.ndarray]) -> np.ndarray:
+        """Model averaging: the servers average the pushed models."""
+        return np.mean(locals_, axis=0)
+
+    def _run_step(self, step: int, w: np.ndarray,
+                  data: PartitionedDataset) -> np.ndarray:
+        engine = self._engine
+        assert engine is not None
+        results = self._local_solves(w, self.schedule.at(step), data)
+        locals_ = [local_w for local_w, _ in results]
+        stats = [s for _, s in results]
+        # Under --sparse-comm a worker's push (its delta against the
+        # pulled model) is priced at the support local training touched.
+        engine.run_step([self._stats_seconds(s, i)
+                         for i, s in enumerate(stats)],
+                        data.n_features,
+                        overhead_seconds=self._overhead_seconds(
+                            stats, data.n_features),
+                        push_values=push_wire_values(
+                            w, locals_, self.config.sparse_comm))
+        return self._combine(w, locals_)

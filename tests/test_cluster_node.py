@@ -20,10 +20,6 @@ class TestNodeSpec:
         with pytest.raises(ValueError, match="speed"):
             NodeSpec(node_id=0, speed=-1.0)
 
-    def test_rejects_zero_cores(self):
-        with pytest.raises(ValueError, match="core"):
-            NodeSpec(node_id=0, cores=0)
-
     def test_is_frozen(self):
         node = NodeSpec(node_id=0)
         with pytest.raises(AttributeError):

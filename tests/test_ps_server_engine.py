@@ -1,54 +1,10 @@
-"""Unit tests for repro.ps.server and repro.ps.engine."""
+"""Unit tests for repro.ps.engine."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import cluster1, cluster2
-from repro.ps import BSP, SSP, ParameterServer, PsEngine
+from repro.ps import BSP, SSP, PsEngine
 from repro.ps.engine import worker_label
-
-
-class TestParameterServer:
-    def test_pull_initial_zero(self):
-        ps = ParameterServer(model_size=10, num_servers=2)
-        assert np.array_equal(ps.pull(), np.zeros(10))
-
-    def test_pull_returns_copy(self):
-        ps = ParameterServer(model_size=4, num_servers=1)
-        ps.pull()[0] = 99.0
-        assert ps.pull()[0] == 0.0
-
-    def test_push_sum_accumulates(self):
-        ps = ParameterServer(model_size=4, num_servers=2)
-        ps.push_sum(np.ones(4))
-        ps.push_sum(2 * np.ones(4))
-        assert np.allclose(ps.pull(), 3 * np.ones(4))
-
-    def test_average_cycle(self):
-        ps = ParameterServer(model_size=4, num_servers=2)
-        ps.push_for_average(np.ones(4))
-        ps.push_for_average(3 * np.ones(4))
-        assert ps.pending_count == 2
-        new = ps.apply_average()
-        assert np.allclose(new, 2 * np.ones(4))
-        assert ps.pending_count == 0
-
-    def test_apply_average_without_pushes(self):
-        ps = ParameterServer(model_size=4, num_servers=1)
-        with pytest.raises(RuntimeError):
-            ps.apply_average()
-
-    def test_initial_model(self):
-        init = np.arange(6.0)
-        ps = ParameterServer(model_size=6, num_servers=3, initial=init)
-        assert np.array_equal(ps.pull(), init)
-
-    def test_shape_validation(self):
-        ps = ParameterServer(model_size=4, num_servers=2)
-        with pytest.raises(ValueError):
-            ps.push_sum(np.ones(5))
-        with pytest.raises(ValueError):
-            ParameterServer(model_size=2, num_servers=4)
 
 
 class TestPsEngine:

@@ -1,8 +1,10 @@
 """Behavioural tests for the parameter-server trainers."""
 
 import numpy as np
+import pytest
 
 from repro.core import TrainerConfig
+from repro.data import SyntheticSpec, generate
 from repro.glm import Objective
 from repro.ps import (BSP, SSP, AngelTrainer, PetuumStarTrainer,
                       PetuumTrainer)
@@ -104,3 +106,16 @@ class TestCrossSystem:
             a = cls(Objective("hinge"), small_cluster, CFG).fit(tiny_dataset)
             b = cls(Objective("hinge"), small_cluster, CFG).fit(tiny_dataset)
             assert np.array_equal(a.model.weights, b.model.weights), cls
+
+    @pytest.mark.parametrize(
+        "cls", [PetuumTrainer, PetuumStarTrainer, AngelTrainer])
+    def test_fits_fewer_features_than_executors(self, cls, small_cluster):
+        """The servers combine whole models, so no system needs a
+        coordinate per worker: 3 features train on 4 executors."""
+        narrow = generate(SyntheticSpec(n_rows=80, n_features=3,
+                                        nnz_per_row=2.0, seed=5),
+                          name="narrow")
+        result = cls(Objective("hinge"), small_cluster,
+                     CFG.with_overrides(max_steps=3)).fit(narrow)
+        assert result.history.total_steps == 3
+        assert result.model.weights.shape == (3,)

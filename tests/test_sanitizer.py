@@ -16,7 +16,7 @@ from repro.analysis.sanitizer import (BarrierSanitizer,
                                       freeze_array, model_digest)
 from repro.core import MLlibStarTrainer
 from repro.glm import Objective
-from repro.ps.server import ParameterServer
+from repro.ps import PetuumTrainer
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_convergence.json"
 
@@ -90,16 +90,6 @@ def test_enabled_sanitizer_freezes_and_records():
     assert sanitizer.barrier_digests[0][1] == model_digest(w)
 
 
-def test_parameter_server_sanitize_pull_is_read_only():
-    server = ParameterServer(model_size=8, num_servers=2, sanitize=True)
-    pulled = server.pull()
-    with pytest.raises(ValueError, match="read-only"):
-        pulled[0] = 1.0
-    # The server's own model stays writable: combines still work.
-    server.push_sum(np.ones(8))
-    np.testing.assert_array_equal(server.pull(), np.ones(8))
-
-
 # ----------------------------------------------------------------------
 # catching a rogue trainer at the faulting line
 # ----------------------------------------------------------------------
@@ -113,22 +103,37 @@ class RogueTrainer(MLlibStarTrainer):
         return w
 
 
+class RoguePetuumTrainer(PetuumTrainer):
+    """The parameter-server form of the same bug: the servers add the
+    pushed deltas into the model the workers pulled."""
+
+    def _combine(self, w, locals_):
+        w += sum(local - w for local in locals_)  # in-place on the pull
+        return w
+
+
+#: One BSP and one parameter-server rogue; each test below runs both.
+ROGUES = (RogueTrainer, RoguePetuumTrainer)
+
+
 def test_rogue_in_place_mutation_raises_under_sanitize():
     dataset, cluster, config = golden_workload()
     objective = Objective("hinge", "l2", 0.1)
-    trainer = RogueTrainer(objective, cluster,
-                           config.with_overrides(sanitize=True))
-    with pytest.raises(ValueError, match="read-only"):
-        trainer.fit(dataset)
+    for rogue in ROGUES:
+        trainer = rogue(objective, cluster,
+                        config.with_overrides(sanitize=True))
+        with pytest.raises(ValueError, match="read-only"):
+            trainer.fit(dataset)
 
 
 def test_rogue_mutation_goes_unnoticed_without_sanitize():
-    # The contrast case: without --sanitize the same bug trains
+    # The contrast case: without --sanitize the same bugs train
     # "successfully" — exactly why the mode exists.
     dataset, cluster, config = golden_workload()
     objective = Objective("hinge", "l2", 0.1)
-    result = RogueTrainer(objective, cluster, config).fit(dataset)
-    assert result.history.total_steps == config.max_steps
+    for rogue in ROGUES:
+        result = rogue(objective, cluster, config).fit(dataset)
+        assert result.history.total_steps == config.max_steps, rogue
 
 
 # ----------------------------------------------------------------------

@@ -239,8 +239,7 @@ class TestTreeFanInWire:
 def _flat_cluster(executors=4, alpha=1.0e-5):
     """Bandwidth-dominated homogeneous cluster (tiny per-message alpha)."""
     return ClusterSpec(
-        nodes=homogeneous_nodes(executors + 1, speed=1.0, cores=16,
-                                memory_gb=24.0),
+        nodes=homogeneous_nodes(executors + 1, speed=1.0),
         network=NetworkModel(bandwidth=GIGABIT, alpha=alpha))
 
 
