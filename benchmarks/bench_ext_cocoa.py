@@ -118,7 +118,7 @@ def _dual_config(solver: str, h: int, smoke: bool,
 
 
 def _mgd_config(smoke: bool, stop: float | None) -> TrainerConfig:
-    # The SendModel default from benchmarks/_common.py: one chunked local
+    # The SendModel default of benchmarks/bench_claims.py: one chunked local
     # SGD pass per superstep under the inv-sqrt decay.
     return TrainerConfig(max_steps=200 if smoke else 400,
                          learning_rate=0.5, lr_schedule="inv_sqrt",

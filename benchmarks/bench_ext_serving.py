@@ -25,14 +25,13 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.cli import SYSTEMS
 from repro.cluster import cluster1
 from repro.core import TrainerConfig
 from repro.data import SyntheticSpec, generate
 from repro.glm import Objective
 from repro.metrics import format_table
 from repro.serve import ServeConfig, ServingCostModel, rate_sweep
-
-from _common import make_trainer
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 
@@ -49,8 +48,8 @@ def _trained_model():
     config = TrainerConfig(max_steps=6, learning_rate=0.5,
                            lr_schedule="inv_sqrt", local_chunk_size=64,
                            eval_every=3, seed=1)
-    result = make_trainer("MLlib*", Objective("hinge", "l2", 0.1),
-                          cluster, config).fit(dataset)
+    result = SYSTEMS["MLlib*"](Objective("hinge", "l2", 0.1),
+                               cluster, config).fit(dataset)
     return result.model, dataset
 
 

@@ -34,6 +34,7 @@ class MLlibTrainer(DistributedTrainer):
     """Spark MLlib's distributed MGD (SendGradient + treeAggregate)."""
 
     system = "MLlib"
+    fixed_fields: dict[str, object] = {}
 
     def __init__(self, objective: Objective, cluster: ClusterSpec,
                  config: TrainerConfig | None = None,

@@ -26,6 +26,7 @@ class MLlibModelAveragingTrainer(MLlibTrainer):
 
     system = "MLlib+MA"
     supports_dual_solver = True
+    fixed_fields = {"tasks_per_executor": 1}
 
     # ------------------------------------------------------------------
     def _run_step(self, step: int, w: np.ndarray,

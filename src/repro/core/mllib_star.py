@@ -20,10 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cluster import ClusterSpec
 from ..engine import BspEngine, PartitionedDataset
-from ..glm import Objective
-from .config import TrainerConfig
 from .trainer import DistributedTrainer
 
 __all__ = ["MLlibStarTrainer"]
@@ -39,17 +36,12 @@ class MLlibStarTrainer(DistributedTrainer):
 
     system = "MLlib*"
     supports_dual_solver = True
-
-    def __init__(self, objective: Objective, cluster: ClusterSpec,
-                 config: TrainerConfig | None = None) -> None:
-        super().__init__(objective, cluster, config)
-        self._engine: BspEngine | None = None
+    allreduce_owners = True
+    _engine: BspEngine | None = None
 
     # ------------------------------------------------------------------
     def _prepare(self, data: PartitionedDataset) -> None:
-        engine = self._engine = self._open_bsp_engine(data)
-        engine.shuffle.check_owners(data.n_features, data.num_partitions,
-                                    "AllReduce")
+        self._engine = self._open_bsp_engine(data)
 
     # ------------------------------------------------------------------
     def _run_step(self, step: int, w: np.ndarray,

@@ -177,12 +177,7 @@ class SparkMlStarTrainer(SparkMlTrainer):
     """
 
     system = "spark.ml*"
-
-    def _prepare(self, data: PartitionedDataset) -> None:
-        super()._prepare(data)
-        assert self._engine is not None
-        self._engine.shuffle.check_owners(data.n_features,
-                                          data.num_partitions, "AllReduce")
+    allreduce_owners = True
 
     def _charge_evaluation(self, m: int, step: int,
                            durations: list[float],

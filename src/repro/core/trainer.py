@@ -143,8 +143,13 @@ class DistributedTrainer:
 
     #: Config fields the system cannot honour, each mapped to the one
     #: value it runs as; :meth:`open_session` rejects any other value by
-    #: name instead of silently running as that value.
-    fixed_fields: dict[str, object] = {}
+    #: name instead of silently running as that value.  Only MLlib runs
+    #: waves of tasks per executor.
+    fixed_fields: dict[str, object] = {"tasks_per_executor": 1}
+
+    #: Whether the run partitions the model across its executors as
+    #: AllReduce owners, which needs one coordinate per executor.
+    allreduce_owners = False
 
     #: The session's collective topology (BSP trainers only; opened with
     #: the engine by :meth:`_open_bsp_engine`).
@@ -268,6 +273,9 @@ class DistributedTrainer:
         self._topology = open_topology(
             self.config, self.cluster,
             engine.tree.plan(data.num_partitions))
+        if self.allreduce_owners:
+            engine.shuffle.check_owners(data.n_features,
+                                        data.num_partitions, "AllReduce")
         return engine
 
     def _install_recovery_costs(self, engine,

@@ -18,7 +18,7 @@ This is the "threshold-based, lazy method" Section IV-B1 cites.
 
 :class:`ScaledVector` tracks how many dense-coordinate operations were
 actually performed so the cost model can price lazy vs eager updates — the
-subject of the ``bench_ablation_lazy_update`` benchmark.
+subject of the ``lazy-l2-*`` rows of ``benchmarks/bench_claims.py``.
 """
 
 from __future__ import annotations

@@ -50,7 +50,8 @@ class AsyncSgdTrainer(DistributedTrainer):
     #: No crash loop (the event clock has no barrier to stall or replay)
     #: and no collective: every push goes to the parameter server.
     fixed_fields = {"failure_rate": 0.0, "failure_schedule": None,
-                    "checkpoint_every": 0, "collective": "flat"}
+                    "checkpoint_every": 0, "collective": "flat",
+                    "tasks_per_executor": 1}
 
     def __init__(self, objective: Objective, cluster: ClusterSpec,
                  config: TrainerConfig | None = None) -> None:

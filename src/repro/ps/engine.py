@@ -254,7 +254,7 @@ class PsTrainer(DistributedTrainer):
 
     #: Workers pull and push through the parameter server, never a
     #: collective.
-    fixed_fields = {"collective": "flat"}
+    fixed_fields = {"collective": "flat", "tasks_per_executor": 1}
 
     _controller: Controller
     _engine: PsEngine | None = None

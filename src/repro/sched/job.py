@@ -104,7 +104,9 @@ class JobSpec:
             raise ValueError(
                 f"need 1 <= min_executors ({lo}) <= executors "
                 f"({self.executors}) <= max_executors ({hi})")
-        if self.n_features < hi:
+        from ..cli import SYSTEMS
+        owners = getattr(SYSTEMS.get(self.system), "allreduce_owners", False)
+        if owners and self.n_features < hi:
             raise ValueError(
                 f"n_features ({self.n_features}) must be >= max_executors "
                 f"({hi}): the AllReduce model partition needs at least "

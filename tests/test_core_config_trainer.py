@@ -1,10 +1,15 @@
 """Unit tests for repro.core.config and the trainer template."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from data.make_golden import SYSTEMS, golden_workload
 from repro.core import (MLlibModelAveragingTrainer, MLlibStarTrainer,
                         MLlibTrainer, TrainerConfig, TrainResult)
@@ -131,3 +136,30 @@ class TestRefitResetsSessionState:
         assert second.duality_gaps[0] == first.duality_gaps[0]
         assert second.duality_gaps == first.duality_gaps
         assert np.array_equal(second.model.weights, first.model.weights)
+
+
+class TestTasksPerExecutor:
+    """Only MLlib runs waves of tasks per executor; every other system
+    rejects the field by name instead of silently running one wave."""
+
+    @pytest.mark.parametrize("system",
+                             sorted(set(SYSTEMS) - {"MLlib"}))
+    def test_rejected_by_name(self, system):
+        trainer_cls, loss = SYSTEMS[system]
+        dataset, cluster, config = golden_workload()
+        trainer = trainer_cls(Objective(loss, "l2", 0.1), cluster,
+                              config.with_overrides(tasks_per_executor=4))
+        with pytest.raises(ValueError, match=(
+                "does not support tasks_per_executor=4")):
+            trainer.fit(dataset)
+
+    def test_cli_exits_1(self):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-m", "repro", "train", "--system", "MLlib*",
+             "--dataset", "avazu", "--executors", "4", "--steps", "3",
+             "--tasks-per-executor", "4"],
+            env=env, capture_output=True, text=True)
+        assert run.returncode == 1
+        assert "does not support tasks_per_executor=4" in run.stderr

@@ -104,6 +104,23 @@ def test_submit_validates_names_and_pool_fit():
         scheduler.submit(JobSpec(name="huge", executors=6, steps=2))
 
 
+@pytest.mark.parametrize("system", ["MLlib", "MLlib+MA", "Petuum",
+                                    "Petuum*", "Angel", "ASGD", "spark.ml"])
+def test_model_smaller_than_gang_runs_without_allreduce_owners(system):
+    """Only the AllReduce owner partition needs a coordinate per
+    executor; the other systems train a 3-feature model on 4 executors."""
+    spec = JobSpec(name="tiny", system=system, executors=4, steps=2,
+                   n_features=3)
+    result = run_schedule(SchedConfig(total_executors=4), [spec])
+    assert [job.state for job in result.jobs] == ["finished"]
+
+
+@pytest.mark.parametrize("system", ["MLlib*", "spark.ml*"])
+def test_model_smaller_than_gang_rejected_for_allreduce_owners(system):
+    with pytest.raises(ValueError, match="one coordinate per executor"):
+        JobSpec(name="tiny", system=system, executors=4, n_features=3)
+
+
 def test_run_is_one_shot():
     scheduler = ClusterScheduler(SchedConfig(total_executors=4))
     scheduler.submit(JobSpec(name="a", executors=2, steps=2))
