@@ -37,9 +37,8 @@ from .core import (DistributedTrainer, MLlibModelAveragingTrainer,
                    MLlibStarTrainer, MLlibTrainer, SparkMlStarTrainer,
                    SparkMlTrainer, TrainerConfig, TrainResult)
 from .data import (SparseDataset, SyntheticSpec, avazu_like, dataset_names,
-                   generate, kdd12_like, kddb_like, load, partition_rows,
-                   read_libsvm, train_test_split, url_like, write_libsvm,
-                   wx_like)
+                   generate, kddb_like, load, partition_rows, read_libsvm,
+                   train_test_split, url_like, write_libsvm, wx_like)
 from .engine import (BspEngine, PartitionedDataset, ShuffleModel,
                      TreeAggregateModel)
 from .glm import (BinaryMetrics, GLMModel, HingeLoss, LogisticLoss,
@@ -62,7 +61,7 @@ __all__ = [
     "Trace",
     # data
     "SparseDataset", "SyntheticSpec", "generate", "load", "dataset_names",
-    "avazu_like", "url_like", "kddb_like", "kdd12_like", "wx_like",
+    "avazu_like", "url_like", "kddb_like", "wx_like",
     "read_libsvm", "write_libsvm", "partition_rows", "train_test_split",
     # glm
     "Objective", "GLMModel", "HingeLoss", "LogisticLoss",

@@ -6,7 +6,7 @@ One communication step of MLlib's ``GradientDescent``:
    previous step here, so step 1 starts from the initial broadcast-free
    state as in Spark, where the initial zero model is part of the closure);
 2. every executor samples a mini-batch from its cached partition and
-   computes the gradient at the received model;
+   computes its gradient at the received model (one compiled call);
 3. gradients are combined hierarchically via ``treeAggregate``;
 4. the driver applies one (1) update to the global model;
 5. the driver broadcasts the updated model for the next step.
@@ -76,7 +76,9 @@ class MLlibTrainer(DistributedTrainer):
             seconds = 0.0
             for nnz in nnz_list:
                 seconds += launch + self._compute_seconds(2 * nnz, 0, i)
-            gradients.append(np.mean(task_grads, axis=0))
+            # One wave's mean is its gradient, bit for bit.
+            gradients.append(task_grads[0] if waves == 1
+                             else np.mean(task_grads, axis=0))
             task_grads_by_executor.append(task_grads)
             durations.append(seconds)
         engine.compute_phase(durations, step)

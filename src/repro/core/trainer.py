@@ -180,9 +180,9 @@ class DistributedTrainer:
         self.sanitizer = BarrierSanitizer(enabled=self.config.sanitize)
         #: Execution backend for the per-worker local solves
         #: (``config.backend``).  A fresh pool is built per ``fit`` and
-        #: torn down when it returns; between fits a serial stub keeps
-        #: direct ``_run_step`` calls working.  Purely a wall-clock
-        #: choice — results are bit-identical across backends.
+        #: torn down when it returns, leaving an empty serial stub that
+        #: holds no partition.  Purely a wall-clock choice — results are
+        #: bit-identical across backends.
         self._backend: ExecutionBackend = SerialBackend()
         #: Wall-clock profiler hook (:mod:`repro.perf.profiler`).  The
         #: default records nothing; install a ``PhaseProfiler`` before
@@ -428,15 +428,12 @@ class DistributedTrainer:
         data = PartitionedDataset.load(dataset, self.cluster,
                                        strategy=partition_strategy,
                                        seed=self.config.seed)
-        # Build the local-solve execution pool for this run.  Partitions
-        # are installed exactly once (never per task); the
-        # pool is torn down by ``TrainingSession.close``, leaving a
-        # serial stub so post-fit introspection keeps working.  The
-        # except path covers *every* failure from pool creation through
-        # session construction — including a partial
-        # ``install_partitions`` (half-started daemons, an allocated
-        # shared-memory store) — so no worker processes, threads or shm
-        # segments leak when opening the session raises.
+        # This run's pool: partitions installed once, torn down by
+        # ``TrainingSession.close``.  The except path covers *every*
+        # failure from pool creation through session construction —
+        # including a partial ``install_partitions`` (half-started
+        # daemons, an allocated shared-memory store) — so no worker
+        # processes, threads or shm segments leak when opening raises.
         backend = make_backend(self.config.backend)
         backend.profiler = self.profiler
         try:
@@ -447,9 +444,7 @@ class DistributedTrainer:
                                    clock_offset=clock_offset)
         except BaseException:
             backend.close()
-            stub = SerialBackend()
-            stub.install_partitions(data.partitions)
-            self._backend = stub
+            self._backend = SerialBackend()
             raise
 
     def fit(self, dataset: SparseDataset,
@@ -621,6 +616,4 @@ class TrainingSession:
         # the pool disappears behind the serial stub.
         trainer.last_wire_stats = trainer._backend.wire_summary()
         trainer._backend.close()
-        stub = SerialBackend()
-        stub.install_partitions(self.data.partitions)
-        trainer._backend = stub
+        trainer._backend = SerialBackend()

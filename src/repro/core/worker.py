@@ -1,33 +1,26 @@
 """Module-level worker task functions for the execution backends.
 
-Each function here is one worker's share of a superstep's local-solve
-phase, shaped for :mod:`repro.engine.backend`:
+Each function is one worker's share of a superstep's local solve,
+shaped for :mod:`repro.engine.backend`:
 
-* **module-level and partition-first** — process pools pickle functions
-  by reference and look the partition up in the pool-side store, so every
-  task takes ``(partition, ...)`` and must be importable by name;
-* **RNG round-trip** — tasks that draw randomness take the worker's
-  private ``Generator`` last and return it last;
-  ``DistributedTrainer._local_round`` supplies it and keeps what comes
-  back for the next round (ASGD's one-worker ``run_one`` likewise).
-  In-process backends hand back the same (already advanced) object;
-  process backends hand back a pickled copy whose state round-trips
-  exactly, so RNG streams advance bit-identically to the serial loop no
-  matter the backend;
-* **numerics only** — simulated-seconds pricing stays in the parent
-  (tasks return raw work stats), so the cost model never crosses a
-  process boundary and the priced clock is backend-invariant;
-* **read-only inputs** — tasks never mutate their partition or the
-  broadcast model ``w``; they allocate fresh outputs.  The shared-memory
-  backend relies on this: under ``shm`` both the partition's CSR arrays
-  and the broadcast vector arrive as *read-only views* of shared
-  segments (a violating write raises), and under ``socket`` the
-  partition is a daemon-cached object reused across supersteps and the
-  tasks of one round share one read-only ``w``.
+* **module-level and partition-first** — pools pickle functions by
+  reference and look the partition up in their own store, so every task
+  takes ``(partition, ...)`` and is importable by name;
+* **RNG round-trip** — a task that draws takes the worker's private
+  ``Generator`` last and returns it last, and
+  ``DistributedTrainer._local_round`` (ASGD's ``run_one``) keeps it for
+  the next round.  A process backend returns a pickled copy whose state
+  round-trips exactly, so every stream advances as in the serial loop;
+* **numerics only** — tasks return raw work stats and the parent prices
+  them, so the simulated clock never crosses a process boundary;
+* **read-only inputs** — tasks never write their partition or the
+  broadcast ``w``: under ``shm`` both are read-only views of shared
+  segments, under ``socket`` a daemon caches the partition and a round's
+  tasks share one read-only ``w``.
 
-Cross-worker combining (means, reduce-scatter, server pushes) stays in
-the trainers, in the serial code's float-addition order — that, plus the
-ordered map, is what makes every backend bit-identical.
+Cross-worker combining stays in the trainers, in the serial code's
+float-addition order; that and the ordered map make every backend
+bit-identical.
 """
 
 from __future__ import annotations
@@ -35,8 +28,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..data import Partition
-from ..glm import (DualSolverSpec, LocalStats, Objective, dual_local_solve,
-                   gd_step, mgd_epoch, sample_batch, sgd_epoch)
+from ..glm import (DualSolverSpec, LocalStats, Objective, apply_update,
+                   dual_local_solve, mgd_epoch, sample_batch,
+                   sampled_gradient, sgd_epoch)
 from .config import TrainerConfig
 
 __all__ = ["gradient_wave_task", "send_model_task", "petuum_batch_task",
@@ -48,14 +42,12 @@ def gradient_wave_task(part: Partition, w: np.ndarray, objective: Objective,
                        waves: int, per_task: int, rng: np.random.Generator,
                        ) -> tuple[list[np.ndarray], list[int],
                                   np.random.Generator]:
-    """MLlib SendGradient: ``waves`` sequential batch gradients at ``w``."""
-    task_grads: list[np.ndarray] = []
-    nnz: list[int] = []
-    for _ in range(waves):
-        Xb, yb = sample_batch(part.X, part.y, per_task, rng)
-        task_grads.append(objective.batch_loss_gradient(w, Xb, yb))
-        nnz.append(int(Xb.nnz))
-    return task_grads, nnz, rng
+    """MLlib SendGradient: ``waves`` sequential batch gradients at ``w``
+    (compiled: :func:`repro.glm.sampled_gradient`) and their nnz."""
+    task_grads, nnz = zip(*(sampled_gradient(objective, w, part.X, part.y,
+                                             per_task, rng)
+                            for _ in range(waves)))
+    return list(task_grads), list(nnz), rng
 
 
 def send_model_task(part: Partition, w: np.ndarray, objective: Objective,
@@ -84,15 +76,18 @@ def petuum_batch_task(part: Partition, w: np.ndarray, objective: Objective,
                                  np.random.Generator]:
     """Petuum: one batch per step — GD if regularized, else parallel SGD
     inside the batch (Section III-B1)."""
-    Xb, yb = sample_batch(part.X, part.y, batch, rng)
     if objective.is_regularized:
         # One GD update over the batch (dense updates kept rare).
-        local_w, stats = gd_step(objective, w, Xb, yb, lr)
-    else:
-        # Parallel SGD inside the batch: many updates per step.
-        local_w, stats = sgd_epoch(objective, w, Xb, yb, lr, rng,
-                                   chunk_size=config.local_chunk_size,
-                                   lazy=config.lazy_l2)
+        grad, nnz = sampled_gradient(objective, w, part.X, part.y, batch,
+                                     rng)
+        dense = w.shape[0] if objective.regularizer.is_dense else 0
+        return (apply_update(w, grad, lr, objective),
+                LocalStats(2 * nnz, 1, dense), rng)
+    # Parallel SGD inside the batch: many updates per step.
+    Xb, yb = sample_batch(part.X, part.y, batch, rng)
+    local_w, stats = sgd_epoch(objective, w, Xb, yb, lr, rng,
+                               chunk_size=config.local_chunk_size,
+                               lazy=config.lazy_l2)
     return local_w, stats, rng
 
 
@@ -145,7 +140,7 @@ def asgd_gradient_task(part: Partition, model: np.ndarray,
                        objective: Objective, batch: int,
                        rng: np.random.Generator,
                        ) -> tuple[np.ndarray, int, np.random.Generator]:
-    """ASGD: one worker's batch gradient at its pulled model snapshot."""
-    Xb, yb = sample_batch(part.X, part.y, batch, rng)
-    grad = objective.batch_loss_gradient(model, Xb, yb)
-    return grad, int(Xb.nnz), rng
+    """ASGD: one worker's batch gradient at its pulled model snapshot
+    (:func:`repro.glm.sampled_gradient`, as MLlib's)."""
+    grad, nnz = sampled_gradient(objective, model, part.X, part.y, batch, rng)
+    return grad, nnz, rng

@@ -29,7 +29,7 @@ from .synthetic import SparseDataset, SyntheticSpec, generate
 
 __all__ = [
     "DatasetCard", "PAPER_TABLE1", "CATALOG",
-    "avazu_like", "url_like", "kddb_like", "kdd12_like", "wx_like",
+    "avazu_like", "url_like", "kddb_like", "wx_like",
     "load", "dataset_names",
 ]
 
@@ -149,11 +149,6 @@ def url_like() -> SparseDataset:
 def kddb_like() -> SparseDataset:
     """Underdetermined, high-dimensional data (paper: kddb)."""
     return load("kddb")
-
-
-def kdd12_like() -> SparseDataset:
-    """Determined, high-dimensional data (paper: kdd12)."""
-    return load("kdd12")
 
 
 def wx_like() -> SparseDataset:

@@ -1,10 +1,9 @@
 """Execution backends: fan per-worker local solves across real cores.
 
 Every superstep of every system in the study contains an embarrassingly
-parallel region — ``k`` independent local solves (``gd_step`` /
-``mgd_epoch`` / ``sgd_epoch`` / full-pass gradients), one per cached
-partition — that the simulation previously executed serially in one
-Python process.  An :class:`ExecutionBackend` owns that region:
+parallel region — ``k`` independent local solves (batch gradients,
+``mgd_epoch``, ``sgd_epoch``, full-pass gradients), one per cached
+partition.  An :class:`ExecutionBackend` owns that region:
 
 * ``serial``  — in-process loop (the reference behaviour, zero overhead);
 * ``shm``     — a process pool over :mod:`repro.engine.shm`: partition

@@ -4,11 +4,10 @@ from .dual import (DUAL_LOSSES, DUAL_SOLVERS, DualLoss, DualSolverSpec,
                    certified_gap, dual_local_solve, get_dual_loss,
                    make_dual_spec, require_dual_capable)
 from .evaluation import BinaryMetrics, evaluate_binary, roc_auc
-from .kernels import (apply_update_inplace, dual_epoch, dual_row_norms,
-                      permuted_epoch)
+from .kernels import apply_update_inplace, dual_epoch, dual_row_norms
 from .lazy_update import ScaledVector
-from .local_solvers import (LocalStats, apply_update, gd_step, mgd_epoch,
-                            sample_batch, sgd_epoch)
+from .local_solvers import (LocalStats, apply_update, mgd_epoch,
+                            sample_batch, sampled_gradient, sgd_epoch)
 from .losses import (LOSSES, HingeLoss, LogisticLoss, Loss,
                      SquaredHingeLoss, SquaredLoss, get_loss)
 from .model import (ARTIFACT_FORMAT, ARTIFACT_VERSION, ArtifactError,
@@ -28,9 +27,9 @@ __all__ = [
     "Objective", "GLMModel", "ScaledVector",
     "ArtifactError", "ARTIFACT_FORMAT", "ARTIFACT_VERSION",
     "read_artifact_meta",
-    "LocalStats", "gd_step", "mgd_epoch", "sgd_epoch", "sample_batch",
-    "apply_update",
-    "apply_update_inplace", "permuted_epoch", "dual_epoch", "dual_row_norms",
+    "LocalStats", "mgd_epoch", "sgd_epoch", "sample_batch",
+    "sampled_gradient", "apply_update",
+    "apply_update_inplace", "dual_epoch", "dual_row_norms",
     "DualLoss", "DualSolverSpec", "DUAL_LOSSES", "DUAL_SOLVERS",
     "get_dual_loss", "make_dual_spec", "require_dual_capable",
     "dual_local_solve", "certified_gap",

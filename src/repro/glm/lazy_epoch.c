@@ -1,15 +1,15 @@
-/* One lazy-L2 SGD epoch over raw CSR arrays (see repro/glm/native.py),
- * with the float operations of sgd_epoch_lazy_reference in its order.
- * FMA contraction would change the bits: -ffp-contract=off, no fast-math. */
+/* The GLM loops over raw CSR arrays (see repro/glm/native.py), each with
+ * the float operations of its NumPy body in the same order.  FMA
+ * contraction would change the bits: -ffp-contract=off, no fast-math. */
 #include <math.h>
 #include <stdint.h>
 
 #if defined(__FAST_MATH__)
-#error "the lazy epoch must not be compiled with -ffast-math"
+#error "the GLM loops must not be compiled with -ffast-math"
 #endif
 
-/* extern "Python": factor[:rows] = loss.gradient_factor(margins[:rows],
- * y[order[start:start + rows]]), non-zero when it raised. */
+/* extern "Python": factor[:rows] = the loss's factors at margins[:rows]
+ * for rows start.. of the call's row list; non-zero when it raised. */
 static int repro_gradient_factor(void *ctx, int64_t start, int64_t rows);
 
 #define AT(array, k) (wide ? ((const int64_t *)(array))[k] \
@@ -21,13 +21,13 @@ static int repro_gradient_factor(void *ctx, int64_t start, int64_t rows);
  * it, so values up to the current base are stale; g and touched hold the
  * chunk's gradient and column by slot.  stats gets (nnz_processed,
  * n_updates, dense_ops).  Returns 0, or -1 if the callback raised. */
-int repro_lazy_epoch(const void *indptr, const void *indices, int wide,
-                     const double *data, const double *y,
-                     const int64_t *order, int64_t n, int64_t chunk,
-                     double *v, int64_t dim, double lr, int decay_on,
-                     double decay, double rebase_threshold, int hinge,
-                     void *ctx, double *margins, double *factor, double *g,
-                     int64_t *touched, int64_t *seen, int64_t *stats)
+int64_t repro_lazy_epoch(void *ctx, int hinge, const void *indptr,
+                         const void *indices, int wide, const double *data,
+                         const double *y, const int64_t *order, int64_t n,
+                         int64_t chunk, double *v, int64_t dim, double lr,
+                         int decay_on, double decay, double rebase_threshold,
+                         double *margins, double *factor, double *g,
+                         int64_t *touched, int64_t *seen, int64_t *stats)
 {
     double scale = 1.0;
     int64_t nnz = 0, updates = 0, dense = 0, base = 0;
@@ -80,4 +80,56 @@ int repro_lazy_epoch(const void *indptr, const void *indices, int wide,
     stats[1] = updates;
     stats[2] = dense + dim;
     return 0;
+}
+
+/* g (dim long, zeroed) gets SciPy's (X[rows].T @ factor) / b at w, for
+ * rows[:b] of the n_rows x dim CSR matrix whose arrays hold nnz entries:
+ * margins as its CSR matvec, g[col] += data[k] * factor[r] in row-major
+ * occurrence order as its CSC matvec, then / b once per touched column
+ * (marked in divided, dim long, zeroed).  Each index is checked as read:
+ * returns -2 if one is out of range, -1 if the callback raised, else nnz. */
+int64_t repro_batch_gradient(void *ctx, int hinge, const void *indptr,
+                             const void *indices, int wide, int64_t n_rows,
+                             int64_t nnz, const double *data, const double *y,
+                             const int64_t *rows, int64_t b, const double *w,
+                             int64_t dim, double *margins, double *factor,
+                             double *g, uint8_t *divided)
+{
+    int64_t total = 0;
+    for (int64_t r = 0; r < b; r++) {
+        int64_t i = rows[r];
+        if (i < 0 || i >= n_rows)
+            return -2;
+        int64_t lo = AT(indptr, i), hi = AT(indptr, i + 1);
+        if (lo < 0 || lo > hi || hi > nnz)
+            return -2;
+        double acc = 0.0;
+        for (int64_t k = lo; k < hi; k++) {
+            int64_t col = AT(indices, k);
+            if (col < 0 || col >= dim)
+                return -2;
+            acc += data[k] * w[col];
+        }
+        margins[r] = acc;
+        factor[r] = (y[i] * acc < 1.0) ? -y[i] : 0.0;
+        total += hi - lo;
+    }
+    if (!hinge && repro_gradient_factor(ctx, 0, b) != 0)
+        return -1;  /* else the callback overwrote the hinge factors */
+    for (int64_t r = 0; r < b; r++) {
+        int64_t i = rows[r], hi = AT(indptr, i + 1);
+        for (int64_t k = AT(indptr, i); k < hi; k++)
+            g[AT(indices, k)] += data[k] * factor[r];
+    }
+    for (int64_t r = 0; r < b; r++) {  /* an untouched +0.0 / b is +0.0 */
+        int64_t i = rows[r], hi = AT(indptr, i + 1);
+        for (int64_t k = AT(indptr, i); k < hi; k++) {
+            int64_t col = AT(indices, k);
+            if (!divided[col]) {
+                divided[col] = 1;
+                g[col] /= (double)b;
+            }
+        }
+    }
+    return total;
 }

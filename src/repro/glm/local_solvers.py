@@ -1,25 +1,19 @@
 """Worker-side local solvers: the computations of Algorithms 1-3.
 
-These functions run the *local* part of distributed MGD on one worker's
-partition.  Three flavours cover every system in the paper:
+These run the *local* part of distributed MGD on one worker's partition:
 
-* :func:`gd_step` — one full-batch gradient-descent update (what Angel and
-  regularized Petuum do per batch, and what the MLlib driver does with an
-  aggregated gradient);
-* :func:`mgd_epoch` — a pass of mini-batch GD over the partition (Angel's
-  per-epoch local work, Algorithm 1);
-* :func:`sgd_epoch` — per-example (or small-chunk) SGD over the partition
-  with optional Bottou lazy L2 updates (unregularized Petuum's "parallel
-  SGD inside each batch" and MLlib*'s ``UpdateModel`` in Algorithm 3).
+* :func:`sampled_gradient` — one sampled batch's loss gradient (MLlib's
+  and ASGD's SendGradient task, regularized Petuum's one GD update);
+* :func:`mgd_epoch` — a pass of mini-batch GD (Angel, Algorithm 1);
+* :func:`sgd_epoch` — per-example (or small-chunk) SGD with optional
+  Bottou lazy L2 (unregularized Petuum's "parallel SGD inside each
+  batch" and MLlib*'s ``UpdateModel`` in Algorithm 3).
 
-All solvers return a fresh weight vector plus :class:`LocalStats` so the
-cluster cost model can convert the work into simulated seconds.  ``y``
-labels are in {-1, +1}; gradients are means over the examples used.
-
-The lazy SGD epoch runs compiled (:mod:`repro.glm.native`); the other
-epoch loops run on the CSR kernels of :mod:`repro.glm.kernels`.  The
-retained bodies in :mod:`repro.glm.reference` are their bit-exact oracle
-(``tests/test_perf_kernels.py``) and the lazy epoch's fallback.
+The epochs return fresh weights plus :class:`LocalStats`, which the
+cost model prices.  Labels are in {-1, +1}; gradients are batch means.
+Batch gradients and the lazy epoch run compiled (:mod:`repro.glm.native`);
+where it cannot be built they run their NumPy bodies (the epochs' are
+kept in :mod:`repro.glm.reference`), bit-identical by test.
 """
 
 from __future__ import annotations
@@ -30,11 +24,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import native
-from .kernels import apply_update_inplace, permuted_epoch
+from .kernels import apply_update_inplace
 from .objective import Objective
 
-__all__ = ["LocalStats", "gd_step", "mgd_epoch", "sgd_epoch",
-           "sample_batch", "apply_update"]
+__all__ = ["LocalStats", "mgd_epoch", "sgd_epoch", "sample_batch",
+           "sampled_gradient", "apply_update"]
 
 
 @dataclass
@@ -58,18 +52,35 @@ class LocalStats:
         )
 
 
-def sample_batch(X: sp.csr_matrix, y: np.ndarray, batch_size: int,
-                 rng: np.random.Generator) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Sample a batch without replacement (Algorithm 1's ``XB``)."""
-    n = X.shape[0]
+def _batch_rows(n: int, batch_size: int,
+                rng: np.random.Generator) -> np.ndarray:
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     if n == 0:
         raise ValueError("partition is empty: cannot sample a batch from "
                          "zero rows")
-    take = min(batch_size, n)
-    rows = rng.choice(n, size=take, replace=False)
+    return rng.choice(n, size=min(batch_size, n), replace=False)
+
+
+def sample_batch(X: sp.csr_matrix, y: np.ndarray, batch_size: int,
+                 rng: np.random.Generator) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Sample a batch without replacement (Algorithm 1's ``XB``)."""
+    rows = _batch_rows(X.shape[0], batch_size, rng)
     return X[rows], y[rows]
+
+
+def sampled_gradient(objective: Objective, w: np.ndarray, X: sp.csr_matrix,
+                     y: np.ndarray, batch_size: int,
+                     rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """The mean loss gradient at ``w`` over a :func:`sample_batch` draw and
+    the draw's nnz: compiled over ``X`` in place, or where it cannot be
+    built by the NumPy body it is bit-identical to."""
+    rows = _batch_rows(X.shape[0], batch_size, rng)
+    module = native.library()
+    if module is None:
+        Xb = X[rows]
+        return objective.batch_loss_gradient(w, Xb, y[rows]), int(Xb.nnz)
+    return native.batch_gradient(module, objective, w, X, y, rows)
 
 
 def apply_update(w: np.ndarray, grad_loss: np.ndarray, lr: float,
@@ -86,41 +97,31 @@ def apply_update(w: np.ndarray, grad_loss: np.ndarray, lr: float,
     return new_w
 
 
-def gd_step(objective: Objective, w: np.ndarray, X: sp.csr_matrix,
-            y: np.ndarray, lr: float) -> tuple[np.ndarray, LocalStats]:
-    """One full-batch gradient step over (X, y)."""
-    grad = objective.batch_loss_gradient(w, X, y)
-    new_w = apply_update(w, grad, lr, objective)
-    dense = w.shape[0] if objective.regularizer.is_dense else 0
-    stats = LocalStats(nnz_processed=2 * int(X.nnz), n_updates=1,
-                       dense_ops=dense)
-    return new_w, stats
-
-
 def mgd_epoch(objective: Objective, w: np.ndarray, X: sp.csr_matrix,
               y: np.ndarray, lr: float, batch_size: int,
               rng: np.random.Generator,
               shuffle: bool = True) -> tuple[np.ndarray, LocalStats]:
     """One pass of mini-batch GD over the partition (Algorithm 1).
 
-    Batches tile the (optionally shuffled) partition; each batch applies one
-    eager GD update.  This is Angel's local computation and regularized
-    Petuum's per-batch behaviour.
+    Batches tile the (optionally shuffled) partition; each batch applies
+    one eager GD update.  This is Angel's local computation.
     """
     n = X.shape[0]
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     order = rng.permutation(n) if shuffle else np.arange(n)
-    Xp, yp = permuted_epoch(X, y, order, shuffle)
+    module = native.library()
+    if module is None:
+        from .reference import mgd_epoch_reference
+        return mgd_epoch_reference(objective, w, X, y, lr, batch_size, order)
     stats = LocalStats()
     current = np.array(w, copy=True)
     scratch = np.empty_like(current)
     for start in range(0, n, batch_size):
-        Xb = Xp[start:start + batch_size]
-        yb = yp[start:start + batch_size]
-        grad = objective.batch_loss_gradient(current, Xb, yb)
+        grad, nnz = native.batch_gradient(module, objective, current, X, y,
+                                          order[start:start + batch_size])
         apply_update_inplace(current, grad, lr, objective, scratch)
-        stats.nnz_processed += 2 * int(Xb.nnz)
+        stats.nnz_processed += 2 * nnz
         stats.n_updates += 1
         if objective.regularizer.is_dense:
             stats.dense_ops += w.shape[0]
@@ -135,11 +136,10 @@ def sgd_epoch(objective: Objective, w: np.ndarray, X: sp.csr_matrix,
 
     ``chunk_size=1`` is textbook per-example SGD; larger chunks vectorize
     the same schedule (each chunk is one update at the current iterate),
-    trading update granularity for throughput.  With L2
-    regularization and ``lazy=True`` the decay is applied through the
-    scaled representation (Bottou's trick) by the compiled epoch, or by
-    the reference body where it cannot be built; L1 always takes the eager
-    path because its subgradient is not a uniform rescaling.
+    trading update granularity for throughput.  With L2 regularization
+    and ``lazy=True`` the decay is applied through the scaled
+    representation (Bottou's trick); L1 always takes the eager path
+    because its subgradient is not a uniform rescaling.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")

@@ -7,7 +7,7 @@ Every loss works on binary labels in {-1, +1} and exposes:
   such that the batch gradient is ``X.T @ factor / len(batch)``.
 
 Keeping the loss in margin form lets every trainer share one vectorized
-sparse gradient kernel (``repro.glm.objective.batch_gradient``) regardless
+sparse gradient kernel (``Objective.batch_loss_gradient``) regardless
 of the loss, which mirrors how MLlib's ``Gradient`` classes are structured.
 
 Implemented losses: hinge (linear SVM — the paper's workload), logistic

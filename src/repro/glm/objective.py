@@ -5,10 +5,9 @@ provides the vectorized sparse kernels every trainer shares:
 
 * :meth:`Objective.value` — full-dataset objective, the y-axis of every
   convergence figure in the paper;
-* :meth:`Objective.batch_gradient` — mean gradient over a CSR batch, the
-  worker-side computation of the SendGradient paradigm;
-* :meth:`Objective.batch_loss_gradient` — the loss part alone, used by
-  SendModel workers that handle regularization lazily.
+* :meth:`Objective.batch_loss_gradient` — mean gradient of the loss over
+  a CSR batch; the regularizer's gradient is added where the update is
+  applied (eagerly, or lazily by the SendModel workers).
 
 All gradients are mean (not sum) over the batch so learning rates are
 comparable across batch sizes — the convention MLlib's ``miniBatchFraction``
@@ -51,8 +50,7 @@ class Objective:
     # ------------------------------------------------------------------
     def value(self, w: np.ndarray, X: sp.csr_matrix, y: np.ndarray) -> float:
         """f(w, X): mean loss over all of X plus Omega(w)."""
-        margins = X @ w
-        return self.loss.value(margins, y) + self.regularizer.value(w)
+        return self.loss_value(w, X, y) + self.regularizer.value(w)
 
     def loss_value(self, w: np.ndarray, X: sp.csr_matrix,
                    y: np.ndarray) -> float:
@@ -66,14 +64,6 @@ class Objective:
             return np.zeros_like(w)
         factor = self.loss.gradient_factor(X @ w, y)
         return np.asarray(X.T @ factor) / X.shape[0]
-
-    def batch_gradient(self, w: np.ndarray, X: sp.csr_matrix,
-                       y: np.ndarray) -> np.ndarray:
-        """Mean gradient of the full objective (loss + regularization)."""
-        grad = self.batch_loss_gradient(w, X, y)
-        if self.regularizer.strength:
-            grad = grad + self.regularizer.gradient(w)
-        return grad
 
     # ------------------------------------------------------------------
     # Dual-side evaluations (CoCoA-family solvers, repro.glm.dual).

@@ -1,18 +1,15 @@
-"""Retained reference implementations of the local-solver hot loops.
+"""Retained reference bodies of the local-solver hot loops.
 
-These are the pre-optimization bodies of :func:`repro.glm.mgd_epoch`,
+The pre-optimization bodies of :func:`repro.glm.mgd_epoch`, the lazy
 :func:`repro.glm.sgd_epoch` and the SDCA epoch of
-:func:`repro.glm.dual_local_solve`, kept verbatim so the fast kernels in
-:mod:`repro.glm.kernels` and the compiled lazy epoch of
-:mod:`repro.glm.native` have a bit-exact oracle: the property tests
-(``tests/test_perf_kernels.py``, ``tests/test_glm_dual.py``) assert
-fast == reference across densities, chunk sizes, regularizers and dual
-losses.  Training calls only :func:`sgd_epoch_lazy_reference`, where the
-compiled epoch cannot be built.
+:func:`repro.glm.dual_local_solve`, kept verbatim: the bit-exact oracle
+the property tests (``tests/test_perf_kernels.py``,
+``tests/test_glm_dual.py``) hold the compiled loops and
+:mod:`repro.glm.kernels` to, and the two primal epochs' fallback where
+the compiled module cannot be built.
 
 Each function takes the epoch's row ``order`` instead of an RNG; a test
-draws the permutation from a twin of the generator the solver consumes,
-so both sides see the same rows in the same order.
+draws it from a twin of the generator the solver consumes.
 """
 
 from __future__ import annotations

@@ -8,10 +8,9 @@ from .gantt import KIND_CHARS, GanttSummary, render_ascii, summarize
 from .histogram import LatencyHistogram
 from .history import HistoryPoint, TrainingHistory
 from .plots import CURVE_GLYPHS, render_curves
-from .reporting import (CommReport, RecoveryReport, SchedReport,
-                        ServingReport, comm_report, format_speedup,
-                        format_table, recovery_report, sched_report,
-                        serving_report)
+from .reporting import (CommReport, SchedReport, ServingReport,
+                        comm_report, format_speedup, format_table,
+                        sched_report, serving_report)
 
 __all__ = [
     "TrainingHistory", "HistoryPoint",
@@ -19,7 +18,6 @@ __all__ = [
     "evaluate_convergence", "speedup",
     "GanttSummary", "summarize", "render_ascii", "KIND_CHARS",
     "format_table", "format_speedup", "CommReport", "comm_report",
-    "RecoveryReport", "recovery_report",
     "LatencyHistogram", "ServingReport", "serving_report",
     "SchedReport", "sched_report",
     "history_to_rows", "write_history_csv", "write_histories_json",

@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = ["format_table", "format_speedup", "CommReport", "comm_report",
-           "RecoveryReport", "recovery_report", "ServingReport",
-           "serving_report", "SchedReport", "sched_report"]
+           "ServingReport", "serving_report", "SchedReport", "sched_report"]
 
 
 def format_table(headers: list[str], rows: list[list[object]],
@@ -120,32 +119,6 @@ def comm_report(result) -> CommReport:
 
 
 @dataclass(frozen=True)
-class RecoveryReport:
-    """Per-system fault-recovery accounting for one training run."""
-
-    system: str
-    num_failures: int
-    recovery_seconds: float
-    total_seconds: float
-
-    @property
-    def overhead_fraction(self) -> float:
-        """Share of the makespan spent in recovery downtime."""
-        if self.total_seconds <= 0:
-            return 0.0
-        return self.recovery_seconds / self.total_seconds
-
-
-def recovery_report(result) -> RecoveryReport:
-    """Summarize the fault-recovery cost of a ``TrainResult``."""
-    return RecoveryReport(
-        system=result.history.system,
-        num_failures=len(result.failures),
-        recovery_seconds=result.recovery_seconds,
-        total_seconds=result.history.total_seconds)
-
-
-@dataclass(frozen=True)
 class ServingReport:
     """SLO accounting for one :class:`repro.serve.PredictionService` run.
 
@@ -203,7 +176,7 @@ class ServingReport:
 
 
 def serving_report(result) -> ServingReport:
-    """Summarize a ``ServingResult`` (duck-typed, like ``recovery_report``)."""
+    """Summarize a ``ServingResult`` (duck-typed)."""
     latency = result.latency.summary()
     shadow = getattr(result, "shadow", None)
     return ServingReport(

@@ -10,7 +10,7 @@ elastic width changes and preemption at superstep barriers via
 """
 
 from .config import SCHED_POLICIES, SchedConfig
-from .job import JOB_STATES, Job, JobSpec
+from .job import Job, JobSpec
 from .log import SchedLog
 from .policy import (JobView, dispatch_admission_width, dispatch_fair_shares,
                      dispatch_order, dispatch_preemption_victim)
@@ -20,7 +20,7 @@ from .workload import poisson_job_trace
 
 __all__ = [
     "SCHED_POLICIES", "SchedConfig",
-    "JOB_STATES", "Job", "JobSpec",
+    "Job", "JobSpec",
     "SchedLog",
     "JobView", "dispatch_order", "dispatch_fair_shares",
     "dispatch_admission_width", "dispatch_preemption_victim",

@@ -25,10 +25,7 @@ from ..data import SparseDataset, SyntheticSpec, generate
 from ..glm import Objective
 from ..metrics import TrainingHistory
 
-__all__ = ["JobSpec", "Job", "JOB_STATES"]
-
-#: Lifecycle states of a scheduled job.
-JOB_STATES = ("queued", "running", "preempted", "finished", "cancelled")
+__all__ = ["JobSpec", "Job"]
 
 
 @dataclass(frozen=True)
@@ -192,7 +189,7 @@ class Job:
 
     spec: JobSpec
     seq: int  # submission sequence number (deterministic tie-break)
-    state: str = "queued"
+    state: str = "queued"  # running, preempted, finished or cancelled
     #: Granted gang block [start, end) in pool slots; None while queued.
     block: tuple[int, int] | None = None
     #: Width the dispatcher wants the job at (applied at its barrier).

@@ -202,8 +202,8 @@ class TestBackendLifecycle:
         trainer._run_step = exploding_step
         with pytest.raises(RuntimeError, match="injected fault"):
             trainer.fit(dataset)
-        # fit()'s finally closed the session: daemons reaped, the serial
-        # stub reinstalled, and the wire log (the install exchange, at
+        # fit()'s finally closed the session: daemons reaped, an empty
+        # serial stub installed, and the wire log (the install exchange, at
         # least) harvested before teardown.
         assert [p for p in mp.active_children() if p.pid not in prior] \
             == []
@@ -228,7 +228,7 @@ class TestBackendLifecycle:
         assert [p for p in mp.active_children() if p.pid not in prior] \
             == []
         assert shm_segments() <= segments
-        # The serial stub keeps post-failure introspection working.
+        # An empty serial stub replaces the pool that could not start.
         assert isinstance(trainer._backend, SerialBackend)
 
 

@@ -1,9 +1,11 @@
 """Unit tests for repro.core.config and the trainer template."""
 
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +138,23 @@ class TestRefitResetsSessionState:
         assert second.duality_gaps[0] == first.duality_gaps[0]
         assert second.duality_gaps == first.duality_gaps
         assert np.array_equal(second.model.weights, first.model.weights)
+
+
+class TestFittedTrainerHoldsNoData:
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_partitions_die_with_the_dataset(self, system, monkeypatch):
+        # The stub left after close holds no partition, so a trainer that
+        # outlives its fit does not keep a partitioned copy of the data.
+        trainer_cls, loss = SYSTEMS[system]
+        dataset, cluster, config = golden_workload()
+        trainer = trainer_cls(Objective(loss, "l2", 0.1), cluster, config)
+        refs, prepare = [], trainer._prepare
+        monkeypatch.setattr(trainer, "_prepare", lambda data: (
+            refs.append(weakref.ref(data.partitions[0].X)), prepare(data)))
+        result = trainer.fit(dataset)
+        del result, dataset
+        gc.collect()
+        assert len(refs) == 1 and refs[0]() is None
 
 
 class TestTasksPerExecutor:

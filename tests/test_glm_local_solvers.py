@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.data import SyntheticSpec, generate
-from repro.glm import (LocalStats, Objective, apply_update, gd_step,
-                       mgd_epoch, sample_batch, sgd_epoch)
+from repro.glm import (LocalStats, Objective, apply_update, mgd_epoch,
+                       sample_batch, sgd_epoch)
 
 
 @pytest.fixture
@@ -72,26 +72,6 @@ class TestApplyUpdate:
         w = np.array([1.0])
         apply_update(w, np.array([1.0]), 0.1, obj)
         assert w[0] == 1.0
-
-
-class TestGdStep:
-    def test_decreases_objective(self, data):
-        X, y = data
-        obj = Objective("hinge")
-        w = np.zeros(40)
-        before = obj.value(w, X, y)
-        w2, stats = gd_step(obj, w, X, y, 0.1)
-        assert obj.value(w2, X, y) < before
-        assert stats.n_updates == 1
-        assert stats.nnz_processed == 2 * X.nnz
-
-    def test_dense_ops_only_when_regularized(self, data):
-        X, y = data
-        w = np.zeros(40)
-        _, plain = gd_step(Objective("hinge"), w, X, y, 0.1)
-        _, reg = gd_step(Objective("hinge", "l2", 0.1), w, X, y, 0.1)
-        assert plain.dense_ops == 0
-        assert reg.dense_ops == 40
 
 
 class TestMgdEpoch:

@@ -76,7 +76,7 @@ class TestObjective:
         obj = Objective("logistic", "l2", 0.05)
         rng = np.random.default_rng(1)
         w = rng.normal(size=25) * 0.1
-        grad = obj.batch_gradient(w, X, y)
+        grad = obj.batch_loss_gradient(w, X, y) + obj.regularizer.gradient(w)
         eps = 1e-6
         for i in rng.choice(25, size=6, replace=False):
             up, down = w.copy(), w.copy()
@@ -87,10 +87,10 @@ class TestObjective:
 
     def test_loss_gradient_excludes_regularizer(self, data):
         X, y = data
-        obj = Objective("hinge", "l2", 0.1)
         w = np.ones(25)
-        diff = obj.batch_gradient(w, X, y) - obj.batch_loss_gradient(w, X, y)
-        assert np.allclose(diff, 0.1 * w)
+        assert np.array_equal(
+            Objective("hinge", "l2", 0.1).batch_loss_gradient(w, X, y),
+            Objective("hinge").batch_loss_gradient(w, X, y))
 
     def test_empty_batch_gradient_is_zero(self):
         obj = Objective("hinge")

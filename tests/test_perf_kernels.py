@@ -1,12 +1,14 @@
 """Fast kernels vs reference implementations: bit-identity and units.
 
 The wall-clock fast path (:mod:`repro.glm.kernels` and the compiled lazy
-epoch of :mod:`repro.glm.native`) is only legitimate if it is a pure
-speed change: every kernel must produce bit-for-bit the
-results of the retained reference bodies (:mod:`repro.glm.reference`)
-on every input shape, density, chunk size and regularizer.  Hypothesis
-drives the epoch solvers through both paths and compares weights, stats
-and RNG end-states exactly — no tolerances anywhere in this file.
+epoch and batch gradient of :mod:`repro.glm.native`) is only legitimate
+if it is a pure speed change: every kernel must produce bit-for-bit the
+results of the retained NumPy bodies (:mod:`repro.glm.reference`, and
+``sample_batch`` + ``Objective.batch_loss_gradient`` for the batch
+gradient) on every input shape, density, chunk size and regularizer.
+Hypothesis drives the solvers through both paths and compares weights,
+gradients, stats and RNG end-states exactly — no tolerances anywhere in
+this file.
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.worker import asgd_gradient_task, gradient_wave_task
+from repro.data import Partition
 from repro.glm import (Objective, apply_update, apply_update_inplace,
-                       mgd_epoch, native, permuted_epoch, reference,
-                       sgd_epoch)
+                       mgd_epoch, native, reference, sample_batch,
+                       sampled_gradient, sgd_epoch)
 from repro.engine.backend import ExecutionBackend
 from repro.glm.lazy_update import ScaledVector
 from repro.glm.losses import HingeLoss
@@ -129,19 +133,6 @@ class TestKernelUnits:
         got = apply_update_inplace(np.array(w, copy=True), grad, 0.1,
                                    objective, np.empty(m))
         assert np.array_equal(got, expected)
-
-    def test_permuted_epoch_matches_gather(self):
-        X, y, _ = make_problem(40, 30, 0.2, 5)
-        order = np.random.default_rng(9).permutation(40)
-        Xp, yp = permuted_epoch(X, y, order, shuffle=True)
-        for a, b in [(0, 7), (7, 40), (13, 13), (20, 55)]:
-            assert np.array_equal(Xp[a:b].toarray(), X[order[a:b]].toarray())
-        assert np.array_equal(yp, y[order])
-
-    def test_permuted_epoch_no_shuffle_is_passthrough(self):
-        X, y, _ = make_problem(10, 8, 0.3, 6)
-        Xp, yp = permuted_epoch(X, y, np.arange(10), shuffle=False)
-        assert Xp is X and yp is y
 
 
 class TestScaledVectorValuesView:
@@ -319,11 +310,133 @@ class TestCompiledLazyEpoch:
                         objective, w0, X, y, 0.05, 4, order)
                     assert got.tobytes() == ref.tobytes()
                     assert stats == ref_stats
+                    grads, nnz, _ = gradient_wave_task(
+                        Partition(index=0, X=X, y=y), w0, objective, 2, 7,
+                        np.random.default_rng(seed))
+                    ref_grads, ref_nnz = _numpy_waves(
+                        objective, w0, X, y, 2, 7,
+                        np.random.default_rng(seed))
+                    assert [g.tobytes() for g in grads] == [
+                        g.tobytes() for g in ref_grads]
+                    assert nnz == ref_nnz
         finally:
             native.library.cache_clear()
         warnings = [r for r in caplog.records if r.name == "repro.glm.native"]
         assert len(warnings) == 1
         assert "no C compiler" in warnings[0].getMessage()
+
+
+# ----------------------------------------------------------------------
+# the compiled batch gradient (SendGradient tasks and mgd_epoch)
+# ----------------------------------------------------------------------
+def _numpy_waves(objective, w, X, y, waves, per_task, rng):
+    """The NumPy body of ``gradient_wave_task``: sample, then gradient."""
+    grads, nnz = [], []
+    for _ in range(waves):
+        Xb, yb = sample_batch(X, y, per_task, rng)
+        grads.append(objective.batch_loss_gradient(w, Xb, yb))
+        nnz.append(int(Xb.nnz))
+    return grads, nnz
+
+
+class TestCompiledBatchGradient:
+    @given(problem=lazy_problems(),
+           loss=st.sampled_from(["hinge", "logistic", "squared",
+                                 "squared_hinge"]),
+           waves=st.sampled_from([1, 2, 3]),
+           per_task=st.sampled_from([1, 3, 17, 1000]))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_tasks_equal_the_numpy_body(self, problem, loss, waves,
+                                        per_task):
+        # per_task 1000 draws more rows than any partition has.
+        X, y, w, seed = problem
+        objective = Objective(loss)
+        part = Partition(index=0, X=X, y=y)
+        rng_fast = np.random.default_rng(seed)
+        rng_ref = np.random.default_rng(seed)
+        fast, fast_error = _outcome(lambda: gradient_wave_task(
+            part, w, objective, waves, per_task, rng_fast))
+        ref, ref_error = _outcome(lambda: _numpy_waves(
+            objective, w, X, y, waves, per_task, rng_ref))
+        assert fast_error == ref_error
+        assert (fast_error is None) == (X.shape[0] > 0)
+        if ref is not None:
+            assert [g.tobytes() for g in fast[0]] == [
+                g.tobytes() for g in ref[0]]
+            assert fast[1] == ref[1]
+            grad, nnz, _ = asgd_gradient_task(part, w, objective, per_task,
+                                              np.random.default_rng(seed))
+            assert (grad.tobytes(), nnz) == (ref[0][0].tobytes(), ref[1][0])
+        assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+
+    @given(problem=lazy_problems(),
+           loss=st.sampled_from(["hinge", "logistic"]),
+           reg=st.sampled_from(REGULARIZERS),
+           batch_size=st.sampled_from([1, 4, 1000]),
+           shuffle=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_mgd_epoch_equals_reference(self, problem, loss, reg,
+                                        batch_size, shuffle):
+        X, y, w, seed = problem
+        objective = make_objective(loss, reg)
+        rng_fast = np.random.default_rng(seed)
+        rng_ref = np.random.default_rng(seed)
+        got, stats = mgd_epoch(objective, w, X, y, 0.05, batch_size,
+                               rng_fast, shuffle=shuffle)
+        n = X.shape[0]
+        order = rng_ref.permutation(n) if shuffle else np.arange(n)
+        ref, ref_stats = reference.mgd_epoch_reference(
+            objective, w, X, y, 0.05, batch_size, order)
+        assert got.tobytes() == ref.tobytes() and stats == ref_stats
+        assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("defect", ["column", "negative", "indptr",
+                                        "past_end", "row"])
+    def test_malformed_csr_is_rejected(self, defect):
+        # scipy does not check these; C checks each index as it reads it.
+        module = native.library()
+        if module is None:
+            pytest.skip("the compiled tier is unavailable")
+        X, y, w = make_problem(10, 6, 0.5, 1)
+        rows = np.arange(10)
+        if defect == "column":
+            X.indices[-1] = 6
+        elif defect == "negative":
+            X.indices[0] = -1
+        elif defect == "indptr":
+            X.indptr[1] = X.indptr[-1]
+        elif defect == "past_end":
+            X.indptr[-1] = X.indices.size + 1
+        else:
+            rows = np.array([0, 10])
+        with pytest.raises(ValueError, match="not a valid CSR matrix"):
+            native.batch_gradient(module, Objective("hinge"), w, X, y, rows)
+
+    def test_shapes_are_checked(self):
+        module = native.library()
+        if module is None:
+            pytest.skip("the compiled tier is unavailable")
+        X, y, w = make_problem(10, 6, 0.5, 1)
+        with pytest.raises(ValueError, match="does not match"):
+            native.batch_gradient(module, Objective("hinge"), w[:5], X, y,
+                                  np.arange(3))
+
+    def test_callback_errors_propagate(self):
+        if native.library() is None:
+            pytest.skip("the compiled tier is unavailable")
+
+        class Broken(HingeLoss):
+            def gradient_factor(self, margins, y):
+                raise ArithmeticError("broken loss")
+
+        X, y, w = make_problem(10, 6, 0.5, 1)
+        with pytest.raises(ArithmeticError, match="broken loss"):
+            sampled_gradient(Objective(Broken()), w, X, y, 4,
+                             np.random.default_rng(0))
 
 
 def _load_in_child(barrier, queue) -> None:
@@ -389,4 +502,14 @@ class TestCompiledBuild:
         monkeypatch.setattr(ExecutionBackend, "default_start_method",
                             "spawn")
         _assert_matches_serial("MLlib*", backend)
+        assert [p.suffix for p in (tmp_path / "repro").iterdir()] == [".so"]
+
+    @pytest.mark.parametrize("backend", ["shm", "socket"])
+    def test_spawned_workers_run_the_compiled_batch_gradient(
+            self, backend, tmp_path, monkeypatch):
+        # As above, on MLlib's SendGradient tasks.
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(ExecutionBackend, "default_start_method",
+                            "spawn")
+        _assert_matches_serial("MLlib", backend)
         assert [p.suffix for p in (tmp_path / "repro").iterdir()] == [".so"]
