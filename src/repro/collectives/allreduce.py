@@ -22,9 +22,12 @@ all-to-all instead of a serialized fan-in (costs are priced by
 :meth:`~repro.engine.driver.BspEngine.reduce_scatter_phase`).
 
 :func:`reduce_scatter` and :func:`all_gather` are the **only** code in
-``src/`` that combines or reassembles vectors: :mod:`.sparse`,
-:mod:`.hierarchical` and :mod:`.innetwork` call them once per exchange and
-then size a wire.  Routing is implicit (owner ``i`` reads range ``i`` of
+``src/`` that combines or reassembles vectors: :class:`~.topology.Topology`
+calls them once per exchange and hands the phase's support to its
+topology's wire builder (:mod:`.sparse`, :mod:`.hierarchical`,
+:mod:`.innetwork` only size); ``sparse_*`` and ``hier_*``
+``reduce_scatter`` / ``all_gather`` are the same composition for callers
+without a session topology.  Routing is implicit (owner ``i`` reads range ``i`` of
 every model, in worker order); :func:`repro.engine.shuffle.exchange` stays
 the shuffle primitive, and the routed reference that
 ``tests/test_properties_collectives.py`` holds this data plane equal to.

@@ -19,9 +19,12 @@ Cross-tier traffic shrinks from ``2 (k-1) m`` to ``2 (n-1) m``; the
 displaced ``2 (k-n) m`` values ride the fast intra tier instead.
 
 **Bit-identity by construction.**  This module prices that schedule but
-does *not* re-implement its arithmetic: the data plane below calls the
-existing flat combine kernels (:func:`repro.collectives.reduce_scatter` /
-:func:`all_gather`) verbatim, so iterates under ``--collective hier`` are
+does *not* re-implement its arithmetic: its builders only size a
+:class:`~.sparse.SupportMask`, and the data plane stays the flat combine
+kernels (:func:`repro.collectives.reduce_scatter` / :func:`all_gather`),
+run once per exchange by :class:`~.topology.Topology` (or by
+:func:`hier_reduce_scatter` / :func:`hier_all_gather` below, for callers
+without a session topology), so iterates under ``--collective hier`` are
 bit-identical to ``--collective flat`` for every combine scheme, density
 and node shape — the property ``tests/test_topology_collectives.py``
 hammers and the topology bench asserts before reporting any speedup.
@@ -47,8 +50,8 @@ from ..engine.plan import (Lane, PhasePlan, PhaseRequest, Segment,
 from .allreduce import all_gather, partition_slices, reduce_scatter
 from .sparse import SupportMask
 
-__all__ = ["HierWire", "hier_reduce_scatter", "hier_all_gather",
-           "hier_tree_fan_in", "hier_dense_wire"]
+__all__ = ["HierWire", "hier_rs_wire", "hier_ag_wire", "hier_fan_in_wire",
+           "hier_reduce_scatter", "hier_all_gather"]
 
 
 def _check_groups(groups: tuple[tuple[int, ...], ...], k: int) -> None:
@@ -236,10 +239,11 @@ class HierWire:
 
 
 # ----------------------------------------------------------------------
-# wire builders (sizing only — the data plane is the flat kernel)
+# wire builders (sizing only: the data plane is the flat kernel, run by
+# the caller; an 'off' support prices every message dense)
 # ----------------------------------------------------------------------
-def _rs_wire(support: SupportMask,
-             groups: tuple[tuple[int, ...], ...]) -> HierWire:
+def hier_rs_wire(support: SupportMask,
+                 groups: tuple[tuple[int, ...], ...]) -> HierWire:
     """Reduce-Scatter sizing: members upload, leaders exchange slices
     (``support`` row ``e`` is executor ``e``'s local model)."""
     k = sum(len(group) for group in groups)
@@ -265,8 +269,8 @@ def _rs_wire(support: SupportMask,
                     cross_dense=float(model_size) * (n - 1))
 
 
-def _ag_wire(support: SupportMask,
-             groups: tuple[tuple[int, ...], ...]) -> HierWire:
+def hier_ag_wire(support: SupportMask,
+                 groups: tuple[tuple[int, ...], ...]) -> HierWire:
     """AllGather sizing: leaders exchange slices, then fan out locally
     (``support`` holds one row, the reassembled model)."""
     k = sum(len(group) for group in groups)
@@ -288,9 +292,9 @@ def _ag_wire(support: SupportMask,
                     cross_dense=float(model_size) * (n - 1))
 
 
-def _fan_in_wire(support: SupportMask,
-                 groups: tuple[tuple[int, ...], ...],
-                 mpe: int) -> HierWire:
+def hier_fan_in_wire(support: SupportMask,
+                     groups: tuple[tuple[int, ...], ...],
+                     mpe: int) -> HierWire:
     """treeAggregate sizing: members upload every task vector, leaders
     ship one union-support partial to the driver (``support`` rows
     ``e * mpe .. (e + 1) * mpe`` are executor ``e``'s task vectors)."""
@@ -313,7 +317,7 @@ def _fan_in_wire(support: SupportMask,
 
 
 # ----------------------------------------------------------------------
-# data plane + wire, in one call (what the trainers use)
+# the flat data plane plus the two-tier wire, in one call
 # ----------------------------------------------------------------------
 def hier_reduce_scatter(models: list[np.ndarray],
                         groups: tuple[tuple[int, ...], ...],
@@ -330,7 +334,7 @@ def hier_reduce_scatter(models: list[np.ndarray],
     """
     _check_groups(groups, len(models))
     partitions = reduce_scatter(models, combine=combine)
-    return partitions, _rs_wire(
+    return partitions, hier_rs_wire(
         SupportMask(models, int(models[0].shape[0]), mode), groups)
 
 
@@ -342,47 +346,4 @@ def hier_all_gather(partitions: list[np.ndarray], model_size: int,
     _check_groups(groups, len(partitions))
     full = all_gather(partitions, model_size,
                       check_replicas=check_replicas)
-    return full, _ag_wire(SupportMask([full], model_size, mode), groups)
-
-
-def hier_tree_fan_in(vectors_by_executor: list[list[np.ndarray]],
-                     groups: tuple[tuple[int, ...], ...],
-                     model_size: int, mode: str = "off") -> HierWire:
-    """Two-tier treeAggregate sizing for the SendGradient/SendModel path.
-
-    Machine leaders replace MLlib's ``sqrt(k)`` round-robin aggregators:
-    members ship their task vectors to their machine's leader over the
-    intra tier; each leader ships one partial (union support of its
-    group's vectors) to the driver over the fabric.  Arithmetic is
-    untouched — the trainer still combines the same vectors the same way.
-    """
-    k = len(vectors_by_executor)
-    _check_groups(groups, k)
-    mpe = len(vectors_by_executor[0])
-    if mpe < 1 or any(len(row) != mpe for row in vectors_by_executor):
-        raise ValueError("every executor must ship the same number of "
-                         "task vectors")
-    support = SupportMask(
-        [v for vectors in vectors_by_executor for v in vectors],
-        model_size, mode)
-    return _fan_in_wire(support, groups, mpe)
-
-
-def hier_dense_wire(phase: str, model_size: int,
-                    groups: tuple[tuple[int, ...], ...]) -> HierWire:
-    """Dense-sized two-tier wire, for trainers that ship dense vectors.
-
-    The spark.ml L-BFGS gradients are dense, so there is nothing to size
-    from supports: an ``'off'`` :class:`SupportMask` scans no vector and
-    prices every message of the builders above at its dense size.
-    """
-    k = sum(len(group) for group in groups)
-    _check_groups(groups, k)
-    dense = SupportMask((), model_size, "off")
-    if phase == "tree_aggregate":
-        return _fan_in_wire(dense, groups, 1)
-    if phase == "reduce_scatter":
-        return _rs_wire(dense, groups)
-    if phase == "all_gather":
-        return _ag_wire(dense, groups)
-    raise ValueError(f"unknown hierarchical phase {phase!r}")
+    return full, hier_ag_wire(SupportMask([full], model_size, mode), groups)

@@ -24,11 +24,11 @@ aggregate index/value payloads.  When the sparse wire format is enabled
 and strictly cheaper for the phase (the SparCML break-even: sparse wire
 volume ``< `` dense volume, ties stay dense — and therefore stay on the
 switch), the collective deterministically *falls back to host
-aggregation* and prices exactly as the PR 4 sparse path; ``mode='on'``
+aggregation* and prices exactly as the flat sparse path; ``mode='on'``
 always falls back (the user forced a wire format the switch cannot
-carry).  The fallback decision changes pricing only — the returned
-arrays are bit-identical either way, because every path runs the same
-flat combine kernels.
+carry).  :func:`switch_wire` is that rule.  The fallback decision
+changes pricing only — the arrays are bit-identical either way, because
+every topology runs the same flat combine kernels.
 
 Determinism: chunk/round arithmetic is integer; no set iteration
 anywhere (rule DET002 applies to this module).
@@ -36,18 +36,14 @@ anywhere (rule DET002 applies to this module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..cluster.network import NetworkModel
 from ..engine.plan import Lane, PhasePlan, PhaseRequest, compression_ratio
-from .sparse import (CommStats, TreeWire, sparse_all_gather,
-                     sparse_reduce_scatter, tree_fan_in_wire)
+from .sparse import CommStats, SupportMask, TreeWire
 
 __all__ = ["SwitchWire", "switch_stream_seconds", "switch_rounds",
-           "switch_reduce_scatter", "switch_all_gather",
-           "switch_tree_fan_in", "switch_dense_wire"]
+           "switch_wire"]
 
 
 def switch_rounds(values: float, chunk_values: int, pool_slots: int) -> int:
@@ -129,12 +125,6 @@ class SwitchWire:
 
     # ------------------------------------------------------------------
     @property
-    def rounds(self) -> int:
-        """Slot rounds per endpoint stream."""
-        return switch_rounds(self.values_per_link, self.chunk_values,
-                             self.pool_slots)
-
-    @property
     def wire_values(self) -> float:
         if self.fallback is not None:
             return self.fallback.wire_values
@@ -189,95 +179,27 @@ class SwitchWire:
                   request.dense_round_seconds()))
 
 
-def switch_dense_wire(phase: str, model_size: int, num_senders: int,
-                      pool_slots: int = 512, chunk_values: int = 256,
-                      messages_per_executor: int = 1) -> SwitchWire:
-    """Dense-sized switch wire for trainers that ship dense vectors."""
+def switch_wire(phase: str, support: SupportMask, num_senders: int,
+                host: "CommStats | TreeWire | None", pool_slots: int,
+                chunk_values: int, mpe: int = 1) -> SwitchWire:
+    """The switch's dense wire for ``phase``, and the deterministic sparse
+    bypass rule (the tested contract).
+
+    Every link streams ``mpe`` dense vectors of ``support.size`` values
+    (one outside the tree fan-in).  ``host`` prices the same phase as
+    flat host aggregation, sized from the same ``support``.  Under the
+    *support's* ``mode``: ``'on'`` always leaves the switch (it cannot
+    carry the forced format); otherwise the phase falls back iff
+    ``host`` is *strictly* cheaper — the SparCML break-even, so
+    ``2 * nnz == m`` ties stay in-network, as does everything under
+    ``'off'`` (no host sizing: ``host`` is ``None``).  A dense vector
+    (an ``'off'`` support) therefore never falls back, whatever the
+    session's ``--sparse-comm``.
+    """
+    bypass = host is not None and (
+        support.mode == "on" or host.wire_values < host.dense_values)
     return SwitchWire(
-        phase=phase, model_size=model_size, num_senders=num_senders,
+        phase=phase, model_size=support.size, num_senders=num_senders,
         pool_slots=pool_slots, chunk_values=chunk_values,
-        values_per_link=float(model_size) * (
-            messages_per_executor if phase == "tree_aggregate" else 1),
-        messages_per_executor=messages_per_executor)
-
-
-def _bypass(wire: SwitchWire, host: "CommStats | TreeWire",
-            mode: str) -> SwitchWire:
-    """The deterministic sparse bypass rule (the tested contract).
-
-    ``host`` prices ``wire``'s phase as host aggregation.  ``mode='on'``
-    always leaves the switch (it cannot carry the forced format);
-    otherwise the phase falls back iff ``host`` is *strictly* cheaper —
-    the SparCML break-even, so ``2 * nnz == m`` ties stay in-network, as
-    does everything under ``mode='off'`` (wire == dense).
-    """
-    if mode == "on" or host.wire_values < host.dense_values:
-        return replace(wire, fallback=host)
-    return wire
-
-
-# ----------------------------------------------------------------------
-# data plane + wire, in one call (what the trainers use)
-# ----------------------------------------------------------------------
-def switch_reduce_scatter(models: list[np.ndarray],
-                          combine: str = "average",
-                          mode: str = "off", pool_slots: int = 512,
-                          chunk_values: int = 256,
-                          ) -> tuple[list[np.ndarray], SwitchWire]:
-    """In-network Reduce-Scatter: flat arithmetic, switch pricing.
-
-    Every executor streams its full model up; the switch folds the ``k``
-    streams at line rate.  The returned partitions come from the flat
-    :func:`~repro.collectives.reduce_scatter` kernel (run once, inside
-    the host-aggregation twin that sizes the fallback) — bit-identical
-    to every other collective, fallback or not.
-    """
-    partitions, host = sparse_reduce_scatter(models, combine=combine,
-                                             mode=mode)
-    return partitions, _bypass(
-        switch_dense_wire("reduce_scatter", int(models[0].shape[0]),
-                          len(models), pool_slots, chunk_values),
-        host, mode)
-
-
-def switch_all_gather(partitions: list[np.ndarray], model_size: int,
-                      mode: str = "off", pool_slots: int = 512,
-                      chunk_values: int = 256,
-                      check_replicas: bool = False,
-                      ) -> tuple[np.ndarray, SwitchWire]:
-    """In-network AllGather: the switch multicasts the result down.
-
-    Each executor receives the full reassembled model on its own link at
-    line rate (the downstream half of the SwitchML AllReduce).
-    """
-    full, host = sparse_all_gather(partitions, model_size, mode=mode,
-                                   check_replicas=check_replicas)
-    return full, _bypass(
-        switch_dense_wire("all_gather", model_size, len(partitions),
-                          pool_slots, chunk_values),
-        host, mode)
-
-
-def switch_tree_fan_in(vectors_by_executor: list[list[np.ndarray]],
-                       plan: dict[int, int], model_size: int,
-                       mode: str = "off", pool_slots: int = 512,
-                       chunk_values: int = 256) -> SwitchWire:
-    """In-network treeAggregate sizing for SendGradient/SendModel.
-
-    All task vectors stream through the switch (replacing both
-    aggregation levels); the driver receives one aggregated vector.
-    ``plan`` is only consulted for the host-fallback pricing, which
-    reproduces the PR 4 sparse treeAggregate exactly.
-    """
-    k = len(vectors_by_executor)
-    if k == 0:
-        raise ValueError("need at least one executor")
-    mpe = len(vectors_by_executor[0])
-    if mpe < 1 or any(len(row) != mpe for row in vectors_by_executor):
-        raise ValueError("every executor must ship the same number of "
-                         "task vectors")
-    return _bypass(
-        switch_dense_wire("tree_aggregate", model_size, k, pool_slots,
-                          chunk_values, mpe),
-        tree_fan_in_wire(vectors_by_executor, plan, model_size, mode),
-        mode)
+        values_per_link=float(support.size) * mpe,
+        messages_per_executor=mpe, fallback=host if bypass else None)

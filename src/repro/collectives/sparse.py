@@ -23,14 +23,14 @@ This module adds that layer:
   :class:`SparsePayload`, :func:`encode`, :func:`materialize` and
   :func:`payload_wire_values` stay as the definition of the format and the
   reference ``tests/test_properties_collectives.py`` sizes against.
+* :func:`flat_rs_wire` / :func:`flat_ag_wire` / :func:`flat_fan_in_wire`
+  — the flat topology's builders: one mask in, a :class:`CommStats`
+  (shuffle round) or :class:`TreeWire` (treeAggregate fan-in: leaf
+  messages carry batch-support gradients, aggregator partials the union
+  support of their group) out.  They size; they never combine.
 * :func:`sparse_reduce_scatter` / :func:`sparse_all_gather` — the flat
-  data plane (:mod:`.allreduce`, called exactly once) plus a
-  :class:`CommStats` that prices the sparse wire.  The arithmetic (and
-  therefore every iterate) *is* the dense path's; only the priced wire
-  volume changes.
-* :func:`tree_fan_in_wire` — nnz-aware wire sizes for the SendGradient
-  paradigm's treeAggregate fan-in (leaf messages carry batch-support
-  gradients; aggregator partials carry the union support of their group).
+  data plane (:mod:`.allreduce`) composed with those builders, for
+  callers without a session :class:`~.topology.Topology`.
 
 Determinism note: supports are boolean masks in coordinate order and
 groups are iterated in sorted order — never via set iteration (rule
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -50,8 +49,8 @@ from .allreduce import all_gather, partition_slices, reduce_scatter
 
 __all__ = ["SPARSE_COMM_MODES", "SparsePayload", "CommStats", "TreeWire",
            "SupportMask", "encode", "materialize", "payload_wire_values",
-           "wire_values", "sparse_reduce_scatter", "sparse_all_gather",
-           "tree_fan_in_wire"]
+           "wire_values", "flat_rs_wire", "flat_ag_wire",
+           "flat_fan_in_wire", "sparse_reduce_scatter", "sparse_all_gather"]
 
 #: Valid values of ``TrainerConfig.sparse_comm`` / ``--sparse-comm``.
 SPARSE_COMM_MODES = ("auto", "on", "off")
@@ -204,12 +203,6 @@ class TreeWire:
     dense_values: float
     wire_values: float
 
-    def __post_init__(self) -> None:
-        mpe = self.messages_per_executor
-        if any(len(row) != mpe for row in self.leaf_values):
-            raise ValueError("every executor must ship the same number "
-                             "of task vectors")
-
     @property
     def num_senders(self) -> int:
         return len(self.leaf_values)
@@ -267,80 +260,45 @@ class SupportMask:
 
 
 # ----------------------------------------------------------------------
-# sparse shuffle collectives: the flat data plane, then a sized wire
+# flat wire builders: one support in, the phase's sizing out
 # ----------------------------------------------------------------------
-def sparse_reduce_scatter(models: list[np.ndarray], combine: str = "average",
-                          mode: str = "auto",
-                          ) -> tuple[list[np.ndarray], CommStats]:
-    """Reduce-Scatter with per-message sparse sizing.
+def _shuffle_stats(phase: str, model_size: int,
+                   per_sender: tuple[tuple[float, ...], ...]) -> CommStats:
+    return CommStats(
+        phase=phase, dense_values=float((len(per_sender) - 1) * model_size),
+        wire_values=float(sum(v for row in per_sender for v in row)),
+        per_sender=per_sender)
 
-    The partitions *are* :func:`repro.collectives.reduce_scatter`'s, so
-    they are bit-identical to the dense path under every ``mode``.  The
-    second return value prices the wire: worker ``r`` encodes range ``i``
-    of its local model for owner ``i``; the range it owns travels
-    locally and pays no wire cost.
-    """
-    _check_mode(mode)
-    partitions = reduce_scatter(models, combine=combine)
-    k, m = len(models), int(models[0].shape[0])
-    ranges = partition_slices(m, k)
-    support = SupportMask(models, m, mode)
-    per_sender = tuple(
+
+def flat_rs_wire(support: SupportMask, k: int) -> CommStats:
+    """Reduce-Scatter sizing: worker ``r`` (``support`` row ``r``) sends
+    range ``i`` of its local model to owner ``i``; the range it owns
+    travels locally and pays no wire cost."""
+    ranges = partition_slices(support.size, k)
+    return _shuffle_stats("reduce_scatter", support.size, tuple(
         tuple(v for owner, v in enumerate(support.values([src], ranges))
               if owner != src)
-        for src in range(k))
-    return partitions, CommStats(
-        phase="reduce_scatter", dense_values=float((k - 1) * m),
-        wire_values=float(sum(v for row in per_sender for v in row)),
-        per_sender=per_sender)
+        for src in range(k)))
 
 
-def sparse_all_gather(partitions: list[np.ndarray], model_size: int,
-                      mode: str = "auto", check_replicas: bool = False,
-                      ) -> tuple[np.ndarray, CommStats]:
-    """AllGather with per-message sparse sizing.
-
-    The reassembled model *is* :func:`repro.collectives.all_gather`'s;
-    the second return value prices the wire (each owner ships its
-    encoded partition to ``k - 1`` peers).
-    """
-    _check_mode(mode)
-    full = all_gather(partitions, model_size, check_replicas=check_replicas)
-    k = len(partitions)
-    owned = SupportMask([full], model_size, mode).values(
-        [0], partition_slices(model_size, k))
-    per_sender = tuple((v,) * (k - 1) for v in owned)
-    return full, CommStats(
-        phase="all_gather", dense_values=float((k - 1) * model_size),
-        wire_values=float(sum(v for row in per_sender for v in row)),
-        per_sender=per_sender)
+def flat_ag_wire(support: SupportMask, k: int) -> CommStats:
+    """AllGather sizing: each of the ``k`` owners ships its range of the
+    reassembled model (``support``'s one row) to ``k - 1`` peers."""
+    owned = support.values([0], partition_slices(support.size, k))
+    return _shuffle_stats("all_gather", support.size,
+                          tuple((v,) * (k - 1) for v in owned))
 
 
-# ----------------------------------------------------------------------
-# SendGradient fan-in (treeAggregate)
-# ----------------------------------------------------------------------
-def tree_fan_in_wire(vectors_by_executor: list[list[np.ndarray]],
-                     plan: dict[int, int], model_size: int,
-                     mode: str) -> TreeWire:
-    """nnz-aware wire sizes for one treeAggregate of sparse vectors.
-
-    ``vectors_by_executor[i]`` holds executor ``i``'s per-task vectors (a
-    mini-batch gradient's support is the batch's column support, far
-    smaller than ``m``).  ``plan`` is
+def flat_fan_in_wire(support: SupportMask, k: int, plan: dict[int, int],
+                     mpe: int) -> TreeWire:
+    """treeAggregate sizing: ``support`` rows ``e * mpe .. (e + 1) * mpe``
+    are executor ``e``'s task vectors (a mini-batch gradient's support is
+    the batch's column support, far smaller than ``m``).  ``plan`` is
     :meth:`repro.engine.TreeAggregateModel.plan`'s group assignment
-    (empty for depth-1 flat aggregation).  An aggregator's partial to the
+    (empty for depth-1 flat aggregation); an aggregator's partial to the
     driver carries the union support of its group's vectors.
     """
-    k = len(vectors_by_executor)
-    if k == 0:
-        raise ValueError("need at least one executor")
-    support = SupportMask(
-        [v for vectors in vectors_by_executor for v in vectors],
-        model_size, mode)
-    # rows[e]: the mask rows of executor e's vectors, in task order.
-    ends = accumulate(len(vectors) for vectors in vectors_by_executor)
-    rows = [range(end - len(vectors), end)
-            for end, vectors in zip(ends, vectors_by_executor)]
+    rows = [range(e * mpe, (e + 1) * mpe) for e in range(k)]
     leaf_values = tuple(tuple(support.message([r]) for r in rows[e])
                         for e in range(k))
 
@@ -356,7 +314,37 @@ def tree_fan_in_wire(vectors_by_executor: list[list[np.ndarray]],
     # local.  Depth 1 (a == 0): every leaf crosses to the driver.
     crossing = [v for row in leaf_values[a:] for v in row]
     wire_total = sum(crossing) + sum(partial_values)
-    dense_total = float(model_size) * (len(crossing) + a)
+    dense_total = float(support.size) * (len(crossing) + a)
     return TreeWire(leaf_values=leaf_values,
                     partial_values=tuple(partial_values),
                     dense_values=dense_total, wire_values=wire_total)
+
+
+# ----------------------------------------------------------------------
+# the flat data plane plus its sized wire, in one call
+# ----------------------------------------------------------------------
+def sparse_reduce_scatter(models: list[np.ndarray], combine: str = "average",
+                          mode: str = "auto",
+                          ) -> tuple[list[np.ndarray], CommStats]:
+    """Reduce-Scatter with per-message sparse sizing.
+
+    The partitions *are* :func:`repro.collectives.reduce_scatter`'s, so
+    they are bit-identical to the dense path under every ``mode``; the
+    second return value is :func:`flat_rs_wire`'s pricing.
+    """
+    partitions = reduce_scatter(models, combine=combine)
+    return partitions, flat_rs_wire(
+        SupportMask(models, int(models[0].shape[0]), mode), len(models))
+
+
+def sparse_all_gather(partitions: list[np.ndarray], model_size: int,
+                      mode: str = "auto", check_replicas: bool = False,
+                      ) -> tuple[np.ndarray, CommStats]:
+    """AllGather with per-message sparse sizing.
+
+    The reassembled model *is* :func:`repro.collectives.all_gather`'s;
+    the second return value is :func:`flat_ag_wire`'s pricing.
+    """
+    full = all_gather(partitions, model_size, check_replicas=check_replicas)
+    return full, flat_ag_wire(SupportMask([full], model_size, mode),
+                              len(partitions))

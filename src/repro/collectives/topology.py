@@ -1,15 +1,20 @@
-"""The one place that decides which topology carries an exchange.
+"""The one place that decides which topology carries an exchange, and
+the one place that runs the data plane.
 
 A trainer opens one :class:`Topology` per session (:func:`open_topology`,
 keyed on ``config.collective``) and then makes topology-blind calls: one
 fan-in wire per treeAggregate, or one Reduce-Scatter / AllGather pair
-per AllReduce.  Every topology runs the same flat combine kernels, so
-the arrays are bit-identical; what differs is the *wire* handed back,
-which plans its own phase for the engine (:mod:`repro.engine.plan`).  A
+per AllReduce.  Each call runs the flat combine kernel of
+:mod:`.allreduce` at most once (so the arrays are bit-identical under
+every topology), builds one :class:`~.sparse.SupportMask` over the
+phase's vectors, and hands it to :meth:`Topology.wire` — the only method
+a topology overrides.  What differs is the *wire* handed back, which
+plans its own phase for the engine (:mod:`repro.engine.plan`).  A
 ``None`` wire means the engine's dense closed form — the seed pricing.
 
-A new topology is a wire class with a planner, a subclass here and a
-:data:`TOPOLOGIES` entry; no engine or trainer changes.
+A new topology is a wire class with a planner, a subclass here with one
+``wire`` method and a :data:`TOPOLOGIES` entry; no engine or trainer
+changes.
 """
 
 from __future__ import annotations
@@ -19,12 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allreduce import all_gather, reduce_scatter
-from .hierarchical import (hier_all_gather, hier_dense_wire,
-                           hier_reduce_scatter, hier_tree_fan_in)
-from .innetwork import (switch_all_gather, switch_dense_wire,
-                        switch_reduce_scatter, switch_tree_fan_in)
-from .sparse import (sparse_all_gather, sparse_reduce_scatter,
-                     tree_fan_in_wire)
+from .hierarchical import hier_ag_wire, hier_fan_in_wire, hier_rs_wire
+from .innetwork import switch_wire
+from .sparse import SupportMask, flat_ag_wire, flat_fan_in_wire, flat_rs_wire
 
 __all__ = ["Topology", "TOPOLOGIES", "COLLECTIVES", "open_topology"]
 
@@ -32,7 +34,7 @@ __all__ = ["Topology", "TOPOLOGIES", "COLLECTIVES", "open_topology"]
 @dataclass(frozen=True)
 class Topology:
     """``flat`` (the paper's treeAggregate / shuffle AllReduce), and the
-    interface ``hier`` and ``switch`` override."""
+    four calls every topology shares."""
 
     #: ``config.sparse_comm``: the wire format applied per message.
     mode: str
@@ -43,74 +45,78 @@ class Topology:
     #: ``config.switch_slots`` / ``config.switch_chunk``.
     switch: dict[str, int]
 
+    @property
+    def executors(self) -> int:
+        return sum(len(group) for group in self.groups)
+
     def fan_in_wire(self, vectors_by_executor: list[list[np.ndarray]],
                     model_size: int):
-        """Wire of one treeAggregate of per-task sparse-able vectors."""
-        if self.mode == "off":
-            return None
-        return tree_fan_in_wire(vectors_by_executor, self.tree_plan,
-                                model_size, self.mode)
+        """Wire of one treeAggregate of per-task sparse-able vectors
+        (``vectors_by_executor[e]``: executor ``e``'s task vectors)."""
+        mpe = len(vectors_by_executor[0]) if vectors_by_executor else 0
+        if mpe < 1 or any(len(row) != mpe for row in vectors_by_executor):
+            raise ValueError("every executor must ship the same number "
+                             "of task vectors")
+        support = SupportMask([v for row in vectors_by_executor for v in row],
+                              model_size, self.mode)
+        return self.wire("tree_aggregate", support, mpe)
 
     def dense_wire(self, phase: str, model_size: int):
-        """Wire of ``phase`` for one always-dense vector per executor."""
-        return None
+        """Wire of ``phase`` for one always-dense vector per executor: an
+        ``'off'`` support scans nothing and sizes every message dense."""
+        if phase not in ("tree_aggregate", "reduce_scatter", "all_gather"):
+            raise ValueError(f"unknown collective phase {phase!r}")
+        return self.wire(phase, SupportMask((), model_size, "off"))
 
     def reduce_scatter(self, models: list[np.ndarray], combine: str):
         """``(owner partitions, wire)`` of one Reduce-Scatter."""
-        if self.mode == "off":
-            return reduce_scatter(models, combine=combine), None
-        return sparse_reduce_scatter(models, combine=combine, mode=self.mode)
+        partitions = reduce_scatter(models, combine=combine)
+        return partitions, self.wire("reduce_scatter", SupportMask(
+            models, int(models[0].shape[0]), self.mode))
 
     def all_gather(self, partitions: list[np.ndarray], model_size: int,
                    check_replicas: bool):
         """``(reassembled model, wire)`` of one AllGather."""
-        if self.mode == "off":
-            return all_gather(partitions, model_size,
-                              check_replicas=check_replicas), None
-        return sparse_all_gather(partitions, model_size, mode=self.mode,
-                                 check_replicas=check_replicas)
+        full = all_gather(partitions, model_size,
+                          check_replicas=check_replicas)
+        return full, self.wire("all_gather",
+                               SupportMask([full], model_size, self.mode))
+
+    def wire(self, phase: str, support: SupportMask, mpe: int = 1):
+        """How this topology sizes ``phase`` from ``support`` (rows: the
+        phase's vectors; ``mpe`` task vectors per executor in the
+        fan-in).  Flat: ``None`` under an ``'off'`` support, else the
+        shuffle round's :class:`~.sparse.CommStats` or the fan-in's
+        :class:`~.sparse.TreeWire`."""
+        if support.mode == "off":
+            return None
+        if phase == "tree_aggregate":
+            return flat_fan_in_wire(support, self.executors, self.tree_plan,
+                                    mpe)
+        if phase == "reduce_scatter":
+            return flat_rs_wire(support, self.executors)
+        return flat_ag_wire(support, self.executors)
 
 
 class HierTopology(Topology):
     """Two-tier, placement-aware aggregation (:mod:`.hierarchical`)."""
 
-    def fan_in_wire(self, vectors_by_executor, model_size):
-        return hier_tree_fan_in(vectors_by_executor, self.groups,
-                                model_size, self.mode)
-
-    def dense_wire(self, phase, model_size):
-        return hier_dense_wire(phase, model_size, self.groups)
-
-    def reduce_scatter(self, models, combine):
-        return hier_reduce_scatter(models, self.groups, combine=combine,
-                                   mode=self.mode)
-
-    def all_gather(self, partitions, model_size, check_replicas):
-        return hier_all_gather(partitions, model_size, self.groups,
-                               mode=self.mode,
-                               check_replicas=check_replicas)
+    def wire(self, phase, support, mpe=1):
+        if phase == "tree_aggregate":
+            return hier_fan_in_wire(support, self.groups, mpe)
+        if phase == "reduce_scatter":
+            return hier_rs_wire(support, self.groups)
+        return hier_ag_wire(support, self.groups)
 
 
 class SwitchTopology(Topology):
-    """SwitchML-style in-network aggregation (:mod:`.innetwork`)."""
+    """SwitchML-style in-network aggregation (:mod:`.innetwork`): a dense
+    wire, bypassed to the flat sizing by the sparse break-even."""
 
-    def fan_in_wire(self, vectors_by_executor, model_size):
-        return switch_tree_fan_in(vectors_by_executor, self.tree_plan,
-                                  model_size, self.mode, **self.switch)
-
-    def dense_wire(self, phase, model_size):
-        return switch_dense_wire(
-            phase, model_size, sum(len(group) for group in self.groups),
-            **self.switch)
-
-    def reduce_scatter(self, models, combine):
-        return switch_reduce_scatter(models, combine=combine, mode=self.mode,
-                                     **self.switch)
-
-    def all_gather(self, partitions, model_size, check_replicas):
-        return switch_all_gather(partitions, model_size, mode=self.mode,
-                                 check_replicas=check_replicas,
-                                 **self.switch)
+    def wire(self, phase, support, mpe=1):
+        return switch_wire(phase, support, self.executors,
+                           super().wire(phase, support, mpe), mpe=mpe,
+                           **self.switch)
 
 
 #: ``config.collective`` -> topology.

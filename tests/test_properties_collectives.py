@@ -27,12 +27,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collectives import (all_gather, all_reduce_average, encode,
-                               hier_reduce_scatter, hier_tree_fan_in,
-                               partition_slices, payload_wire_values,
-                               reduce_scatter, sparse_all_gather,
-                               sparse_reduce_scatter, traffic_values,
-                               tree_fan_in_wire, wire_values)
+from repro.collectives import (TOPOLOGIES, SupportMask, all_gather,
+                               all_reduce_average, encode,
+                               hier_reduce_scatter, partition_slices,
+                               payload_wire_values, reduce_scatter,
+                               sparse_all_gather, sparse_reduce_scatter,
+                               traffic_values, wire_values)
+from repro.collectives.sparse import flat_fan_in_wire
 from repro.engine import TreeAggregateModel
 from repro.engine.shuffle import exchange
 
@@ -319,7 +320,9 @@ class TestMaskSizingEqualsWireFormat:
         plan = data.draw(st.sampled_from(
             [{}, TreeAggregateModel().plan(k),
              {j: 0 for j in range(min(2, k))}]), label="tree plan")
-        tree = tree_fan_in_wire(by_executor, plan, m, mode)
+        tree = flat_fan_in_wire(
+            SupportMask([v for row in by_executor for v in row], m, mode),
+            k, plan, waves)
         assert tree.leaf_values == leaves
         a = len(plan)
         assert tree.partial_values == tuple(
@@ -327,7 +330,8 @@ class TestMaskSizingEqualsWireFormat:
                        m, mode) for agg in sorted(plan))
 
         groups = data.draw(contiguous_groups(k), label="groups")
-        hier = hier_tree_fan_in(by_executor, groups, m, mode=mode)
+        hier = TOPOLOGIES["hier"](mode=mode, groups=groups, tree_plan=plan,
+                                  switch={}).fan_in_wire(by_executor, m)
         for group in groups:
             for e in group[1:]:
                 assert hier.intra_sends[e] == leaves[e]

@@ -31,11 +31,12 @@ from hypothesis import strategies as st
 from repro.cli import build_parser
 from repro.cluster import (GIGABIT, ClusterSpec, NetworkModel, cluster1,
                            homogeneous_nodes)
-from repro.collectives import (CommStats, SparsePayload, all_gather, encode,
-                               materialize, payload_wire_values,
-                               reduce_scatter, sparse_all_gather,
-                               sparse_reduce_scatter, tree_fan_in_wire,
+from repro.collectives import (CommStats, SparsePayload, SupportMask,
+                               Topology, all_gather, encode, materialize,
+                               payload_wire_values, reduce_scatter,
+                               sparse_all_gather, sparse_reduce_scatter,
                                wire_values)
+from repro.collectives.sparse import flat_fan_in_wire
 from repro.core import MLlibStarTrainer, TrainerConfig
 from repro.data import SyntheticSpec, generate, write_libsvm
 from repro.engine import BspEngine, TreeAggregateModel
@@ -194,6 +195,12 @@ class TestCommStatsShape:
 # ----------------------------------------------------------------------
 # treeAggregate fan-in wire sizes
 # ----------------------------------------------------------------------
+def _flat(k: int, mode: str, tree_plan: dict[int, int]) -> Topology:
+    """The flat session topology of ``k`` executors."""
+    return Topology(mode=mode, groups=tuple((e,) for e in range(k)),
+                    tree_plan=tree_plan, switch={})
+
+
 class TestTreeFanInWire:
     def _vectors(self, k, m, nnz):
         out = []
@@ -206,8 +213,8 @@ class TestTreeFanInWire:
     def test_depth2_counts_network_messages_only(self):
         k, m, nnz = 4, 37, 3
         tree = TreeAggregateModel(depth=2)
-        wire = tree_fan_in_wire(self._vectors(k, m, nnz), tree.plan(k),
-                                m, "on")
+        wire = _flat(k, "on", tree.plan(k)).fan_in_wire(
+            self._vectors(k, m, nnz), m)
         # a = 2 aggregators; executors 2 and 3 cross the network (their
         # own vectors would be local on aggregators 0 and 1).
         assert wire.leaf_values == ((6.0,), (6.0,), (6.0,), (6.0,))
@@ -220,15 +227,21 @@ class TestTreeFanInWire:
     def test_depth1_every_leaf_crosses(self):
         k, m, nnz = 4, 37, 3
         tree = TreeAggregateModel(depth=1)
-        wire = tree_fan_in_wire(self._vectors(k, m, nnz), tree.plan(k),
-                                m, "on")
+        wire = _flat(k, "on", tree.plan(k)).fan_in_wire(
+            self._vectors(k, m, nnz), m)
         assert wire.partial_values == ()
         assert wire.wire_values == 6.0 * 4
         assert wire.dense_values == float(m) * 4
 
     def test_off_mode_prices_dense(self):
         k, m = 3, 12
-        wire = tree_fan_in_wire(self._vectors(k, m, 1), {}, m, "off")
+        # The flat topology hands the engine no wire under 'off'; the
+        # builder it skips still sizes every message dense.
+        assert _flat(k, "off", {}).fan_in_wire(self._vectors(k, m, 1),
+                                               m) is None
+        support = SupportMask([v for [v] in self._vectors(k, m, 1)], m,
+                              "off")
+        wire = flat_fan_in_wire(support, k, {}, 1)
         assert wire.wire_values == wire.dense_values == float(m) * 3
         assert wire.compression == 1.0
 
@@ -273,7 +286,7 @@ class TestEnginePricing:
             vec = np.zeros(m)
             vec[e * 10:(e + 1) * 10] = 1.0
             vectors.append([vec])
-        wire = tree_fan_in_wire(vectors, tree.plan(k), m, "auto")
+        wire = _flat(k, "auto", tree.plan(k)).fan_in_wire(vectors, m)
         dense_engine = BspEngine(cluster, tree=tree)
         sparse_engine = BspEngine(cluster, tree=tree)
         dense_seconds = dense_engine.tree_aggregate_phase(m, step=1)

@@ -12,8 +12,10 @@ Locks down the aggregation ladder (``--collective flat|hier|switch``):
 * the exact SparCML break-even (``2 * nnz == m``) is a tested ``<`` /
   ``<=`` contract for both the payload encoder and the in-network
   fallback;
-* regression coverage for the empty fan-in :class:`ValueError` and the
-  tiered-bandwidth validation this PR added;
+* regression coverage for the empty fan-in :class:`ValueError`, the
+  tiered-bandwidth validation and every malformed-groups rejection;
+* one sizing path: a topology's dense wire is its ``wire`` of dense
+  vectors under ``'off'``, whatever the session's sparse mode;
 * one data plane: every topology x sparse mode reaches
   ``allreduce.reduce_scatter`` / ``all_gather`` / ``check_replicas``
   exactly once per exchange, and the combine never holds a full
@@ -39,16 +41,13 @@ from repro.analysis.sanitizer import check_replicas
 from repro.cli import build_parser
 from repro.cluster import (ClusterSpec, NetworkModel, TieredNetworkModel,
                            build_failure_model, cluster1, tiered_cluster)
-from repro.collectives import (SparsePayload, all_gather, encode,
-                               hier_all_gather, hier_dense_wire,
-                               hier_reduce_scatter, hier_tree_fan_in,
-                               open_topology, reduce_scatter,
-                               sparse_all_gather,
-                               sparse_reduce_scatter, switch_all_gather,
-                               switch_dense_wire, switch_reduce_scatter,
-                               switch_rounds, switch_stream_seconds,
-                               switch_tree_fan_in, traffic_values,
-                               tree_fan_in_wire, wire_values)
+from repro.collectives import (TOPOLOGIES, SparsePayload, SupportMask,
+                               all_gather, encode, hier_all_gather,
+                               hier_reduce_scatter, open_topology,
+                               reduce_scatter, sparse_all_gather,
+                               sparse_reduce_scatter, switch_rounds,
+                               switch_stream_seconds, traffic_values,
+                               wire_values)
 from repro.core import TrainerConfig
 from repro.engine import BspEngine, ShuffleModel, TreeAggregateModel
 from repro.glm import Objective
@@ -67,6 +66,22 @@ def _models(k: int, m: int, density: float, seed: int) -> list[np.ndarray]:
             vec = np.where(rng.random(m) < density, vec, 0.0)
         out.append(vec)
     return out
+
+
+def _open(name: str, groups: tuple[tuple[int, ...], ...], mode: str = "off",
+          tree_plan: dict[int, int] | None = None, **switch: int):
+    """A session topology over ``groups`` (``_singletons(k)`` when the
+    placement does not matter), with ``TrainerConfig``'s switch pool
+    unless ``switch`` overrides it."""
+    config = TrainerConfig()
+    return TOPOLOGIES[name](
+        mode=mode, groups=groups, tree_plan=tree_plan or {},
+        switch={"pool_slots": config.switch_slots,
+                "chunk_values": config.switch_chunk, **switch})
+
+
+def _singletons(k: int) -> tuple[tuple[int, ...], ...]:
+    return tuple((e,) for e in range(k))
 
 
 def _contiguous_groups(sizes: list[int]) -> tuple[tuple[int, ...], ...]:
@@ -127,13 +142,12 @@ class TestBitIdentity:
         k = sum(sizes)
         models = _models(k, m, density, seed)
         flat_parts = reduce_scatter(models, combine=combine)
-        sw_parts, rs_wire = switch_reduce_scatter(
-            models, combine=combine, mode=mode, pool_slots=2,
-            chunk_values=7)
+        switch = _open("switch", _singletons(k), mode, pool_slots=2,
+                       chunk_values=7)
+        sw_parts, rs_wire = switch.reduce_scatter(models, combine)
         for a, b in zip(flat_parts, sw_parts):
             assert np.array_equal(a, b)
-        sw_full, _ = switch_all_gather(sw_parts, m, mode=mode,
-                                       pool_slots=2, chunk_values=7)
+        sw_full, _ = switch.all_gather(sw_parts, m, False)
         assert np.array_equal(all_gather(flat_parts, m), sw_full)
         # 'on' always bypasses the switch; 'off' never does.
         if mode == "on":
@@ -149,8 +163,8 @@ class TestBitIdentity:
         k = sum(sizes)
         groups = _contiguous_groups(sizes)
         models = _models(k, m, density, seed)
-        wire = hier_tree_fan_in([[v] for v in models], groups, m,
-                                mode=mode)
+        wire = _open("hier", groups, mode).fan_in_wire(
+            [[v] for v in models], m)
         if mode != "on":  # forced sparse may exceed dense (crossover)
             assert wire.wire_values <= wire.dense_values
         assert wire.dense_values == float(m) * (k - len(groups)) + float(
@@ -169,8 +183,9 @@ class TestTrafficInvariant:
         k = sum(sizes)
         groups = _contiguous_groups(sizes)
         n = len(groups)
-        rs = hier_dense_wire("reduce_scatter", m, groups)
-        ag = hier_dense_wire("all_gather", m, groups)
+        hier = _open("hier", groups)
+        rs = hier.dense_wire("reduce_scatter", m)
+        ag = hier.dense_wire("all_gather", m)
         intra = rs.intra_dense + ag.intra_dense
         cross = rs.cross_dense + ag.cross_dense
         assert intra == 2.0 * (k - n) * m
@@ -183,14 +198,15 @@ class TestTrafficInvariant:
     @settings(deadline=None, max_examples=25)
     @given(st.integers(1, 8), st.integers(16, 96))
     def test_switch_moves_km_up_and_km_down(self, k, m):
-        rs = switch_dense_wire("reduce_scatter", m, k)
-        ag = switch_dense_wire("all_gather", m, k)
+        switch = _open("switch", _singletons(k))
+        rs = switch.dense_wire("reduce_scatter", m)
+        ag = switch.dense_wire("all_gather", m)
         assert rs.wire_values == float(k) * m
         assert ag.wire_values == float(k) * m
 
     def test_hier_tree_dense_split(self):
         groups = ((0, 1, 2), (3, 4), (5,))
-        wire = hier_dense_wire("tree_aggregate", 40, groups)
+        wire = _open("hier", groups).dense_wire("tree_aggregate", 40)
         # members ship one message each; one partial per machine.
         assert wire.intra_dense == 40.0 * (6 - 3)
         assert wire.cross_dense == 40.0 * 3
@@ -228,7 +244,8 @@ class TestExactBreakEven:
 
     def test_switch_stays_in_network_at_exact_break_even(self):
         models = self._half_support_models()
-        _, wire = switch_reduce_scatter(models, mode="auto")
+        _, wire = _open("switch", _singletons(2), "auto").reduce_scatter(
+            models, "average")
         assert wire.fallback is None  # tie prices dense: switch carries it
 
     def test_switch_falls_back_strictly_below_break_even(self):
@@ -236,7 +253,8 @@ class TestExactBreakEven:
         a[[0, 4]] = 1.0  # nnz 1 per slice: 2 * 1 < 4
         b = np.zeros(8)
         b[[1, 5]] = 1.0
-        _, wire = switch_reduce_scatter([a, b], mode="auto")
+        _, wire = _open("switch", _singletons(2), "auto").reduce_scatter(
+            [a, b], "average")
         assert wire.fallback is not None
         assert wire.wire_values == wire.fallback.wire_values
         assert wire.wire_values < wire.dense_values
@@ -244,28 +262,29 @@ class TestExactBreakEven:
     def test_switch_all_gather_break_even(self):
         tie = [np.array([1.0, 1.0, 0.0, 0.0]),
                np.array([0.0, 0.0, 1.0, 1.0])]
-        _, wire = switch_all_gather(tie, 8, mode="auto")
+        switch = _open("switch", _singletons(2), "auto")
+        _, wire = switch.all_gather(tie, 8, False)
         assert wire.fallback is None
         below = [np.array([1.0, 0.0, 0.0, 0.0]),
                  np.array([0.0, 0.0, 0.0, 1.0])]
-        _, wire = switch_all_gather(below, 8, mode="auto")
+        _, wire = switch.all_gather(below, 8, False)
         assert wire.fallback is not None
 
     def test_switch_forced_sparse_always_falls_back(self):
         dense = [np.ones(8), np.full(8, 2.0)]
-        _, wire = switch_reduce_scatter(dense, mode="on")
+        _, wire = _open("switch", _singletons(2), "on").reduce_scatter(
+            dense, "average")
         assert wire.fallback is not None  # switch cannot carry payloads
 
     def test_switch_tree_break_even(self):
+        switch = _open("switch", _singletons(2), "auto", {0: 2})
         tie = np.zeros(8)
         tie[:4] = 1.0
-        wire = switch_tree_fan_in([[tie], [tie.copy()]], {0: 2}, 8,
-                                  mode="auto")
+        wire = switch.fan_in_wire([[tie], [tie.copy()]], 8)
         assert wire.fallback is None
         below = np.zeros(8)
         below[:3] = 1.0
-        wire = switch_tree_fan_in([[below], [below.copy()]], {0: 2}, 8,
-                                  mode="auto")
+        wire = switch.fan_in_wire([[below], [below.copy()]], 8)
         assert wire.fallback is not None
 
 
@@ -360,6 +379,24 @@ class TestDegenerateHierEqualsFlat:
                                                  for r in flat_rec]
         assert [r.wire_values for r in hier_rec] == [r.wire_values
                                                      for r in flat_rec]
+
+
+# ----------------------------------------------------------------------
+# malformed placement groups are rejected where they enter
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("groups, message", [
+    ((), "need at least one executor group"),
+    (((0, 1, 2), ()), "executor groups must be non-empty"),
+    (((1, 0), (2,)), "group members must be in ascending order"),
+    (((0, 1), (3,)), re.escape("group member 3 is not an executor index "
+                               "in [0, 3)")),
+    (((0, 1), (1, 2)), "executor 1 appears in two groups"),
+    (((0,), (2,)), "groups must cover every executor exactly once"),
+], ids=["no-groups", "empty-group", "unsorted", "out-of-range",
+        "duplicate", "uncovered"])
+def test_hier_reduce_scatter_rejects_malformed_groups(groups, message):
+    with pytest.raises(ValueError, match=message):
+        hier_reduce_scatter(_models(3, 12, 1.0, seed=0), groups)
 
 
 # ----------------------------------------------------------------------
@@ -531,7 +568,8 @@ class TestEnginePlumbing:
         m = 64
         models = _models(4, m, 0.05, seed=5)
         flat_parts, stats = sparse_reduce_scatter(models, mode="on")
-        sw_parts, wire = switch_reduce_scatter(models, mode="on")
+        sw_parts, wire = _open("switch", _singletons(4), "on").reduce_scatter(
+            models, "average")
         assert wire.fallback is not None
         for a, b in zip(flat_parts, sw_parts):
             assert np.array_equal(a, b)
@@ -547,8 +585,8 @@ class TestEnginePlumbing:
         cluster = tiered_cluster(machines=2, executors_per_machine=2)
         m = 32
         models = _models(4, m, 1.0, seed=9)
-        wire = hier_tree_fan_in([[v] for v in models],
-                                cluster.executor_groups(), m)
+        wire = _topology("hier", cluster).fan_in_wire([[v] for v in models],
+                                                      m)
         engine = BspEngine(cluster)
         duration = engine.tree_aggregate_phase(m, 0, wire=wire)
         assert duration > 0
@@ -557,8 +595,8 @@ class TestEnginePlumbing:
         assert rec.wire_values == wire.wire_values
 
     def test_switch_tree_wire_counts_driver_result(self):
-        wire = switch_tree_fan_in([[np.ones(16)], [np.ones(16)]],
-                                  {0: 2}, 16)
+        wire = _open("switch", _singletons(2), tree_plan={0: 2}).fan_in_wire(
+            [[np.ones(16)], [np.ones(16)]], 16)
         assert wire.wire_values == 2 * 16.0 + 16.0
         engine = BspEngine(cluster1(executors=2))
         duration = engine.tree_aggregate_phase(16, 0, wire=wire)
@@ -568,10 +606,10 @@ class TestEnginePlumbing:
     def test_wire_executor_mismatch_raises(self):
         engine = BspEngine(cluster1(executors=4))
         groups = ((0, 1), (2,))  # 3 executors, cluster has 4
-        wire = hier_dense_wire("reduce_scatter", 32, groups)
+        wire = _open("hier", groups).dense_wire("reduce_scatter", 32)
         with pytest.raises(ValueError, match="executors"):
             engine.reduce_scatter_phase(32, 0, wire=wire)
-        sw = switch_dense_wire("all_gather", 32, 3)
+        sw = _open("switch", _singletons(3)).dense_wire("all_gather", 32)
         with pytest.raises(ValueError, match="senders"):
             engine.all_gather_phase(32, 0, wire=sw)
 
@@ -605,6 +643,24 @@ class TestPhaseInterpreter:
                 m, 1, wire=_topology(topology, cluster).dense_wire(phase, m))
             totals.append(engine.trace.traffic_values(step=1))
         assert totals[1] == totals[0] > 0
+
+    @pytest.mark.parametrize("phase", ["tree_aggregate", "reduce_scatter",
+                                       "all_gather"])
+    @pytest.mark.parametrize("topology", ["flat", "hier", "switch"])
+    def test_dense_wire_is_the_wire_of_dense_vectors(self, topology, phase):
+        # One sizing path: a dense wire is the topology's wire of k fully
+        # dense vectors under 'off', whatever the session's mode.  It
+        # reads the support's mode, so --sparse-comm on never bypasses
+        # the switch for a vector that is dense by construction.
+        cluster = tiered_cluster(machines=2, executors_per_machine=3)
+        m = 120
+        support = SupportMask(_models(6, m, 1.0, seed=8), m, "off")
+        wire = _topology(topology, cluster, "off").wire(phase, support)
+        for mode in ("off", "auto", "on"):
+            assert _topology(topology, cluster, mode).dense_wire(
+                phase, m) == wire
+        if topology == "switch":
+            assert wire.fallback is None
 
     @pytest.mark.parametrize("faulty", [False, True])
     @pytest.mark.parametrize("density", [0.02, 0.3, 1.0])
@@ -640,15 +696,17 @@ class TestPhaseInterpreter:
             wire = sparse_reduce_scatter(vectors, mode="auto")[1]
             phase = engine.reduce_scatter_phase
         elif case == "tree_wire":
-            wire = tree_fan_in_wire([[v] for v in vectors],
-                                    TreeAggregateModel().plan(k + 1), m,
-                                    "auto")
+            wire = _open("flat", _singletons(k + 1), "auto",
+                         TreeAggregateModel().plan(k + 1)).fan_in_wire(
+                [[v] for v in vectors], m)
             phase = engine.tree_aggregate_phase
         elif case == "hier_wire":
-            wire = hier_dense_wire("all_gather", m, ((0, 1, 2), (3, 4)))
+            wire = _open("hier", ((0, 1, 2), (3, 4))).dense_wire(
+                "all_gather", m)
             phase = engine.all_gather_phase
         else:
-            wire = switch_dense_wire("tree_aggregate", m, k + 1)
+            wire = _open("switch", _singletons(k + 1)).dense_wire(
+                "tree_aggregate", m)
             phase = engine.tree_aggregate_phase
         with pytest.raises(ValueError, match="wire carries 5 senders, "
                                              "cluster has 4 executors"):
@@ -657,9 +715,9 @@ class TestPhaseInterpreter:
     def test_tree_wire_with_wrong_wave_count_is_rejected(self):
         k, m = 4, 32
         engine = BspEngine(cluster1(executors=k))
-        wire = tree_fan_in_wire(
-            [[v, v] for v in _models(k, m, 0.2, seed=3)],
-            TreeAggregateModel().plan(k), m, "auto")
+        wire = _open("flat", _singletons(k), "auto",
+                     TreeAggregateModel().plan(k)).fan_in_wire(
+            [[v, v] for v in _models(k, m, 0.2, seed=3)], m)
         with pytest.raises(ValueError, match="messages_per_executor=1 "
                                              "sizes per executor"):
             engine.tree_aggregate_phase(m, 0, wire=wire)
@@ -672,8 +730,9 @@ class TestPhaseInterpreter:
         k, m = 4, 32
         vectors = _models(k, m, 0.2, seed=3)
         vectors[3] = np.zeros(m)
-        wire = tree_fan_in_wire([[v] for v in vectors],
-                                TreeAggregateModel().plan(k), m, "on")
+        wire = _open("flat", _singletons(k), "on",
+                     TreeAggregateModel().plan(k)).fan_in_wire(
+            [[v] for v in vectors], m)
         faults = (build_failure_model(schedule="1@99", num_executors=k)
                   if faulty else None)
         engine = BspEngine(cluster1(executors=k), faults=faults)
