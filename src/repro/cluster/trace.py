@@ -25,10 +25,18 @@ from dataclasses import dataclass
 
 __all__ = ["Span", "Trace", "SPAN_KINDS"]
 
-SPAN_KINDS = frozenset(
-    {"compute", "aggregate", "send", "recv", "wait", "update", "barrier",
-     "recovery", "checkpoint"}
-)
+SPAN_KINDS = frozenset({"compute", "aggregate", "send", "recv", "wait",
+                        "update", "barrier", "recovery", "checkpoint"})
+
+
+def _check_span(start: float, end: float, kind: str, values: float) -> None:
+    if kind not in SPAN_KINDS:
+        raise ValueError(f"unknown span kind {kind!r}; "
+                         f"expected one of {sorted(SPAN_KINDS)}")
+    if end < start:
+        raise ValueError(f"span ends ({end}) before it starts ({start})")
+    if values < 0:
+        raise ValueError("span wire values must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -50,14 +58,7 @@ class Span:
     values: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in SPAN_KINDS:
-            raise ValueError(f"unknown span kind {self.kind!r}; "
-                             f"expected one of {sorted(SPAN_KINDS)}")
-        if self.end < self.start:
-            raise ValueError(
-                f"span ends ({self.end}) before it starts ({self.start})")
-        if self.values < 0:
-            raise ValueError("span wire values must be non-negative")
+        _check_span(self.start, self.end, self.kind, self.values)
 
     @property
     def duration(self) -> float:
@@ -65,18 +66,20 @@ class Span:
 
 
 class Trace:
-    """An append-only collection of spans with summary helpers."""
+    """An append-only collection of spans with summary helpers.
+
+    Each span is stored as one checked ``(node, start, end, kind, step,
+    values)`` tuple; :class:`Span` objects are built only when read.
+    """
 
     def __init__(self) -> None:
-        self._spans: list[Span] = []
+        self._spans: list[tuple[str, float, float, str, int, float]] = []
 
     def add(self, node: str, start: float, end: float, kind: str,
-            step: int = -1, values: float = 0.0) -> Span:
-        """Record one span and return it."""
-        span = Span(node=node, start=start, end=end, kind=kind, step=step,
-                    values=values)
-        self._spans.append(span)
-        return span
+            step: int = -1, values: float = 0.0) -> None:
+        """Record one span; raises like :class:`Span` on a bad one."""
+        _check_span(start, end, kind, values)
+        self._spans.append((node, start, end, kind, step, values))
 
     def add_lane(self, node: str, start: float,
                  lane: tuple[tuple[float, str, float], ...],
@@ -96,30 +99,31 @@ class Trace:
     def traffic_values(self, node: str | None = None,
                        step: int | None = None) -> float:
         """Total wire volume recorded on spans, optionally filtered."""
-        return sum(s.values for s in self._spans
-                   if (node is None or s.node == node)
-                   and (step is None or s.step == step))
+        return sum(values for n, _, _, _, s, values in self._spans
+                   if (node is None or n == node)
+                   and (step is None or s == step))
 
     @property
     def spans(self) -> tuple[Span, ...]:
-        return tuple(self._spans)
+        return tuple(Span(*row) for row in self._spans)
 
     def __len__(self) -> int:
         return len(self._spans)
 
     def nodes(self) -> list[str]:
         """Node labels in first-appearance order."""
-        seen: dict[str, None] = {}
-        for span in self._spans:
-            seen.setdefault(span.node, None)
-        return list(seen)
+        return list(dict.fromkeys(row[0] for row in self._spans))
 
     def end_time(self) -> float:
         """Simulated time at which the last span ends."""
-        return max((s.end for s in self._spans), default=0.0)
+        return max((row[2] for row in self._spans), default=0.0)
 
     def spans_for(self, node: str) -> list[Span]:
-        return [s for s in self._spans if s.node == node]
+        return [Span(*row) for row in self._spans if row[0] == node]
+
+    def _seconds(self, node: str | None, kinds: frozenset[str]) -> float:
+        return sum(end - start for n, start, end, kind, _, _ in self._spans
+                   if (node is None or n == node) and kind in kinds)
 
     def busy_seconds(self, node: str,
                      kinds: frozenset[str] | None = None) -> float:
@@ -130,30 +134,24 @@ class Trace:
         """
         busy_kinds = kinds if kinds is not None else (
             SPAN_KINDS - {"wait", "barrier", "recovery"})
-        return sum(s.duration for s in self._spans
-                   if s.node == node and s.kind in busy_kinds)
+        return self._seconds(node, busy_kinds)
 
     def wait_seconds(self, node: str) -> float:
         """Total barrier-wait time on ``node``."""
-        return sum(s.duration for s in self._spans
-                   if s.node == node and s.kind == "wait")
+        return self._seconds(node, frozenset({"wait"}))
 
     def recovery_seconds(self, node: str | None = None) -> float:
         """Total failure-recovery downtime, for one node or all nodes."""
-        return sum(s.duration for s in self._spans
-                   if s.kind == "recovery"
-                   and (node is None or s.node == node))
+        return self._seconds(node, frozenset({"recovery"}))
 
     def utilization(self, node: str) -> float:
         """Busy fraction of the makespan for ``node`` (0 if empty trace)."""
         total = self.end_time()
-        if total <= 0:
-            return 0.0
-        return self.busy_seconds(node) / total
+        return self.busy_seconds(node) / total if total > 0 else 0.0
 
     def kind_totals(self) -> dict[str, float]:
         """Total seconds per span kind across all nodes."""
         totals: dict[str, float] = defaultdict(float)
-        for span in self._spans:
-            totals[span.kind] += span.duration
+        for _, start, end, kind, _, _ in self._spans:
+            totals[kind] += end - start
         return dict(totals)

@@ -1,26 +1,21 @@
 """MPI-style collectives (Reduce-Scatter, AllGather, AllReduce) on shuffle.
 
-Three pluggable aggregation topologies share one data plane (the flat
-combine kernels in :mod:`.allreduce`, run once per exchange by
-:class:`Topology`) and one sizing rule (support counts,
-:class:`SupportMask`; the ``SparsePayload`` codec is the format's
-definition and test reference, no trainer runs it), so every mode is
-bit-identical:
+Three aggregation topologies share one data plane (:mod:`.allreduce`, run
+once per exchange by :class:`Topology`) and one sizing rule
+(:class:`SupportMask`), so every mode is bit-identical:
 
-* ``flat`` — the shuffle-based AllReduce of the paper (:mod:`.allreduce`),
-  optionally with the SparCML sparse wire format (:mod:`.sparse`).
-* ``hier`` — two-tier, placement-aware aggregation (:mod:`.hierarchical`).
+* ``flat`` — the paper's shuffle AllReduce, optionally with the SparCML
+  sparse wire format (:mod:`.sparse`);
+* ``hier`` — two-tier, placement-aware aggregation (:mod:`.hierarchical`);
 * ``switch`` — SwitchML-style in-network aggregation (:mod:`.innetwork`).
 
-:func:`open_topology` (:mod:`.topology`) is the single selection point:
+:func:`open_topology` (:mod:`.topology`) is the one selection point:
 trainers open one :class:`Topology` per session and never branch on the
-collective's name again.  The sizing modules only build wires from a
-mask; ``sparse_*`` / ``hier_*`` ``reduce_scatter`` / ``all_gather``
-compose the same kernel and builder for callers without a session.
+collective's name again.
 """
 
-from .allreduce import (all_gather, all_reduce_average, partition_slices,
-                        reduce_scatter, traffic_values)
+from .allreduce import (all_gather, all_reduce_average, ordered_sum,
+                        partition_slices, reduce_scatter, traffic_values)
 from .hierarchical import HierWire, hier_all_gather, hier_reduce_scatter
 from .innetwork import SwitchWire, switch_rounds, switch_stream_seconds
 from .sparse import (SPARSE_COMM_MODES, CommStats, SparsePayload,
@@ -29,11 +24,11 @@ from .sparse import (SPARSE_COMM_MODES, CommStats, SparsePayload,
                      sparse_reduce_scatter, wire_values)
 from .topology import COLLECTIVES, TOPOLOGIES, Topology, open_topology
 
-__all__ = ["partition_slices", "reduce_scatter", "all_gather",
-           "all_reduce_average", "traffic_values", "SPARSE_COMM_MODES", "SparsePayload",
-           "CommStats", "TreeWire", "SupportMask", "encode", "materialize",
-           "payload_wire_values", "wire_values", "sparse_reduce_scatter",
-           "sparse_all_gather",
-           "COLLECTIVES", "TOPOLOGIES", "Topology", "open_topology",
-           "HierWire", "hier_reduce_scatter", "hier_all_gather",
-           "SwitchWire", "switch_rounds", "switch_stream_seconds"]
+__all__ = ["ordered_sum", "partition_slices", "reduce_scatter", "all_gather",
+           "all_reduce_average", "traffic_values", "SPARSE_COMM_MODES",
+           "SparsePayload", "CommStats", "TreeWire", "SupportMask", "encode",
+           "materialize", "payload_wire_values", "wire_values",
+           "sparse_reduce_scatter", "sparse_all_gather", "COLLECTIVES",
+           "TOPOLOGIES", "Topology", "open_topology", "HierWire",
+           "hier_reduce_scatter", "hier_all_gather", "SwitchWire",
+           "switch_rounds", "switch_stream_seconds"]

@@ -3,33 +3,27 @@
 This is the data plane of MLlib*'s distributed model averaging (Section
 IV-B2, Algorithm 3).  With ``k`` workers and a size-``m`` model:
 
-* :func:`partition_slices` splits the model coordinates into ``k`` logical
-  partitions; worker ``i`` *owns* partition ``i`` (ownership is logical —
-  every worker keeps a full physical copy).
-* :func:`reduce_scatter` — every worker sends each non-owned partition of
-  its local model to that partition's owner; owners combine (here:
-  average) the ``k`` copies of their partition.
-* :func:`all_gather` — every owner sends its combined partition to all
-  peers; every worker reassembles the full model.
-* :func:`all_reduce_average` — the composition; for every worker the result
-  equals ``mean(local_models)`` exactly.
+* :func:`partition_slices` splits the coordinates into ``k`` owner
+  slices (ownership is logical: every worker keeps a full copy);
+* :func:`reduce_scatter` — owner ``i`` combines (averages or sums) range
+  ``i`` of every worker's model;
+* :func:`all_gather` — every owner sends its combined range to all
+  peers, which reassemble the model;
+* :func:`all_reduce_average` — the composition, ``mean(local_models)``
+  exactly.
 
-The traffic invariant the paper stresses: each worker sends and receives
-the model **twice** per AllReduce, so total traffic is ``2 k m`` values —
-identical to the driver-centric scheme, but with the latency of a balanced
-all-to-all instead of a serialized fan-in (costs are priced by
-:class:`~repro.engine.shuffle.ShuffleModel` /
-:meth:`~repro.engine.driver.BspEngine.reduce_scatter_phase`).
+Each worker sends and receives the model twice, ``2 k m`` values in all
+(the paper's invariant, :func:`traffic_values`), with the latency of a
+balanced all-to-all instead of a serialized fan-in
+(:meth:`~repro.engine.driver.BspEngine.reduce_scatter_phase`).
 
-:func:`reduce_scatter` and :func:`all_gather` are the **only** code in
-``src/`` that combines or reassembles vectors: :class:`~.topology.Topology`
-calls them once per exchange and hands the phase's support to its
-topology's wire builder (:mod:`.sparse`, :mod:`.hierarchical`,
-:mod:`.innetwork` only size); ``sparse_*`` and ``hier_*``
-``reduce_scatter`` / ``all_gather`` are the same composition for callers
-without a session topology.  Routing is implicit (owner ``i`` reads range ``i`` of
-every model, in worker order); :func:`repro.engine.shuffle.exchange` stays
-the shuffle primitive, and the routed reference that
+:func:`ordered_sum` is the one float sum of vectors in ``src/``: this
+Reduce-Scatter and every trainer's cross-worker mean call it.
+:class:`~.topology.Topology` runs :func:`reduce_scatter` /
+:func:`all_gather` once per exchange and hands the phase's support to its
+wire builder (:mod:`.sparse`, :mod:`.hierarchical` and :mod:`.innetwork`
+only size).  :func:`repro.engine.shuffle.exchange` stays the shuffle
+primitive, and the routed reference that
 ``tests/test_properties_collectives.py`` holds this data plane equal to.
 """
 
@@ -39,8 +33,22 @@ import numpy as np
 
 from ..analysis.sanitizer import check_replicas as _check_replicas
 
-__all__ = ["partition_slices", "reduce_scatter", "all_gather",
-           "all_reduce_average", "traffic_values"]
+__all__ = ["ordered_sum", "partition_slices", "reduce_scatter",
+           "all_gather", "all_reduce_average", "traffic_values"]
+
+
+def ordered_sum(vectors: list[np.ndarray]) -> np.ndarray:
+    """``np.stack(vectors).sum(axis=0)``, bit for bit, without the stack:
+    NumPy adds the rows of a stack two or more wide in order into +0.0
+    (not into a copy of row 0, which may hold ``-0.0``) and sums a width-1
+    column pairwise.  A mean is ``ordered_sum(v) / len(v)``, as in
+    ``np.mean``."""
+    if vectors[0].shape[0] < 2:
+        return np.stack(vectors).sum(axis=0)
+    out = np.zeros(vectors[0].shape[0])
+    for v in vectors:
+        out += v
+    return out
 
 
 def partition_slices(model_size: int, num_workers: int) -> list[slice]:
@@ -80,13 +88,13 @@ def reduce_scatter(models: list[np.ndarray],
     if any(w.shape != (m,) for w in models):
         raise ValueError("all local models must have the same shape")
 
-    # One owner range at a time, on purpose: reducing one full-width
-    # (k, m) stack is not bit-identical (NumPy sums a width-1 range
-    # pairwise, a wider one row by row: an ulp when m < 2k, k >= 8) and
-    # holds k x m floats at once (+35 % peak RSS on the wide workloads).
+    # One owner range at a time, in worker order: a range's bits are
+    # those of its own (k, width) stack summed, which ordered_sum gives
+    # without building the stack.  NumPy sums a width-1 range (m < 2k)
+    # pairwise, so one full-width sum would be an ulp off there at k >= 8.
     partitions: list[np.ndarray] = []
     for owned in partition_slices(m, k):
-        combined = np.vstack([model[owned] for model in models]).sum(axis=0)
+        combined = ordered_sum([model[owned] for model in models])
         if combine == "average":
             combined = combined / k
         partitions.append(combined)

@@ -18,16 +18,13 @@ flat shuffle AllReduce): Snap ML-style placement-aware aggregation.  With
 Cross-tier traffic shrinks from ``2 (k-1) m`` to ``2 (n-1) m``; the
 displaced ``2 (k-n) m`` values ride the fast intra tier instead.
 
-**Bit-identity by construction.**  This module prices that schedule but
-does *not* re-implement its arithmetic: its builders only size a
-:class:`~.sparse.SupportMask`, and the data plane stays the flat combine
-kernels (:func:`repro.collectives.reduce_scatter` / :func:`all_gather`),
-run once per exchange by :class:`~.topology.Topology` (or by
-:func:`hier_reduce_scatter` / :func:`hier_all_gather` below, for callers
-without a session topology), so iterates under ``--collective hier`` are
-bit-identical to ``--collective flat`` for every combine scheme, density
-and node shape — the property ``tests/test_topology_collectives.py``
-hammers and the topology bench asserts before reporting any speedup.
+**Bit-identity by construction.**  The builders here only size a
+:class:`~.sparse.SupportMask`; the arithmetic stays the flat kernels
+(:func:`repro.collectives.reduce_scatter` / :func:`all_gather`), run once
+per exchange by :class:`~.topology.Topology` (or by
+:func:`hier_reduce_scatter` / :func:`hier_all_gather`), so iterates under
+``--collective hier`` equal ``flat``'s bit for bit for every combine,
+density and node shape (``tests/test_topology_collectives.py``).
 
 With singleton groups (no placement map) the priced schedule degenerates
 to the flat collective: no intra messages, and the cross tier *is* the

@@ -1,40 +1,30 @@
 """Sparse-aware wire formats for the collectives (SparCML-style).
 
-The paper's ``2 k m`` AllReduce traffic invariant (Section IV-B2) prices a
-*dense* model exchange, but every target dataset (avazu, url, kddb, kdd12)
-is extremely sparse: a worker's local model is supported on its partition's
-column support, and a mini-batch gradient on the batch's column support —
-both typically a small fraction of ``m``.  SparCML (Renggli et al.) shows
-that switching to an index/value wire format in exactly this regime cuts
-communication volume by orders of magnitude.
+The paper's ``2 k m`` AllReduce invariant (Section IV-B2) prices a
+*dense* exchange, but a worker's local model is supported on its
+partition's column support and a mini-batch gradient on the batch's —
+on every target dataset a small fraction of ``m``.  SparCML (Renggli et
+al.) sends index/value pairs in exactly this regime.
 
-This module adds that layer:
-
-* :class:`SparsePayload` — the index/value wire format.  One sparse
-  coordinate costs **two** wire values (its index and its value), which
-  gives the SparCML break-even point: sparse is cheaper iff
-  ``2 * nnz < m``, i.e. ``nnz < m / 2``.
+* :class:`SparsePayload` — the index/value format: one coordinate costs
+  **two** wire values, so sparse is cheaper iff ``2 * nnz < m``.
 * :func:`encode` / :func:`materialize` — the deterministic dense<->sparse
-  switch.  ``mode='auto'`` picks the cheaper representation per message;
-  ``'on'`` forces sparse (useful to demonstrate the crossover); ``'off'``
-  passes the dense array through untouched.
-* :class:`SupportMask` — the one sizing primitive.  The break-even needs
-  a *count* per message, so no trainer-reachable path encodes anything;
-  :class:`SparsePayload`, :func:`encode`, :func:`materialize` and
-  :func:`payload_wire_values` stay as the definition of the format and the
-  reference ``tests/test_properties_collectives.py`` sizes against.
+  switch: ``'auto'`` picks the cheaper form per message, ``'on'`` forces
+  sparse, ``'off'`` passes the dense array through.  With
+  :func:`payload_wire_values` they define the format and are the
+  reference ``tests/test_properties_collectives.py`` sizes against; no
+  trainer-reachable path calls them.
+* :class:`SupportMask` — the one sizing primitive (a *count* per message).
 * :func:`flat_rs_wire` / :func:`flat_ag_wire` / :func:`flat_fan_in_wire`
   — the flat topology's builders: one mask in, a :class:`CommStats`
-  (shuffle round) or :class:`TreeWire` (treeAggregate fan-in: leaf
-  messages carry batch-support gradients, aggregator partials the union
-  support of their group) out.  They size; they never combine.
+  (shuffle round) or :class:`TreeWire` (treeAggregate fan-in) out.  They
+  size; they never combine.
 * :func:`sparse_reduce_scatter` / :func:`sparse_all_gather` — the flat
-  data plane (:mod:`.allreduce`) composed with those builders, for
-  callers without a session :class:`~.topology.Topology`.
+  data plane composed with those builders, for callers without a
+  session :class:`~.topology.Topology`.
 
-Determinism note: supports are boolean masks in coordinate order and
-groups are iterated in sorted order — never via set iteration (rule
-DET002 applies to this module).
+Supports are boolean masks in coordinate order and groups are iterated
+in sorted order, never via a set (rule DET002 applies to this module).
 """
 
 from __future__ import annotations
@@ -250,11 +240,23 @@ class SupportMask:
         """Wire size of one message per range, each carrying the union
         support of vectors ``rows`` inside that range."""
         if self._mask is None:
-            counts = [0] * len(ranges)
-        else:
-            counts = np.add.reduceat(
-                self._mask[list(rows)].any(axis=0),
-                [r.start for r in ranges], dtype=np.intp).tolist()
+            return self._sized([0] * len(ranges), ranges)
+        return self._sized(np.add.reduceat(
+            self._mask[list(rows)].any(axis=0),
+            [r.start for r in ranges], dtype=np.intp).tolist(), ranges)
+
+    def per_row(self, k: int, ranges: Sequence[slice],
+                ) -> list[tuple[float, ...]]:
+        """``values([r], ranges)`` for each of the first ``k`` rows,
+        counted by one ``reduceat`` along the rows of the mask."""
+        if self._mask is None:
+            return [self._sized([0] * len(ranges), ranges)] * k
+        counts = np.add.reduceat(self._mask[:k], [r.start for r in ranges],
+                                 axis=1, dtype=np.intp).tolist()
+        return [self._sized(row, ranges) for row in counts]
+
+    def _sized(self, counts: Sequence[int],
+               ranges: Sequence[slice]) -> tuple[float, ...]:
         return tuple(wire_values(nnz, r.stop - r.start, self.mode)
                      for nnz, r in zip(counts, ranges))
 
@@ -274,11 +276,10 @@ def flat_rs_wire(support: SupportMask, k: int) -> CommStats:
     """Reduce-Scatter sizing: worker ``r`` (``support`` row ``r``) sends
     range ``i`` of its local model to owner ``i``; the range it owns
     travels locally and pays no wire cost."""
-    ranges = partition_slices(support.size, k)
+    sizes = support.per_row(k, partition_slices(support.size, k))
     return _shuffle_stats("reduce_scatter", support.size, tuple(
-        tuple(v for owner, v in enumerate(support.values([src], ranges))
-              if owner != src)
-        for src in range(k)))
+        tuple(v for owner, v in enumerate(row) if owner != src)
+        for src, row in enumerate(sizes)))
 
 
 def flat_ag_wire(support: SupportMask, k: int) -> CommStats:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster import ClusterSpec
+from ..collectives import ordered_sum
 from ..engine import BspEngine, PartitionedDataset, TreeAggregateModel
 from ..glm import Objective, apply_update
 from .config import TrainerConfig
@@ -69,17 +70,12 @@ class MLlibTrainer(DistributedTrainer):
             lambda i: (w, self.objective, waves, max(
                 1, self._batch_size(data.partitions[i].n_rows) // waves)),
             data)
-        gradients: list[np.ndarray] = []
-        task_grads_by_executor: list[list[np.ndarray]] = []
+        task_grads = [grads for grads, _ in results]
         durations: list[float] = []
-        for i, (task_grads, nnz_list) in enumerate(results):
+        for i, (_, nnz_list) in enumerate(results):
             seconds = 0.0
             for nnz in nnz_list:
                 seconds += launch + self._compute_seconds(2 * nnz, 0, i)
-            # One wave's mean is its gradient, bit for bit.
-            gradients.append(task_grads[0] if waves == 1
-                             else np.mean(task_grads, axis=0))
-            task_grads_by_executor.append(task_grads)
             durations.append(seconds)
         engine.compute_phase(durations, step)
 
@@ -91,10 +87,14 @@ class MLlibTrainer(DistributedTrainer):
         # --collective picks the topology that carries (and prices) it.
         engine.tree_aggregate_phase(
             m, step, messages_per_executor=waves, redo_seconds=durations,
-            wire=self._topology.fan_in_wire(task_grads_by_executor, m))
+            wire=self._topology.fan_in_wire(task_grads, m))
 
-        # Phase 3: the single model update at the driver (bottleneck B1).
-        mean_grad = np.mean(gradients, axis=0)
+        # Phase 3: the single model update at the driver (bottleneck B1),
+        # with the mean of the executors' mean gradients (one wave's mean
+        # is its gradient, bit for bit).
+        gradients = [grads[0] if waves == 1 else ordered_sum(grads) / waves
+                     for grads in task_grads]
+        mean_grad = ordered_sum(gradients) / len(gradients)
         new_w = apply_update(w, mean_grad, lr, self.objective)
         update_coords = 2 * m if self.objective.regularizer.is_dense else m
         update_seconds = self.cluster.compute.dense_op_seconds(

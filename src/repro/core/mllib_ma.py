@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..collectives import ordered_sum
 from ..engine import PartitionedDataset
 from .mllib import MLlibTrainer
 
@@ -66,7 +67,7 @@ class MLlibModelAveragingTrainer(MLlibTrainer):
                 total += delta
             new_w = w + total
         else:
-            new_w = np.mean(locals_, axis=0)
+            new_w = ordered_sum(locals_) / len(locals_)
         average_seconds = self.cluster.compute.dense_op_seconds(
             m, self.cluster.driver)
         engine.driver_update_phase(average_seconds, step)

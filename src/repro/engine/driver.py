@@ -92,7 +92,6 @@ class CommRecord:
         return self.dense_seconds / self.seconds
 
 
-
 class BspEngine:
     """Advances a simulated global clock through BSP phases.
 

@@ -31,6 +31,7 @@ import numpy as np
 from ..cluster import ClusterSpec, Trace
 from ..cluster.faults import (CrashRecovery, FailureModel, FailureRecord,
                               NoFailures, RecoveryPolicy)
+from ..collectives import ordered_sum
 from ..collectives.sparse import wire_values
 from ..core.trainer import DistributedTrainer
 from ..engine import PartitionedDataset
@@ -277,7 +278,7 @@ class PsTrainer(DistributedTrainer):
     def _combine(self, w: np.ndarray,
                  locals_: list[np.ndarray]) -> np.ndarray:
         """Model averaging: the servers average the pushed models."""
-        return np.mean(locals_, axis=0)
+        return ordered_sum(locals_) / len(locals_)
 
     def _run_step(self, step: int, w: np.ndarray,
                   data: PartitionedDataset) -> np.ndarray:

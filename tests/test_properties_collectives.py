@@ -1,6 +1,6 @@
 """Property-based tests for the AllReduce collectives (hypothesis).
 
-Five families of invariants:
+Six families of invariants:
 
 * **Correctness** — ``all_reduce_average`` equals ``np.mean`` exactly for
   any worker count and model size, including the degenerate single-worker
@@ -18,22 +18,27 @@ Five families of invariants:
   support mask equals what the wire-format definition (``encode`` +
   ``payload_wire_values``, resp. the ``np.unique`` union of
   ``np.flatnonzero`` supports) says it costs.
+* **One float sum** — ``ordered_sum`` is ``tobytes()``-equal to NumPy's
+  stacked sum, and ``ordered_sum / k`` to ``np.mean``, on signed zeros,
+  NaN, infinities and subnormals.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.collectives import (TOPOLOGIES, SupportMask, all_gather,
                                all_reduce_average, encode,
-                               hier_reduce_scatter, partition_slices,
-                               payload_wire_values, reduce_scatter,
-                               sparse_all_gather, sparse_reduce_scatter,
-                               traffic_values, wire_values)
-from repro.collectives.sparse import flat_fan_in_wire
+                               hier_reduce_scatter, ordered_sum,
+                               partition_slices, payload_wire_values,
+                               reduce_scatter, sparse_all_gather,
+                               sparse_reduce_scatter, traffic_values,
+                               wire_values)
+from repro.collectives.sparse import flat_fan_in_wire, flat_rs_wire
 from repro.engine import TreeAggregateModel
 from repro.engine.shuffle import exchange
 
@@ -283,6 +288,21 @@ class TestMaskSizingEqualsWireFormat:
             assert stats.wire_values == sum(map(sum, stats.per_sender))
 
     @pytest.mark.parametrize("mode", MODES)
+    @given(models=awkward_vectors())
+    @settings(max_examples=40, deadline=None)
+    def test_flat_rs_per_row_equals_one_row_at_a_time(self, mode, models):
+        """The one ``reduceat`` along the rows sizes each sender exactly
+        as ``values([src], ranges)`` on its own row does."""
+        k, m = len(models), models[0].shape[0]
+        support = SupportMask(models, m, mode)
+        ranges = partition_slices(m, k)
+        one_row = [support.values([src], ranges) for src in range(k)]
+        assert support.per_row(k, ranges) == one_row
+        assert flat_rs_wire(support, k).per_sender == tuple(
+            tuple(v for owner, v in enumerate(row) if owner != src)
+            for src, row in enumerate(one_row))
+
+    @pytest.mark.parametrize("mode", MODES)
     @given(data=st.data(), models=awkward_vectors())
     @settings(max_examples=40, deadline=None)
     def test_hier_reduce_scatter(self, mode, data, models):
@@ -338,3 +358,27 @@ class TestMaskSizingEqualsWireFormat:
             assert hier.cross_sends[group[0]] == (
                 union_size([v for e in group for v in by_executor[e]],
                            m, mode),)
+
+
+# ----------------------------------------------------------------------
+# one float sum: ordered_sum == the stacked NumPy sum, byte for byte
+# ----------------------------------------------------------------------
+special_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]),
+    st.floats(min_value=-2.2e-308, max_value=2.2e-308),  # subnormals
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestOrderedSumEqualsStackedSum:
+    @given(stack=arrays(np.float64, st.tuples(st.integers(1, 33),
+                                              st.integers(1, 70)),
+                        elements=special_floats))
+    @example(stack=np.array([[0.0, -0.0]]))  # zeros start, not row 0
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_to_numpy_sum_and_mean(self, stack):
+        vectors = [row.copy() for row in stack]
+        with np.errstate(all="ignore"):
+            got = ordered_sum(vectors)
+            assert got.tobytes() == np.stack(vectors).sum(axis=0).tobytes()
+            assert (got / len(vectors)).tobytes() == np.mean(
+                vectors, axis=0).tobytes()
