@@ -1,31 +1,13 @@
 """repro — reproduction of "MLlib*: Fast Training of GLMs using Spark MLlib".
 
-This package re-implements, from scratch and in pure Python, every system
-the ICDE 2019 paper studies:
-
-* a Spark-like BSP engine (driver/executors, ``treeAggregate``, broadcast,
-  shuffle) with a simulated cluster clock (:mod:`repro.engine`,
-  :mod:`repro.cluster`);
-* MPI-style collectives built on shuffle (:mod:`repro.collectives`);
-* a parameter-server substrate with BSP/SSP/ASP consistency
-  (:mod:`repro.ps`);
-* GLM training math — hinge/logistic/squared losses, L1/L2 regularizers,
-  local MGD/SGD solvers, Bottou lazy L2 updates (:mod:`repro.glm`);
-* the six trainers of the study — MLlib, MLlib + model averaging, MLlib*,
-  Petuum, Petuum*, Angel (:mod:`repro.core`, :mod:`repro.ps`);
-* synthetic analogs of the paper's datasets plus LIBSVM IO
-  (:mod:`repro.data`), and metrics / gantt tooling (:mod:`repro.metrics`).
-
-Quickstart::
-
-    from repro import (MLlibStarTrainer, Objective, TrainerConfig,
-                       cluster1, avazu_like)
-
-    data = avazu_like()
-    trainer = MLlibStarTrainer(Objective("hinge", "l2", 0.1), cluster1(),
-                               TrainerConfig(max_steps=20))
-    result = trainer.fit(data)
-    print(result.final_objective, result.model.accuracy(data.X, data.y))
+Every system the ICDE 2019 paper studies, from scratch in Python: a
+Spark-like BSP engine on a simulated cluster clock (:mod:`repro.engine`,
+:mod:`repro.cluster`), shuffle-built collectives
+(:mod:`repro.collectives`), a parameter-server substrate (:mod:`repro.ps`),
+the GLM math and local solvers (:mod:`repro.glm`), the trainers
+(:mod:`repro.core`, :mod:`repro.ps`), dataset analogs with LIBSVM IO
+(:mod:`repro.data`) and metrics / gantt tooling (:mod:`repro.metrics`).
+README.md has a quickstart.
 """
 
 from .cluster import (ClusterSpec, ComputeCostModel, LogNormalStragglers,

@@ -1,46 +1,9 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
-
-* ``datasets``   — list the analog dataset catalog (Table I).
-* ``train``      — train one system on one dataset, print the convergence
-  curve, optionally export it to CSV/JSON.
-* ``compare``    — run several systems on one workload and print time and
-  steps to the 0.01-accuracy-loss threshold.
-* ``gantt``      — render the ASCII gantt chart for one system.
-* ``save``       — train one system and persist the model (artifact file
-  or registry version).
-* ``predict``    — load a saved model and score a dataset through the
-  batched prediction service.
-* ``models``     — list a registry's model versions.
-* ``serve-bench`` — open-loop arrival-rate sweep against a saved model.
-* ``perf``       — wall-clock profiling: per-kernel reference-vs-fast
-  speedups and an end-to-end execution-backend sweep, with bit-identity
-  asserted before any speedup is reported.
-* ``sched``      — multi-tenant cluster scheduler: ``submit``/``list``/
-  ``status``/``cancel`` manage a JSON job queue, ``run`` plays it
-  through the deterministic event-driven scheduler (FIFO or weighted
-  fair share, optional elastic resizing and preemption at superstep
-  barriers), and ``run-trace`` does the same over a generated Poisson
-  arrival trace.
-
-Examples::
-
-    python -m repro datasets
-    python -m repro train --system "MLlib*" --dataset avazu --l2 0.1
-    python -m repro compare --dataset url --systems "MLlib,MLlib*" --l2 0
-    python -m repro gantt --system MLlib --dataset kddb --steps 4
-    python -m repro save --system "MLlib*" --dataset avazu --l2 0.1 \\
-        --registry ./models --name avazu-svm --promote
-    python -m repro predict --registry ./models --name avazu-svm \\
-        --data avazu --head 5
-    python -m repro serve-bench --registry ./models --name avazu-svm \\
-        --data avazu --out BENCH_serving.json
-    python -m repro sched submit --queue jobs.json --name exp1 \\
-        --system "MLlib*" --executors 4 --steps 6 --priority 2
-    python -m repro sched run --queue jobs.json --policy fair --elastic
-    python -m repro sched run-trace --rate 80 --duration 0.25 \\
-        --policy fair --elastic --preempt --gantt
+``python -m repro --help`` lists the commands (``datasets``, ``train``,
+``compare``, ``gantt``, ``plan``, ``tune``, the serving verbs ``save`` /
+``predict`` / ``models`` / ``serve-bench``, ``perf`` and ``sched``) and
+each command's ``--help`` its flags; README.md walks through them.
 """
 
 from __future__ import annotations

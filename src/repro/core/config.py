@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from ..cluster.faults import RecoveryPolicy
 from ..collectives import COLLECTIVES, SPARSE_COMM_MODES
 from ..engine.backend import BACKENDS
 from ..glm import DUAL_SOLVERS, SCHEDULES
@@ -195,12 +196,9 @@ class TrainerConfig:
             raise ValueError("divergence_limit must be positive")
         if not 0.0 <= self.failure_rate < 1.0:
             raise ValueError("failure_rate must be in [0, 1)")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be non-negative")
-        if self.restart_seconds < 0:
-            raise ValueError("restart_seconds must be non-negative")
+        # The recovery fields' own checks (same messages).
+        RecoveryPolicy(self.max_retries, self.checkpoint_every,
+                       self.restart_seconds)
         if self.sparse_comm not in SPARSE_COMM_MODES:
             raise ValueError("sparse_comm must be 'auto', 'on' or 'off'")
         if self.backend not in BACKENDS:

@@ -60,9 +60,7 @@ class MLlibTrainer(DistributedTrainer):
         # With multiple waves, each executor runs its tasks sequentially
         # (one core slot per the paper's setting), each task sampling a
         # share of the batch, paying a launch overhead, and later shipping
-        # its own gradient (Section V-C).  Executors are independent, so
-        # the per-executor work fans out across the execution backend;
-        # pricing stays in the parent against the returned nnz counts.
+        # its own gradient (Section V-C); the parent prices the nnz.
         waves = self.config.tasks_per_executor
         launch = self.cluster.compute.task_launch_seconds
         results = self._local_round(
@@ -80,11 +78,9 @@ class MLlibTrainer(DistributedTrainer):
         engine.compute_phase(durations, step)
 
         # Phase 2: hierarchical aggregation — one message per task.  An
-        # executor crashing here recomputes its batch gradients (the
-        # in-memory vectors die with it) before resending.  Under
-        # --sparse-comm each task's message is priced at its gradient's
-        # support (the batch's column support, far smaller than m).
-        # --collective picks the topology that carries (and prices) it.
+        # executor crashing here recomputes its batch gradients before
+        # resending.  --sparse-comm prices each message at its gradient's
+        # support; --collective picks the topology that carries it.
         engine.tree_aggregate_phase(
             m, step, messages_per_executor=waves, redo_seconds=durations,
             wire=self._topology.fan_in_wire(task_grads, m))

@@ -37,22 +37,16 @@ class MLlibModelAveragingTrainer(MLlibTrainer):
         m = data.n_features
 
         # Phase 1: every executor updates a local model over its
-        # partition (independent local solves; fanned out across the
-        # backend).  Under a dual solver the local work is H SDCA epochs
-        # over the executor's dual block and the shipped vector is a
-        # gamma-scaled model *delta* — the communication pattern (one
-        # m-vector per executor up the tree, broadcast back) and its
-        # pricing are unchanged.
+        # partition.  Under a dual solver it ships a gamma-scaled model
+        # *delta* instead, through the same (and same-priced) pattern.
         locals_, durations = self._send_model_round(step, w, data)
         engine.compute_phase(durations, step)
 
         # Phase 2: unchanged MLlib communication — models (not gradients)
         # flow through treeAggregate to the driver...  A crash here costs
         # the executor its local model, so it redoes its local SGD passes
-        # before resending.  Under --sparse-comm each local model's
-        # message is priced at its support (the coordinates local SGD
-        # touched — the partition's column support at most).
-        # --collective picks the topology that carries (and prices) it.
+        # before resending.  --sparse-comm prices each model at its
+        # support; --collective picks the topology that carries it.
         engine.tree_aggregate_phase(
             m, step, redo_seconds=durations,
             wire=self._topology.fan_in_wire(

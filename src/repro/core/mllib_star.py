@@ -77,15 +77,10 @@ class MLlibStarTrainer(DistributedTrainer):
         engine = self._engine
         assert engine is not None
 
-        # Phase 2: Reduce-Scatter — owners combine their partition.  A
-        # crashed owner loses its local model *and* every piece peers
-        # shipped it, so recovery redoes the local SGD passes and pulls a
-        # refill fan-in from all peers — the whole barrier stalls on it.
-        # --sparse-comm and --collective (flat shuffle, two-tier hier,
-        # in-network switch) change what the messages cost, never what
-        # they say: every topology calls the one dense data plane
-        # (collectives.allreduce) once and sizes its wire from support
-        # counts, so iterates are bit-identical across both flags.
+        # Phase 2: Reduce-Scatter — owners combine their partition (a
+        # crashed owner redoes its local passes and pulls a refill from
+        # every peer).  --sparse-comm and --collective change what the
+        # messages cost, never what they say.
         partitions, rs_wire = self._topology.reduce_scatter(locals_, combine)
         engine.reduce_scatter_phase(m, step, redo_seconds=durations,
                                     wire=rs_wire)

@@ -14,15 +14,9 @@ Algorithm 3:
 Subclasses implement :meth:`_prepare` (engine/state construction) and
 :meth:`_run_step` (one communication step: local work + communication,
 returning the new global model).  Objective evaluation is monitoring and
-costs no simulated time.
-
-The loop itself lives in :class:`TrainingSession`, a resumable stepwise
-view of a run: :meth:`DistributedTrainer.open_session` builds one,
-``run_step()`` advances it a single superstep, and :meth:`fit` is just a
-session drained to completion — so a run paused at a barrier and resumed
-(what the :mod:`repro.sched` cluster scheduler does to interleave jobs
-and change executor counts) executes the exact same operations as an
-uninterrupted ``fit``.
+costs no simulated time.  The loop itself is :class:`TrainingSession`,
+which ``fit`` drains and the :mod:`repro.sched` scheduler pauses at
+barriers.
 """
 
 from __future__ import annotations
@@ -179,15 +173,11 @@ class DistributedTrainer:
         #: hooks no-ops) unless ``config.sanitize`` is set.
         self.sanitizer = BarrierSanitizer(enabled=self.config.sanitize)
         #: Execution backend for the per-worker local solves
-        #: (``config.backend``).  A fresh pool is built per ``fit`` and
-        #: torn down when it returns, leaving an empty serial stub that
-        #: holds no partition.  Purely a wall-clock choice — results are
-        #: bit-identical across backends.
+        #: (``config.backend``), built per ``fit``; after it, an empty
+        #: serial stub that holds no partition.
         self._backend: ExecutionBackend = SerialBackend()
-        #: Wall-clock profiler hook (:mod:`repro.perf.profiler`).  The
-        #: default records nothing; install a ``PhaseProfiler`` before
-        #: ``fit`` to collect ``superstep`` / ``evaluate`` /
-        #: ``local_solve`` phase timings.
+        #: Wall-clock profiler hook (:mod:`repro.perf.profiler`); install
+        #: a ``PhaseProfiler`` before ``fit`` to collect phase timings.
         self.profiler: PhaseProfiler = NullProfiler()
         #: Per-worker RNG streams, rebuilt by every ``TrainingSession``;
         #: tasks hand them back advanced (see :meth:`_local_round`).
@@ -199,11 +189,9 @@ class DistributedTrainer:
         #: in the parent and runs stay bit-identical across backends.
         self._duals: list[np.ndarray] | None = None
         self._dual_spec = None
-        #: Measured transport accounting from the last closed session
-        #: (``socket`` backend only; ``None`` otherwise).  Harvested by
-        #: ``TrainingSession.close`` before the backend is torn down —
-        #: this is what ``repro perf`` compares
-        #: against the simulated :class:`NetworkModel` pricing.
+        #: Measured transport accounting of the last closed ``socket``
+        #: session (else ``None``), which ``repro perf`` compares with the
+        #: simulated :class:`NetworkModel` pricing.
         self.last_wire_stats: dict | None = None
 
     # ------------------------------------------------------------------

@@ -16,11 +16,8 @@ shaped for :mod:`repro.engine.backend`:
 * **read-only inputs** — tasks never write their partition or the
   broadcast ``w``: under ``shm`` both are read-only views of shared
   segments, under ``socket`` a daemon caches the partition and a round's
-  tasks share one read-only ``w``.
-
-Cross-worker combining stays in the trainers, in the serial code's
-float-addition order; that and the ordered map make every backend
-bit-identical.
+  tasks share one read-only ``w``.  Only the partition's ``native`` view
+  (this process's scratch, rewritten before every read) changes.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ def gradient_wave_task(part: Partition, w: np.ndarray, objective: Objective,
     """MLlib SendGradient: ``waves`` sequential batch gradients at ``w``
     (compiled: :func:`repro.glm.sampled_gradient`) and their nnz."""
     task_grads, nnz = zip(*(sampled_gradient(objective, w, part.X, part.y,
-                                             per_task, rng)
+                                             per_task, rng, part.native)
                             for _ in range(waves)))
     return list(task_grads), list(nnz), rng
 
@@ -79,7 +76,7 @@ def petuum_batch_task(part: Partition, w: np.ndarray, objective: Objective,
     if objective.is_regularized:
         # One GD update over the batch (dense updates kept rare).
         grad, nnz = sampled_gradient(objective, w, part.X, part.y, batch,
-                                     rng)
+                                     rng, part.native)
         dense = w.shape[0] if objective.regularizer.is_dense else 0
         return (apply_update(w, grad, lr, objective),
                 LocalStats(2 * nnz, 1, dense), rng)
@@ -96,7 +93,8 @@ def angel_epoch_task(part: Partition, w: np.ndarray, objective: Objective,
                      ) -> tuple[np.ndarray, LocalStats,
                                 np.random.Generator]:
     """Angel: one mini-batch GD pass over the whole partition per step."""
-    local_w, stats = mgd_epoch(objective, w, part.X, part.y, lr, batch, rng)
+    local_w, stats = mgd_epoch(objective, w, part.X, part.y, lr, batch, rng,
+                               view=part.native)
     return local_w, stats, rng
 
 
@@ -142,5 +140,6 @@ def asgd_gradient_task(part: Partition, model: np.ndarray,
                        ) -> tuple[np.ndarray, int, np.random.Generator]:
     """ASGD: one worker's batch gradient at its pulled model snapshot
     (:func:`repro.glm.sampled_gradient`, as MLlib's)."""
-    grad, nnz = sampled_gradient(objective, model, part.X, part.y, batch, rng)
+    grad, nnz = sampled_gradient(objective, model, part.X, part.y, batch, rng,
+                                 part.native)
     return grad, nnz, rng

@@ -6,13 +6,15 @@ hash/contiguous split of the input file; the paper additionally notes
 (Section IV footnote 4) that data and model are partitioned *independently*,
 which is why MLlib* needs its Reduce-Scatter phase.
 
-Partitioners return a list of :class:`Partition`, each a row-slice view of
-the parent dataset (CSR slicing keeps this cheap).
+Partitioners return a list of :class:`Partition`, each a copy of its
+rows of the parent dataset.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,6 +46,18 @@ class Partition:
     @property
     def nnz(self) -> int:
         return int(self.X.nnz)
+
+    @functools.cached_property
+    def native(self) -> Any:
+        """This process's :class:`repro.glm.native.PartitionView` of the
+        partition (``None`` without the compiled tier): built on first use
+        in each process, dropped with the partition, never pickled."""
+        from ..glm import native
+        return native.view(self.X, self.y)
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {key: value for key, value in self.__dict__.items()
+                if key != "native"}
 
 
 def _row_assignment(n_rows: int, n_partitions: int, strategy: str,

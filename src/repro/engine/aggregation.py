@@ -173,9 +173,7 @@ class TreeAggregateModel:
 
         Aggregators are busy for the whole level-1 stage; every other
         executor sends its task vectors and idles until that stage
-        ends.  The dense path keeps the closed-form ``transfer_seconds``
-        / :meth:`timing` expressions, so ``wire=None`` prices exactly as
-        the dense engine always has.
+        ends.  The dense path is :meth:`timing`'s closed form.
         """
         cluster, m = request.cluster, request.model_size
         k = cluster.num_executors
@@ -201,4 +199,5 @@ class TreeAggregateModel:
         return request.fan_in_plan(
             lanes, level1_end, [i not in timing.groups for i in range(k)],
             timing.driver_seconds, dense_values, wire_values,
-            timing.ingress_seconds)
+            timing.ingress_seconds,
+            timing.ingress_seconds if wire is None else None)

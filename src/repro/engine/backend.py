@@ -5,24 +5,12 @@ parallel region — ``k`` independent local solves (batch gradients,
 ``mgd_epoch``, ``sgd_epoch``, full-pass gradients), one per cached
 partition.  An :class:`ExecutionBackend` owns that region:
 
-* ``serial``  — in-process loop (the reference behaviour, zero overhead);
-* ``shm``     — a process pool over :mod:`repro.engine.shm`: partition
-  CSR shards live in a write-once shared-memory segment, the broadcast
-  model is written once per superstep into a shared arena, and the
-  model-sized local models come back through result slots of the same
-  arena — only task scalars, RNG state and a small pickle stream cross
-  the pool's pipes;
-* ``socket``  — long-lived worker daemons (:mod:`repro.engine.daemon`)
-  speaking the length-prefixed frame protocol of
-  :mod:`repro.engine.wire` over localhost TCP: one round frame per
-  daemon per superstep carries all of its tasks (the broadcast model
-  once, through pickle's memo), one result frame per task streams back,
-  and model-sized arrays travel out of band, uncopied.  Everything
-  crosses a real transport, so each superstep's bytes-on-wire and wall
-  seconds are *measured* — the backend's
-  :meth:`~ExecutionBackend.wire_summary` feeds ``repro perf``, which
-  compares them against :class:`~repro.cluster.network.NetworkModel`'s
-  *simulated* seconds.
+* ``serial`` — in-process loop (the reference behaviour, zero overhead);
+* ``shm`` — a process pool over shared-memory partitions, broadcast
+  arena and result slots (:class:`ShmBackend`);
+* ``socket`` — worker daemons behind a measured localhost wire, which
+  ``repro perf`` compares with the simulated network
+  (:class:`SocketBackend`).
 
 Workers never share an address space, as Spark executors do not (a
 GIL-bound thread pool trailed ``serial`` on every measured shape;
@@ -215,30 +203,25 @@ def _is_model_vector(value: Any, capacity: int) -> bool:
 
 
 class ShmBackend(ExecutionBackend):
-    """Process pool over shared-memory partitions + broadcast arena.
+    """Process pool over a :mod:`repro.engine.shm` store: partitions as
+    read-only zero-copy views, the broadcast model and the model-sized
+    results through its arena.
 
-    ``install_partitions`` packs every partition's CSR arrays into one
-    write-once shared segment (:func:`repro.engine.shm.build_store`);
-    workers operate on read-only zero-copy views.  Each dispatch detects
-    the broadcast model vector (the same ndarray object at the same
-    position in every task's args — for ``run_one``'s single task, the
-    first vector that fits), writes it into the shared arena **once**,
-    and ships only a tiny :class:`~repro.engine.shm.BroadcastRef` marker
-    per task.  Results come back the same way: the trampoline writes
-    each large buffer into the task's result slot and ``_collect``
-    rebuilds the result from a private copy of it, so per-superstep
-    pickle traffic shrinks to task scalars, RNG state and a small stream.
-    Slots are handed out round-robin, two per lane, and ``_window`` keeps
-    that many tasks outstanding at most — a slot's next task is submitted
-    only after its previous result has been copied out.
+    Each dispatch detects the broadcast model vector (the same ndarray
+    object at the same position in every task's args — for ``run_one``'s
+    single task, the first vector that fits), writes it into the arena
+    **once**, and ships a :class:`~repro.engine.shm.BroadcastRef` marker
+    per task; ``_collect`` rebuilds each result from a private copy of
+    its slot.  Slots are handed out round-robin, two per lane, and
+    ``_window`` keeps that many tasks outstanding at most — a slot's next
+    task is submitted only after its previous result has been copied out.
 
     Safe because the study's tasks never mutate the broadcast model or
     their partition (the ``--sanitize`` battery freezes both and all
     nine systems pass bit-exactly); the shared views are read-only, so a
     violating task raises instead of corrupting its neighbours.  The
-    arena is reused by the next dispatch, but only after every task of
-    this one has finished reading it and every slot has been copied
-    out: the dispatch loop collects all results before it returns.
+    arena is reused by the next dispatch only after every task of this
+    one has been collected.
     """
 
     name = "shm"

@@ -19,27 +19,16 @@ Phases available (one per communication pattern in the paper):
 
 The engine prices time only; the numerical work happens in the trainers.
 
-**Fault injection.**  When constructed with a
-:class:`~repro.cluster.faults.FailureModel`, every phase becomes
-failure-aware: a crashed executor's work for the phase is voided at the
+**Fault injection.**  With a :class:`~repro.cluster.faults.FailureModel`
+every phase is failure-aware: a crashed executor's work is voided at the
 crash point, a ``recovery`` span prices the restart plus lineage
-recomputation (or checkpoint restore), and the work is deterministically
-redone — so failures stretch the clock and the trace but never change the
-numerics.  Recovery semantics follow each phase's communication pattern:
-
-* a crash during *compute* redoes only that executor's local work;
-* a crash during *treeAggregate* additionally redoes the executor's local
-  work before resending its one vector — the driver fan-in starts late by
-  exactly the recovery delay;
-* a crash during *Reduce-Scatter/AllGather* is the expensive one: the
-  owner's received pieces are lost, so after restarting, **every peer
-  re-sends its piece** (a serialized fan-in into the recovered node) and
-  the barrier stalls all ``k`` executors until the owner catches up.  This
-  asymmetry — AllReduce couples everyone to a lost owner, SendGradient
-  does not — is what the fault benches measure.
-
-With the default :class:`~repro.cluster.faults.NoFailures` model, phase
-timing is bit-identical to the failure-free engine.
+recompute (or checkpoint restore), and the work is redone, so failures
+stretch the clock and the trace but never change the numerics.  Each
+phase method says what its crash redoes; the costly one is a lost
+Reduce-Scatter/AllGather owner, whom every peer re-sends to while the
+barrier stalls all ``k`` executors.  With the default
+:class:`~repro.cluster.faults.NoFailures` model, phase timing is
+bit-identical to the failure-free engine.
 """
 
 from __future__ import annotations
@@ -96,7 +85,14 @@ class BspEngine:
     """Advances a simulated global clock through BSP phases.
 
     Executor-side phases are planned as data (:mod:`repro.engine.plan`)
-    and run by one interpreter, :meth:`_run_plan`.
+    and run by one interpreter, :meth:`_run_plan`.  A communication
+    phase's optional ``wire`` reprices it: sparse message sizes, or the
+    two-tier (:class:`~repro.collectives.hierarchical.HierWire`) or
+    in-network (:class:`~repro.collectives.innetwork.SwitchWire`)
+    schedule; a switch wire whose sparse fallback fired prices as the
+    host's sparse wire.  With ``wire=None`` timing is bit-identical to
+    the dense engine, and the values are the same in every case:
+    topology is a pricing choice (``docs/communication.md``).
 
     Parameters
     ----------
@@ -128,6 +124,9 @@ class BspEngine:
         self.recovery = recovery if recovery is not None else RecoveryPolicy()
         #: Wire accounting, one record per priced communication phase.
         self.comm_records: list[CommRecord] = []
+        #: ``executor_label(i)`` for every executor, formatted once.
+        self.labels = tuple(executor_label(i)
+                            for i in range(cluster.num_executors))
         self.trace = Trace()
         self.now = 0.0
         #: Crash/retry loop, recovery costs (lineage recompute per
@@ -175,7 +174,7 @@ class BspEngine:
         finish: list[float] = []
         late = 0.0
         for i, lane in enumerate(plan.lanes):
-            label = executor_label(i)
+            label = self.labels[i]
             if faulty:
                 end = self._crashes.run(label, i, start, lane,
                                         plan.retry_lanes[i], step,
@@ -193,7 +192,7 @@ class BspEngine:
         if close is None:
             barrier = max(finish, default=start)
             for i, end in enumerate(finish):
-                self._wait_fill(executor_label(i), end, barrier, step)
+                self._wait_fill(self.labels[i], end, barrier, step)
             self._wait_fill(DRIVER_LABEL, start, barrier, step)
         else:
             driver_start = close.level1_end + late
@@ -204,8 +203,7 @@ class BspEngine:
                 # Only a recovered executor can outlast the level-1 stage.
                 busy_until = (max(close.level1_end, end) if faulty
                               else close.level1_end)
-                self._wait_fill(executor_label(i), busy_until, barrier,
-                                step)
+                self._wait_fill(self.labels[i], busy_until, barrier, step)
         if plan.comm is not None:
             self.comm_records.append(CommRecord(step, record_phase,
                                                 *plan.comm))
@@ -266,18 +264,9 @@ class BspEngine:
         the executor); the driver fan-in starts late by the recovery
         delay of the slowest failed sender.
 
-        ``wire`` (a :class:`~repro.collectives.sparse.TreeWire`) prices
-        each leaf/partial message at its sparse encoded size instead of
-        ``model_size``.  A recovered sender re-sends at the same priced
-        size.  With ``wire=None`` timing is bit-identical to the dense
-        engine.
-
-        A :class:`~repro.collectives.hierarchical.HierWire` or
-        :class:`~repro.collectives.innetwork.SwitchWire` replaces the
-        whole schedule with the two-tier / in-network topology; a switch
-        wire whose sparse fallback fired prices as the host sparse tree.
-        The aggregated values are the same in every case — topology is a
-        pricing choice (``docs/communication.md``).
+        A :class:`~repro.collectives.sparse.TreeWire` prices each
+        leaf/partial message at its sparse encoded size (a recovered
+        sender re-sends at that size).
         """
         plan = self._plan_communication(
             wire, self.tree, "tree_aggregate", model_size, redo_seconds,
@@ -292,8 +281,8 @@ class BspEngine:
         end = start + seconds
         if seconds > 0:
             self.trace.add(DRIVER_LABEL, start, end, "update", step)
-            for i in range(self.num_executors):
-                self.trace.add(executor_label(i), start, end, "wait", step)
+            for label in self.labels:
+                self.trace.add(label, start, end, "wait", step)
         self.now = end
         return seconds
 
@@ -311,15 +300,15 @@ class BspEngine:
         if duration > 0:
             self.trace.add(DRIVER_LABEL, start, end, "send", step)
             per_copy = duration / max(1, self.num_executors)
-            for i in range(self.num_executors):
+            for i, label in enumerate(self.labels):
                 # Serial broadcast drains copies one executor at a time,
                 # producing the staircase visible in the paper's chart.
                 recv_start = start + i * per_copy
                 recv_end = recv_start + per_copy
-                self._wait_fill(executor_label(i), start, recv_start, step)
-                self.trace.add(executor_label(i), recv_start,
-                               min(recv_end, end), "recv", step)
-                self._wait_fill(executor_label(i), recv_end, end, step)
+                self._wait_fill(label, start, recv_start, step)
+                self.trace.add(label, recv_start, min(recv_end, end), "recv",
+                               step)
+                self._wait_fill(label, recv_end, end, step)
         self.now = end
         return duration
 
@@ -337,25 +326,16 @@ class BspEngine:
         combines received pieces (``combine_coords`` dense coordinate ops,
         straggler-free since it is tiny).
 
-        ``wire`` (a :class:`~repro.collectives.sparse.CommStats`) prices
-        each executor's sends at their actual encoded sizes
-        (``wire.per_sender[i]``) instead of ``k - 1`` dense pieces; with
-        ``wire=None`` the phase is bit-identical to the dense engine.
-
+        A :class:`~repro.collectives.sparse.CommStats` wire prices each
+        executor's sends at their encoded sizes (``wire.per_sender[i]``).
         A crash here is the costly AllReduce failure mode: the owner's
         received pieces die with it, so recovery redoes the owner's local
         work (``redo_seconds``), then **all peers re-send their pieces**
         — a ``k - 1`` serialized fan-in into the recovered node — before
         the combine is redone (the refill stays dense-priced: recovered
         state is re-shipped conservatively).  The closing barrier stalls
-        every peer until the owner catches up.
-
-        A :class:`~repro.collectives.hierarchical.HierWire` or
-        :class:`~repro.collectives.innetwork.SwitchWire` reprices the
-        round under the two-tier / in-network topology instead (the
-        hierarchical round keeps the refill recovery; a switch re-streams);
-        a switch wire whose sparse fallback fired prices as the flat
-        sparse round.
+        every peer until the owner catches up.  Under a hierarchical wire
+        the round keeps this refill recovery; a switch re-streams.
         """
         self.shuffle.check_owners(model_size, self.num_executors, phase)
         plan = self._plan_communication(
@@ -391,9 +371,8 @@ class BspEngine:
         start = self.now
         end = start + duration
         if duration > 0:
-            for i in range(self.num_executors):
-                self.trace.add(executor_label(i), start, end, "checkpoint",
-                               step)
+            for label in self.labels:
+                self.trace.add(label, start, end, "checkpoint", step)
             self._wait_fill(DRIVER_LABEL, start, end, step)
         self._crashes.checkpoint_seconds = duration
         self.now = end

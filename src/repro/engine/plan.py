@@ -120,17 +120,19 @@ class PhaseRequest:
     def fan_in_plan(self, lanes: Sequence[Lane], level1_end: float,
                     idles_at_level1: Sequence[bool], driver_seconds: float,
                     dense_values: float, wire_values: float,
-                    ingress_seconds: float) -> PhasePlan:
+                    ingress_seconds: float,
+                    dense_seconds: float | None = None) -> PhasePlan:
         """Assemble a treeAggregate-shaped plan.
 
         A crashed sender recomputes its vector and re-sends it, so every
         retry lane is the redo followed by the first-attempt lane.  The
         record's dense seconds are the dense flat treeAggregate's
-        critical-path ingress.
+        critical-path ingress (priced here unless given).
         """
-        dense_seconds = self.tree.timing(
-            self.cluster, self.model_size,
-            self.messages_per_executor).ingress_seconds
+        if dense_seconds is None:
+            dense_seconds = self.tree.timing(
+                self.cluster, self.model_size,
+                self.messages_per_executor).ingress_seconds
         return PhasePlan(
             lanes=tuple(lanes),
             retry_lanes=tuple(self.redo_lane(i) + lane

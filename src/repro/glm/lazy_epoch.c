@@ -3,6 +3,8 @@
  * contraction would change the bits: -ffp-contract=off, no fast-math. */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 #if defined(__FAST_MATH__)
 #error "the GLM loops must not be compiled with -ffast-math"
@@ -82,34 +84,99 @@ int64_t repro_lazy_epoch(void *ctx, int hinge, const void *indptr,
     return 0;
 }
 
+/* The head of NumPy's bitgen_t (numpy/random/bitgen.h). */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *);
+    uint32_t (*next_uint32)(void *);
+} bitgen_t;
+
+/* Uniform on [0, top], top < 2^32 - 1, as NumPy's random_bounded_uint64:
+ * no draw for 0, else Lemire's multiply-and-reject on next_uint32. */
+static int64_t bounded(bitgen_t *bitgen, int64_t top)
+{
+    if (top == 0)
+        return 0;
+    uint64_t excl = (uint64_t)top + 1, m;
+    uint32_t threshold = (uint32_t)((UINT32_MAX - (uint64_t)top) % excl);
+    do
+        m = (uint64_t)bitgen->next_uint32(bitgen->state) * excl;
+    while ((uint32_t)m < threshold);
+    return (int64_t)(m >> 32);
+}
+
+/* NumPy's _shuffle_int: swap a[i] and a[bounded(i)], i = n - 1 .. first. */
+static void shuffle(bitgen_t *bitgen, int64_t n, int64_t first, int64_t *a)
+{
+    for (int64_t i = n - 1; i >= first; i--) {
+        int64_t j = bounded(bitgen, i), swap = a[j];
+        a[j] = a[i];
+        a[i] = swap;
+    }
+}
+
+/* rows[:size] = NumPy 2.4's Generator.choice(n, size, replace=False) from
+ * bitgen, bit for bit: for n > 10000 and size > n / 50 the tail of a
+ * shuffled arange(n) (rows n long), else Floyd's algorithm over a linear-
+ * probe table (the fewest 2^k slots above (int)(1.2 * size)), shuffled.
+ * Returns 0, or -1 if the table cannot be allocated. */
+static int choice(bitgen_t *bitgen, int64_t n, int64_t size, int64_t *rows)
+{
+    if (n > 10000 && size > n / 50) {
+        for (int64_t i = 0; i < n; i++)
+            rows[i] = i;
+        shuffle(bitgen, n, n - size > 1 ? n - size : 1, rows);
+        memmove(rows, rows + (n - size), (size_t)size * sizeof *rows);
+        return 0;
+    }
+    int64_t mask = (int64_t)(1.2 * (double)size);
+    for (int shift = 1; shift < 64; shift <<= 1)
+        mask |= mask >> shift;
+    int64_t *table = malloc((size_t)(mask + 1) * sizeof *table);
+    if (!table)
+        return -1;
+    for (int64_t slot = 0; slot <= mask; slot++)
+        table[slot] = -1;
+    for (int64_t j = n - size; j < n; j++) {
+        int64_t val = bounded(bitgen, j), loc = val & mask;
+        while (table[loc] != -1 && table[loc] != val)
+            loc = (loc + 1) & mask;
+        if (table[loc] != -1)  /* drawn before: take j instead */
+            for (val = j, loc = j & mask; table[loc] != -1;)
+                loc = (loc + 1) & mask;
+        table[loc] = rows[j - n + size] = val;
+    }
+    free(table);
+    shuffle(bitgen, size, 1, rows);
+    return 0;
+}
+
 /* g (dim long, zeroed) gets SciPy's (X[rows].T @ factor) / b at w, for
- * rows[:b] of the n_rows x dim CSR matrix whose arrays hold nnz entries:
- * margins as its CSR matvec, g[col] += data[k] * factor[r] in row-major
- * occurrence order as its CSC matvec, then / b once per touched column
- * (marked in divided, dim long, zeroed).  Each index is checked as read:
- * returns -2 if one is out of range, -1 if the callback raised, else nnz. */
+ * rows[:b] of the checked n_rows x dim CSR matrix; with a bitgen (a
+ * bitgen_t address, else 0) choice draws rows[:b] first (rows n_rows
+ * long).  Margins as SciPy's CSR matvec, g[col] += data[k] * factor[r] in
+ * row-major occurrence order as its CSC matvec, then / b once per touched
+ * column, marked in marks (dim long, zero on entry and on return).
+ * Returns -3 if out of memory, -2 if a row is out of range, -1 if the
+ * callback raised, else the batch's nnz. */
 int64_t repro_batch_gradient(void *ctx, int hinge, const void *indptr,
                              const void *indices, int wide, int64_t n_rows,
-                             int64_t nnz, const double *data, const double *y,
-                             const int64_t *rows, int64_t b, const double *w,
-                             int64_t dim, double *margins, double *factor,
-                             double *g, uint8_t *divided)
+                             const double *data, const double *y,
+                             int64_t *rows, double *margins, double *factor,
+                             uint8_t *marks, uintptr_t bitgen, int64_t b,
+                             const double *w, int64_t dim, double *g)
 {
+    if (bitgen && choice((bitgen_t *)bitgen, n_rows, b, rows) != 0)
+        return -3;
     int64_t total = 0;
     for (int64_t r = 0; r < b; r++) {
         int64_t i = rows[r];
         if (i < 0 || i >= n_rows)
             return -2;
         int64_t lo = AT(indptr, i), hi = AT(indptr, i + 1);
-        if (lo < 0 || lo > hi || hi > nnz)
-            return -2;
         double acc = 0.0;
-        for (int64_t k = lo; k < hi; k++) {
-            int64_t col = AT(indices, k);
-            if (col < 0 || col >= dim)
-                return -2;
-            acc += data[k] * w[col];
-        }
+        for (int64_t k = lo; k < hi; k++)
+            acc += data[k] * w[AT(indices, k)];
         margins[r] = acc;
         factor[r] = (y[i] * acc < 1.0) ? -y[i] : 0.0;
         total += hi - lo;
@@ -125,11 +192,16 @@ int64_t repro_batch_gradient(void *ctx, int hinge, const void *indptr,
         int64_t i = rows[r], hi = AT(indptr, i + 1);
         for (int64_t k = AT(indptr, i); k < hi; k++) {
             int64_t col = AT(indices, k);
-            if (!divided[col]) {
-                divided[col] = 1;
+            if (!marks[col]) {
+                marks[col] = 1;
                 g[col] /= (double)b;
             }
         }
+    }
+    for (int64_t r = 0; r < b; r++) {
+        int64_t i = rows[r], hi = AT(indptr, i + 1);
+        for (int64_t k = AT(indptr, i); k < hi; k++)
+            marks[AT(indices, k)] = 0;
     }
     return total;
 }

@@ -11,9 +11,10 @@ These run the *local* part of distributed MGD on one worker's partition:
 
 The epochs return fresh weights plus :class:`LocalStats`, which the
 cost model prices.  Labels are in {-1, +1}; gradients are batch means.
-Batch gradients and the lazy epoch run compiled (:mod:`repro.glm.native`);
-where it cannot be built they run their NumPy bodies (the epochs' are
-kept in :mod:`repro.glm.reference`), bit-identical by test.
+Batch gradients (on a partition's ``native`` view when the caller passes
+it) and the lazy epoch run compiled (:mod:`repro.glm.native`); where it
+cannot be built they run their NumPy bodies (the lazy epoch's is
+:mod:`repro.glm.reference`'s), bit-identical by test.
 """
 
 from __future__ import annotations
@@ -52,35 +53,45 @@ class LocalStats:
         )
 
 
-def _batch_rows(n: int, batch_size: int,
-                rng: np.random.Generator) -> np.ndarray:
+def _batch_size(n: int, batch_size: int) -> int:
+    """How many rows one batch draws from ``n``."""
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     if n == 0:
         raise ValueError("partition is empty: cannot sample a batch from "
                          "zero rows")
-    return rng.choice(n, size=min(batch_size, n), replace=False)
+    return min(batch_size, n)
 
 
 def sample_batch(X: sp.csr_matrix, y: np.ndarray, batch_size: int,
                  rng: np.random.Generator) -> tuple[sp.csr_matrix, np.ndarray]:
     """Sample a batch without replacement (Algorithm 1's ``XB``)."""
-    rows = _batch_rows(X.shape[0], batch_size, rng)
+    rows = rng.choice(X.shape[0], size=_batch_size(X.shape[0], batch_size),
+                      replace=False)
     return X[rows], y[rows]
 
 
 def sampled_gradient(objective: Objective, w: np.ndarray, X: sp.csr_matrix,
-                     y: np.ndarray, batch_size: int,
-                     rng: np.random.Generator) -> tuple[np.ndarray, int]:
+                     y: np.ndarray, batch_size: int, rng: np.random.Generator,
+                     view: native.PartitionView | None = None,
+                     ) -> tuple[np.ndarray, int]:
     """The mean loss gradient at ``w`` over a :func:`sample_batch` draw and
-    the draw's nnz: compiled over ``X`` in place, or where it cannot be
-    built by the NumPy body it is bit-identical to."""
-    rows = _batch_rows(X.shape[0], batch_size, rng)
-    module = native.library()
-    if module is None:
-        Xb = X[rows]
-        return objective.batch_loss_gradient(w, Xb, y[rows]), int(Xb.nnz)
-    return native.batch_gradient(module, objective, w, X, y, rows)
+    the draw's nnz: one compiled call on ``view``, ``(X, y)``'s
+    :class:`~repro.glm.native.PartitionView` (built here if not given), or
+    where it cannot be built the NumPy body it is bit-identical to."""
+    b = _batch_size(X.shape[0], batch_size)
+    view = view or native.view(X, y)
+    if view is None:
+        return _numpy_batch(objective, w, X, y, rng.choice(
+            X.shape[0], size=b, replace=False))
+    return view.sampled(objective.loss, w, b, rng)
+
+
+def _numpy_batch(objective: Objective, w: np.ndarray, X: sp.csr_matrix,
+                 y: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """The NumPy body of a batch gradient and its nnz over ``rows``."""
+    Xb = X[rows]
+    return objective.batch_loss_gradient(w, Xb, y[rows]), int(Xb.nnz)
 
 
 def apply_update(w: np.ndarray, grad_loss: np.ndarray, lr: float,
@@ -99,27 +110,28 @@ def apply_update(w: np.ndarray, grad_loss: np.ndarray, lr: float,
 
 def mgd_epoch(objective: Objective, w: np.ndarray, X: sp.csr_matrix,
               y: np.ndarray, lr: float, batch_size: int,
-              rng: np.random.Generator,
-              shuffle: bool = True) -> tuple[np.ndarray, LocalStats]:
+              rng: np.random.Generator, shuffle: bool = True,
+              view: native.PartitionView | None = None,
+              ) -> tuple[np.ndarray, LocalStats]:
     """One pass of mini-batch GD over the partition (Algorithm 1).
 
     Batches tile the (optionally shuffled) partition; each batch applies
-    one eager GD update.  This is Angel's local computation.
+    one eager GD update.  This is Angel's local computation.  ``view`` is
+    as in :func:`sampled_gradient`.
     """
     n = X.shape[0]
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     order = rng.permutation(n) if shuffle else np.arange(n)
-    module = native.library()
-    if module is None:
-        from .reference import mgd_epoch_reference
-        return mgd_epoch_reference(objective, w, X, y, lr, batch_size, order)
+    view = view or native.view(X, y)
     stats = LocalStats()
     current = np.array(w, copy=True)
     scratch = np.empty_like(current)
     for start in range(0, n, batch_size):
-        grad, nnz = native.batch_gradient(module, objective, current, X, y,
-                                          order[start:start + batch_size])
+        rows = order[start:start + batch_size]
+        grad, nnz = (_numpy_batch(objective, current, X, y, rows)
+                     if view is None else
+                     view.batch(objective.loss, current, rows))
         apply_update_inplace(current, grad, lr, objective, scratch)
         stats.nnz_processed += 2 * nnz
         stats.n_updates += 1

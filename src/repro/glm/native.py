@@ -5,7 +5,10 @@ and the batch gradient of ``sampled_gradient`` and ``mgd_epoch``.
 arrays, with the float operations of its NumPy body in the same order,
 so the two are bit-identical.  Hinge's gradient factor is inline; any
 other loss gives its factors through a callback that makes the NumPy
-body's own call.  ``cffi`` builds the module on first use into
+body's own call.  The batch gradient reads a :class:`PartitionView`,
+built once per partition per process, and draws a sampled batch in C
+through the ``Generator``'s own bit generator, as ``rng.choice`` would.
+``cffi`` builds the module on first use into
 ``$XDG_CACHE_HOME/repro`` (``~/.cache/repro``), keyed by the hash of
 source, declarations, flags and cffi version.  A build ``os.replace``s its
 file into the cache, so racing processes all load a complete one; with the
@@ -14,6 +17,7 @@ cache unwritable it loads from its temporary directory.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 import importlib.util
@@ -32,7 +36,7 @@ from .lazy_update import ScaledVector
 from .losses import HingeLoss
 from .objective import Objective
 
-__all__ = ["library", "lazy_epoch", "batch_gradient"]
+__all__ = ["library", "lazy_epoch", "PartitionView", "view"]
 
 _LOG = logging.getLogger(__name__)
 _SOURCE = Path(__file__).with_name("lazy_epoch.c")
@@ -42,6 +46,11 @@ _CALLBACK = ('extern "Python" int repro_gradient_factor(void *, int64_t, '
 _FLAGS = ["-O2", "-ffp-contract=off"]
 _C_TYPES = {np.dtype(np.float64): "double[]", np.dtype(np.int64): "int64_t[]",
             np.dtype(np.int32): "int32_t[]", np.dtype(np.uint8): "uint8_t[]"}
+#: The ``bitgen_t *`` in a ``BitGenerator``'s capsule (the same address as
+#: ``.ctypes.bit_generator``, without building that interface per object).
+_BITGEN = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                            ctypes.c_char_p)(("PyCapsule_GetPointer",
+                                              ctypes.pythonapi))
 
 
 def _cache_dir() -> Path | None:
@@ -108,24 +117,42 @@ def library() -> Any:
 
 
 def _csr(X: sp.csr_matrix, y: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(indptr, indices, data, labels)`` as the C loops read them; a copy
-    only where a dtype (one index width for both) or the layout differs."""
+    """``(indptr, indices, data, labels)`` as the C loops read them (a copy
+    only where a dtype, one index width for both, or the layout differs),
+    once every index the loops trust is checked."""
     index = np.int64 if np.int64 in (X.indptr.dtype, X.indices.dtype) \
         else np.int32
-    return (np.ascontiguousarray(X.indptr, index),
-            np.ascontiguousarray(X.indices, index),
-            np.ascontiguousarray(X.data, np.float64),
-            np.ascontiguousarray(y, np.float64))
+    indptr, indices = (np.ascontiguousarray(a, index)
+                       for a in (X.indptr, X.indices))
+    data = np.ascontiguousarray(X.data, np.float64)
+    labels = np.ascontiguousarray(y, np.float64)
+    n_rows, n_cols = X.shape
+    nnz = int(indptr[-1]) if indptr.shape == (n_rows + 1,) else -1
+    cols = indices[:max(nnz, 0)]
+    if (labels.shape != (n_rows,) or nnz < 0
+            or min(indices.size, data.size) < nnz or indptr[0] < 0
+            or (np.diff(indptr) < 0).any()
+            or (cols.size and not 0 <= cols.min() <= cols.max() < n_cols)):
+        raise ValueError(f"X {X.shape} is not a valid CSR matrix for y "
+                         f"{np.shape(y)}")
+    return indptr, indices, data, labels
+
+
+def _c_args(ffi: Any, args: tuple) -> tuple:
+    """``args`` with each ndarray as a typed C array over its buffer."""
+    return tuple(ffi.from_buffer(_C_TYPES[a.dtype], a)
+                 if isinstance(a, np.ndarray) else a for a in args)
 
 
 def _call(module: Any, name: str, loss: Any, y: np.ndarray,
           order: np.ndarray, margins: np.ndarray, factor: np.ndarray,
-          *args: Any) -> int:
-    """``module.lib.<name>(ctx, hinge, *args)`` with the arrays in
-    ``args`` read in place; through ``ctx``, ``repro_gradient_factor``
-    sets ``factor[:count]`` to ``loss``'s factors at ``margins[:count]``
-    for rows ``order[start:start + count]``.  Returns the C result,
-    re-raising what the callback raised when it is -1."""
+          args: tuple) -> int:
+    """``module.lib.<name>(ctx, hinge, *args)`` (see :func:`_c_args`); for
+    any loss but hinge (a NULL ``ctx``), ``repro_gradient_factor`` sets
+    ``factor[:count]`` through ``ctx`` to ``loss``'s factors at
+    ``margins[:count]`` for rows ``order[start:start + count]``.  Returns
+    the C result, re-raising what the callback raised when it is -1."""
+    hinge = type(loss) is HingeLoss
     errors: list[BaseException] = []
 
     def gradient_factor(start: int, count: int) -> int:
@@ -137,11 +164,9 @@ def _call(module: Any, name: str, loss: Any, y: np.ndarray,
             return 1
         return 0
 
-    ffi = module.ffi
     result = getattr(module.lib, name)(
-        ffi.new_handle(gradient_factor), type(loss) is HingeLoss,
-        *(ffi.from_buffer(_C_TYPES[a.dtype], a)
-          if isinstance(a, np.ndarray) else a for a in args))
+        module.ffi.NULL if hinge else module.ffi.new_handle(gradient_factor),
+        hinge, *args)
     if result == -1:
         raise errors[0]
     return result
@@ -161,52 +186,81 @@ def lazy_epoch(module: Any, objective: Objective, w: np.ndarray,
     indptr, indices, data, labels = _csr(X, y)
     order = np.ascontiguousarray(order, dtype=np.int64)
     v = np.array(w, dtype=np.float64)
-    n_rows, n_cols = X.shape
-    # The C loop trusts every index it reads: check them all first.
-    nnz = int(indptr[-1]) if indptr.shape == (n_rows + 1,) else -1
-    cols = indices[:max(nnz, 0)]
-    if (v.shape != (n_cols,) or labels.shape != (n_rows,) or nnz < 0
-            or min(indices.size, data.size) < nnz or indptr[0] < 0
-            or (np.diff(indptr) < 0).any()
-            or (cols.size and not 0 <= cols.min() <= cols.max() < n_cols)
-            or (order.size and not 0 <= order.min() <= order.max() < n_rows)):
-        raise ValueError(f"lazy_epoch: X {X.shape} is not a valid CSR matrix "
-                         f"for w {np.shape(w)} and y {np.shape(y)}")
+    if v.shape != (X.shape[1],) or (order.size and not (
+            0 <= order.min() <= order.max() < X.shape[0])):
+        raise ValueError(f"lazy_epoch: X {X.shape} does not match w "
+                         f"{np.shape(w)} and these rows")
     rows = max(1, min(chunk_size, order.size))
     # A chunk's distinct columns number at most min(dim, nnz).
-    distinct = max(1, min(v.size, nnz))
+    distinct = max(1, min(v.size, int(indptr[-1])))
     margins, factor, g = np.empty(rows), np.empty(rows), np.empty(distinct)
     stats = np.zeros(3, dtype=np.int64)
     _call(module, "repro_lazy_epoch", objective.loss, y, order, margins,
-          factor, indptr, indices, indices.itemsize == 8, data, labels, order,
-          order.size, chunk_size, v, v.size, lr, bool(lam), decay,
-          ScaledVector.REBASE_THRESHOLD, margins, factor, g,
-          np.empty(distinct, np.int64), np.zeros(v.size, np.int64), stats)
+          factor, _c_args(module.ffi, (
+              indptr, indices, indices.itemsize == 8, data, labels, order,
+              order.size, chunk_size, v, v.size, lr, bool(lam), decay,
+              ScaledVector.REBASE_THRESHOLD, margins, factor, g,
+              np.empty(distinct, np.int64), np.zeros(v.size, np.int64),
+              stats)))
     return v, (int(stats[0]), int(stats[1]), int(stats[2]))
 
 
-def batch_gradient(module: Any, objective: Objective, w: np.ndarray,
-                   X: sp.csr_matrix, y: np.ndarray,
-                   rows: np.ndarray) -> tuple[np.ndarray, int]:
-    """``objective.batch_loss_gradient(w, X[rows], y[rows])`` and the
-    batch's nnz on :func:`library`'s ``module``, with no ``X[rows]``.
-    Only the shapes are checked here; C checks each index as it reads."""
-    indptr, indices, data, labels = _csr(X, y)
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    n_rows, n_cols = X.shape
-    if (w.shape != (n_cols,) or labels.shape != (n_rows,)
-            or indptr.shape != (n_rows + 1,)):
-        raise ValueError(f"batch_gradient: X {X.shape} does not match w "
-                         f"{np.shape(w)} and y {np.shape(y)}")
-    margins, factor, g = np.empty(rows.size), np.empty(rows.size), \
-        np.zeros(n_cols)
-    nnz = _call(module, "repro_batch_gradient", objective.loss, y, rows,
-                margins, factor, indptr, indices, indices.itemsize == 8,
-                n_rows, min(indices.size, data.size),
-                data, labels, rows, rows.size, w, n_cols, margins, factor, g,
-                np.zeros(n_cols, np.uint8))
-    if nnz < 0:
-        raise ValueError(f"batch_gradient: X {X.shape} is not a valid CSR "
-                         "matrix for these rows")
-    return g, nnz
+class PartitionView:
+    """A partition's arrays as ``repro_batch_gradient`` reads them, checked
+    once, and its scratch: the batch's ``rows`` (where a C draw lands),
+    margins, factors and the column marks.  One
+    per partition per process (``Partition.native``): it holds no
+    reference to the partition, and its calls must not overlap.  Each call
+    writes the scratch it reads, so no call sees another's."""
+
+    def __init__(self, module: Any, X: sp.csr_matrix, y: np.ndarray) -> None:
+        indptr, indices, data, labels = _csr(X, y)
+        self.module, self.y = module, y
+        self.n_rows, self.n_cols = n_rows, n_cols = X.shape
+        self.rows = np.empty(n_rows, np.int64)
+        self.margins, self.factor = np.empty(n_rows), np.empty(n_rows)
+        self._args = _c_args(module.ffi, (
+            indptr, indices, indices.itemsize == 8, n_rows, data, labels,
+            self.rows, self.margins, self.factor, np.zeros(n_cols, np.uint8)))
+
+    def sampled(self, loss: Any, w: np.ndarray, b: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, int]:
+        """``loss``'s mean gradient at ``w`` over ``rng.choice(n_rows, b,
+        replace=False)``, drawn in C with its bits and end state, and the
+        batch's nnz."""
+        if self.n_rows >> 32:
+            raise ValueError(f"cannot draw from {self.n_rows} >= 2**32 rows")
+        return self._gradient(loss, w, b, _BITGEN(rng.bit_generator.capsule,
+                                                  b"BitGenerator"))
+
+    def batch(self, loss: Any, w: np.ndarray,
+              rows: np.ndarray) -> tuple[np.ndarray, int]:
+        """``loss``'s mean gradient at ``w`` over ``rows`` and their nnz."""
+        self.rows[:len(rows)] = rows
+        return self._gradient(loss, w, len(rows), 0)
+
+    def _gradient(self, loss: Any, w: np.ndarray, b: int,
+                  bitgen: int) -> tuple[np.ndarray, int]:
+        w = np.ascontiguousarray(w, dtype=np.float64)
+        if w.shape != (self.n_cols,):
+            raise ValueError(f"batch_gradient: w {w.shape} does not match X "
+                             f"{(self.n_rows, self.n_cols)}")
+        g = np.zeros(self.n_cols)
+        buffer = self.module.ffi.from_buffer
+        nnz = _call(self.module, "repro_batch_gradient", loss, self.y,
+                    self.rows, self.margins, self.factor,
+                    (*self._args, bitgen, b, buffer("double[]", w),
+                     self.n_cols, buffer("double[]", g)))
+        if nnz == -3:
+            raise MemoryError("batch_gradient: no memory for the draw")
+        if nnz < 0:
+            raise ValueError(f"batch_gradient: X {(self.n_rows, self.n_cols)}"
+                             " is not a valid CSR matrix for these rows")
+        return g, nnz
+
+
+def view(X: sp.csr_matrix, y: np.ndarray) -> PartitionView | None:
+    """A :class:`PartitionView` of ``(X, y)`` on :func:`library`'s module,
+    or ``None`` where it cannot be built."""
+    module = library()
+    return None if module is None else PartitionView(module, X, y)

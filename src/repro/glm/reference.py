@@ -1,12 +1,11 @@
 """Retained reference bodies of the local-solver hot loops.
 
-The pre-optimization bodies of :func:`repro.glm.mgd_epoch`, the lazy
-:func:`repro.glm.sgd_epoch` and the SDCA epoch of
-:func:`repro.glm.dual_local_solve`, kept verbatim: the bit-exact oracle
-the property tests (``tests/test_perf_kernels.py``,
-``tests/test_glm_dual.py``) hold the compiled loops and
-:mod:`repro.glm.kernels` to, and the two primal epochs' fallback where
-the compiled module cannot be built.
+The pre-optimization bodies of the lazy :func:`repro.glm.sgd_epoch` and
+the SDCA epoch of :func:`repro.glm.dual_local_solve`, kept verbatim: the
+bit-exact oracle the property tests (``tests/test_perf_kernels.py``,
+``tests/test_glm_dual.py``) hold the compiled loop and
+:mod:`repro.glm.kernels` to, and the lazy epoch's fallback where the
+compiled module cannot be built.
 
 Each function takes the epoch's row ``order`` instead of an RNG; a test
 draws it from a twin of the generator the solver consumes.
@@ -18,31 +17,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lazy_update import ScaledVector
-from .local_solvers import LocalStats, apply_update
+from .local_solvers import LocalStats
 from .objective import Objective
 
-__all__ = ["mgd_epoch_reference", "sgd_epoch_lazy_reference",
-           "dual_epoch_reference"]
-
-
-def mgd_epoch_reference(objective: Objective, w: np.ndarray,
-                        X: sp.csr_matrix, y: np.ndarray, lr: float,
-                        batch_size: int,
-                        order: np.ndarray) -> tuple[np.ndarray, LocalStats]:
-    """Reference mini-batch GD pass: per-batch gather + fresh arrays."""
-    n = X.shape[0]
-    stats = LocalStats()
-    current = np.array(w, copy=True)
-    for start in range(0, n, batch_size):
-        rows = order[start:start + batch_size]
-        Xb, yb = X[rows], y[rows]
-        grad = objective.batch_loss_gradient(current, Xb, yb)
-        current = apply_update(current, grad, lr, objective)
-        stats.nnz_processed += 2 * int(Xb.nnz)
-        stats.n_updates += 1
-        if objective.regularizer.is_dense:
-            stats.dense_ops += w.shape[0]
-    return current, stats
+__all__ = ["sgd_epoch_lazy_reference", "dual_epoch_reference"]
 
 
 def sgd_epoch_lazy_reference(objective: Objective, w: np.ndarray,

@@ -106,12 +106,9 @@ class AsyncSgdTrainer(DistributedTrainer):
         m = data.n_features
         mode = self.config.sparse_comm
         # Wire accounting only: the push's sparse size lands in the span's
-        # ``values`` field, but the event schedule runs on the dense clock
-        # (one pull + one push against the shards, no peer contention
-        # modelled: asynchrony spreads requests over time).  Under ASP the
-        # *order* in which pushes land is part of the numerics, so
-        # repricing events by sparse wire size would reorder updates and
-        # change convergence.
+        # ``values``, but events run on the dense clock (one pull + one
+        # push): under ASP the order pushes land in is part of the
+        # numerics, and sparse repricing would reorder updates.
         if mode == "off":
             push_wire = float(m)
         else:

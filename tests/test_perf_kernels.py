@@ -3,9 +3,10 @@
 The wall-clock fast path (:mod:`repro.glm.kernels` and the compiled lazy
 epoch and batch gradient of :mod:`repro.glm.native`) is only legitimate
 if it is a pure speed change: every kernel must produce bit-for-bit the
-results of the retained NumPy bodies (:mod:`repro.glm.reference`, and
-``sample_batch`` + ``Objective.batch_loss_gradient`` for the batch
-gradient) on every input shape, density, chunk size and regularizer.
+results of the retained NumPy bodies (:mod:`repro.glm.reference`,
+:func:`mgd_epoch_reference` below, and ``sample_batch`` +
+``Objective.batch_loss_gradient`` for the batch gradient) on every input
+shape, density, chunk size and regularizer.
 Hypothesis drives the solvers through both paths and compares weights,
 gradients, stats and RNG end-states exactly — no tolerances anywhere in
 this file.
@@ -13,10 +14,12 @@ this file.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import logging
 import multiprocessing as mp
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -30,13 +33,31 @@ from hypothesis import strategies as st
 
 from repro.core.worker import asgd_gradient_task, gradient_wave_task
 from repro.data import Partition
-from repro.glm import (Objective, apply_update, apply_update_inplace,
-                       mgd_epoch, native, reference, sample_batch,
-                       sampled_gradient, sgd_epoch)
+from repro.glm import (LocalStats, Objective, apply_update,
+                       apply_update_inplace, mgd_epoch, native, reference,
+                       sample_batch, sampled_gradient, sgd_epoch)
 from repro.engine.backend import ExecutionBackend
 from repro.glm.lazy_update import ScaledVector
-from repro.glm.losses import HingeLoss
+from repro.glm.losses import HingeLoss, LogisticLoss
+from data.make_golden import SYSTEMS, golden_workload
 from test_perf_backend import _assert_matches_serial
+
+
+def mgd_epoch_reference(objective, w, X, y, lr, batch_size, order):
+    """The pre-optimization body of ``mgd_epoch`` over rows ``order``:
+    per-batch gather, fresh arrays, the allocating ``apply_update``."""
+    stats = LocalStats()
+    current = np.array(w, copy=True)
+    for start in range(0, X.shape[0], batch_size):
+        rows = order[start:start + batch_size]
+        Xb, yb = X[rows], y[rows]
+        grad = objective.batch_loss_gradient(current, Xb, yb)
+        current = apply_update(current, grad, lr, objective)
+        stats.nnz_processed += 2 * int(Xb.nnz)
+        stats.n_updates += 1
+        if objective.regularizer.is_dense:
+            stats.dense_ops += w.shape[0]
+    return current, stats
 
 
 def make_problem(n_rows: int, n_features: int, density: float, seed: int):
@@ -89,7 +110,7 @@ class TestSgdEpochBitIdentity:
                 objective, w0, X, y, 0.05, chunk_size, order)
         else:
             # Eager chunked SGD is mini-batch GD over the same order.
-            w_ref, stats_ref = reference.mgd_epoch_reference(
+            w_ref, stats_ref = mgd_epoch_reference(
                 objective, w0, X, y, 0.05, chunk_size, order)
         assert np.array_equal(w_fast, w_ref)
         assert stats_fast == stats_ref
@@ -110,7 +131,7 @@ class TestSgdEpochBitIdentity:
         rng_ref = np.random.default_rng(seed + 2)
         w_fast, stats_fast = mgd_epoch(objective, w0, X, y, 0.05,
                                        batch_size, rng_fast)
-        w_ref, stats_ref = reference.mgd_epoch_reference(
+        w_ref, stats_ref = mgd_epoch_reference(
             objective, w0, X, y, 0.05, batch_size, rng_ref.permutation(n))
         assert np.array_equal(w_fast, w_ref)
         assert stats_fast == stats_ref
@@ -299,8 +320,10 @@ class TestCompiledLazyEpoch:
         native.library.cache_clear()
         X, y, w0 = make_problem(30, 12, 0.3, 2)
         objective = Objective("logistic", "l2", 0.1)
+        compiled = _mllib_fit()
         try:
             with caplog.at_level(logging.WARNING, logger="repro.glm.native"):
+                assert _mllib_fit() == compiled
                 for seed in range(3):
                     got, stats = sgd_epoch(objective, w0, X, y, 0.05,
                                            np.random.default_rng(seed),
@@ -329,6 +352,16 @@ class TestCompiledLazyEpoch:
 # ----------------------------------------------------------------------
 # the compiled batch gradient (SendGradient tasks and mgd_epoch)
 # ----------------------------------------------------------------------
+def _mllib_fit(backend: str = "serial"):
+    """An MLlib golden fit's weights and its workers' RNG end states."""
+    trainer_cls, loss = SYSTEMS["MLlib"]
+    dataset, cluster, config = golden_workload()
+    trainer = trainer_cls(Objective(loss, "l2", 0.1), cluster,
+                          dataclasses.replace(config, backend=backend))
+    weights = trainer.fit(dataset).model.weights.tobytes()
+    return weights, [rng.bit_generator.state for rng in trainer._rngs]
+
+
 def _numpy_waves(objective, w, X, y, waves, per_task, rng):
     """The NumPy body of ``gradient_wave_task``: sample, then gradient."""
     grads, nnz = [], []
@@ -389,7 +422,7 @@ class TestCompiledBatchGradient:
                                rng_fast, shuffle=shuffle)
         n = X.shape[0]
         order = rng_ref.permutation(n) if shuffle else np.arange(n)
-        ref, ref_stats = reference.mgd_epoch_reference(
+        ref, ref_stats = mgd_epoch_reference(
             objective, w, X, y, 0.05, batch_size, order)
         assert got.tobytes() == ref.tobytes() and stats == ref_stats
         assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
@@ -414,16 +447,18 @@ class TestCompiledBatchGradient:
         else:
             rows = np.array([0, 10])
         with pytest.raises(ValueError, match="not a valid CSR matrix"):
-            native.batch_gradient(module, Objective("hinge"), w, X, y, rows)
+            native.PartitionView(module, X, y).batch(HingeLoss(), w, rows)
 
     def test_shapes_are_checked(self):
         module = native.library()
         if module is None:
             pytest.skip("the compiled tier is unavailable")
         X, y, w = make_problem(10, 6, 0.5, 1)
+        view = native.PartitionView(module, X, y)
         with pytest.raises(ValueError, match="does not match"):
-            native.batch_gradient(module, Objective("hinge"), w[:5], X, y,
-                                  np.arange(3))
+            view.batch(HingeLoss(), w[:5], np.arange(3))
+        with pytest.raises(ValueError, match="not a valid CSR matrix"):
+            native.PartitionView(module, X, y[:9])
 
     def test_callback_errors_propagate(self):
         if native.library() is None:
@@ -434,9 +469,87 @@ class TestCompiledBatchGradient:
                 raise ArithmeticError("broken loss")
 
         X, y, w = make_problem(10, 6, 0.5, 1)
+        part = Partition(index=0, X=X, y=y)
         with pytest.raises(ArithmeticError, match="broken loss"):
             sampled_gradient(Objective(Broken()), w, X, y, 4,
-                             np.random.default_rng(0))
+                             np.random.default_rng(0), part.native)
+        # The failed call left the view's marks clear.
+        grads, nnz, _ = gradient_wave_task(part, w, Objective("logistic"), 2,
+                                           4, np.random.default_rng(1))
+        ref_grads, ref_nnz = _numpy_waves(Objective("logistic"), w, X, y, 2,
+                                          4, np.random.default_rng(1))
+        assert [g.tobytes() for g in grads] == [
+            g.tobytes() for g in ref_grads]
+        assert nnz == ref_nnz
+
+    @pytest.mark.parametrize("n, per_task", [(300, 17), (12_000, 400)])
+    def test_non_hinge_losses_read_the_rows_c_drew(self, n, per_task):
+        # Floyd's draw, then the tail shuffle (per_task > n // 50 > 200):
+        # labels 0..n-1 show which rows the callback was handed.
+        if native.library() is None:
+            pytest.skip("the compiled tier is unavailable")
+        handed = []
+
+        class Recording(LogisticLoss):
+            def gradient_factor(self, margins, y):
+                handed.append(y.copy())
+                return super().gradient_factor(margins, y)
+
+        X, _, w = make_problem(n, 30, 0.05, 3)
+        y = np.arange(n, dtype=np.float64)
+        objective = Objective(Recording())
+        grads, nnz, rng = gradient_wave_task(
+            Partition(index=0, X=X, y=y), w, objective, 3, per_task,
+            np.random.default_rng(7))
+        twin = np.random.default_rng(7)
+        draws = [twin.choice(n, per_task, replace=False) for _ in range(3)]
+        assert [h.tolist() for h in handed] == [d.tolist() for d in draws]
+        assert rng.bit_generator.state == twin.bit_generator.state
+        ref_grads, ref_nnz = _numpy_waves(objective, w, X, y, 3, per_task,
+                                          np.random.default_rng(7))
+        assert [g.tobytes() for g in grads] == [
+            g.tobytes() for g in ref_grads]
+        assert nnz == ref_nnz
+
+    def test_views_are_per_partition_and_never_pickled(self):
+        X, y, w = make_problem(10, 6, 0.5, 1)
+        part = Partition(index=0, X=X, y=y)
+        assert part.native is part.native
+        assert "native" not in pickle.loads(pickle.dumps(part)).__dict__
+
+
+@st.composite
+def choice_draws(draw):
+    """``choice(n, size)`` shapes across both of NumPy's branches (the
+    tail shuffle needs n > 10000 and size > n // 50), with and without a
+    buffered 32-bit half-word in the generator."""
+    n = draw(st.one_of(st.just(1), st.integers(1, 300),
+                       st.integers(9_900, 10_400)))
+    size = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n),
+                          st.integers(max(1, n // 50 - 2),
+                                      max(1, min(n, n // 50 + 2)))))
+    return n, size, draw(st.integers(0, 2**32)), draw(st.booleans())
+
+
+class TestCompiledSampler:
+    @given(draws=choice_draws())
+    @settings(max_examples=300, deadline=None)
+    def test_c_draws_equal_rng_choice(self, draws):
+        module = native.library()
+        if module is None:
+            pytest.skip("the compiled tier is unavailable")
+        n, size, seed, half_word = draws
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        if half_word:  # leaves has_uint32 = 1 and its uinteger
+            for gen in (rng, twin):
+                gen.random(dtype=np.float32)
+        view = native.PartitionView(module, sp.csr_matrix((n, 1)),
+                                    np.ones(n))
+        g, nnz = view.sampled(HingeLoss(), np.zeros(1), size, rng)
+        expected = twin.choice(n, size, replace=False)
+        assert view.rows[:size].tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert (g.tolist(), nnz) == ([0.0], 0)
 
 
 def _load_in_child(barrier, queue) -> None:
@@ -507,9 +620,12 @@ class TestCompiledBuild:
     @pytest.mark.parametrize("backend", ["shm", "socket"])
     def test_spawned_workers_run_the_compiled_batch_gradient(
             self, backend, tmp_path, monkeypatch):
-        # As above, on MLlib's SendGradient tasks.
+        # As above, on MLlib's SendGradient tasks, whose batches the
+        # workers draw in C: the same weights and RNG end states.
+        serial = _mllib_fit()
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setattr(ExecutionBackend, "default_start_method",
                             "spawn")
         _assert_matches_serial("MLlib", backend)
+        assert _mllib_fit(backend) == serial
         assert [p.suffix for p in (tmp_path / "repro").iterdir()] == [".so"]
