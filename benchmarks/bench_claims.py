@@ -1,8 +1,10 @@
 """The paper's claims as one table, checked on every run.
 
 Each :class:`Claim` row is one claim of the paper's evaluation (§V: Table
-I, Fig. 1 and 3-6) or of a design choice behind B1/B2: the claim, the
-paper's own number where it states one, a ``measure`` and a ``check``.
+I, Fig. 1 and 3-6), of a design choice behind B1/B2, or of an extension
+(``ext.``; the CoCoA+, ladder and sparse rows name the related paper by
+arXiv id): the claim, the paper's own number or rule where it states
+one, a ``measure`` and a ``check``.
 Training is real (sparse SGD on the analog datasets); time is the
 simulated cluster clock, so every measured value is deterministic and the
 rows check *shapes* (who wins, by roughly how much), not the paper's
@@ -32,14 +34,16 @@ import numpy as np
 import pytest
 
 from repro.cli import SYSTEMS
-from repro.cluster import ComputeCostModel, cluster1, cluster2
+from repro.cluster import (GIGABIT, ClusterSpec, ComputeCostModel,
+                           NetworkModel, cluster1, cluster2,
+                           homogeneous_nodes, tiered_cluster)
 from repro.core import TrainerConfig, TrainResult
 from repro.data import (CATALOG, SparseDataset, SyntheticSpec,
                         dataset_names, generate, load)
 from repro.engine import BspEngine, TreeAggregateModel
 from repro.glm import Objective
-from repro.metrics import (ConvergenceResult, format_speedup, speedup,
-                           summarize)
+from repro.metrics import (ConvergenceResult, comm_report, format_speedup,
+                           speedup, summarize)
 from repro.ps import ASP, BSP, SSP, PsEngine
 
 EXPERIMENTS = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
@@ -55,11 +59,12 @@ FIG45_DATASETS = ("avazu", "url", "kddb", "kdd12")
 # recipes
 # ----------------------------------------------------------------------
 def synth(name: str, rows: int, features: int, nnz_per_row: float,
-          seed: int) -> tuple[str, SyntheticSpec]:
-    """A synthetic workload key for :func:`fit` (noise 0.03)."""
+          seed: int, noise: float = 0.03,
+          **spec: Any) -> tuple[str, SyntheticSpec]:
+    """A synthetic workload key for :func:`fit`."""
     return name, SyntheticSpec(n_rows=rows, n_features=features,
-                               nnz_per_row=nnz_per_row, noise=0.03,
-                               seed=seed)
+                               nnz_per_row=nnz_per_row, noise=noise,
+                               seed=seed, **spec)
 
 
 @functools.cache
@@ -354,6 +359,180 @@ def fault_runs(system: str) -> tuple[TrainResult, TrainResult, TrainResult]:
             make_trainer(system, cluster, faulty, SVM_L2).fit(dataset(data)))
 
 
+def uniform_cluster(network: NetworkModel, executors: int) -> ClusterSpec:
+    """``executors`` identical nodes plus a driver on ``network``."""
+    return ClusterSpec(nodes=homogeneous_nodes(executors + 1, speed=1.0),
+                       network=network)
+
+
+# Dual local solvers (Dünner et al., 1612.01437), scored by certified
+# time-to-suboptimality: a long CoCoA+ run's final dual value D_ref is a
+# weak-duality lower bound on P(w*), so the first point with
+# P(w) <= D_ref + EPS is certified within EPS + its gap of the optimum.
+#: The paper's "accuracy loss 0.01".
+EPS = 0.01
+#: One computation priced on three fabrics (numerics never see the price).
+FABRICS = {
+    "comm-bound": NetworkModel(bandwidth=GIGABIT / 10, alpha=3.0e-3),
+    "balanced": NetworkModel(bandwidth=GIGABIT, alpha=1.0e-3),
+    "compute-bound": NetworkModel(bandwidth=10 * GIGABIT, alpha=1.0e-4),
+}
+# Wide and sparse, so messages are model-sized while a local pass is
+# cheap; 120 rows per partition, so no single local pass near-solves it.
+COCOA_DATA = synth("cocoa", 960, 20000, 10.0, 11, noise=0.02)
+COCOA_H = (1, 4, 16)
+
+
+def dual_config(solver: str, h: int,
+                stop: float | None = None) -> TrainerConfig:
+    return TrainerConfig(max_steps=60, seed=1, local_solver=solver,
+                         local_iters=h, eval_every=1, stop_threshold=stop)
+
+
+def cocoa_reference() -> TrainResult:
+    """The strongest solver of the sweep (CoCoA+, H = 32), run to its
+    step budget; its last certificate gives D_ref."""
+    return fit("MLlib*", COCOA_DATA, (uniform_cluster, FABRICS["balanced"], 8),
+               dual_config("cocoa+", 32), SVM_L2)
+
+
+def cocoa_target() -> float:
+    return cocoa_reference().duality_gaps[-1].dual + EPS
+
+
+def cocoa_runs(name: str) -> dict[str, TrainResult]:
+    """MGD (the SendModel default) and every (solver, H) on one fabric,
+    each stopped at the certified target."""
+    target, cluster = cocoa_target(), (uniform_cluster, FABRICS[name], 8)
+    mgd = _SENDMODEL.with_overrides(max_steps=400, eval_every=1,
+                                    stop_threshold=target)
+    runs = {"mgd": fit("MLlib*", COCOA_DATA, cluster, mgd, SVM_L2)}
+    for solver in ("cocoa", "cocoa+"):
+        for h in COCOA_H:
+            runs[f"{solver} H={h}"] = fit("MLlib*", COCOA_DATA, cluster,
+                                          dual_config(solver, h, target),
+                                          SVM_L2)
+    return runs
+
+
+def cocoa_hits(name: str) -> dict[str, Any]:
+    """Each run's first history point at the certified target, or None."""
+    return {run: r.history.first_reaching(cocoa_target())
+            for run, r in cocoa_runs(name).items()}
+
+
+def cocoa_vs_mgd(name: str) -> dict[str, float | None]:
+    """MGD's seconds to the target over each dual run's."""
+    hits = cocoa_hits(name)
+    return {run: None if None in (hits["mgd"], hit)
+            else hits["mgd"].seconds / hit.seconds
+            for run, hit in hits.items() if run != "mgd"}
+
+
+def cocoa_certificates() -> dict[str, Any]:
+    """Every dual run of the sweep: are its certificates there, is its
+    dual ascending, and the smallest gap it recorded."""
+    runs = [r for name in FABRICS
+            for run, r in cocoa_runs(name).items() if run != "mgd"]
+    duals = [[g.dual for g in r.duality_gaps] for r in runs]
+    return {"runs": len(runs),
+            "certified": sum(bool(r.duality_gaps) for r in runs),
+            "dual ascends": sum(all(b >= a - 1e-12 for a, b in zip(d, d[1:]))
+                                for d in duals),
+            "min gap": min(g.gap for r in runs for g in r.duality_gaps)}
+
+
+def cocoa_dial() -> dict[int, tuple[int, float]]:
+    """CoCoA+ (supersteps to the target, gap at the stop) at the smallest
+    and largest H on the comm-bound fabric."""
+    runs, hits = cocoa_runs("comm-bound"), cocoa_hits("comm-bound")
+    return {h: (hits[f"cocoa+ H={h}"].step,
+                runs[f"cocoa+ H={h}"].duality_gaps[-1].gap)
+            for h in (COCOA_H[0], COCOA_H[-1])}
+
+
+# The aggregation ladder: flat Reduce-Scatter/AllGather, Snap ML's two-tier
+# hier (1803.06333) and SwitchML's in-network switch (1903.06701) on
+# tiered clusters.  The model is wide and the rows few, so latency and
+# bandwidth dominate the priced phases.
+#: machines x executors per machine: 4, 8 and 16 executors.
+LADDER_SHAPES = ((2, 2), (2, 4), (4, 4))
+LADDER_DATA = {"dense": synth("topology-dense", 1600, 40000, 64.0, 11,
+                              noise=0.02),
+               "sparse": synth("topology-sparse", 1600, 40000, 4.0, 11,
+                               noise=0.02)}
+#: rung -> (collective, switch slots); one slot forces one switch round
+#: per chunk, so the starved stream pays a per-round latency ~157 times.
+LADDER_RUNGS = {"flat": ("flat", 512), "hier": ("hier", 512),
+                "switch": ("switch", 512), "starved": ("switch", 1)}
+
+
+def ladder_run(density: str, shape: tuple[int, int],
+               rung: str) -> TrainResult:
+    """MLlib* for 5 supersteps; the dense analog ships full-size
+    messages (``sparse_comm=off``), the sparse one local supports."""
+    collective, slots = LADDER_RUNGS[rung]
+    cfg = _SENDMODEL.with_overrides(
+        max_steps=5, collective=collective, switch_slots=slots,
+        sparse_comm="off" if density == "dense" else "auto")
+    return fit("MLlib*", LADDER_DATA[density], (tiered_cluster, *shape), cfg)
+
+
+def ladder_cells() -> list[tuple[str, tuple[int, int], tuple[str, ...]]]:
+    """(density, shape, rungs); the starved switch runs at 4x4, dense."""
+    return [(density, shape, ("flat", "hier", "switch") + (
+        ("starved",) if (density, shape) == ("dense", (4, 4)) else ()))
+        for density in LADDER_DATA for shape in LADDER_SHAPES]
+
+
+def same_model(a: TrainResult, b: TrainResult) -> bool:
+    return (np.array_equal(a.model.weights, b.model.weights)
+            and a.history.objectives() == b.history.objectives())
+
+
+def ladder_comm(density: str, shape: tuple[int, int],
+                rung: str) -> float | None:
+    """The rung's priced communication seconds, or None when it changed
+    the model: a topology that changes the weights is a bug, not a win,
+    so no ratio is taken from it."""
+    run = ladder_run(density, shape, rung)
+    if not same_model(ladder_run(density, shape, "flat"), run):
+        return None
+    return run.comm_seconds
+
+
+# SparCML's sparse AllReduce (1802.08021): the three wire modes over a
+# per-row density sweep, on a bandwidth-dominated network so the priced
+# seconds track wire volume.  Local SGD visits every partition row per
+# superstep, so the union support is ~1 - (1 - density)^rows of the
+# model: the sweep brackets the break-even (union density 0.5).
+SPARSE_DENSITIES = (0.01, 0.05, 0.10, 0.25, 0.45, 0.70)
+SPARSE_MODES = ("off", "auto", "on")
+
+
+def sparse_run(density: float, mode: str) -> TrainResult:
+    data = synth(f"density-{density:g}", 8, 20_000, density * 20_000, 29,
+                 noise=0.02, feature_skew=0.0)
+    cfg = TrainerConfig(max_steps=3, learning_rate=0.5,
+                        lr_schedule="inv_sqrt", local_chunk_size=2, seed=5,
+                        sparse_comm=mode)
+    network = NetworkModel(bandwidth=GIGABIT, alpha=1.0e-5)
+    return fit("MLlib*", data, (uniform_cluster, network, 4), cfg, SVM_L2)
+
+
+def sparse_vs_dense(density: float, mode: str) -> float:
+    """Dense (``off``) communication seconds over ``mode``'s."""
+    return (comm_report(sparse_run(density, "off")).comm_seconds
+            / comm_report(sparse_run(density, mode)).comm_seconds)
+
+
+def per_step_vs_dense(result: TrainResult) -> dict[int, float]:
+    """Each superstep's dense-priced seconds over its wire seconds."""
+    return {step: sum(r.dense_seconds for r in result.comm if r.step == step)
+            / sum(r.seconds for r in result.comm if r.step == step)
+            for step in sorted({r.step for r in result.comm})}
+
+
 # ----------------------------------------------------------------------
 # the claims table
 # ----------------------------------------------------------------------
@@ -635,6 +814,108 @@ ROWS = [
                    for c, f, _ in [fault_runs(s)]},
           lambda v: v["MLlib*"][0] > 0 and v["MLlib+MA"][0] > 0
           and v["MLlib*"][1] < v["MLlib+MA"][1]),
+    Claim("cocoa-reference-certified", "ext. 1612.01437",
+          "a CoCoA+ run (H = 32) certifies its own duality gap <= eps/2 = "
+          "0.005, so D_ref + eps is a certified target for every run",
+          "the duality gap certifies suboptimality: D(alpha) <= P(w*) <= "
+          "P(w)", lambda: cocoa_reference().duality_gaps[-1].gap,
+          lambda v: v <= EPS / 2),
+    Claim("cocoa-certificates", "ext. 1612.01437",
+          "every dual run of the sweep records certificates, each gap >= "
+          "-1e-9, and its dual never decreases", "dual ascent",
+          cocoa_certificates,
+          lambda v: v["runs"] == len(FABRICS) * 2 * len(COCOA_H)
+          and v["certified"] == v["dual ascends"] == v["runs"]
+          and v["min gap"] >= -1e-9),
+    Claim("cocoa-reach-target", "ext. 1612.01437",
+          "MGD and every (solver, H) run reach the certified target on "
+          "every fabric (supersteps: mgd, cocoa H = 1/4/16, cocoa+ H = "
+          "1/4/16)", "",
+          lambda: {name: tuple(hit and hit.step
+                               for hit in cocoa_hits(name).values())
+                   for name in FABRICS},
+          lambda v: all(None not in steps for steps in v.values())),
+    Claim("cocoa-plus-beats-mgd", "ext. 1612.01437",
+          "on the comm-bound fabric the best CoCoA+ H reaches the certified "
+          "target >= 2x sooner than MGD (simulated seconds)",
+          "more local work per barrier pays on a slow fabric",
+          lambda: {run: x for run, x in cocoa_vs_mgd("comm-bound").items()
+                   if run.startswith("cocoa+")},
+          lambda v: max((x for x in v.values() if x is not None),
+                        default=0.0) >= 2.0),
+    Claim("cocoa-h-dial", "ext. 1612.01437",
+          "H is a local-progress dial: on the comm-bound fabric CoCoA+ at "
+          "H = 16 takes no more supersteps to the target than H = 1, and "
+          "fewer of them or a smaller certified gap at the stop",
+          "H trades local work for communication rounds", cocoa_dial,
+          lambda v: v[16][0] <= v[1][0]
+          and (v[16][0] < v[1][0] or v[16][1] < v[1][1])),
+    Claim("ladder-bit-identical", "ext. 1903.06701",
+          "every hier and switch run has its flat twin's weights and "
+          "per-step objectives: the ladder reprices, never changes the model",
+          "", lambda: {f"{d} {m}x{e}": all(
+              same_model(ladder_run(d, (m, e), "flat"),
+                         ladder_run(d, (m, e), rung)) for rung in rungs)
+              for d, (m, e), rungs in ladder_cells()},
+          lambda v: all(v.values())),
+    Claim("ladder-hier-beats-flat", "ext. 1803.06333",
+          "on the dense analog hier's priced communication beats flat's "
+          "from 8 executors up (sim s: hier, flat)",
+          "combine on the machine first, then across machines",
+          lambda: {f"{m}x{e}": (ladder_comm("dense", (m, e), "hier"),
+                                ladder_comm("dense", (m, e), "flat"))
+                   for m, e in LADDER_SHAPES if m * e >= 8},
+          lambda v: all(hier is not None and hier < flat
+                        for hier, flat in v.values())),
+    Claim("ladder-switch-fastest", "ext. 1903.06701",
+          "at 4x4 on the dense analog the in-network switch beats hier and "
+          "flat (sim s)", "aggregate in the switch at line rate",
+          lambda: {rung: ladder_comm("dense", (4, 4), rung)
+                   for rung in ("switch", "hier", "flat")},
+          lambda v: None not in v.values()
+          and v["switch"] < v["hier"] and v["switch"] < v["flat"]),
+    Claim("ladder-starved-switch", "ext. 1903.06701",
+          "a one-slot switch pool stalls the stream: slower than the roomy "
+          "switch and than flat (sim s)",
+          "the slot pool must cover the bandwidth-delay product",
+          lambda: {rung: ladder_comm("dense", (4, 4), rung)
+                   for rung in ("starved", "switch", "flat")},
+          lambda v: None not in v.values()
+          and v["starved"] > v["switch"] and v["starved"] > v["flat"]),
+    Claim("sparse-same-iterates", "ext. 1802.08021",
+          "auto and forced-on wires give off's final objective bit for bit "
+          "at every density", "sparsity changes the cost, never the sum",
+          lambda: {d: all(sparse_run(d, mode).final_objective
+                          == sparse_run(d, "off").final_objective
+                          for mode in ("auto", "on"))
+                   for d in SPARSE_DENSITIES},
+          lambda v: all(v.values())),
+    Claim("sparse-1pct-per-step", "ext. 1802.08021",
+          "at 1% density auto cuts every superstep's priced communication "
+          ">= 5x (dense over wire seconds)", "",
+          lambda: per_step_vs_dense(sparse_run(0.01, "auto")),
+          lambda v: bool(v) and all(x >= 5.0 for x in v.values())),
+    Claim("sparse-auto-never-loses", "ext. 1802.08021",
+          "auto never loses to the dense wire and never inflates it, at any "
+          "density (speedup, compression)",
+          "per message: sparse iff 2 nnz < m",
+          lambda: {d: (sparse_vs_dense(d, "auto"),
+                       comm_report(sparse_run(d, "auto")).compression)
+                   for d in SPARSE_DENSITIES},
+          lambda v: all(x >= 1.0 - 1e-12 and c >= 1.0
+                        for x, c in v.values())),
+    Claim("sparse-forced-crossover", "ext. 1802.08021",
+          "a forced sparse wire crosses over: > 3x cheaper than dense at 1% "
+          "density, < 0.75x at 70% once the union support saturates",
+          "break-even at 2 nnz = m",
+          lambda: {d: sparse_vs_dense(d, "on") for d in (0.01, 0.70)},
+          lambda v: v[0.01] > 3.0 and v[0.70] < 0.75),
+    Claim("sparse-auto-falls-back", "ext. 1802.08021",
+          "at 70% density auto's wire is exactly the dense wire (wire "
+          "values, dense values)", "past break-even, send dense",
+          lambda: (comm_report(sparse_run(0.70, "auto")).wire_values,
+                   comm_report(sparse_run(0.70, "auto")).dense_values),
+          lambda v: v[0] == v[1]),
 ]
 
 
@@ -741,9 +1022,57 @@ def fig6_block() -> list[str]:
                      "paper 32 -> 128"], rows)
 
 
+def cocoa_block() -> list[str]:
+    ref, hits = cocoa_reference().duality_gaps[-1], cocoa_hits("comm-bound")
+    speedups = {name: cocoa_vs_mgd(name) for name in FABRICS}
+    rows = []
+    for run, result in cocoa_runs("comm-bound").items():
+        solver, _, h = run.partition(" H=")
+        hit, gaps = hits[run], result.duality_gaps
+        rows.append([solver, h or "-", show(hit and hit.step),
+                     show(hit and hit.seconds),
+                     *(format_speedup(speedups[name].get(run, 1.0))
+                       for name in FABRICS),
+                     f"{gaps[-1].gap:.2e}" if gaps else "-"])
+    return [f"D_ref = {ref.dual:.6f} (reference gap {ref.gap:.2e}); "
+            f"target P(w) <= {cocoa_target():.6f}.", "",
+            *md_table(["solver", "H", "supersteps", "sim s (comm-bound)",
+                       *(f"vs MGD, {name}" for name in FABRICS),
+                       "gap at the stop"], rows)]
+
+
+def ladder_block() -> list[str]:
+    rows = []
+    for density, shape, rungs in ladder_cells():
+        flat = ladder_run(density, shape, "flat").comm_seconds
+        comm = {rung: ladder_comm(density, shape, rung) for rung in rungs}
+        rows.append([density, "x".join(map(str, shape)), f"{flat:.4f}", *(
+            "-" if comm.get(r) is None else format_speedup(flat / comm[r])
+            for r in ("hier", "switch", "starved"))])
+    return md_table(["analog", "machines x executors", "flat comm (sim s)",
+                     "hier vs flat", "switch vs flat",
+                     "1-slot switch vs flat"], rows)
+
+
+def sparse_block() -> list[str]:
+    rows = []
+    for d in SPARSE_DENSITIES:
+        reports = {mode: comm_report(sparse_run(d, mode))
+                   for mode in SPARSE_MODES}
+        dense = reports["off"].comm_seconds
+        rows.append([f"{d:.0%}", *(f"{r.comm_seconds * 1e3:.3f}"
+                                   for r in reports.values()),
+                     *(format_speedup(dense / reports[mode].comm_seconds)
+                       for mode in ("auto", "on")),
+                     f"{reports['auto'].compression:.1f}x"])
+    return md_table(["density", "dense ms", "auto ms", "forced-on ms",
+                     "auto speedup", "on speedup", "auto compression"], rows)
+
+
 BLOCKS = {"claims": claims_block, "table1": table1_block,
           "fig3": fig3_block, "fig4": fig4_block, "fig5": fig5_block,
-          "fig6": fig6_block}
+          "fig6": fig6_block, "cocoa": cocoa_block, "ladder": ladder_block,
+          "sparse": sparse_block}
 _BLOCK = re.compile(r"(<!-- generated: (\w+) -->\n).*?(?=<!-- end -->)",
                     re.S)
 

@@ -17,7 +17,7 @@ queue of training jobs.  This bench sweeps a Poisson arrival trace
 
 Every variant replays the *same* trace, so differences are pure policy.
 Two determinism gates run before any number is reported, mirroring the
-bit-identity gates of ``bench_ext_topology``:
+``ladder-bit-identical`` claim row:
 
 * the heaviest configuration is run twice and must produce a
   byte-identical schedule log (same SHA-256 digest);

@@ -158,7 +158,7 @@ def tiered_cluster(machines: int = 2, executors_per_machine: int = 4,
     cross-node fabric, ~100 Gbps shared-memory intra tier) and a block
     placement map: executor ``i`` lives on machine
     ``i // executors_per_machine``.  The topology the hierarchical
-    collective exploits — and the one ``bench_ext_topology`` sweeps.
+    collective exploits — and the one the ``ladder-*`` claim rows sweep.
     """
     if machines < 1:
         raise ValueError("need at least one machine")

@@ -162,6 +162,8 @@ class PsEngine:
         if (push_values is not None
                 and len(push_values) != self.num_workers):
             raise ValueError("push_values list length mismatch")
+        if any(d < 0 for d in (*compute_seconds, *overheads)):
+            raise ValueError("durations must be non-negative")
 
         t = self._steps_run
         dense_comm = self.comm_seconds(model_size)
@@ -190,8 +192,6 @@ class PsEngine:
                 self.trace.add(label, own_ready, start, "wait", t)
 
             node = self.cluster.executors[r]
-            if compute_seconds[r] < 0 or overheads[r] < 0:
-                raise ValueError("durations must be non-negative")
             work = (compute_seconds[r] * self.cluster.slowdown(node, t)
                     + overheads[r])
             lane = ((work, "compute", 0.0),)

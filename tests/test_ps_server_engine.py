@@ -60,3 +60,24 @@ class TestPsEngine:
             engine.run_step([1.0], model_size=100)
         with pytest.raises(ValueError):
             engine.run_step([1.0, -1.0], model_size=100)
+
+    def test_rejected_step_leaves_no_state(self):
+        """A bad duration is refused before any span, record or finish
+        time is written, so the next step sees consistent histories."""
+        engine = PsEngine(cluster1(executors=4), controller=BSP())
+        twin = PsEngine(cluster1(executors=4), controller=BSP())
+        for e in (engine, twin):
+            e.run_step([0.1] * 4, 100)
+
+        def state():
+            return (len(engine.trace), len(engine.comm_records), engine.now,
+                    [list(f) for f in engine._finish_times])
+
+        before = state()
+        for compute, overhead in (([0.1, 0.1, -1.0, 0.1], None),
+                                  ([0.1] * 4, [0.0, 0.0, 0.0, -1.0])):
+            with pytest.raises(ValueError, match="non-negative"):
+                engine.run_step(compute, 100, overhead_seconds=overhead)
+            assert state() == before
+        assert (engine.run_step([0.2] * 4, 100)
+                == twin.run_step([0.2] * 4, 100))
