@@ -263,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shadow registry version scored on every "
                             "batch (needs --registry)")
     bench.add_argument("--out", metavar="PATH",
-                       help="write the sweep to JSON "
-                            "(e.g. BENCH_serving.json)")
+                       help="write the sweep to JSON")
     bench.add_argument("--seed", type=int, default=0)
 
     perf = sub.add_parser(

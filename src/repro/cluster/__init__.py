@@ -8,9 +8,8 @@ host while preserving the relative timing behaviour the paper analyzes.
 
 from .cluster import ClusterSpec, cluster1, cluster2, tiered_cluster
 from .cost import ComputeCostModel
-from .faults import (FAILURE_PHASES, CompositeFailures, FailureEvent,
-                     FailureModel, FailureRecord, NoFailures, RandomFailures,
-                     RecoveryError, RecoveryPolicy, ScheduledFailures,
+from .faults import (FAILURE_PHASES, FailureEvent, FailureModel,
+                     FailureRecord, RecoveryError, RecoveryPolicy,
                      build_failure_model, parse_failure_schedule)
 from .network import GIGABIT, TEN_GIGABIT, NetworkModel, TieredNetworkModel
 from .node import (LogNormalStragglers, NodeSpec, NoStragglers,
@@ -25,7 +24,6 @@ __all__ = [
     "homogeneous_nodes", "heterogeneous_nodes",
     "Span", "Trace", "SPAN_KINDS",
     "FAILURE_PHASES", "FailureEvent", "FailureRecord", "FailureModel",
-    "NoFailures", "RandomFailures", "ScheduledFailures", "CompositeFailures",
     "RecoveryPolicy", "RecoveryError",
     "build_failure_model", "parse_failure_schedule",
 ]

@@ -13,10 +13,10 @@ Design rules, mirroring the straggler machinery:
   work for the superstep is voided and deterministically redone, so every
   run produces the same iterates with and without injected failures — only
   simulated time and the trace differ.
-* **Everything is seeded.**  :class:`RandomFailures` derives each draw
-  from ``(seed, step, executor, attempt)``, so outcomes are reproducible
-  and independent of evaluation order; :class:`ScheduledFailures` scripts
-  exact "executor e dies at step s" scenarios for tests and benchmarks.
+* **Everything is seeded.**  :class:`FailureModel` derives each random
+  draw from ``(seed, step, executor, attempt)``, so outcomes are
+  reproducible and independent of evaluation order, and scripts exact
+  "executor e dies at step s" events for tests and benchmarks.
 * **Recovery is a policy.**  :class:`RecoveryPolicy` caps retries and
   chooses between lineage recomputation (Spark's default) and restoring
   from a periodic checkpoint; exceeding the retry cap raises
@@ -26,7 +26,7 @@ Design rules, mirroring the straggler machinery:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,10 +37,6 @@ __all__ = [
     "FailureEvent",
     "FailureRecord",
     "FailureModel",
-    "NoFailures",
-    "RandomFailures",
-    "ScheduledFailures",
-    "CompositeFailures",
     "RecoveryPolicy",
     "RecoveryError",
     "CrashRecovery",
@@ -103,66 +99,41 @@ class FailureRecord:
     attempt: int
 
 
+@dataclass(frozen=True)
 class FailureModel:
-    """Base class: decides whether an attempt crashes.
+    """Decides whether an attempt crashes: scripted events, then a rate.
 
     ``crash_event(step, phase, executor, attempt)`` is consulted by the
     engines before *every* attempt (attempt 0 is the first try, attempt
     ``n`` the n-th retry); returning an event voids that attempt's work.
+    The first of ``events`` aimed at that (step, phase, executor) fires
+    while ``attempt < repeats``.  Otherwise a compute-phase attempt
+    crashes with probability ``rate``, drawn through a
+    :class:`numpy.random.SeedSequence` keyed by ``(seed, step, executor,
+    attempt)``: a pure function of those four integers, reproducible and
+    unaffected by how many other draws happened first.  The default,
+    ``FailureModel()``, never fails.
     """
 
-    #: False only for :class:`NoFailures`; lets engines skip the
-    #: failure path entirely so default runs stay bit-identical.
-    enabled = True
-
-    def crash_event(self, step: int, phase: str, executor: int,
-                    attempt: int) -> FailureEvent | None:
-        raise NotImplementedError
-
-    def validate_executors(self, num_executors: int) -> None:
-        """Reject scripted events that can never fire on this cluster.
-
-        The engines consult ``crash_event`` per *existing* executor, so a
-        schedule like ``"9@3"`` on an 8-executor cluster used to be
-        silently inert — the scripted crash just never happened and the
-        bench measured a failure-free run.  Models carrying explicit
-        events override this to raise :class:`ValueError` instead;
-        sampled/empty models have nothing to check.
-        """
-        if num_executors < 1:
-            raise ValueError("cluster must have at least one executor")
-
-
-class NoFailures(FailureModel):
-    """The default: nothing ever fails (pre-fault-injection behaviour)."""
-
-    enabled = False
-
-    def crash_event(self, step: int, phase: str, executor: int,
-                    attempt: int) -> FailureEvent | None:
-        return None
-
-
-@dataclass(frozen=True)
-class RandomFailures(FailureModel):
-    """Independent per-(step, executor) crash probability.
-
-    Draws are keyed by ``(seed, step, executor, attempt)`` through a
-    :class:`numpy.random.SeedSequence`, so the outcome for any attempt is
-    a pure function of those four integers — reproducible run-to-run and
-    unaffected by how many other draws happened first.  Crashes land in
-    the compute phase (where most of a step's time is spent).
-    """
-
-    rate: float
+    rate: float = 0.0
     seed: int = 0
+    events: tuple[FailureEvent, ...] = ()
+    #: False when nothing can fail; lets engines skip the failure path
+    #: entirely so fault-free runs stay bit-identical.
+    enabled: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rate < 1.0:
             raise ValueError("failure rate must be in [0, 1)")
+        object.__setattr__(self, "enabled",
+                           self.rate > 0.0 or bool(self.events))
 
     def crash_event(self, step: int, phase: str, executor: int,
                     attempt: int) -> FailureEvent | None:
+        for event in self.events:
+            if (event.executor == executor and event.step == step
+                    and event.phase == phase and attempt < event.repeats):
+                return event
         if phase != "compute" or self.rate <= 0.0:
             return None
         entropy = (abs(int(self.seed)), step, executor, attempt)
@@ -172,24 +143,15 @@ class RandomFailures(FailureModel):
             return None
         return FailureEvent(executor=executor, step=step, phase="compute")
 
-
-class ScheduledFailures(FailureModel):
-    """A fixed failure script ("executor 3 dies at step 12")."""
-
-    def __init__(self,
-                 events: list[FailureEvent] | tuple[FailureEvent, ...]) -> None:
-        self.events = tuple(events)
-
-    def crash_event(self, step: int, phase: str, executor: int,
-                    attempt: int) -> FailureEvent | None:
-        for event in self.events:
-            if (event.executor == executor and event.step == step
-                    and event.phase == phase and attempt < event.repeats):
-                return event
-        return None
-
     def validate_executors(self, num_executors: int) -> None:
-        super().validate_executors(num_executors)
+        """Reject scripted events that can never fire on this cluster.
+
+        The engines consult ``crash_event`` per *existing* executor, so a
+        schedule like ``"9@3"`` on an 8-executor cluster would be
+        silently inert: the run would measure a failure-free run.
+        """
+        if num_executors < 1:
+            raise ValueError("cluster must have at least one executor")
         for event in self.events:
             if event.executor >= num_executors:
                 raise ValueError(
@@ -197,25 +159,6 @@ class ScheduledFailures(FailureModel):
                     f"at step {event.step}, but the cluster has only "
                     f"{num_executors} executors (indices 0.."
                     f"{num_executors - 1}); the event could never fire")
-
-
-class CompositeFailures(FailureModel):
-    """Union of several failure models (first crash wins)."""
-
-    def __init__(self, models: list[FailureModel]) -> None:
-        self.models = tuple(models)
-
-    def crash_event(self, step: int, phase: str, executor: int,
-                    attempt: int) -> FailureEvent | None:
-        for model in self.models:
-            event = model.crash_event(step, phase, executor, attempt)
-            if event is not None:
-                return event
-        return None
-
-    def validate_executors(self, num_executors: int) -> None:
-        for model in self.models:
-            model.validate_executors(num_executors)
 
 
 @dataclass(frozen=True)
@@ -400,7 +343,7 @@ def parse_failure_schedule(spec: str) -> list[FailureEvent]:
 def build_failure_model(rate: float = 0.0, schedule: str | None = None,
                         seed: int = 0,
                         num_executors: int | None = None) -> FailureModel:
-    """Compose a failure model from trainer-config primitives.
+    """The failure model of trainer-config primitives.
 
     ``num_executors`` (when known at build time) validates scripted
     events against the cluster size immediately — a schedule targeting a
@@ -408,14 +351,8 @@ def build_failure_model(rate: float = 0.0, schedule: str | None = None,
     being silently inert.  The engines re-validate at setup regardless,
     covering models constructed directly.
     """
-    models: list[FailureModel] = []
-    if schedule:
-        models.append(ScheduledFailures(parse_failure_schedule(schedule)))
-    if rate > 0.0:
-        models.append(RandomFailures(rate=rate, seed=seed))
-    if not models:
-        return NoFailures()
-    model = models[0] if len(models) == 1 else CompositeFailures(models)
-    if num_executors is not None:
+    model = FailureModel(rate=rate, seed=seed, events=tuple(
+        parse_failure_schedule(schedule) if schedule else ()))
+    if num_executors is not None and model.enabled:
         model.validate_executors(num_executors)
     return model

@@ -68,7 +68,7 @@ class TrainerConfig:
     failure_rate:
         Per-(step, executor) crash probability (0 disables fault
         injection).  Draws are seeded and order-independent; see
-        :class:`repro.cluster.faults.RandomFailures`.
+        :class:`repro.cluster.faults.FailureModel`.
     failure_schedule:
         Scripted failures, e.g. ``"3@12"`` (executor 3 dies at step 12),
         ``"1@5:reduce_scatter"``, ``"0@2x5"`` (five crashes in a row).

@@ -27,8 +27,8 @@ stretch the clock and the trace but never change the numerics.  Each
 phase method says what its crash redoes; the costly one is a lost
 Reduce-Scatter/AllGather owner, whom every peer re-sends to while the
 barrier stalls all ``k`` executors.  With the default
-:class:`~repro.cluster.faults.NoFailures` model, phase timing is
-bit-identical to the failure-free engine.
+``FailureModel()``, which never fails, phase timing is bit-identical to
+the failure-free engine.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from ..cluster import ClusterSpec, Trace
 from ..cluster.faults import (CrashRecovery, FailureModel, FailureRecord,
-                              NoFailures, RecoveryPolicy)
+                              RecoveryPolicy)
 from .aggregation import TreeAggregateModel
 from .plan import (PhasePlan, PhaseRequest, WirePlanner, check_wire,
                    compression_ratio)
@@ -102,7 +102,7 @@ class BspEngine:
         Aggregation model (depth 1 = flat, 2 = MLlib's treeAggregate).
     faults:
         Failure model deciding which (step, phase, executor, attempt)
-        tuples crash; defaults to :class:`NoFailures`.
+        tuples crash; the default ``FailureModel()`` never fails.
     recovery:
         Retry budget and restore strategy applied on each crash.
     """
@@ -116,7 +116,7 @@ class BspEngine:
         self.cluster = cluster
         self.tree = tree if tree is not None else TreeAggregateModel()
         self.shuffle = ShuffleModel()
-        self.faults = faults if faults is not None else NoFailures()
+        self.faults = faults if faults is not None else FailureModel()
         # Fail fast on failure scripts that could never fire: an event
         # targeting an executor index outside this cluster is a scenario
         # mistake, not a failure-free run.

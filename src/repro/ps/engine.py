@@ -30,7 +30,7 @@ import numpy as np
 
 from ..cluster import ClusterSpec, Trace
 from ..cluster.faults import (CrashRecovery, FailureModel, FailureRecord,
-                              NoFailures, RecoveryPolicy)
+                              RecoveryPolicy)
 from ..collectives import ordered_sum
 from ..collectives.sparse import wire_values
 from ..core.trainer import DistributedTrainer
@@ -105,7 +105,7 @@ class PsEngine:
         self.cluster = cluster
         self.num_workers = cluster.num_executors
         self.controller = controller if controller is not None else BSP()
-        self.faults = faults if faults is not None else NoFailures()
+        self.faults = faults if faults is not None else FailureModel()
         # Same guard as BspEngine: scripted crashes aimed at workers this
         # cluster does not have raise instead of never firing.
         self.faults.validate_executors(self.num_workers)

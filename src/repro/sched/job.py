@@ -11,8 +11,8 @@ simulated seconds), and the accounting the :class:`SchedReport` reads.
 Every job trains on its *own* synthetic dataset (deterministic from the
 spec) over its *own* sub-cluster of the granted width, so a fixed-width
 job run through the scheduler is bit-identical to the same spec run
-standalone — the contract ``benchmarks/bench_ext_sched.py`` asserts
-before reporting any goodput number.
+standalone — the contract the ``sched-standalone`` row of
+``benchmarks/bench_claims.py`` checks.
 """
 
 from __future__ import annotations

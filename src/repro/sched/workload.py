@@ -9,7 +9,8 @@ and two runs over it are byte-identical replays of each other.
 
 Priorities follow the job's length: short jobs get the heavy weight, so
 the ``fair`` policy approximates shortest-job-first — the mechanism
-behind its p95-JCT win over FIFO in ``benchmarks/bench_ext_sched.py``.
+behind its p95-JCT win over FIFO (``sched-fair-beats-fifo`` in
+``benchmarks/bench_claims.py``).
 """
 
 from __future__ import annotations

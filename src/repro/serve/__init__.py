@@ -11,7 +11,7 @@ that into a train-and-serve system:
   overload, a simulated worker pool, and an optional shadow/canary
   version scored on every batch;
 * :mod:`~repro.serve.loadgen` — open-loop Poisson load generation for
-  the arrival-rate-vs-p99 sweep in ``benchmarks/bench_ext_serving.py``;
+  the arrival-rate-vs-p99 sweep of the ``serve-*`` claim rows;
 * serving metrics (QPS, queue depth, batch sizes, latency percentiles)
   flow through :mod:`repro.metrics` (``LatencyHistogram``,
   ``serving_report``).

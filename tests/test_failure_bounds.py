@@ -12,9 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import cluster1
-from repro.cluster.faults import (CompositeFailures, NoFailures,
-                                  RandomFailures, ScheduledFailures,
-                                  build_failure_model,
+from repro.cluster.faults import (FailureModel, build_failure_model,
                                   parse_failure_schedule)
 from repro.core import MLlibStarTrainer, TrainerConfig
 from repro.engine.driver import BspEngine
@@ -37,7 +35,8 @@ def test_build_failure_model_error_names_step_and_bounds():
 
 def test_build_failure_model_accepts_in_range_schedule():
     model = build_failure_model(0.0, "3@2", 0, num_executors=4)
-    assert isinstance(model, ScheduledFailures)
+    assert model.events == tuple(parse_failure_schedule("3@2"))
+    assert model.enabled and model.rate == 0.0
 
 
 def test_build_failure_model_without_cluster_size_defers():
@@ -50,32 +49,33 @@ def test_build_failure_model_without_cluster_size_defers():
 
 
 def test_composite_model_validates_every_member():
-    composite = CompositeFailures([
-        ScheduledFailures(parse_failure_schedule("1@2")),
-        ScheduledFailures(parse_failure_schedule("7@3")),
-    ])
+    # A schedule plus a rate is one model; every event is checked.
+    composite = build_failure_model(0.1, "1@2,7@3", 5)
+    assert composite.enabled and composite.rate == 0.1
     with pytest.raises(ValueError, match="executor 7"):
         composite.validate_executors(4)
     composite.validate_executors(8)
 
 
 def test_unscripted_models_validate_cluster_size_only():
-    NoFailures().validate_executors(1)
-    RandomFailures(rate=0.1, seed=0).validate_executors(1)
-    with pytest.raises(ValueError):
-        NoFailures().validate_executors(0)
+    FailureModel().validate_executors(1)
+    FailureModel(rate=0.1, seed=0).validate_executors(1)
+    with pytest.raises(ValueError, match="at least one executor"):
+        FailureModel().validate_executors(0)
+    with pytest.raises(ValueError, match="at least one executor"):
+        FailureModel(rate=0.1, seed=0).validate_executors(0)
 
 
 def test_bsp_engine_rejects_impossible_schedule_at_construction():
     cluster = cluster1(executors=4)
-    faults = ScheduledFailures(parse_failure_schedule("6@1"))
+    faults = FailureModel(events=tuple(parse_failure_schedule("6@1")))
     with pytest.raises(ValueError, match="executor 6"):
         BspEngine(cluster, faults=faults)
 
 
 def test_ps_engine_rejects_impossible_schedule_at_construction():
     cluster = cluster1(executors=4)
-    faults = ScheduledFailures(parse_failure_schedule("6@1"))
+    faults = FailureModel(events=tuple(parse_failure_schedule("6@1")))
     with pytest.raises(ValueError, match="executor 6"):
         PsEngine(cluster, faults=faults)
 

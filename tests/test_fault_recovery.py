@@ -13,9 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster import (FailureEvent, RandomFailures, RecoveryError,
-                           ScheduledFailures, build_failure_model,
-                           parse_failure_schedule)
+from repro.cluster import (FailureEvent, FailureModel, RecoveryError,
+                           build_failure_model, parse_failure_schedule)
 from repro.core import (MLlibModelAveragingTrainer, MLlibStarTrainer,
                         MLlibTrainer, SparkMlStarTrainer, TrainerConfig)
 from repro.data import SyntheticSpec, generate
@@ -69,12 +68,13 @@ class TestScheduleParsing:
 
     def test_build_defaults_to_disabled(self):
         assert not build_failure_model().enabled
+        assert build_failure_model() == FailureModel()
 
 
 class TestFailureModels:
     def test_random_failures_are_deterministic(self):
-        a = RandomFailures(rate=0.3, seed=5)
-        b = RandomFailures(rate=0.3, seed=5)
+        a = FailureModel(rate=0.3, seed=5)
+        b = FailureModel(rate=0.3, seed=5)
         outcomes_a = [a.crash_event(s, "compute", e, 0) is not None
                       for s in range(1, 30) for e in range(4)]
         outcomes_b = [b.crash_event(s, "compute", e, 0) is not None
@@ -83,19 +83,31 @@ class TestFailureModels:
         assert any(outcomes_a) and not all(outcomes_a)
 
     def test_random_failures_vary_with_seed(self):
-        a = RandomFailures(rate=0.3, seed=5)
-        b = RandomFailures(rate=0.3, seed=6)
+        a = FailureModel(rate=0.3, seed=5)
+        b = FailureModel(rate=0.3, seed=6)
         outcomes = [(a.crash_event(s, "compute", e, 0) is None)
                     == (b.crash_event(s, "compute", e, 0) is None)
                     for s in range(1, 40) for e in range(4)]
         assert not all(outcomes)
 
     def test_scheduled_repeats_gate_attempts(self):
-        model = ScheduledFailures([FailureEvent(0, 2, repeats=2)])
+        model = FailureModel(events=(FailureEvent(0, 2, repeats=2),))
         assert model.crash_event(2, "compute", 0, 0) is not None
         assert model.crash_event(2, "compute", 0, 1) is not None
         assert model.crash_event(2, "compute", 0, 2) is None
         assert model.crash_event(3, "compute", 0, 0) is None
+
+    def test_schedule_fires_before_the_rate(self):
+        # On an attempt where the rate would crash too, the scripted
+        # event (repeats=2, unlike the rate's) is returned; once its
+        # repeats are spent the seeded draw decides again.
+        event = FailureEvent(1, 2, repeats=2)
+        rated = FailureModel(rate=0.99, seed=0)
+        both = FailureModel(rate=0.99, seed=0, events=(event,))
+        drawn = [rated.crash_event(2, "compute", 1, a) for a in range(3)]
+        assert None not in drawn and event not in drawn
+        assert [both.crash_event(2, "compute", 1, a)
+                for a in range(3)] == [event, event, drawn[2]]
 
 
 # ----------------------------------------------------------------------
