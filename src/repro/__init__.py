@@ -20,12 +20,11 @@ from .core import (DistributedTrainer, MLlibModelAveragingTrainer,
                    SparkMlTrainer, TrainerConfig, TrainResult)
 from .data import (SparseDataset, SyntheticSpec, avazu_like, dataset_names,
                    generate, kddb_like, load, partition_rows, read_libsvm,
-                   train_test_split, url_like, write_libsvm, wx_like)
+                   url_like, write_libsvm, wx_like)
 from .engine import (BspEngine, PartitionedDataset, ShuffleModel,
                      TreeAggregateModel)
-from .glm import (BinaryMetrics, GLMModel, HingeLoss, LogisticLoss,
-                  Objective, SquaredHingeLoss, SquaredLoss, evaluate_binary,
-                  get_loss, get_regularizer, roc_auc)
+from .glm import (GLMModel, HingeLoss, LogisticLoss, Objective, SquaredLoss,
+                  get_loss, get_regularizer)
 from .metrics import (ACCURACY_LOSS, ConvergenceResult, TrainingHistory,
                       evaluate_convergence, render_ascii, speedup, summarize)
 from .ps import (ASP, BSP, SSP, AngelTrainer, AsyncSgdTrainer,
@@ -44,11 +43,10 @@ __all__ = [
     # data
     "SparseDataset", "SyntheticSpec", "generate", "load", "dataset_names",
     "avazu_like", "url_like", "kddb_like", "wx_like",
-    "read_libsvm", "write_libsvm", "partition_rows", "train_test_split",
+    "read_libsvm", "write_libsvm", "partition_rows",
     # glm
-    "Objective", "GLMModel", "HingeLoss", "LogisticLoss",
-    "SquaredHingeLoss", "SquaredLoss", "get_loss", "get_regularizer",
-    "BinaryMetrics", "evaluate_binary", "roc_auc",
+    "Objective", "GLMModel", "HingeLoss", "LogisticLoss", "SquaredLoss",
+    "get_loss", "get_regularizer",
     # engine & collectives
     "BspEngine", "PartitionedDataset", "TreeAggregateModel",
     "ShuffleModel", "partition_slices", "reduce_scatter", "all_gather",

@@ -56,10 +56,7 @@ class MLlibModelAveragingTrainer(MLlibTrainer):
         # averaging for the primal path, delta summation (applied to the
         # broadcast iterate, in fixed partition order) for the dual path.
         if self._duals is not None:
-            total = locals_[0].copy()
-            for delta in locals_[1:]:
-                total += delta
-            new_w = w + total
+            new_w = w + ordered_sum(locals_)
         else:
             new_w = ordered_sum(locals_) / len(locals_)
         average_seconds = self.cluster.compute.dense_op_seconds(

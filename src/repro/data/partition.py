@@ -21,8 +21,7 @@ import scipy.sparse as sp
 
 from .synthetic import SparseDataset
 
-__all__ = ["Partition", "partition_rows", "train_test_split",
-           "PARTITION_STRATEGIES"]
+__all__ = ["Partition", "partition_rows", "PARTITION_STRATEGIES"]
 
 PARTITION_STRATEGIES = ("contiguous", "round_robin", "random", "skewed")
 
@@ -111,26 +110,3 @@ def partition_rows(dataset: SparseDataset, n_partitions: int,
     blocks = _row_assignment(dataset.n_rows, n_partitions, strategy, seed)
     return [Partition(index=i, X=dataset.X[rows], y=dataset.y[rows])
             for i, rows in enumerate(blocks)]
-
-
-def train_test_split(dataset: SparseDataset, test_fraction: float = 0.2,
-                     seed: int = 0) -> tuple[SparseDataset, SparseDataset]:
-    """Random row split into train and held-out test datasets."""
-    if not 0 < test_fraction < 1:
-        raise ValueError("test_fraction must be in (0, 1)")
-    n_test = int(round(test_fraction * dataset.n_rows))
-    if n_test == 0 or n_test == dataset.n_rows:
-        raise ValueError(
-            f"test_fraction {test_fraction} leaves an empty split for "
-            f"{dataset.n_rows} rows")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(dataset.n_rows)
-    test_rows = np.sort(order[:n_test])
-    train_rows = np.sort(order[n_test:])
-    train = SparseDataset(name=f"{dataset.name}-train",
-                          X=dataset.X[train_rows], y=dataset.y[train_rows],
-                          scale_bytes=dataset.scale_bytes)
-    test = SparseDataset(name=f"{dataset.name}-test",
-                         X=dataset.X[test_rows], y=dataset.y[test_rows],
-                         scale_bytes=0.0)
-    return train, test

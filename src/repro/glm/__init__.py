@@ -3,26 +3,23 @@
 from .dual import (DUAL_LOSSES, DUAL_SOLVERS, DualLoss, DualSolverSpec,
                    certified_gap, dual_local_solve, get_dual_loss,
                    make_dual_spec, require_dual_capable)
-from .evaluation import BinaryMetrics, evaluate_binary, roc_auc
 from .kernels import apply_update_inplace, dual_epoch, dual_row_norms
 from .lazy_update import ScaledVector
 from .local_solvers import (LocalStats, apply_update, mgd_epoch,
                             sample_batch, sampled_gradient, sgd_epoch)
-from .losses import (LOSSES, HingeLoss, LogisticLoss, Loss,
-                     SquaredHingeLoss, SquaredLoss, get_loss)
+from .losses import (LOSSES, HingeLoss, LogisticLoss, Loss, SquaredLoss,
+                     get_loss)
 from .model import (ARTIFACT_FORMAT, ARTIFACT_VERSION, ArtifactError,
                     GLMModel, read_artifact_meta)
 from .objective import Objective
-from .regularizers import (REGULARIZERS, L1Regularizer, L2Regularizer,
-                           NoRegularizer, Regularizer, get_regularizer)
+from .regularizers import (REGULARIZERS, L2Regularizer, NoRegularizer,
+                           Regularizer, get_regularizer)
 from .schedules import (SCHEDULES, ConstantLR, InvSqrtLR, InvTimeLR,
                         LearningRate, get_schedule)
 
 __all__ = [
-    "Loss", "HingeLoss", "LogisticLoss", "SquaredHingeLoss", "SquaredLoss",
-    "get_loss", "LOSSES",
-    "BinaryMetrics", "evaluate_binary", "roc_auc",
-    "Regularizer", "NoRegularizer", "L1Regularizer", "L2Regularizer",
+    "Loss", "HingeLoss", "LogisticLoss", "SquaredLoss", "get_loss", "LOSSES",
+    "Regularizer", "NoRegularizer", "L2Regularizer",
     "get_regularizer", "REGULARIZERS",
     "Objective", "GLMModel", "ScaledVector",
     "ArtifactError", "ARTIFACT_FORMAT", "ARTIFACT_VERSION",

@@ -42,7 +42,7 @@ The per-coordinate subproblem (drop constants, delta in the direction of
     minimize_d  l*(-(alpha_i + d), y_i) + margin_i * d + (q_i / 2) d^2,
     q_i = sigma' ||x_i||^2 / (lambda n),
 
-solved in closed form for hinge / squared hinge / squared loss and by a
+solved in closed form for hinge and squared loss and by a
 safeguarded 1-D Newton iteration for logistic loss.  Every update is a
 plain float expression, so the solver is deterministic and — like the
 primal epoch solvers — bit-identical across execution backends.
@@ -63,10 +63,10 @@ import scipy.sparse as sp
 
 from .objective import Objective
 
-__all__ = ["DualLoss", "HingeDual", "SquaredHingeDual", "SquaredDual",
-           "LogisticDual", "DUAL_LOSSES", "get_dual_loss",
-           "DualSolverSpec", "make_dual_spec", "require_dual_capable",
-           "dual_local_solve", "certified_gap", "DUAL_SOLVERS"]
+__all__ = ["DualLoss", "HingeDual", "SquaredDual", "LogisticDual",
+           "DUAL_LOSSES", "get_dual_loss", "DualSolverSpec", "make_dual_spec",
+           "require_dual_capable", "dual_local_solve", "certified_gap",
+           "DUAL_SOLVERS"]
 
 #: Solver-family names accepted by ``TrainerConfig.local_solver`` beyond
 #: the primal default ``mgd``.
@@ -128,23 +128,6 @@ class HingeDual(DualLoss):
             # the upper box corner.
             step = 1.0 - b
         step = min(max(step, -b), 1.0 - b)
-        return step * y
-
-
-class SquaredHingeDual(DualLoss):
-    """Squared hinge: ``l*(-alpha) = b^2/2 - b`` for ``b = alpha y >= 0``."""
-
-    name = "squared_hinge"
-
-    def conjugate(self, alpha: np.ndarray, y: np.ndarray) -> np.ndarray:
-        b = alpha * y
-        return 0.5 * b * b - b
-
-    def delta(self, margin: float, alpha: float, y: float,
-              q: float) -> float:
-        b = alpha * y
-        step = (1.0 - y * margin - b) / (1.0 + q)
-        step = max(step, -b)
         return step * y
 
 
@@ -213,7 +196,6 @@ class LogisticDual(DualLoss):
 
 DUAL_LOSSES: dict[str, type[DualLoss]] = {
     HingeDual.name: HingeDual,
-    SquaredHingeDual.name: SquaredHingeDual,
     SquaredDual.name: SquaredDual,
     LogisticDual.name: LogisticDual,
 }

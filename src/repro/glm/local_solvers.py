@@ -150,12 +150,12 @@ def sgd_epoch(objective: Objective, w: np.ndarray, X: sp.csr_matrix,
     the same schedule (each chunk is one update at the current iterate),
     trading update granularity for throughput.  With L2 regularization
     and ``lazy=True`` the decay is applied through the scaled
-    representation (Bottou's trick); L1 always takes the eager path
-    because its subgradient is not a uniform rescaling.
+    representation (Bottou's trick); ``lazy=False`` (``--eager-l2``)
+    decays every coordinate on every update.
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
-    if not (lazy and objective.regularizer.name in ("none", "l2")):
+    if not lazy:
         # Eager chunked SGD is mini-batch GD with batches of chunk_size.
         return mgd_epoch(objective, w, X, y, lr, chunk_size, rng, shuffle)
     order = rng.permutation(X.shape[0]) if shuffle else np.arange(X.shape[0])

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Loss", "HingeLoss", "LogisticLoss", "SquaredHingeLoss",
-           "SquaredLoss", "get_loss", "LOSSES"]
+__all__ = ["Loss", "HingeLoss", "LogisticLoss", "SquaredLoss", "get_loss",
+           "LOSSES"]
 
 
 class Loss:
@@ -74,25 +74,6 @@ class LogisticLoss(Loss):
         return -y * sig
 
 
-class SquaredHingeLoss(Loss):
-    """Squared hinge ``0.5 * max(0, 1 - y * margin)^2`` — smoothed SVM.
-
-    This is the loss ``spark.ml``'s ``LinearSVC`` actually optimizes: it
-    is differentiable everywhere (gradient continuous at the hinge point),
-    which the L-BFGS trainers require.
-    """
-
-    name = "squared_hinge"
-
-    def value(self, margins: np.ndarray, y: np.ndarray) -> float:
-        slack = np.maximum(0.0, 1.0 - y * margins)
-        return float(0.5 * np.mean(slack * slack))
-
-    def gradient_factor(self, margins: np.ndarray, y: np.ndarray) -> np.ndarray:
-        slack = np.maximum(0.0, 1.0 - y * margins)
-        return -y * slack
-
-
 class SquaredLoss(Loss):
     """Squared loss ``0.5 * (margin - y)^2`` — least squares."""
 
@@ -109,7 +90,6 @@ class SquaredLoss(Loss):
 LOSSES: dict[str, type[Loss]] = {
     HingeLoss.name: HingeLoss,
     LogisticLoss.name: LogisticLoss,
-    SquaredHingeLoss.name: SquaredHingeLoss,
     SquaredLoss.name: SquaredLoss,
 }
 

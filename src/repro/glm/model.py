@@ -1,4 +1,4 @@
-"""Trained GLM models: prediction, evaluation and on-disk artifacts.
+"""Trained GLM models: prediction, accuracy and on-disk artifacts.
 
 A model artifact is a single ``.npz`` file holding the dense weight
 vector plus a JSON metadata record (objective spec, dataset provenance,
@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .evaluation import BinaryMetrics, evaluate_binary
 from .objective import Objective
 
 __all__ = ["GLMModel", "ArtifactError", "ARTIFACT_FORMAT",
@@ -126,10 +125,6 @@ class GLMModel:
     def objective_value(self, X: sp.csr_matrix, y: np.ndarray) -> float:
         """f(w, X) under the training objective."""
         return self.objective.value(self.weights, X, y)
-
-    def evaluate(self, X: sp.csr_matrix, y: np.ndarray) -> BinaryMetrics:
-        """Full metric set (accuracy/precision/recall/F1/AUC)."""
-        return evaluate_binary(self.decision_function(X), y)
 
     # ------------------------------------------------------------------
     # persistence

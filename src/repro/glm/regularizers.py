@@ -1,19 +1,19 @@
 """Regularization terms Omega(w) for the GLM objective.
 
-The paper trains SVMs "with and without L2 regularization"; L1 is included
-because Section II-A lists it and it exercises the subgradient path.
+The paper trains SVMs "with and without L2 regularization", so the two
+regularizers are none and L2.
 
-Each regularizer exposes value, gradient (or subgradient) and the in-place
-update step the local solvers apply.  L2's gradient is dense — every model
-coordinate decays every update — which is exactly why the paper adopts
-Bottou's lazy update (see :mod:`repro.glm.lazy_update`).
+Each regularizer exposes its value and gradient.  L2's gradient is
+dense — every model coordinate decays every update — which is exactly
+why the paper adopts Bottou's lazy update (see
+:mod:`repro.glm.lazy_update`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Regularizer", "NoRegularizer", "L2Regularizer", "L1Regularizer",
+__all__ = ["Regularizer", "NoRegularizer", "L2Regularizer",
            "get_regularizer", "REGULARIZERS"]
 
 
@@ -29,7 +29,7 @@ class Regularizer:
         raise NotImplementedError
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
-        """(Sub)gradient of Omega at w."""
+        """Gradient of Omega at w."""
         raise NotImplementedError
 
     @property
@@ -70,25 +70,7 @@ class L2Regularizer(Regularizer):
         return self.strength * w
 
 
-class L1Regularizer(Regularizer):
-    """Omega(w) = lambda * ||w||_1 (subgradient: lambda * sign(w))."""
-
-    name = "l1"
-
-    def __init__(self, strength: float = 0.1) -> None:
-        if strength <= 0:
-            raise ValueError("l1 strength must be positive; "
-                             "use NoRegularizer for zero")
-        self.strength = strength
-
-    def value(self, w: np.ndarray) -> float:
-        return float(self.strength * np.sum(np.abs(w)))
-
-    def gradient(self, w: np.ndarray) -> np.ndarray:
-        return self.strength * np.sign(w)
-
-
-REGULARIZERS = ("none", "l1", "l2")
+REGULARIZERS = ("none", "l2")
 
 
 def get_regularizer(name: str, strength: float = 0.0) -> Regularizer:
@@ -102,6 +84,4 @@ def get_regularizer(name: str, strength: float = 0.0) -> Regularizer:
                        f"expected one of {REGULARIZERS}")
     if name == "none" or strength == 0.0:
         return NoRegularizer()
-    if name == "l2":
-        return L2Regularizer(strength)
-    return L1Regularizer(strength)
+    return L2Regularizer(strength)

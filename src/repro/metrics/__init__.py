@@ -7,7 +7,6 @@ from .export import history_to_rows, write_histories_json, write_history_csv
 from .gantt import KIND_CHARS, GanttSummary, render_ascii, summarize
 from .histogram import LatencyHistogram
 from .history import HistoryPoint, TrainingHistory
-from .plots import CURVE_GLYPHS, render_curves
 from .reporting import (CommReport, SchedReport, ServingReport,
                         comm_report, format_speedup, format_table,
                         sched_report, serving_report)
@@ -21,5 +20,4 @@ __all__ = [
     "LatencyHistogram", "ServingReport", "serving_report",
     "SchedReport", "sched_report",
     "history_to_rows", "write_history_csv", "write_histories_json",
-    "render_curves", "CURVE_GLYPHS",
 ]

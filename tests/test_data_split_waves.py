@@ -1,10 +1,10 @@
-"""Tests for train_test_split and multi-wave task scheduling."""
+"""Tests for multi-wave task scheduling."""
 
 import numpy as np
 import pytest
 
 from repro.core import MLlibTrainer, TrainerConfig
-from repro.data import SyntheticSpec, generate, train_test_split
+from repro.data import SyntheticSpec, generate
 from repro.engine import TreeAggregateModel
 from repro.glm import Objective
 
@@ -13,51 +13,6 @@ from repro.glm import Objective
 def ds():
     return generate(SyntheticSpec(n_rows=500, n_features=40, seed=6),
                     name="split-me")
-
-
-class TestTrainTestSplit:
-    def test_sizes(self, ds):
-        train, test = train_test_split(ds, test_fraction=0.2, seed=1)
-        assert test.n_rows == 100
-        assert train.n_rows == 400
-
-    def test_disjoint_and_complete(self, ds):
-        train, test = train_test_split(ds, test_fraction=0.3, seed=2)
-        assert train.n_rows + test.n_rows == ds.n_rows
-        assert train.nnz + test.nnz == ds.nnz
-
-    def test_names(self, ds):
-        train, test = train_test_split(ds, seed=1)
-        assert train.name == "split-me-train"
-        assert test.name == "split-me-test"
-
-    def test_deterministic(self, ds):
-        a_train, _ = train_test_split(ds, seed=3)
-        b_train, _ = train_test_split(ds, seed=3)
-        assert np.array_equal(a_train.y, b_train.y)
-
-    def test_seed_changes_split(self, ds):
-        a_train, _ = train_test_split(ds, seed=3)
-        b_train, _ = train_test_split(ds, seed=4)
-        assert not np.array_equal(a_train.y, b_train.y)
-
-    def test_validation(self, ds):
-        with pytest.raises(ValueError):
-            train_test_split(ds, test_fraction=0.0)
-        with pytest.raises(ValueError):
-            train_test_split(ds, test_fraction=1.0)
-
-    def test_generalization_workflow(self, ds):
-        """End-to-end: train on split, evaluate held-out AUC."""
-        from repro.cluster import cluster1
-        from repro.core import MLlibStarTrainer
-        train, test = train_test_split(ds, test_fraction=0.25, seed=1)
-        obj = Objective("hinge", "l2", 0.01)
-        result = MLlibStarTrainer(obj, cluster1(executors=4),
-                                  TrainerConfig(max_steps=10,
-                                                seed=1)).fit(train)
-        metrics = result.model.evaluate(test.X, test.y)
-        assert metrics.auc > 0.7
 
 
 class TestWaves:

@@ -58,8 +58,6 @@ def feasible_alpha(loss: str, y: np.ndarray,
         return rng.uniform(0.0, 1.0, size=n) * y
     if loss == "logistic":
         return rng.uniform(1e-6, 1.0 - 1e-6, size=n) * y
-    if loss == "squared_hinge":
-        return rng.uniform(0.0, 3.0, size=n) * y
     return rng.normal(size=n)  # squared: unconstrained
 
 
@@ -88,8 +86,6 @@ class TestConjugates:
             (1.0 if seed % 2 else -1.0)
         if loss in ("hinge", "logistic"):
             a = frac * y
-        elif loss == "squared_hinge":
-            a = 5.0 * frac * y
         else:
             a = (2.0 * frac - 1.0) * 4.0
         lhs = (L.value(np.array([margin]), np.array([y]))
@@ -126,8 +122,6 @@ class TestCoordinateUpdate:
             (1.0 if seed % 2 else -1.0)
         if loss in ("hinge", "logistic"):
             a = (frac * 0.98 + 0.01) * y
-        elif loss == "squared_hinge":
-            a = 4.0 * frac * y
         else:
             a = (2.0 * frac - 1.0) * 3.0
         if loss == "hinge" and q == 0.0:
@@ -144,8 +138,6 @@ class TestCoordinateUpdate:
             assert -1e-9 <= b_new <= 1.0 + 1e-9
         elif loss == "logistic":
             assert 0.0 < b_new < 1.0
-        elif loss == "squared_hinge":
-            assert b_new >= -1e-9
         base = phi(d)
         span = max(1.0, abs(d))
         for eps in (1e-4 * span, 1e-2 * span, 0.3 * span):
@@ -154,8 +146,6 @@ class TestCoordinateUpdate:
                 if loss == "hinge" and not 0.0 <= bp <= 1.0:
                     continue
                 if loss == "logistic" and not 0.0 < bp < 1.0:
-                    continue
-                if loss == "squared_hinge" and bp < 0.0:
                     continue
                 assert base <= phi(probe) + 1e-7 * max(1.0, abs(base))
 
@@ -219,8 +209,6 @@ class TestSolverSpec:
         require_dual_capable(Objective("hinge", "l2", 0.1))
         with pytest.raises(ValueError, match="l2"):
             require_dual_capable(Objective("hinge"))
-        with pytest.raises(ValueError, match="l2"):
-            require_dual_capable(Objective("hinge", "l1", 0.1))
 
 
 # ----------------------------------------------------------------------

@@ -145,15 +145,6 @@ class TestSgdEpoch:
                              chunk_size=4, lazy=False)
         assert lazy.dense_ops < eager.dense_ops
 
-    def test_l1_falls_back_to_eager(self, data, rng):
-        X, y = data
-        obj = Objective("hinge", "l1", 0.05)
-        w2, stats = sgd_epoch(obj, np.zeros(40), X, y, 0.05, rng,
-                              chunk_size=16, lazy=True)
-        # Eager path charges dim dense ops per update.
-        assert stats.dense_ops >= stats.n_updates * 40
-        assert np.all(np.isfinite(w2))
-
     def test_per_example_chunk(self, data, rng):
         X, y = data
         obj = Objective("hinge")

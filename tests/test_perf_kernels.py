@@ -71,7 +71,7 @@ def make_problem(n_rows: int, n_features: int, density: float, seed: int):
     return X, y, w0
 
 
-REGULARIZERS = [None, ("l2", 0.1), ("l1", 0.01)]
+REGULARIZERS = [None, ("l2", 0.1)]
 
 
 def make_objective(loss: str, reg) -> Objective:
@@ -91,21 +91,22 @@ class TestSgdEpochBitIdentity:
            loss=st.sampled_from(["hinge", "logistic", "squared"]),
            reg=st.sampled_from(REGULARIZERS),
            chunk_size=st.sampled_from([1, 3, 16, 64]),
+           lazy=st.booleans(),
            shuffle=st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_fast_equals_reference(self, params, loss, reg, chunk_size,
-                                   shuffle):
+                                   lazy, shuffle):
         n, m, density, seed = params
         X, y, w0 = make_problem(n, m, density, seed)
         objective = make_objective(loss, reg)
         rng_fast = np.random.default_rng(seed + 1)
         rng_ref = np.random.default_rng(seed + 1)
         w_fast, stats_fast = sgd_epoch(objective, w0, X, y, 0.05, rng_fast,
-                                       chunk_size=chunk_size,
+                                       chunk_size=chunk_size, lazy=lazy,
                                        shuffle=shuffle)
         # The dispatcher's draw, from a twin RNG: one permutation or none.
         order = rng_ref.permutation(n) if shuffle else np.arange(n)
-        if objective.regularizer.name in ("none", "l2"):
+        if lazy:
             w_ref, stats_ref = reference.sgd_epoch_lazy_reference(
                 objective, w0, X, y, 0.05, chunk_size, order)
         else:
@@ -218,8 +219,7 @@ def _outcome(run):
 
 class TestCompiledLazyEpoch:
     @given(problem=lazy_problems(),
-           loss=st.sampled_from(["hinge", "logistic", "squared",
-                                 "squared_hinge"]),
+           loss=st.sampled_from(["hinge", "logistic", "squared"]),
            lr_lambda=st.sampled_from([0.0, 0.02, 0.5, 0.97, 1.0, 1.5]),
            chunk_size=st.sampled_from([1, 2, 64, 1000]),
            shuffle=st.booleans())
@@ -374,8 +374,7 @@ def _numpy_waves(objective, w, X, y, waves, per_task, rng):
 
 class TestCompiledBatchGradient:
     @given(problem=lazy_problems(),
-           loss=st.sampled_from(["hinge", "logistic", "squared",
-                                 "squared_hinge"]),
+           loss=st.sampled_from(["hinge", "logistic", "squared"]),
            waves=st.sampled_from([1, 2, 3]),
            per_task=st.sampled_from([1, 3, 17, 1000]))
     @settings(max_examples=300, deadline=None)

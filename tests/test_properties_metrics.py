@@ -1,61 +1,12 @@
-"""Property-based tests for evaluation metrics and the history machinery."""
+"""Property-based tests for the history machinery."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.glm import evaluate_binary, roc_auc
 from repro.metrics import TrainingHistory
 
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
-
-
-@st.composite
-def scored_labels(draw):
-    n = draw(st.integers(min_value=1, max_value=60))
-    margins = np.array(draw(st.lists(finite, min_size=n, max_size=n)))
-    y = np.array([draw(st.sampled_from([-1.0, 1.0])) for _ in range(n)])
-    return margins, y
-
-
-class TestMetricProperties:
-    @given(data=scored_labels())
-    @settings(max_examples=60, deadline=None)
-    def test_auc_in_unit_interval(self, data):
-        margins, y = data
-        assert 0.0 <= roc_auc(margins, y) <= 1.0
-
-    @given(data=scored_labels())
-    @settings(max_examples=60, deadline=None)
-    def test_auc_antisymmetric_under_negation(self, data):
-        """Flipping all margins must mirror the AUC around 0.5."""
-        margins, y = data
-        if np.all(y > 0) or np.all(y < 0):
-            return  # degenerate: AUC fixed at 0.5 either way
-        a = roc_auc(margins, y)
-        b = roc_auc(-margins, y)
-        assert a + b == pytest.approx(1.0)
-
-    @given(data=scored_labels())
-    @settings(max_examples=60, deadline=None)
-    def test_all_rates_in_unit_interval(self, data):
-        margins, y = data
-        m = evaluate_binary(margins, y)
-        for value in (m.accuracy, m.precision, m.recall, m.f1, m.auc):
-            assert 0.0 <= value <= 1.0
-
-    @given(data=scored_labels())
-    @settings(max_examples=60, deadline=None)
-    def test_f1_is_harmonic_mean(self, data):
-        margins, y = data
-        m = evaluate_binary(margins, y)
-        if m.precision + m.recall > 0:
-            expected = 2 * m.precision * m.recall / (m.precision + m.recall)
-            assert abs(m.f1 - expected) < 1e-12
-        else:
-            assert m.f1 == 0.0
 
 
 class TestHistoryProperties:

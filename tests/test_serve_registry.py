@@ -9,6 +9,7 @@ import pytest
 from repro.data import SyntheticSpec, generate
 from repro.glm import (ArtifactError, GLMModel, Objective,
                        read_artifact_meta)
+from repro.glm.model import _artifact_digest
 from repro.serve import ModelRegistry, RegistryError
 
 
@@ -112,6 +113,24 @@ class TestArtifactVerification:
         raw = path.read_bytes()
         path.write_bytes(raw[:len(raw) // 2])
         with pytest.raises(ArtifactError):
+            GLMModel.load(path)
+
+    @pytest.mark.parametrize("objective", [
+        {"loss": "squared_hinge", "regularizer": "l2", "strength": 0.1},
+        {"loss": "hinge", "regularizer": "l1", "strength": 0.1},
+    ], ids=["squared_hinge", "l1"])
+    def test_unknown_objective_fails_cleanly(self, tmp_path, model,
+                                             objective):
+        # A digest-valid artifact naming a loss or regularizer that no
+        # longer exists must fail with ArtifactError, not a KeyError.
+        path = model.save(tmp_path / "m.npz")
+        meta = read_artifact_meta(path)
+        del meta["digest"]
+        meta["objective"] = objective
+        meta["digest"] = _artifact_digest(model.weights, meta)
+        np.savez(path, weights=model.weights,
+                 meta=np.array(json.dumps(meta, sort_keys=True)))
+        with pytest.raises(ArtifactError, match="cannot rebuild objective"):
             GLMModel.load(path)
 
     def test_artifact_is_a_plain_zip(self, tmp_path, model):
