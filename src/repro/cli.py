@@ -349,11 +349,15 @@ def _make_objective(args) -> Objective:
 
 
 def _fit(system: str, args):
-    dataset = _load_dataset(args.dataset)
-    objective = _make_objective(args)
-    cluster = cluster1(executors=args.executors)
-    trainer = SYSTEMS[system](objective, cluster,
+    trainer = SYSTEMS[system](_make_objective(args),
+                              cluster1(executors=args.executors),
                               _from_args(args, TrainerConfig, _TRAINER_FLAGS))
+    try:  # a config the system cannot run fails before the data loads
+        trainer.check_supported()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    dataset = _load_dataset(args.dataset)
     return trainer.fit(dataset), dataset
 
 

@@ -32,22 +32,27 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.sanitizer import check_replicas as _check_replicas
+from ..glm.native import SparseVector
 
 __all__ = ["ordered_sum", "partition_slices", "reduce_scatter",
            "all_gather", "all_reduce_average", "traffic_values"]
 
 
-def ordered_sum(vectors: list[np.ndarray]) -> np.ndarray:
+def ordered_sum(vectors: list[np.ndarray | SparseVector]) -> np.ndarray:
     """``np.stack(vectors).sum(axis=0)``, bit for bit, without the stack:
     NumPy adds the rows of a stack two or more wide in order into +0.0
     (not into a copy of row 0, which may hold ``-0.0``) and sums a width-1
-    column pairwise.  A mean is ``ordered_sum(v) / len(v)``, as in
-    ``np.mean``."""
-    if vectors[0].shape[0] < 2:
+    column pairwise.  A sum from +0.0 never holds ``-0.0``, so a
+    :class:`~repro.glm.native.SparseVector` adds at its ``cols`` only.  A
+    mean is ``ordered_sum(v) / len(v)``, as in ``np.mean``."""
+    if vectors[0].size < 2:
         return np.stack(vectors).sum(axis=0)
-    out = np.zeros(vectors[0].shape[0])
+    out = np.zeros(vectors[0].size)
     for v in vectors:
-        out += v
+        if isinstance(v, SparseVector):
+            out[v.cols] += v.values
+        else:
+            out += v
     return out
 
 

@@ -47,8 +47,8 @@ from ..engine.plan import (Lane, PhasePlan, PhaseRequest, Segment,
 from .allreduce import all_gather, partition_slices, reduce_scatter
 from .sparse import SupportMask
 
-__all__ = ["HierWire", "hier_rs_wire", "hier_ag_wire", "hier_fan_in_wire",
-           "hier_reduce_scatter", "hier_all_gather"]
+__all__ = ["HierWire", "hier_wire", "hier_reduce_scatter",
+           "hier_all_gather"]
 
 
 def _check_groups(groups: tuple[tuple[int, ...], ...], k: int) -> None:
@@ -239,77 +239,48 @@ class HierWire:
 # wire builders (sizing only: the data plane is the flat kernel, run by
 # the caller; an 'off' support prices every message dense)
 # ----------------------------------------------------------------------
-def hier_rs_wire(support: SupportMask,
-                 groups: tuple[tuple[int, ...], ...]) -> HierWire:
-    """Reduce-Scatter sizing: members upload, leaders exchange slices
-    (``support`` row ``e`` is executor ``e``'s local model)."""
-    k = sum(len(group) for group in groups)
-    n = len(groups)
-    model_size = support.size
-    slices = partition_slices(model_size, n)
+def hier_wire(phase: str, support: SupportMask,
+              groups: tuple[tuple[int, ...], ...], mpe: int = 1) -> HierWire:
+    """The two-tier sizing of ``phase``.
+
+    * Reduce-Scatter: members upload their local model (``support`` row
+      ``e``) to the leader, one message each; the leader's per-machine
+      partial carries the group's *union* support, and it keeps the slice
+      its own machine owns.
+    * AllGather: leaders exchange slices of the reassembled model
+      (``support``'s one row), then fan it out to their members over the
+      intra tier, one full-model message per member.
+    * treeAggregate: members upload every task vector (rows ``e * mpe ..
+      (e + 1) * mpe`` are executor ``e``'s), and each leader ships one
+      union-support partial to the driver.
+    """
+    k, n, m = sum(len(group) for group in groups), len(groups), support.size
+    slices = partition_slices(m, n)
     intra: list[tuple[float, ...]] = [()] * k
     cross: list[tuple[float, ...]] = [()] * k
+    if phase == "all_gather":
+        owned, full_msg = support.values([0], slices), support.message([0])
     for j, group in enumerate(groups):
-        # Members ship their full local model to the leader (one message
-        # each, sized by the model's support).
-        for e in group[1:]:
-            intra[e] = (support.message([e]),)
-        # The leader's per-machine partial is supported on the *union* of
-        # member supports; it keeps the slice its own machine owns.
-        cross[group[0]] = tuple(
-            v for i, v in enumerate(support.values(group, slices))
-            if i != j)
-    return HierWire(phase="reduce_scatter", model_size=model_size,
-                    groups=groups, intra_sends=tuple(intra),
-                    cross_sends=tuple(cross),
-                    intra_dense=float(model_size) * (k - n),
-                    cross_dense=float(model_size) * (n - 1))
-
-
-def hier_ag_wire(support: SupportMask,
-                 groups: tuple[tuple[int, ...], ...]) -> HierWire:
-    """AllGather sizing: leaders exchange slices, then fan out locally
-    (``support`` holds one row, the reassembled model)."""
-    k = sum(len(group) for group in groups)
-    n = len(groups)
-    model_size = support.size
-    owned = support.values([0], partition_slices(model_size, n))
-    full_msg = support.message([0])
-    intra: list[tuple[float, ...]] = [()] * k
-    cross: list[tuple[float, ...]] = [()] * k
-    for i, group in enumerate(groups):
-        cross[group[0]] = (owned[i],) * (n - 1)
-        # The leader fans the reassembled model to its members over the
-        # intra tier (one full-model message per member).
-        intra[group[0]] = (full_msg,) * (len(group) - 1)
-    return HierWire(phase="all_gather", model_size=model_size,
-                    groups=groups, intra_sends=tuple(intra),
-                    cross_sends=tuple(cross),
-                    intra_dense=float(model_size) * (k - n),
-                    cross_dense=float(model_size) * (n - 1))
-
-
-def hier_fan_in_wire(support: SupportMask,
-                     groups: tuple[tuple[int, ...], ...],
-                     mpe: int) -> HierWire:
-    """treeAggregate sizing: members upload every task vector, leaders
-    ship one union-support partial to the driver (``support`` rows
-    ``e * mpe .. (e + 1) * mpe`` are executor ``e``'s task vectors)."""
-    k = sum(len(group) for group in groups)
-    model_size = support.size
-    intra: list[tuple[float, ...]] = [()] * k
-    cross: list[tuple[float, ...]] = [()] * k
-    for group in groups:
-        for e in group[1:]:
-            intra[e] = tuple(support.message([r])
-                             for r in range(e * mpe, (e + 1) * mpe))
-        cross[group[0]] = (support.message(
-            [r for e in group for r in range(e * mpe, (e + 1) * mpe)]),)
-    return HierWire(phase="tree_aggregate", model_size=model_size,
-                    groups=groups, intra_sends=tuple(intra),
-                    cross_sends=tuple(cross),
-                    intra_dense=float(model_size) * mpe * (k - len(groups)),
-                    cross_dense=float(model_size) * len(groups),
+        if phase == "reduce_scatter":
+            for e in group[1:]:
+                intra[e] = (support.message([e]),)
+            cross[group[0]] = tuple(
+                v for i, v in enumerate(support.values(group, slices))
+                if i != j)
+        elif phase == "all_gather":
+            cross[group[0]] = (owned[j],) * (n - 1)
+            intra[group[0]] = (full_msg,) * (len(group) - 1)
+        else:
+            for e in group[1:]:
+                intra[e] = tuple(support.message([r])
+                                 for r in range(e * mpe, (e + 1) * mpe))
+            cross[group[0]] = (support.message(
+                [r for e in group for r in range(e * mpe, (e + 1) * mpe)]),)
+    return HierWire(phase=phase, model_size=m, groups=groups,
+                    intra_sends=tuple(intra), cross_sends=tuple(cross),
+                    intra_dense=float(m) * mpe * (k - n),
+                    cross_dense=float(m) * (
+                        n if phase == "tree_aggregate" else n - 1),
                     messages_per_executor=mpe)
 
 
@@ -331,8 +302,8 @@ def hier_reduce_scatter(models: list[np.ndarray],
     """
     _check_groups(groups, len(models))
     partitions = reduce_scatter(models, combine=combine)
-    return partitions, hier_rs_wire(
-        SupportMask(models, int(models[0].shape[0]), mode), groups)
+    return partitions, hier_wire("reduce_scatter", SupportMask(
+        models, int(models[0].shape[0]), mode), groups)
 
 
 def hier_all_gather(partitions: list[np.ndarray], model_size: int,
@@ -343,4 +314,5 @@ def hier_all_gather(partitions: list[np.ndarray], model_size: int,
     _check_groups(groups, len(partitions))
     full = all_gather(partitions, model_size,
                       check_replicas=check_replicas)
-    return full, hier_ag_wire(SupportMask([full], model_size, mode), groups)
+    return full, hier_wire("all_gather",
+                           SupportMask([full], model_size, mode), groups)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..engine.plan import PhasePlan, PhaseRequest, compression_ratio
+from ..glm.native import SparseVector
 from .allreduce import all_gather, partition_slices, reduce_scatter
 
 __all__ = ["SPARSE_COMM_MODES", "SparsePayload", "CommStats", "TreeWire",
@@ -212,9 +213,9 @@ class TreeWire:
 # the one sizing primitive
 # ----------------------------------------------------------------------
 class SupportMask:
-    """Row ``r`` is ``vectors[r] != 0``: what vector ``r`` puts on a
-    sparse wire.  Every wire builder (flat, hier, tree, and through them
-    the switch fallback) sizes its messages here.
+    """Row ``r`` is vector ``r``'s nonzeros (a :class:`SparseVector`'s
+    ``cols`` but those holding -0.0): what it puts on a sparse wire.
+    Every wire builder (flat, hier, tree, switch's fallback) sizes here.
 
     A message's count is a ``reduceat`` over the owner ranges of the
     ``any`` of the rows whose union it carries — read from the inputs,
@@ -223,12 +224,13 @@ class SupportMask:
     (``vectors`` may be empty).
     """
 
-    def __init__(self, vectors: Sequence[np.ndarray], size: int,
-                 mode: str) -> None:
+    def __init__(self, vectors: Sequence[np.ndarray | SparseVector],
+                 size: int, mode: str) -> None:
         _check_mode(mode)
         self.size, self.mode = size, mode
-        self._mask = (None if mode == "off"
-                      else np.vstack([v != 0 for v in vectors]))
+        self._mask = (None if mode == "off" else np.vstack([
+            np.bincount(v.cols[v.values != 0], minlength=size) > 0
+            if isinstance(v, SparseVector) else v != 0 for v in vectors]))
 
     def message(self, rows: Sequence[int]) -> float:
         """Wire size of one whole-vector message carrying the union

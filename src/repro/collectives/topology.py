@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allreduce import all_gather, reduce_scatter
-from .hierarchical import hier_ag_wire, hier_fan_in_wire, hier_rs_wire
+from .hierarchical import hier_wire
 from .innetwork import switch_wire
 from .sparse import SupportMask, flat_ag_wire, flat_fan_in_wire, flat_rs_wire
 
@@ -102,11 +102,7 @@ class HierTopology(Topology):
     """Two-tier, placement-aware aggregation (:mod:`.hierarchical`)."""
 
     def wire(self, phase, support, mpe=1):
-        if phase == "tree_aggregate":
-            return hier_fan_in_wire(support, self.groups, mpe)
-        if phase == "reduce_scatter":
-            return hier_rs_wire(support, self.groups)
-        return hier_ag_wire(support, self.groups)
+        return hier_wire(phase, support, self.groups, mpe)
 
 
 class SwitchTopology(Topology):

@@ -35,7 +35,7 @@ class MLlibTrainer(DistributedTrainer):
     """Spark MLlib's distributed MGD (SendGradient + treeAggregate)."""
 
     system = "MLlib"
-    fixed_fields: dict[str, object] = {}
+    fixed_fields = {"local_solver": "mgd"}
 
     def __init__(self, objective: Objective, cluster: ClusterSpec,
                  config: TrainerConfig | None = None,

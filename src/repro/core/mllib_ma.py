@@ -26,7 +26,6 @@ class MLlibModelAveragingTrainer(MLlibTrainer):
     engine and ``tree`` parameter, with a different step."""
 
     system = "MLlib+MA"
-    supports_dual_solver = True
     fixed_fields = {"tasks_per_executor": 1}
 
     # ------------------------------------------------------------------

@@ -35,7 +35,7 @@ class MLlibStarTrainer(DistributedTrainer):
     """
 
     system = "MLlib*"
-    supports_dual_solver = True
+    fixed_fields = {"tasks_per_executor": 1}
     allreduce_owners = True
     _engine: BspEngine | None = None
 

@@ -129,17 +129,13 @@ class DistributedTrainer:
     #: Human-readable system name, overridden by subclasses.
     system = "abstract"
 
-    #: Whether the trainer implements the dual local-solver family
-    #: (``config.local_solver`` in ``{"cocoa", "cocoa+"}``).  SendModel
-    #: trainers override this; requesting a dual solver from any other
-    #: system fails fast in :meth:`open_session`.
-    supports_dual_solver = False
-
     #: Config fields the system cannot honour, each mapped to the one
-    #: value it runs as; :meth:`open_session` rejects any other value by
+    #: value it runs as; :meth:`check_supported` rejects any other value by
     #: name instead of silently running as that value.  Only MLlib runs
-    #: waves of tasks per executor.
-    fixed_fields: dict[str, object] = {"tasks_per_executor": 1}
+    #: waves of tasks per executor, and only the SendModel trainers
+    #: (MLlib*, MLlib+MA) the dual CoCoA family.
+    fixed_fields: dict[str, object] = {"tasks_per_executor": 1,
+                                       "local_solver": "mgd"}
 
     #: Whether the run partitions the model across its executors as
     #: AllReduce owners, which needs one coordinate per executor.
@@ -379,6 +375,18 @@ class DistributedTrainer:
                  for i, result in enumerate(results)])
 
     # ------------------------------------------------------------------
+    def check_supported(self) -> None:
+        """Raise ``ValueError`` naming the config this system cannot run."""
+        unsupported = [f"{name}={getattr(self.config, name)!r}"
+                       for name, value in self.fixed_fields.items()
+                       if getattr(self.config, name) != value]
+        if unsupported:
+            raise ValueError(
+                f"{self.system} does not support {', '.join(unsupported)}"
+                "; it runs only as " + ", ".join(
+                    f"{name}={value!r}"
+                    for name, value in self.fixed_fields.items()))
+
     def open_session(self, dataset: SparseDataset,
                      partition_strategy: str = "random",
                      initial_weights: np.ndarray | None = None, *,
@@ -397,22 +405,7 @@ class DistributedTrainer:
         simulated seconds already consumed — the fresh engine's clock is
         reported relative to it.  Defaults describe a run from scratch.
         """
-        if (self.config.local_solver != "mgd"
-                and not self.supports_dual_solver):
-            raise ValueError(
-                f"{self.system} does not support "
-                f"local_solver={self.config.local_solver!r}; the dual "
-                "CoCoA family is implemented for the SendModel trainers "
-                "(MLlib*, MLlib+MA)")
-        unsupported = [f"{name}={getattr(self.config, name)!r}"
-                       for name, value in self.fixed_fields.items()
-                       if getattr(self.config, name) != value]
-        if unsupported:
-            raise ValueError(
-                f"{self.system} does not support {', '.join(unsupported)}"
-                "; it runs only as " + ", ".join(
-                    f"{name}={value!r}"
-                    for name, value in self.fixed_fields.items()))
+        self.check_supported()
         data = PartitionedDataset.load(dataset, self.cluster,
                                        strategy=partition_strategy,
                                        seed=self.config.seed)

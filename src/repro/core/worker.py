@@ -25,8 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..data import Partition
-from ..glm import (DualSolverSpec, LocalStats, Objective, apply_update,
-                   dual_local_solve, mgd_epoch, sample_batch,
+from ..glm import (DualSolverSpec, LocalStats, Objective, SparseVector,
+                   apply_update, dual_local_solve, mgd_epoch, sample_batch,
                    sampled_gradient, sgd_epoch)
 from .config import TrainerConfig
 
@@ -37,10 +37,10 @@ __all__ = ["gradient_wave_task", "send_model_task", "petuum_batch_task",
 
 def gradient_wave_task(part: Partition, w: np.ndarray, objective: Objective,
                        waves: int, per_task: int, rng: np.random.Generator,
-                       ) -> tuple[list[np.ndarray], list[int],
+                       ) -> tuple[list[SparseVector], list[int],
                                   np.random.Generator]:
-    """MLlib SendGradient: ``waves`` sequential batch gradients at ``w``
-    (compiled: :func:`repro.glm.sampled_gradient`) and their nnz."""
+    """MLlib SendGradient: ``waves`` sequential sparse batch gradients at
+    ``w`` (compiled: :func:`repro.glm.sampled_gradient`) and their nnz."""
     task_grads, nnz = zip(*(sampled_gradient(objective, w, part.X, part.y,
                                              per_task, rng, part.native)
                             for _ in range(waves)))
@@ -78,7 +78,7 @@ def petuum_batch_task(part: Partition, w: np.ndarray, objective: Objective,
         grad, nnz = sampled_gradient(objective, w, part.X, part.y, batch,
                                      rng, part.native)
         dense = w.shape[0] if objective.regularizer.is_dense else 0
-        return (apply_update(w, grad, lr, objective),
+        return (apply_update(w, grad.to_dense(), lr, objective),
                 LocalStats(2 * nnz, 1, dense), rng)
     # Parallel SGD inside the batch: many updates per step.
     Xb, yb = sample_batch(part.X, part.y, batch, rng)
@@ -142,4 +142,4 @@ def asgd_gradient_task(part: Partition, model: np.ndarray,
     (:func:`repro.glm.sampled_gradient`, as MLlib's)."""
     grad, nnz = sampled_gradient(objective, model, part.X, part.y, batch, rng,
                                  part.native)
-    return grad, nnz, rng
+    return grad.to_dense(), nnz, rng

@@ -11,6 +11,7 @@ from .losses import (LOSSES, HingeLoss, LogisticLoss, Loss, SquaredLoss,
                      get_loss)
 from .model import (ARTIFACT_FORMAT, ARTIFACT_VERSION, ArtifactError,
                     GLMModel, read_artifact_meta)
+from .native import SparseVector
 from .objective import Objective
 from .regularizers import (REGULARIZERS, L2Regularizer, NoRegularizer,
                            Regularizer, get_regularizer)
@@ -25,7 +26,7 @@ __all__ = [
     "ArtifactError", "ARTIFACT_FORMAT", "ARTIFACT_VERSION",
     "read_artifact_meta",
     "LocalStats", "mgd_epoch", "sgd_epoch", "sample_batch",
-    "sampled_gradient", "apply_update",
+    "sampled_gradient", "apply_update", "SparseVector",
     "apply_update_inplace", "dual_epoch", "dual_row_norms",
     "DualLoss", "DualSolverSpec", "DUAL_LOSSES", "DUAL_SOLVERS",
     "get_dual_loss", "make_dual_spec", "require_dual_capable",

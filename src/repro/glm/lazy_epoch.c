@@ -151,24 +151,25 @@ static int choice(bitgen_t *bitgen, int64_t n, int64_t size, int64_t *rows)
     return 0;
 }
 
-/* g (dim long, zeroed) gets SciPy's (X[rows].T @ factor) / b at w, for
- * rows[:b] of the checked n_rows x dim CSR matrix; with a bitgen (a
- * bitgen_t address, else 0) choice draws rows[:b] first (rows n_rows
- * long).  Margins as SciPy's CSR matvec, g[col] += data[k] * factor[r] in
- * row-major occurrence order as its CSC matvec, then / b once per touched
- * column, marked in marks (dim long, zero on entry and on return).
- * Returns -3 if out of memory, -2 if a row is out of range, -1 if the
- * callback raised, else the batch's nnz. */
+/* cols[:n], values[:n] (n to *support) get the non-+0.0 entries of SciPy's
+ * (X[rows].T @ factor) / b at w in first-touch order, for rows[:b] of the
+ * checked n_rows x dim CSR matrix; with a bitgen (a bitgen_t address, else
+ * 0) choice draws rows[:b] first (rows n_rows long).  Margins as SciPy's
+ * CSR matvec, g[col] += data[k] * factor[r] in row-major order as its CSC
+ * matvec, / b once per column; g and marks (dim long) are zero on entry and
+ * return: no error return follows a write to them.  Returns -3 if out of
+ * memory, -2 if a row is out of range, -1 if the callback raised, else nnz. */
 int64_t repro_batch_gradient(void *ctx, int hinge, const void *indptr,
                              const void *indices, int wide, int64_t n_rows,
                              const double *data, const double *y,
                              int64_t *rows, double *margins, double *factor,
-                             uint8_t *marks, uintptr_t bitgen, int64_t b,
-                             const double *w, int64_t dim, double *g)
+                             uint8_t *marks, double *g, int64_t *cols,
+                             double *values, int64_t *support,
+                             uintptr_t bitgen, int64_t b, const double *w)
 {
     if (bitgen && choice((bitgen_t *)bitgen, n_rows, b, rows) != 0)
         return -3;
-    int64_t total = 0;
+    int64_t total = 0, n = 0, kept = 0;
     for (int64_t r = 0; r < b; r++) {
         int64_t i = rows[r];
         if (i < 0 || i >= n_rows)
@@ -185,23 +186,25 @@ int64_t repro_batch_gradient(void *ctx, int hinge, const void *indptr,
         return -1;  /* else the callback overwrote the hinge factors */
     for (int64_t r = 0; r < b; r++) {
         int64_t i = rows[r], hi = AT(indptr, i + 1);
-        for (int64_t k = AT(indptr, i); k < hi; k++)
-            g[AT(indices, k)] += data[k] * factor[r];
-    }
-    for (int64_t r = 0; r < b; r++) {  /* an untouched +0.0 / b is +0.0 */
-        int64_t i = rows[r], hi = AT(indptr, i + 1);
         for (int64_t k = AT(indptr, i); k < hi; k++) {
             int64_t col = AT(indices, k);
             if (!marks[col]) {
                 marks[col] = 1;
-                g[col] /= (double)b;
+                cols[n++] = col;
             }
+            g[col] += data[k] * factor[r];
         }
     }
-    for (int64_t r = 0; r < b; r++) {
-        int64_t i = rows[r], hi = AT(indptr, i + 1);
-        for (int64_t k = AT(indptr, i); k < hi; k++)
-            marks[AT(indices, k)] = 0;
+    for (int64_t t = 0; t < n; t++) {
+        int64_t col = cols[t];
+        double value = g[col] / (double)b;
+        marks[col] = 0;
+        g[col] = 0.0;
+        if (value != 0.0 || signbit(value)) {  /* -0.0: a tiny sum / b */
+            cols[kept] = col;
+            values[kept++] = value;
+        }
     }
+    *support = kept;
     return total;
 }

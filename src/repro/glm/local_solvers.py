@@ -74,11 +74,11 @@ def sample_batch(X: sp.csr_matrix, y: np.ndarray, batch_size: int,
 def sampled_gradient(objective: Objective, w: np.ndarray, X: sp.csr_matrix,
                      y: np.ndarray, batch_size: int, rng: np.random.Generator,
                      view: native.PartitionView | None = None,
-                     ) -> tuple[np.ndarray, int]:
-    """The mean loss gradient at ``w`` over a :func:`sample_batch` draw and
-    the draw's nnz: one compiled call on ``view``, ``(X, y)``'s
-    :class:`~repro.glm.native.PartitionView` (built here if not given), or
-    where it cannot be built the NumPy body it is bit-identical to."""
+                     ) -> tuple[native.SparseVector, int]:
+    """The mean loss gradient at ``w`` over a :func:`sample_batch` draw, a
+    ``SparseVector``, and the draw's nnz: one compiled call on ``view``,
+    ``(X, y)``'s ``PartitionView`` (built here if not given), or where it
+    cannot be built the NumPy body it is bit-identical to."""
     b = _batch_size(X.shape[0], batch_size)
     view = view or native.view(X, y)
     if view is None:
@@ -88,10 +88,13 @@ def sampled_gradient(objective: Objective, w: np.ndarray, X: sp.csr_matrix,
 
 
 def _numpy_batch(objective: Objective, w: np.ndarray, X: sp.csr_matrix,
-                 y: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, int]:
+                 y: np.ndarray, rows: np.ndarray,
+                 ) -> tuple[native.SparseVector, int]:
     """The NumPy body of a batch gradient and its nnz over ``rows``."""
     Xb = X[rows]
-    return objective.batch_loss_gradient(w, Xb, y[rows]), int(Xb.nnz)
+    grad = objective.batch_loss_gradient(w, Xb, y[rows])
+    cols = np.flatnonzero((grad != 0) | np.signbit(grad))
+    return native.SparseVector(cols, grad[cols], grad.size), int(Xb.nnz)
 
 
 def apply_update(w: np.ndarray, grad_loss: np.ndarray, lr: float,
@@ -132,7 +135,7 @@ def mgd_epoch(objective: Objective, w: np.ndarray, X: sp.csr_matrix,
         grad, nnz = (_numpy_batch(objective, current, X, y, rows)
                      if view is None else
                      view.batch(objective.loss, current, rows))
-        apply_update_inplace(current, grad, lr, objective, scratch)
+        apply_update_inplace(current, grad.to_dense(), lr, objective, scratch)
         stats.nnz_processed += 2 * nnz
         stats.n_updates += 1
         if objective.regularizer.is_dense:

@@ -6,10 +6,10 @@ arrays, with the float operations of its NumPy body in the same order,
 so the two are bit-identical.  Hinge's gradient factor is inline; any
 other loss gives its factors through a callback that makes the NumPy
 body's own call.  The batch gradient reads a :class:`PartitionView`,
-built once per partition per process, and draws a sampled batch in C
-through the ``Generator``'s own bit generator, as ``rng.choice`` would.
-``cffi`` builds the module on first use into
-``$XDG_CACHE_HOME/repro`` (``~/.cache/repro``), keyed by the hash of
+built once per partition per process, draws a sampled batch in C through
+the ``Generator``'s own bit generator, as ``rng.choice`` would, and
+returns a :class:`SparseVector`.  ``cffi`` builds the module on first use
+into ``$XDG_CACHE_HOME/repro`` (``~/.cache/repro``), keyed by the hash of
 source, declarations, flags and cffi version.  A build ``os.replace``s its
 file into the cache, so racing processes all load a complete one; with the
 cache unwritable it loads from its temporary directory.
@@ -36,7 +36,7 @@ from .lazy_update import ScaledVector
 from .losses import HingeLoss
 from .objective import Objective
 
-__all__ = ["library", "lazy_epoch", "PartitionView", "view"]
+__all__ = ["library", "lazy_epoch", "SparseVector", "PartitionView", "view"]
 
 _LOG = logging.getLogger(__name__)
 _SOURCE = Path(__file__).with_name("lazy_epoch.c")
@@ -205,13 +205,31 @@ def lazy_epoch(module: Any, objective: Objective, w: np.ndarray,
     return v, (int(stats[0]), int(stats[1]), int(stats[2]))
 
 
+class SparseVector:
+    """``values`` at the distinct ``cols`` (any order) of a ``size``-long
+    vector, +0.0 elsewhere; NumPy densifies it through ``__array__``."""
+
+    __slots__ = ("cols", "values", "size")
+
+    def __init__(self, cols: np.ndarray, values: np.ndarray,
+                 size: int) -> None:
+        self.cols, self.values, self.size = cols, values, size
+
+    def to_dense(self, dtype: Any = None, copy: Any = None) -> np.ndarray:
+        out = np.zeros(self.size, dtype)
+        out[self.cols] = self.values
+        return out
+
+    __array__ = to_dense
+
+
 class PartitionView:
     """A partition's arrays as ``repro_batch_gradient`` reads them, checked
     once, and its scratch: the batch's ``rows`` (where a C draw lands),
-    margins, factors and the column marks.  One
-    per partition per process (``Partition.native``): it holds no
-    reference to the partition, and its calls must not overlap.  Each call
-    writes the scratch it reads, so no call sees another's."""
+    margins, factors, column marks and sums (zero between calls), and the
+    ``cols`` and ``values`` a call returns.  One per partition per process
+    (``Partition.native``): it holds no reference to the partition, and
+    its calls must not overlap; each writes the scratch it reads."""
 
     def __init__(self, module: Any, X: sp.csr_matrix, y: np.ndarray) -> None:
         indptr, indices, data, labels = _csr(X, y)
@@ -219,12 +237,15 @@ class PartitionView:
         self.n_rows, self.n_cols = n_rows, n_cols = X.shape
         self.rows = np.empty(n_rows, np.int64)
         self.margins, self.factor = np.empty(n_rows), np.empty(n_rows)
+        self.cols, self.values = np.empty(n_cols, np.int64), np.empty(n_cols)
+        self._support = module.ffi.new("int64_t *")
         self._args = _c_args(module.ffi, (
             indptr, indices, indices.itemsize == 8, n_rows, data, labels,
-            self.rows, self.margins, self.factor, np.zeros(n_cols, np.uint8)))
+            self.rows, self.margins, self.factor, np.zeros(n_cols, np.uint8),
+            np.zeros(n_cols), self.cols, self.values, self._support))
 
     def sampled(self, loss: Any, w: np.ndarray, b: int,
-                rng: np.random.Generator) -> tuple[np.ndarray, int]:
+                rng: np.random.Generator) -> tuple[SparseVector, int]:
         """``loss``'s mean gradient at ``w`` over ``rng.choice(n_rows, b,
         replace=False)``, drawn in C with its bits and end state, and the
         batch's nnz."""
@@ -234,29 +255,29 @@ class PartitionView:
                                                   b"BitGenerator"))
 
     def batch(self, loss: Any, w: np.ndarray,
-              rows: np.ndarray) -> tuple[np.ndarray, int]:
+              rows: np.ndarray) -> tuple[SparseVector, int]:
         """``loss``'s mean gradient at ``w`` over ``rows`` and their nnz."""
         self.rows[:len(rows)] = rows
         return self._gradient(loss, w, len(rows), 0)
 
     def _gradient(self, loss: Any, w: np.ndarray, b: int,
-                  bitgen: int) -> tuple[np.ndarray, int]:
+                  bitgen: int) -> tuple[SparseVector, int]:
         w = np.ascontiguousarray(w, dtype=np.float64)
         if w.shape != (self.n_cols,):
             raise ValueError(f"batch_gradient: w {w.shape} does not match X "
                              f"{(self.n_rows, self.n_cols)}")
-        g = np.zeros(self.n_cols)
-        buffer = self.module.ffi.from_buffer
         nnz = _call(self.module, "repro_batch_gradient", loss, self.y,
                     self.rows, self.margins, self.factor,
-                    (*self._args, bitgen, b, buffer("double[]", w),
-                     self.n_cols, buffer("double[]", g)))
+                    (*self._args, bitgen, b,
+                     self.module.ffi.from_buffer("double[]", w)))
         if nnz == -3:
             raise MemoryError("batch_gradient: no memory for the draw")
         if nnz < 0:
             raise ValueError(f"batch_gradient: X {(self.n_rows, self.n_cols)}"
                              " is not a valid CSR matrix for these rows")
-        return g, nnz
+        n = self._support[0]
+        return SparseVector(self.cols[:n].copy(), self.values[:n].copy(),
+                            self.n_cols), nnz
 
 
 def view(X: sp.csr_matrix, y: np.ndarray) -> PartitionView | None:

@@ -51,7 +51,7 @@ class AsyncSgdTrainer(DistributedTrainer):
     #: and no collective: every push goes to the parameter server.
     fixed_fields = {"failure_rate": 0.0, "failure_schedule": None,
                     "checkpoint_every": 0, "collective": "flat",
-                    "tasks_per_executor": 1}
+                    "tasks_per_executor": 1, "local_solver": "mgd"}
 
     def __init__(self, objective: Objective, cluster: ClusterSpec,
                  config: TrainerConfig | None = None) -> None:

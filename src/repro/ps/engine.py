@@ -255,7 +255,8 @@ class PsTrainer(DistributedTrainer):
 
     #: Workers pull and push through the parameter server, never a
     #: collective.
-    fixed_fields = {"collective": "flat", "tasks_per_executor": 1}
+    fixed_fields = {"collective": "flat", "tasks_per_executor": 1,
+                    "local_solver": "mgd"}
 
     _controller: Controller
     _engine: PsEngine | None = None

@@ -172,13 +172,23 @@ class TestTasksPerExecutor:
                 "does not support tasks_per_executor=4")):
             trainer.fit(dataset)
 
-    def test_cli_exits_1(self):
+    @pytest.mark.parametrize("flags, message", [
+        (["--system", "MLlib*", "--tasks-per-executor", "4"],
+         "MLlib* does not support tasks_per_executor=4"),
+        (["--system", "ASGD", "--failure-schedule", "1@2"],
+         "ASGD does not support failure_schedule='1@2'"),
+        (["--system", "Petuum", "--collective", "hier"],
+         "Petuum does not support collective='hier'"),
+    ], ids=["MLlib*", "ASGD", "Petuum"])
+    def test_cli_exits_2_before_loading(self, flags, message):
+        # The dataset does not exist: the check runs before it loads.
         env = dict(os.environ,
                    PYTHONPATH=str(Path(repro.__file__).parents[1]))
         run = subprocess.run(
-            [sys.executable, "-m", "repro", "train", "--system", "MLlib*",
-             "--dataset", "avazu", "--executors", "4", "--steps", "3",
-             "--tasks-per-executor", "4"],
+            [sys.executable, "-m", "repro", "train", *flags,
+             "--dataset", "/nonexistent.svm", "--executors", "4",
+             "--steps", "3"],
             env=env, capture_output=True, text=True)
-        assert run.returncode == 1
-        assert "does not support tasks_per_executor=4" in run.stderr
+        assert run.returncode == 2
+        assert len(run.stderr.splitlines()) == 1
+        assert run.stderr.startswith(f"error: {message}")

@@ -38,6 +38,7 @@ from repro.glm import (LocalStats, Objective, apply_update,
                        sample_batch, sampled_gradient, sgd_epoch)
 from repro.engine.backend import ExecutionBackend
 from repro.glm.lazy_update import ScaledVector
+from repro.glm.local_solvers import _numpy_batch
 from repro.glm.losses import HingeLoss, LogisticLoss
 from data.make_golden import SYSTEMS, golden_workload
 from test_perf_backend import _assert_matches_serial
@@ -339,7 +340,9 @@ class TestCompiledLazyEpoch:
                     ref_grads, ref_nnz = _numpy_waves(
                         objective, w0, X, y, 2, 7,
                         np.random.default_rng(seed))
-                    assert [g.tobytes() for g in grads] == [
+                    # The fallback returns the compiled call's type.
+                    assert {type(g) for g in grads} == {native.SparseVector}
+                    assert [np.asarray(g).tobytes() for g in grads] == [
                         g.tobytes() for g in ref_grads]
                     assert nnz == ref_nnz
         finally:
@@ -395,8 +398,15 @@ class TestCompiledBatchGradient:
         assert fast_error == ref_error
         assert (fast_error is None) == (X.shape[0] > 0)
         if ref is not None:
-            assert [g.tobytes() for g in fast[0]] == [
+            assert [np.asarray(g).tobytes() for g in fast[0]] == [
                 g.tobytes() for g in ref[0]]
+            for g, dense in zip(fast[0], ref[0]):
+                # The support is the dense vector's entries other than
+                # +0.0, each column once.
+                assert type(g) is native.SparseVector and g.size == w.size
+                assert np.sort(g.cols).tobytes() == np.flatnonzero(
+                    (dense != 0) | np.signbit(dense)).tobytes()
+                assert g.values.tobytes() == dense[g.cols].tobytes()
             assert fast[1] == ref[1]
             grad, nnz, _ = asgd_gradient_task(part, w, objective, per_task,
                                               np.random.default_rng(seed))
@@ -477,9 +487,48 @@ class TestCompiledBatchGradient:
                                            4, np.random.default_rng(1))
         ref_grads, ref_nnz = _numpy_waves(Objective("logistic"), w, X, y, 2,
                                           4, np.random.default_rng(1))
-        assert [g.tobytes() for g in grads] == [
+        assert [np.asarray(g).tobytes() for g in grads] == [
             g.tobytes() for g in ref_grads]
         assert nnz == ref_nnz
+
+    @pytest.mark.parametrize("loss", [LogisticLoss(), HingeLoss()])
+    def test_failed_and_valid_calls_leave_the_scratch_clean(self, loss):
+        # After a raising callback and after each valid call, the view's
+        # accumulator and marks are zero: its next calls equal a fresh
+        # view's.  Overlapping batches catch a value or mark left behind.
+        module = native.library()
+        if module is None:
+            pytest.skip("the compiled tier is unavailable")
+
+        class Broken(LogisticLoss):
+            def gradient_factor(self, margins, y):
+                raise ArithmeticError("broken loss")
+
+        X, y, w = make_problem(40, 12, 0.4, 5)
+        view = native.PartitionView(module, X, y)
+        with pytest.raises(ArithmeticError, match="broken loss"):
+            view.batch(Broken(), w, np.arange(0, 30))
+        for rows in (np.arange(10, 40), np.arange(5, 25), np.arange(40)):
+            got, nnz = view.batch(loss, w, rows)
+            ref, ref_nnz = native.PartitionView(module, X, y).batch(
+                loss, w, rows)
+            assert (got.cols.tobytes(), got.values.tobytes(), nnz) == (
+                ref.cols.tobytes(), ref.values.tobytes(), ref_nnz)
+
+    def test_a_sum_that_underflows_to_minus_zero_keeps_its_sign(self):
+        # -5e-324 / 3 rounds to -0.0: the dense body holds -0.0 in column
+        # 0, so the sparse vector (compiled and fallback) keeps it.
+        X = sp.csr_matrix(np.array([[5e-324, 0.0], [0.0, 1.0], [0.0, 1.0]]))
+        y, w, objective = np.ones(3), np.zeros(2), Objective("squared")
+        dense = objective.batch_loss_gradient(w, X, y)
+        assert dense[0] == 0 and np.signbit(dense[0])
+        grads = [_numpy_batch(objective, w, X, y, np.arange(3))[0]]
+        if native.library() is not None:
+            grads.append(native.PartitionView(native.library(), X, y).batch(
+                objective.loss, w, np.arange(3))[0])
+        for g in grads:
+            assert g.cols.tolist() == [0, 1]
+            assert np.asarray(g).tobytes() == dense.tobytes()
 
     @pytest.mark.parametrize("n, per_task", [(300, 17), (12_000, 400)])
     def test_non_hinge_losses_read_the_rows_c_drew(self, n, per_task):
@@ -506,7 +555,7 @@ class TestCompiledBatchGradient:
         assert rng.bit_generator.state == twin.bit_generator.state
         ref_grads, ref_nnz = _numpy_waves(objective, w, X, y, 3, per_task,
                                           np.random.default_rng(7))
-        assert [g.tobytes() for g in grads] == [
+        assert [np.asarray(g).tobytes() for g in grads] == [
             g.tobytes() for g in ref_grads]
         assert nnz == ref_nnz
 
@@ -548,7 +597,7 @@ class TestCompiledSampler:
         expected = twin.choice(n, size, replace=False)
         assert view.rows[:size].tobytes() == expected.tobytes()
         assert rng.bit_generator.state == twin.bit_generator.state
-        assert (g.tolist(), nnz) == ([0.0], 0)
+        assert (g.cols.size, np.asarray(g).tolist(), nnz) == (0, [0.0], 0)
 
 
 def _load_in_child(barrier, queue) -> None:

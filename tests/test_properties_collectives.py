@@ -20,7 +20,9 @@ Six families of invariants:
   ``np.flatnonzero`` supports) says it costs.
 * **One float sum** — ``ordered_sum`` is ``tobytes()``-equal to NumPy's
   stacked sum, and ``ordered_sum / k`` to ``np.mean``, on signed zeros,
-  NaN, infinities and subnormals.
+  NaN, infinities and subnormals; over sparse vectors (mixed with dense
+  ones) it equals the sum of their densified twins, and so does the
+  support mask built from them.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from repro.collectives import (TOPOLOGIES, SupportMask, all_gather,
 from repro.collectives.sparse import flat_fan_in_wire, flat_rs_wire
 from repro.engine import TreeAggregateModel
 from repro.engine.shuffle import exchange
+from repro.glm import SparseVector
 
 finite_floats = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -382,3 +385,73 @@ class TestOrderedSumEqualsStackedSum:
             assert got.tobytes() == np.stack(vectors).sum(axis=0).tobytes()
             assert (got / len(vectors)).tobytes() == np.mean(
                 vectors, axis=0).tobytes()
+
+
+#: NaN as arithmetic makes it (inf - inf): of two NaN operands NumPy
+#: returns one or the other depending on the array position, so a second
+#: payload would test NumPy's loops, not the combine.
+ARITHMETIC_NAN = -float("nan")
+combine_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, ARITHMETIC_NAN, float("inf"),
+                     float("-inf")]),
+    st.floats(min_value=-2.2e-308, max_value=2.2e-308),  # subnormals
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def mixed_vectors(draw, values=combine_floats):
+    """k = 1..33 vectors of width 1..70, each dense or a
+    :class:`SparseVector` over a distinct support in any order (possibly
+    empty), with its densified twin."""
+    k, m = draw(st.integers(1, 33)), draw(st.integers(1, 70))
+    vectors, twins = [], []
+    for _ in range(k):
+        if draw(st.booleans()):
+            dense = draw(arrays(np.float64, m, elements=values))
+            vectors.append(dense)
+        else:
+            cols = np.array(draw(st.permutations(range(m)))[
+                :draw(st.integers(0, m))], dtype=np.int64)
+            vector = SparseVector(cols, draw(arrays(
+                np.float64, cols.size, elements=values)), m)
+            vectors.append(vector)
+            dense = vector.to_dense()
+        twins.append(dense)
+    return vectors, twins
+
+
+def _empty(m):
+    return SparseVector(np.array([], np.int64), np.array([]), m)
+
+
+class TestSparseCombineEqualsDense:
+    @given(pair=mixed_vectors())
+    @example(pair=([_empty(1)], [np.zeros(1)]))
+    @example(pair=([SparseVector(np.array([0]), np.array([-0.0]), 1)],
+                   [np.array([-0.0])]))
+    @example(pair=([_empty(1), np.array([-0.0]),
+                    SparseVector(np.array([0]), np.array([ARITHMETIC_NAN]),
+                                 1)],
+                   [np.zeros(1), np.array([-0.0]),
+                    np.array([ARITHMETIC_NAN])]))
+    @settings(max_examples=200, deadline=None)
+    def test_ordered_sum_bytes_equal_to_the_densified_twins(self, pair):
+        vectors, twins = pair
+        with np.errstate(all="ignore"):
+            assert ordered_sum(vectors).tobytes() == ordered_sum(
+                twins).tobytes()
+            assert np.asarray(vectors[0]).tobytes() == twins[0].tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    @given(data=st.data(), pair=mixed_vectors())
+    @settings(max_examples=30, deadline=None)
+    def test_support_mask_equals_the_densified_twins(self, mode, data, pair):
+        # A sparse vector's cols may hold ±0.0, which is not support.
+        vectors, twins = pair
+        k, m = len(vectors), twins[0].shape[0]
+        ranges = partition_slices(m, data.draw(st.integers(1, m)))
+        rows = data.draw(st.lists(st.integers(0, k - 1), min_size=1))
+        sparse, dense = SupportMask(vectors, m, mode), SupportMask(
+            twins, m, mode)
+        assert sparse.per_row(k, ranges) == dense.per_row(k, ranges)
+        assert sparse.values(rows, ranges) == dense.values(rows, ranges)
